@@ -21,22 +21,26 @@
 #include "mfusim/harness/experiment.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/sim/ruu_sim.hh"
+#include "mfusim/spec/predictor.hh"
 
 using namespace mfusim;
 
 namespace
 {
 
+/** RUU 4x100 rate with @p pred armed ("" = blocking branches). */
 double
 ruuRate(LoopClass cls, const MachineConfig &cfg, unsigned fu,
-        unsigned mem, BranchPolicy policy)
+        unsigned mem, const char *pred)
 {
     return meanIssueRate(
-        [fu, mem, policy](const MachineConfig &c)
+        [fu, mem, pred](const MachineConfig &c)
             -> std::unique_ptr<Simulator> {
-            RuuConfig org{ 4, 100, BusKind::kPerUnit, policy, fu,
-                           mem };
-            return std::make_unique<RuuSim>(org, c);
+            MachineConfig mc = c;
+            if (*pred != '\0')
+                mc.predictor = PredictorSpec::parse(pred);
+            RuuConfig org{ 4, 100, BusKind::kPerUnit, fu, mem };
+            return std::make_unique<RuuSim>(org, mc);
         },
         cls, cfg);
 }
@@ -87,10 +91,8 @@ main()
             table.addRow({
                 loopClassName(cls),
                 std::to_string(fu) + " x " + std::to_string(mem),
-                AsciiTable::num(ruuRate(cls, cfg, fu, mem,
-                                        BranchPolicy::kBlocking)),
-                AsciiTable::num(ruuRate(cls, cfg, fu, mem,
-                                        BranchPolicy::kOracle)),
+                AsciiTable::num(ruuRate(cls, cfg, fu, mem, "")),
+                AsciiTable::num(ruuRate(cls, cfg, fu, mem, "perfect")),
                 AsciiTable::num(harmonicMean(limit_rates)),
             });
         }

@@ -4,9 +4,10 @@
  *
  * The paper deliberately studies machines with no branch
  * speculation.  This bench quantifies that choice: every machine is
- * rerun under a static BTFN predictor and under a perfect oracle,
- * bracketing what any prediction scheme could add on top of the
- * paper's results.
+ * rerun under a static BTFN predictor that fetches nothing past a
+ * mispredict (btfn:w0, the ",btfn" alias) and under a perfect one
+ * (the ",oracle" alias), bracketing what any prediction scheme could
+ * add on top of the paper's results.
  */
 
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include "mfusim/sim/multi_issue_sim.hh"
 #include "mfusim/sim/ruu_sim.hh"
 #include "mfusim/sim/scoreboard_sim.hh"
+#include "mfusim/spec/predictor.hh"
 
 using namespace mfusim;
 
@@ -53,16 +55,19 @@ main()
          { LoopClass::kScalar, LoopClass::kVectorizable }) {
         const auto sweep = [&](const char *name,
                                const std::function<std::unique_ptr<
-                                   Simulator>(const MachineConfig &,
-                                              BranchPolicy)> &make) {
+                                   Simulator>(const MachineConfig &)>
+                                   &make) {
+            // The paper's blocking front end, then the predictors the
+            // ",btfn" and ",oracle" machine-spec aliases arm.
             double rates[3];
             int idx = 0;
-            for (const BranchPolicy policy :
-                 { BranchPolicy::kBlocking, BranchPolicy::kBtfn,
-                   BranchPolicy::kOracle }) {
+            for (const char *pred : { "", "btfn:w0", "perfect" }) {
                 rates[idx++] = meanIssueRate(
-                    [&make, policy](const MachineConfig &c) {
-                        return make(c, policy);
+                    [&make, pred](const MachineConfig &c) {
+                        MachineConfig mc = c;
+                        if (*pred != '\0')
+                            mc.predictor = PredictorSpec::parse(pred);
+                        return make(mc);
                     },
                     cls, cfg);
             }
@@ -78,24 +83,19 @@ main()
         };
 
         sweep("CRAY-like",
-              [](const MachineConfig &c, BranchPolicy policy)
-                  -> std::unique_ptr<Simulator> {
-                  ScoreboardConfig org = ScoreboardConfig::crayLike();
-                  org.branchPolicy = policy;
-                  return std::make_unique<ScoreboardSim>(org, c);
+              [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
+                  return std::make_unique<ScoreboardSim>(
+                      ScoreboardConfig::crayLike(), c);
               });
         sweep("OOO issue (w=4)",
-              [](const MachineConfig &c, BranchPolicy policy)
-                  -> std::unique_ptr<Simulator> {
-                  MultiIssueConfig org{ 4, true, BusKind::kPerUnit,
-                                        false, policy };
-                  return std::make_unique<MultiIssueSim>(org, c);
+              [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
+                  return std::make_unique<MultiIssueSim>(
+                      MultiIssueConfig{ 4, true, BusKind::kPerUnit }, c);
               });
         sweep("RUU (w=4, 100)",
-              [](const MachineConfig &c, BranchPolicy policy)
-                  -> std::unique_ptr<Simulator> {
-                  RuuConfig org{ 4, 100, BusKind::kPerUnit, policy };
-                  return std::make_unique<RuuSim>(org, c);
+              [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
+                  return std::make_unique<RuuSim>(
+                      RuuConfig{ 4, 100, BusKind::kPerUnit }, c);
               });
         table.addRule();
     }

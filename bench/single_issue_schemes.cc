@@ -49,13 +49,13 @@ main()
         { "Tomasulo (3 RS, 1 CDB)",
           [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
               return std::make_unique<TomasuloSim>(
-                  TomasuloConfig{ 3, 1, BranchPolicy::kBlocking },
+                  TomasuloConfig{ 3, 1 },
                   c);
           } },
         { "Tomasulo (8 RS, 2 CDB)",
           [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
               return std::make_unique<TomasuloSim>(
-                  TomasuloConfig{ 8, 2, BranchPolicy::kBlocking },
+                  TomasuloConfig{ 8, 2 },
                   c);
           } },
         { "RUU (1 unit, 50 entries)",

@@ -6,8 +6,9 @@
  * Rows walk from the paper's blocking front end through real
  * predictors (always-taken, BTFN, 2-bit counters), a synthetic
  * fixed-accuracy ladder 80..99%, and the perfect predictor; the
- * legacy oracle branch policy closes the table as the non-speculative
- * upper bound the perfect predictor must reproduce bit-identically.
+ * ",oracle" machine-spec alias closes the table as the upper bound
+ * (it arms the perfect predictor, so the two rows agree by
+ * construction).
  * Columns are the four standard machine configurations.  No paper
  * numbers exist for these tables, so cells are measured-only.
  */
@@ -33,9 +34,9 @@ namespace mfusim
 namespace bench
 {
 
-/** Builds the swept machine for one (config, branch policy) point. */
-using SpecMachineMaker = std::function<std::unique_ptr<Simulator>(
-    const MachineConfig &, BranchPolicy)>;
+/** Builds the swept machine for one config (predictor included). */
+using SpecMachineMaker =
+    std::function<std::unique_ptr<Simulator>(const MachineConfig &)>;
 
 inline int
 runSpeculationTable(const char *title, LoopClass cls,
@@ -49,20 +50,19 @@ runSpeculationTable(const char *title, LoopClass cls,
     {
         const char *label;
         const char *pred; // nullptr = no predictor armed
-        BranchPolicy policy;
     };
     const std::vector<Row> rows = {
-        { "blocking (paper)", nullptr, BranchPolicy::kBlocking },
-        { "pred=taken", "taken", BranchPolicy::kBlocking },
-        { "pred=btfn", "btfn", BranchPolicy::kBlocking },
-        { "pred=fixed:80", "fixed:80", BranchPolicy::kBlocking },
-        { "pred=fixed:85", "fixed:85", BranchPolicy::kBlocking },
-        { "pred=fixed:90", "fixed:90", BranchPolicy::kBlocking },
-        { "pred=fixed:95", "fixed:95", BranchPolicy::kBlocking },
-        { "pred=fixed:99", "fixed:99", BranchPolicy::kBlocking },
-        { "pred=2bit", "2bit", BranchPolicy::kBlocking },
-        { "pred=perfect", "perfect", BranchPolicy::kBlocking },
-        { "oracle (no spec)", nullptr, BranchPolicy::kOracle },
+        { "blocking (paper)", nullptr },
+        { "pred=taken", "taken" },
+        { "pred=btfn", "btfn" },
+        { "pred=fixed:80", "fixed:80" },
+        { "pred=fixed:85", "fixed:85" },
+        { "pred=fixed:90", "fixed:90" },
+        { "pred=fixed:95", "fixed:95" },
+        { "pred=fixed:99", "fixed:99" },
+        { "pred=2bit", "2bit" },
+        { "pred=perfect", "perfect" },
+        { "oracle (no spec)", "perfect" },   // the ",oracle" alias
     };
 
     // One variant per row; each carries its predictor in its own copy
@@ -78,11 +78,9 @@ runSpeculationTable(const char *title, LoopClass cls,
         variants.push_back([&make, row](const MachineConfig &c)
                                -> std::unique_ptr<Simulator> {
             MachineConfig mc = c;
-            if (row.pred != nullptr) {
+            if (row.pred != nullptr)
                 mc.predictor = PredictorSpec::parse(row.pred);
-                mc.predictor.validate();
-            }
-            return make(mc, row.policy);
+            return make(mc);
         });
     }
 

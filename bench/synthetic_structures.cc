@@ -46,7 +46,7 @@ main()
     for (const auto &[name, trace] : workloads) {
         ScoreboardSim cray(ScoreboardConfig::crayLike(), cfg);
         MultiIssueSim ooo({ 4, true, BusKind::kPerUnit, false }, cfg);
-        TomasuloSim tom({ 4, 2, BranchPolicy::kBlocking }, cfg);
+        TomasuloSim tom({ 4, 2 }, cfg);
         RuuSim ruu({ 4, 64, BusKind::kPerUnit }, cfg);
         table.addRow({
             name,

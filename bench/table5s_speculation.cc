@@ -19,11 +19,8 @@ main()
         "Table 5s: OOO issue (w=4, N-Bus) under speculation, "
         "scalar loops",
         LoopClass::kScalar,
-        [](const MachineConfig &c,
-           BranchPolicy policy) -> std::unique_ptr<Simulator> {
+        [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
             return std::make_unique<MultiIssueSim>(
-                MultiIssueConfig{ 4, true, BusKind::kPerUnit, false,
-                                  policy },
-                c);
+                MultiIssueConfig{ 4, true, BusKind::kPerUnit }, c);
         });
 }

@@ -20,9 +20,8 @@ main()
         "Table 8s: RUU (w=4, size=50) under speculation, "
         "vectorizable loops",
         LoopClass::kVectorizable,
-        [](const MachineConfig &c,
-           BranchPolicy policy) -> std::unique_ptr<Simulator> {
+        [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
             return std::make_unique<RuuSim>(
-                RuuConfig{ 4, 50, BusKind::kPerUnit, policy }, c);
+                RuuConfig{ 4, 50, BusKind::kPerUnit }, c);
         });
 }

@@ -55,9 +55,9 @@ main(int argc, char **argv)
         double rate;
     };
     RuuSim ruu({ 4, 64, BusKind::kPerUnit }, cfg);
-    RuuSim ruu_spec({ 4, 64, BusKind::kPerUnit,
-                      BranchPolicy::kOracle },
-                    cfg);
+    MachineConfig perfect = cfg;
+    perfect.predictor = PredictorSpec::parse("perfect");
+    RuuSim ruu_spec({ 4, 64, BusKind::kPerUnit }, perfect);
     MachineConfig fast_mem = cfg;
     fast_mem.memLatency = 5;
     ScoreboardSim cray_fast(ScoreboardConfig::crayLike(), fast_mem);

@@ -9,7 +9,6 @@
 #include <cassert>
 #include <limits>
 
-#include "mfusim/core/branch_policy.hh"
 #include "mfusim/core/error.hh"
 #include "mfusim/core/registers.hh"
 
@@ -69,7 +68,7 @@ DecodedTrace::DecodedTrace(const DynTrace &trace,
             flags |= kProducesResult;
         if (dyn.taken)
             flags |= kTaken;
-        if (mfusim::btfnCorrect(dyn.backward, dyn.taken))
+        if (dyn.btfnCorrect())
             flags |= kBtfnCorrect;
 
         op_.push_back(dyn.op);

@@ -5,7 +5,6 @@
 
 #include "mfusim/core/trace.hh"
 
-#include "mfusim/core/branch_policy.hh"
 
 namespace mfusim
 {
@@ -30,7 +29,7 @@ DynTrace::stats() const
             stats.branches++;
             if (op.taken)
                 stats.takenBranches++;
-            if (btfnCorrect(op.backward, op.taken))
+            if (op.btfnCorrect())
                 stats.btfnCorrectBranches++;
         } else if (isLoad(op.op)) {
             stats.loads++;

@@ -45,6 +45,10 @@ struct DynOp
     bool backward = false;      //!< branch target precedes the branch
     /** Vector length at execution (vector ops only; 0 = scalar). */
     std::uint8_t vl = 0;
+
+    /** The static backward-taken/forward-not-taken predictor gets
+     *  this branch right. */
+    bool btfnCorrect() const { return backward == taken; }
 };
 
 /**

@@ -75,24 +75,39 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
         throw ConfigError("empty machine spec");
 
     BusKind bus = BusKind::kPerUnit;
-    BranchPolicy policy = BranchPolicy::kBlocking;
-    // ",pred=<spec>" arms a branch predictor on this machine's copy
-    // of the config (MultiIssue / RUU only; others reject it).
+    // The branch model: ",pred=<spec>" arms a predictor on this
+    // machine's copy of the config; ",btfn" is exactly
+    // ",pred=btfn:w0" and ",oracle" exactly ",pred=perfect".  At most
+    // one per machine, and none on top of a predictor the caller
+    // already armed (CLI --predictor, request "predictor" field).
     MachineConfig machineCfg = cfg;
+    std::string model;      // the option that set it
+    const auto setModel = [&](const std::string &option,
+                              const std::string &predictor) {
+        if (!model.empty())
+            throw BranchModelError("machine spec '" + spec +
+                                   "' sets two branch models ('" +
+                                   model + "' and '" + option + "')");
+        if (cfg.predictor.armed())
+            throw BranchModelError(
+                "machine spec '" + spec + "' sets branch model '" +
+                option + "' on top of the already armed predictor " +
+                cfg.predictor.key());
+        model = option;
+        machineCfg.predictor = PredictorSpec::parse(predictor);
+    };
     for (std::size_t i = 1; i < parts.size(); ++i) {
         if (parts[i] == "1bus")
             bus = BusKind::kSingle;
         else if (parts[i] == "xbar")
             bus = BusKind::kCrossbar;
         else if (parts[i] == "btfn")
-            policy = BranchPolicy::kBtfn;
+            setModel(parts[i], "btfn:w0");
         else if (parts[i] == "oracle")
-            policy = BranchPolicy::kOracle;
-        else if (parts[i].rfind("pred=", 0) == 0) {
-            machineCfg.predictor =
-                PredictorSpec::parse(parts[i].substr(5));
-            machineCfg.predictor.validate();
-        } else
+            setModel(parts[i], "perfect");
+        else if (parts[i].rfind("pred=", 0) == 0)
+            setModel(parts[i], parts[i].substr(5));
+        else
             throw ConfigError("unknown machine option '" + parts[i] +
                               "'");
     }
@@ -121,8 +136,13 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
         }
     };
 
-    if (fields[0] == "simple")
+    if (fields[0] == "simple") {
+        if (!model.empty())
+            throw BranchModelError("the 'simple' machine has no branch"
+                                   " overlap to model; drop '" +
+                                   model + "'");
         return std::make_unique<SimpleSim>(machineCfg);
+    }
     if (fields[0] == "serialmem" || fields[0] == "nonseg" ||
         fields[0] == "cray") {
         ScoreboardConfig org =
@@ -131,23 +151,20 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
                 fields[0] == "nonseg" ?
                     ScoreboardConfig::nonSegmented() :
                     ScoreboardConfig::crayLike();
-        org.branchPolicy = policy;
         return std::make_unique<ScoreboardSim>(org, machineCfg);
     }
     if (fields[0] == "seq" || fields[0] == "ooo") {
-        MultiIssueConfig org{ arg(1), fields[0] == "ooo", bus, false,
-                              policy };
+        MultiIssueConfig org{ arg(1), fields[0] == "ooo", bus };
         return std::make_unique<MultiIssueSim>(org, machineCfg);
     }
     if (fields[0] == "ruu") {
-        RuuConfig org{ arg(1), arg(2), bus, policy };
+        RuuConfig org{ arg(1), arg(2), bus };
         return std::make_unique<RuuSim>(org, machineCfg);
     }
     if (fields[0] == "cdc") {
         Cdc6600Config org;
         // ",xbar" lifts the single-result-bus completion model.
         org.modelResultBus = bus != BusKind::kCrossbar;
-        org.branchPolicy = policy;
         return std::make_unique<Cdc6600Sim>(org, machineCfg);
     }
     if (fields[0] == "tomasulo") {
@@ -156,7 +173,6 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
             org.stationsPerFu = arg(1);
         if (fields.size() > 2)
             org.cdbCount = arg(2);
-        org.branchPolicy = policy;
         return std::make_unique<TomasuloSim>(org, machineCfg);
     }
     throw ConfigError("unknown machine '" + parts[0] + "'");

@@ -9,8 +9,11 @@
  *   machine  simple | serialmem | nonseg | cray | cdc |
  *            tomasulo[:<rs>[:<cdb>]] | seq:<w> | ooo:<w> |
  *            ruu:<w>:<size>
- *            with optional ",1bus" / ",xbar" and ",btfn" / ",oracle"
- *            suffixes, e.g. "ruu:4:50,1bus,oracle"
+ *            with an optional ",1bus" / ",xbar" suffix and at most
+ *            one branch model: ",pred=<predictor>" (see
+ *            PredictorSpec::parse) or one of its aliases ",btfn"
+ *            (= ",pred=btfn:w0") and ",oracle" (= ",pred=perfect"),
+ *            e.g. "ruu:4:50,1bus,oracle"
  *
  * Unlike the original CLI helpers these functions never exit the
  * process — bad input throws ConfigError, so a long-lived daemon can
@@ -25,11 +28,24 @@
 #include <string>
 
 #include "mfusim/codegen/livermore.hh"
+#include "mfusim/core/error.hh"
 #include "mfusim/core/machine_config.hh"
 #include "mfusim/sim/simulator.hh"
 
 namespace mfusim
 {
+
+/**
+ * A machine spec names a branch model it may not carry: two of them,
+ * one on top of a predictor the caller already armed, or one on the
+ * "simple" machine.  A ConfigError, so the daemon answers 400; the
+ * CLI exits 3 for it where malformed specs exit 2.
+ */
+class BranchModelError : public ConfigError
+{
+  public:
+    using ConfigError::ConfigError;
+};
 
 /**
  * Named standard configuration.
@@ -53,9 +69,12 @@ Kernel parseKernelSpec(const std::string &spec);
 DynTrace traceForLoopSpec(const std::string &spec);
 
 /**
- * Instantiate a simulator from a machine spec string.
- * @throws ConfigError on an unknown machine / option / malformed
- *         numeric field.
+ * Instantiate a simulator from a machine spec string.  A branch
+ * model in the spec arms a predictor on the simulator's copy of
+ * @p cfg.
+ * @throws BranchModelError on a branch model the machine may not
+ *         carry; ConfigError on an unknown machine / option /
+ *         malformed numeric field.
  */
 std::unique_ptr<Simulator> parseMachineSpec(const std::string &spec,
                                             const MachineConfig &cfg);

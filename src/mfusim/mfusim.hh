@@ -27,7 +27,6 @@
 #include "mfusim/core/error.hh"
 #include "mfusim/core/faultpoint.hh"
 #include "mfusim/core/instruction.hh"
-#include "mfusim/core/branch_policy.hh"
 #include "mfusim/core/machine_config.hh"
 #include "mfusim/core/opcode.hh"
 #include "mfusim/core/registers.hh"

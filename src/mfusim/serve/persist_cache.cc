@@ -25,9 +25,11 @@ namespace
 constexpr std::uint32_t kFileMagic = 0x4A55464DU;   // "MFUJ" LE
 constexpr std::uint32_t kRecordMagic = 0x5255464DU; // "MFUR" LE
 // v2: payload grew the speculation counters (squashes, wrongPathOps).
-// A version bump discards v1 journals wholesale — recomputing is
-// always safe; decoding a v1 record into a v2 SimResult never is.
-constexpr std::uint32_t kSchemaVersion = 2;
+// v3: machine keys lost the branch-policy field ("|bp="); ",oracle"
+// and ",btfn" now key as the predictors they alias.
+// A version bump discards older journals wholesale — recomputing is
+// always safe; decoding an old record under a new key scheme never is.
+constexpr std::uint32_t kSchemaVersion = 3;
 /** Framing sanity bound: no composed key approaches this. */
 constexpr std::uint32_t kMaxPayloadBytes = 1 << 20;
 constexpr std::size_t kRecordHeaderBytes = 12;

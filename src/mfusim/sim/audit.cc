@@ -81,30 +81,22 @@ Auditor::describeOp(std::uint64_t i) const
 bool
 Auditor::predictedFree(std::uint64_t i) const
 {
-    if (!trace_.isBranch(i))
-        return false;
-    if (rules_.predictor.armed())
-        return predOk_[i] != 0;
-    if (rules_.branchPolicy == BranchPolicy::kOracle)
-        return true;
-    return rules_.branchPolicy == BranchPolicy::kBtfn &&
-        trace_.btfnCorrect(i);
+    return rules_.predictor.armed() && trace_.isBranch(i) &&
+        predOk_[i] != 0;
 }
 
 ClockCycle
 Auditor::resolveCycle(std::uint64_t i) const
 {
-    // A mispredicted branch resolves one cycle after it enters the
-    // front end, or when its condition register materializes,
-    // whichever is later.
-    const ClockCycle f = front(i);
-    ClockCycle resolve = f + 1;
+    // The simulators' one resolve rule: when the condition register
+    // materializes, no earlier than the cycle after the branch enters
+    // the front end if the window fetched anything in between.
     const std::uint32_t prod = trace_.prodA(i);
-    if (prod != DecodedTrace::kNoProducer &&
-        complete_[prod] != kNoCycle) {
-        resolve = std::max(resolve, complete_[prod]);
-    }
-    return resolve;
+    const ClockCycle cond = prod != DecodedTrace::kNoProducer &&
+            complete_[prod] != kNoCycle
+        ? complete_[prod]
+        : 0;
+    return rules_.predictor.resolveCycle(front(i), cond);
 }
 
 ClockCycle

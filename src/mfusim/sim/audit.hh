@@ -45,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "mfusim/core/branch_policy.hh"
 #include "mfusim/core/decoded_trace.hh"
 #include "mfusim/core/error.hh"
 #include "mfusim/core/types.hh"
@@ -129,18 +128,18 @@ struct AuditRules
     /** Vector chaining: consumers may start on the first element. */
     bool vectorChaining = false;
 
-    BranchPolicy branchPolicy = BranchPolicy::kBlocking;
-
     /**
-     * Armed predictor: the auditor replays the prediction stream
-     * (precomputePredictions) and enforces the squash-legality
-     * invariants instead of the blocking-branch floor — a correctly
-     * predicted branch imposes no floor; a mispredicted branch must
-     * emit exactly one kSquash at its resolve cycle, younger ops'
-     * front events obey resolve + branchTime, and kWrongPath events
-     * stay within [branch front + 1, resolve) and the wrong-path
-     * window.  Wrong-path ops are not trace ops, so they can never
-     * appear in a kCommit event by construction.
+     * The branch model.  Disarmed: every branch blocks (issue after
+     * its condition, floor at issue + branchTime).  Armed: the
+     * auditor replays the prediction stream (precomputePredictions)
+     * and enforces the squash-legality invariants instead — a
+     * correctly predicted branch imposes no floor; a mispredicted
+     * branch must emit exactly one kSquash at its resolve cycle
+     * (PredictorSpec::resolveCycle), younger ops' front events obey
+     * resolve + branchTime, and kWrongPath events stay within
+     * [branch front + 1, resolve) and the wrong-path window.
+     * Wrong-path ops are not trace ops, so they can never appear in
+     * a kCommit event by construction.
      */
     PredictorSpec predictor;
 

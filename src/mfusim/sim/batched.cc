@@ -321,7 +321,6 @@ struct ScoreboardLaneState
     const DecodedTrace *trace;
     // The organization/config knobs the issue loop reads, copied
     // out flat so the loop never chases the full config structs.
-    BranchPolicy branchPolicy;
     bool vectorChaining;
     bool modelResultBus;
     ClockCycle branchTime;
@@ -340,8 +339,7 @@ struct ScoreboardLaneState
                         const ScoreboardConfig &o,
                         const MachineConfig &c,
                         const SteadyStateTracker &tracker)
-        : lane(laneIdx), trace(&t), branchPolicy(o.branchPolicy),
-          vectorChaining(o.vectorChaining),
+        : lane(laneIdx), trace(&t), vectorChaining(o.vectorChaining),
           modelResultBus(o.modelResultBus), branchTime(c.branchTime),
           pool(o.fuDiscipline, o.memDiscipline, c.memLatency),
           bus(BusKind::kSingle, 1), boundary(tracker.nextBoundary())
@@ -449,24 +447,15 @@ runScoreboardLockstep(const std::vector<BatchLane> &lanes,
                 const RegId dst = lead.dst(i);
 
                 if (flags & DecodedTrace::kIsBranch) {
+                    // Lanes carry no predictor: every branch blocks.
                     const ClockCycle cond_ready =
                         srcA != kNoReg ? lane.regReady[srcA] : 0;
-                    const bool predicted_free =
-                        lane.branchPolicy == BranchPolicy::kOracle ||
-                        (lane.branchPolicy == BranchPolicy::kBtfn &&
-                         (flags & DecodedTrace::kBtfnCorrect));
-                    if (predicted_free) {
-                        const ClockCycle t = issue_cursor;
-                        issue_cursor = t + 1;
-                        end = std::max(end, t + 1);
-                    } else {
-                        const ClockCycle t =
-                            std::max(issue_cursor, cond_ready);
-                        stalls.branch += (t - issue_cursor) +
-                            (lane.branchTime - 1);
-                        issue_cursor = t + lane.branchTime;
-                        end = std::max(end, t + lane.branchTime);
-                    }
+                    const ClockCycle t =
+                        std::max(issue_cursor, cond_ready);
+                    stalls.branch +=
+                        (t - issue_cursor) + (lane.branchTime - 1);
+                    issue_cursor = t + lane.branchTime;
+                    end = std::max(end, t + lane.branchTime);
                     ++i;
                     continue;
                 }
@@ -557,7 +546,6 @@ struct MultiIssueLaneState
     // Flat copies of the organization/config knobs the issue loop
     // reads (see ScoreboardLaneState).
     unsigned width;
-    BranchPolicy branchPolicy;
     ClockCycle branchTime;
     ClockCycle watchdog;
 
@@ -580,7 +568,7 @@ struct MultiIssueLaneState
                         const MachineConfig &c,
                         const SteadyStateTracker &tracker)
         : lane(laneIdx), trace(&t_), width(o.width),
-          branchPolicy(o.branchPolicy), branchTime(c.branchTime),
+          branchTime(c.branchTime),
           watchdog(o.watchdogCycles > 0 ? o.watchdogCycles
                                         : kDefaultWatchdogCycles),
           completion(t_.size(), 0),
@@ -588,21 +576,6 @@ struct MultiIssueLaneState
                c.memLatency),
           bus(o.busKind, o.width), boundary(tracker.nextBoundary())
     {
-    }
-
-    bool
-    squashes(const DecodedTrace &lead, std::size_t j) const
-    {
-        if (!lead.isBranch(j))
-            return false;
-        const bool predicted_free =
-            branchPolicy == BranchPolicy::kOracle ||
-            (branchPolicy == BranchPolicy::kBtfn &&
-             lead.btfnCorrect(j));
-        if (predicted_free)
-            return false;
-        return lead.taken(j) ||
-            branchPolicy == BranchPolicy::kBtfn;
     }
 };
 
@@ -717,8 +690,9 @@ runMultiIssueLockstep(const std::vector<BatchLane> &lanes,
                     observeAtRefill = true;
                     std::size_t newEnd =
                         std::min(wStart + lane.width, n);
+                    // A taken branch squashes the slots behind it.
                     for (std::size_t j = wStart; j < newEnd; ++j) {
-                        if (lane.squashes(lead, j)) {
+                        if (lead.isBranch(j) && lead.taken(j)) {
                             newEnd = j + 1;
                             break;
                         }
@@ -739,12 +713,8 @@ runMultiIssueLockstep(const std::vector<BatchLane> &lanes,
                     flags & DecodedTrace::kIsBranch;
                 const bool produces =
                     flags & DecodedTrace::kProducesResult;
-                const bool free_branch = is_branch &&
-                    (lane.branchPolicy == BranchPolicy::kOracle ||
-                     (lane.branchPolicy == BranchPolicy::kBtfn &&
-                      (flags & DecodedTrace::kBtfnCorrect)));
                 ClockCycle earliest = 0;
-                if (!free_branch && prodA != kNoProd)
+                if (prodA != kNoProd)
                     earliest = std::max(earliest, comp[prodA]);
                 if (prodB != kNoProd)
                     earliest = std::max(earliest, comp[prodB]);
@@ -815,13 +785,9 @@ runMultiIssueLockstep(const std::vector<BatchLane> &lanes,
                 }
                 comp[i] = ready;
                 if (is_branch) {
-                    if (free_branch) {
-                        end = std::max(end, t + 1);
-                    } else {
-                        floorIdx = i;
-                        floorTime = t + lane.branchTime;
-                        end = std::max(end, floorTime);
-                    }
+                    floorIdx = i;
+                    floorTime = t + lane.branchTime;
+                    end = std::max(end, floorTime);
                 } else {
                     end = std::max(end, ready);
                 }
@@ -874,8 +840,9 @@ classify(const BatchLane &lane)
     // Audited runs need the complete event stream: scalar path.
     if (lane.sim->auditSink() != nullptr)
         return LaneKind::kScalar;
-    // Speculative lanes (armed predictor) carry wrong-path fetch and
-    // squash state the lockstep kernels do not model: scalar path.
+    // Lanes with an armed predictor (the ",btfn"/",oracle" aliases
+    // included) carry prediction and squash state the lockstep
+    // kernels do not model: scalar path.
     if (lane.sim->config().predictor.armed())
         return LaneKind::kScalar;
     if (dynamic_cast<const SimpleSim *>(lane.sim) != nullptr)

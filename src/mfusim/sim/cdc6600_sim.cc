@@ -9,6 +9,7 @@
 #include <array>
 
 #include <set>
+#include <vector>
 
 #include "mfusim/core/error.hh"
 #include "mfusim/funits/fu_pool.hh"
@@ -54,11 +55,20 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
 
     const std::size_t n = trace.size();
 
+    // Armed predictor (zero window): correctly predicted branches are
+    // free; mispredicted ones block like the paper's.
+    const bool spec = cfg_.predictor.armed();
+    std::vector<std::uint8_t> predOk;
+    if (spec)
+        predOk = precomputePredictions(trace, cfg_.predictor);
+
     // Steady-state fast path (see sim/steady_state.hh; off under
     // audit).  Boundary state: live register ready times, waiting
     // stations, the pool, and the outstanding bus reservations, all
-    // rebased to the issue cursor.
-    const bool steady = steadyStateEnabled() && !kObs;
+    // rebased to the issue cursor.  Predictors with history
+    // mispredict aperiodically and keep the plain path.
+    const bool steady = steadyStateEnabled() && !kObs &&
+        cfg_.predictor.isStatic();
     SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
                                n);
     std::size_t boundary = tracker.nextBoundary();
@@ -114,11 +124,7 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
         if (trace.isBranch(i)) {
             const ClockCycle cond_ready =
                 srcA != kNoReg ? regReady[srcA] : 0;
-            const bool predicted_free =
-                org_.branchPolicy == BranchPolicy::kOracle ||
-                (org_.branchPolicy == BranchPolicy::kBtfn &&
-                 trace.btfnCorrect(i));
-            if (predicted_free) {
+            if (spec && predOk[i]) {
                 const ClockCycle t = issue_cursor;
                 if constexpr (kObs)
                     emitAudit(AuditPhase::kIssue, t, i);
@@ -132,6 +138,8 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
                     std::max(issue_cursor, cond_ready);
                 if constexpr (kObs) {
                     emitAudit(AuditPhase::kIssue, t, i);
+                    if (spec)
+                        emitAudit(AuditPhase::kSquash, t, i);
                     emitStall(StallCause::kBranch, issue_cursor,
                               t - issue_cursor, i);
                     emitStall(StallCause::kBranch, t + 1,
@@ -227,7 +235,7 @@ Cdc6600Sim::auditRules() const
     rules.checkBranchFloor = true;
     rules.wawOrdered = true;
     rules.completionConsistent = true;
-    rules.branchPolicy = org_.branchPolicy;
+    rules.predictor = cfg_.predictor;
     rules.busCount = org_.modelResultBus ? 1 : 0;
     rules.busKind = BusKind::kSingle;
     rules.checkFuCaps = true;

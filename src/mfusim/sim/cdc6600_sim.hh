@@ -27,7 +27,6 @@
 #ifndef MFUSIM_SIM_CDC6600_SIM_HH
 #define MFUSIM_SIM_CDC6600_SIM_HH
 
-#include "mfusim/core/branch_policy.hh"
 #include "mfusim/core/error.hh"
 #include "mfusim/sim/simulator.hh"
 
@@ -39,7 +38,6 @@ struct Cdc6600Config
 {
     /** Model single-result-bus completion conflicts. */
     bool modelResultBus = true;
-    BranchPolicy branchPolicy = BranchPolicy::kBlocking;
 };
 
 /**
@@ -51,11 +49,7 @@ class Cdc6600Sim : public Simulator
     Cdc6600Sim(const Cdc6600Config &org, const MachineConfig &cfg)
         : org_(org), cfg_(cfg)
     {
-        if (cfg_.predictor.armed())
-            throw ConfigError(
-                "Cdc6600Sim: branch prediction is not modeled for"
-                " the single-issue machines (drop the predictor"
-                " spec)");
+        cfg_.predictor.requireNoWrongPath("Cdc6600Sim");
     }
 
     using Simulator::run;
@@ -65,8 +59,9 @@ class Cdc6600Sim : public Simulator
     cacheKey() const override
     {
         return std::string("cdc|rbus=") +
-            (org_.modelResultBus ? "1" : "0") + "|bp=" +
-            branchPolicyName(org_.branchPolicy);
+            (org_.modelResultBus ? "1" : "0") +
+            (cfg_.predictor.armed() ? "|pred=" + cfg_.predictor.key()
+                                    : std::string());
     }
     const MachineConfig &config() const override { return cfg_; }
     AuditRules auditRules() const override;

@@ -33,13 +33,6 @@ MultiIssueSim::MultiIssueSim(const MultiIssueConfig &org,
         throw ConfigError("MultiIssueSim: fuCopies must be >= 1");
     if (org_.memPorts < 1)
         throw ConfigError("MultiIssueSim: memPorts must be >= 1");
-    if (cfg_.predictor.armed() &&
-        org_.branchPolicy != BranchPolicy::kBlocking) {
-        throw ConfigError(
-            "MultiIssueSim: an armed predictor replaces the branch"
-            " policy; combine it only with the default blocking"
-            " policy");
-    }
 }
 
 std::string
@@ -59,7 +52,6 @@ MultiIssueSim::cacheKey() const
         "|w=" + std::to_string(org_.width) +
         "|bus=" + busKindName(org_.busKind) +
         "|war=" + (org_.blockWar ? "1" : "0") +
-        "|bp=" + branchPolicyName(org_.branchPolicy) +
         "|fuc=" + std::to_string(org_.fuCopies) +
         "|mp=" + std::to_string(org_.memPorts) +
         "|wd=" + std::to_string(org_.watchdogCycles) +
@@ -96,46 +88,31 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
     // Armed predictor: the front end speculates down the predicted
     // path.  Prediction outcomes are precomputed once in trace order
     // (they are timing-independent; wrong-path ops never update the
-    // predictor) and replace the static branch-policy logic below.
+    // predictor).  Without one every branch blocks (the paper).
     const bool spec = cfg_.predictor.armed();
     std::vector<std::uint8_t> predOk;
     if (spec)
         predOk = precomputePredictions(trace, cfg_.predictor);
 
     // A branch is "predicted free" when it resolves without gating
-    // the stream: a correctly predicted branch under an armed
-    // predictor, oracle always, BTFN when the static prediction
-    // matches the outcome.
-    const auto predicted_free = [this, &trace, spec,
-                                 &predOk](std::size_t j) {
-        if (!trace.isBranch(j))
-            return false;
-        if (spec)
-            return predOk[j] != 0;
-        if (org_.branchPolicy == BranchPolicy::kOracle)
-            return true;
-        return org_.branchPolicy == BranchPolicy::kBtfn &&
-            trace.btfnCorrect(j);
+    // the stream: a correctly predicted branch.
+    const auto predicted_free = [&trace, spec, &predOk](std::size_t j) {
+        return spec && trace.isBranch(j) && predOk[j] != 0;
     };
-    // A branch issues without waiting for its condition when the
-    // front end carries on past it: any branch under an armed
-    // predictor (a mispredicted one resolves — and squashes — in the
-    // background), otherwise exactly the predicted-free ones.
-    const auto issue_free = [&trace, spec,
-                             &predicted_free](std::size_t j) {
-        return spec ? trace.isBranch(j) : predicted_free(j);
+    // Under a predictor the front end carries on past every branch
+    // without waiting for its condition: a mispredicted one resolves
+    // (and squashes) in the background.
+    const auto issue_free = [&trace, spec](std::size_t j) {
+        return spec && trace.isBranch(j);
     };
     // A branch squashes the buffer slots behind it when the machine
-    // must refetch: any mispredicted branch under an armed predictor
-    // or BTFN, or a taken branch under the blocking policy.
-    const auto squashes = [this, &trace, spec,
+    // must refetch: a mispredicted branch, or a taken branch on the
+    // blocking front end.
+    const auto squashes = [&trace, spec,
                            &predicted_free](std::size_t j) {
         if (!trace.isBranch(j) || predicted_free(j))
             return false;
-        if (spec)
-            return true;
-        return trace.taken(j) ||
-            org_.branchPolicy == BranchPolicy::kBtfn;
+        return spec || trace.taken(j);
     };
 
     // Program-order dependence links, precomputed at decode time.
@@ -267,19 +244,17 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
 
     // Steady-state fast path (see sim/steady_state.hh; audit runs
     // use the plain path).  Boundaries are checked at window refill;
-    // under a predicting branch policy the window strides past them,
-    // which the tracker handles by folding the cursor-boundary
-    // offset into the signature.  Boundary state: the watchdog gap,
-    // the branch floor, the completion times the segment can still
-    // read (its link-lookback window plus fixed pre-segment
-    // producers), the pool and bus timelines, and the end watermark.
-    // A non-perfect predictor's mispredict stream is aperiodic in
-    // general (2-bit counters and fixed-accuracy hashes do not
-    // respect the trace's loop period), so the steady-state fast
-    // path stays off for it; a perfect predictor never mispredicts
-    // and keeps the oracle-identical schedule.
+    // under a predictor the window strides past them, which the
+    // tracker handles by folding the cursor-boundary offset into the
+    // signature.  Boundary state: the watchdog gap, the branch floor,
+    // the completion times the segment can still read (its
+    // link-lookback window plus fixed pre-segment producers), the
+    // pool and bus timelines, and the end watermark; a mispredict
+    // always settles before the refill.  Predictors with history
+    // (2-bit counters, fixed-accuracy hashes) do not respect the
+    // trace's loop period, so the fast path stays off for them.
     const bool steady = !kAudit && steadyStateEnabled() &&
-        !(spec && cfg_.predictor.kind != PredictorSpec::Kind::kPerfect);
+        cfg_.predictor.isStatic();
     SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
                                n);
     std::size_t boundary = tracker.nextBoundary();
@@ -319,8 +294,12 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                     pool.appendSignature(base, sig);
                     bus.appendSignature(base, sig);
                     sig.push_back(end - base);  // end >= t at refill
+                    const std::uint64_t counters[3] = {
+                        result.squashes, result.wrongPathOps,
+                        mispredictCycles
+                    };
                     if (const auto skip =
-                            tracker.finishObserve(base, nullptr, 0)) {
+                            tracker.finishObserve(base, counters, 3)) {
                         const std::size_t oldW = wStart;
                         wStart += skip->ops;
                         t += skip->delta;
@@ -331,6 +310,9 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                             floorTime += skip->delta;
                         pool.shiftTime(skip->delta);
                         bus.shiftTime(skip->delta);
+                        result.squashes += skip->counters[0];
+                        result.wrongPathOps += skip->counters[1];
+                        mispredictCycles += skip->counters[2];
                         // Refill the lookback window behind the
                         // landing cursor with the state shift: the
                         // source op has the same cursor-relative
@@ -657,9 +639,10 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
         }
 
         // A mispredicted branch drained with this window: it issued
-        // at pendingIssue and resolves at tr — one cycle later, or
-        // when its condition register materializes, whichever is
-        // later.  Until then the front end fetches and issues down
+        // at pendingIssue and resolves at tr (PredictorSpec::
+        // resolveCycle: when its condition register materializes, no
+        // earlier than the next cycle if the window fetches
+        // anything).  Until then the front end fetches and issues down
         // the wrong path (synthesized from the following trace ops,
         // bounded by the wrong-path window), polluting FU and
         // result-bus timelines; right-path reservations all exist by
@@ -670,9 +653,10 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
         // path at tr + branchTime.
         if (spec && pendingBranch != kNoPending) {
             const std::size_t j = pendingBranch;
-            ClockCycle tr = pendingIssue + 1;
-            if (trace.prodA(j) != kNoProd)
-                tr = std::max(tr, completion[trace.prodA(j)]);
+            const ClockCycle tr = cfg_.predictor.resolveCycle(
+                pendingIssue, trace.prodA(j) != kNoProd
+                                  ? completion[trace.prodA(j)]
+                                  : 0);
 
             const unsigned window = cfg_.predictor.wrongPathWindow;
             for (unsigned k = 0; k < window; ++k) {
@@ -740,7 +724,6 @@ MultiIssueSim::auditRules() const
     rules.checkBranchFloor = true;
     rules.wawOrdered = true;
     rules.completionConsistent = true;
-    rules.branchPolicy = org_.branchPolicy;
     rules.busCount =
         org_.busKind == BusKind::kSingle ? 1 : org_.width;
     rules.busKind = org_.busKind;

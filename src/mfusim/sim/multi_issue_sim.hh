@@ -19,6 +19,12 @@
  *    instructions.  No instruction may issue past an unissued
  *    branch (the machine does not speculate).
  *
+ * An armed predictor (MachineConfig::predictor) replaces the
+ * blocking front end: a correctly predicted branch costs one issue
+ * slot and the buffer behind it holds the right path; a mispredicted
+ * one truncates the buffer, fetches down the wrong path until it
+ * resolves, and squashes.
+ *
  * The execution resources are always the CRAY-like complement
  * (segmented units, interleaved memory): "we restrict further
  * experiments to machines with fully segmented functional units and
@@ -33,7 +39,6 @@
 #ifndef MFUSIM_SIM_MULTI_ISSUE_SIM_HH
 #define MFUSIM_SIM_MULTI_ISSUE_SIM_HH
 
-#include "mfusim/core/branch_policy.hh"
 #include "mfusim/funits/fu_pool.hh"
 #include "mfusim/funits/result_bus.hh"
 #include "mfusim/sim/simulator.hh"
@@ -54,18 +59,6 @@ struct MultiIssueConfig
      * operand read would need this.  Ablation knob, default off.
      */
     bool blockWar = false;
-
-    /**
-     * Branch handling.  kBlocking is the paper's model (no
-     * speculation): instructions never issue past an unresolved
-     * branch, and a taken branch squashes the rest of the buffer.
-     * kBtfn/kOracle model an idealized predicted front end: a
-     * correctly predicted branch costs one issue slot, imposes no
-     * floor, and the buffer behind it holds the correct path; a
-     * mispredicted branch behaves like a blocking one (redirect
-     * after resolution).
-     */
-    BranchPolicy branchPolicy = BranchPolicy::kBlocking;
 
     /** Copies of each functional unit (extension; paper: 1). */
     unsigned fuCopies = 1;

@@ -38,12 +38,6 @@ RuuSim::RuuSim(const RuuConfig &org, const MachineConfig &cfg)
         throw ConfigError("RuuSim: fuCopies must be >= 1");
     if (org_.memPorts < 1)
         throw ConfigError("RuuSim: memPorts must be >= 1");
-    if (cfg_.predictor.armed() &&
-        org_.branchPolicy != BranchPolicy::kBlocking) {
-        throw ConfigError(
-            "RuuSim: an armed predictor replaces the branch policy;"
-            " combine it only with the default blocking policy");
-    }
 }
 
 std::string
@@ -60,7 +54,6 @@ RuuSim::cacheKey() const
     return "ruu|w=" + std::to_string(org_.width) +
         "|size=" + std::to_string(org_.ruuSize) +
         "|bus=" + busKindName(org_.busKind) +
-        "|bp=" + branchPolicyName(org_.branchPolicy) +
         "|fuc=" + std::to_string(org_.fuCopies) +
         "|mp=" + std::to_string(org_.memPorts) +
         "|wd=" + std::to_string(org_.watchdogCycles) +
@@ -115,8 +108,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
 
     // Armed predictor: prediction outcomes precomputed in trace
     // order (timing-independent; wrong-path ops never update the
-    // predictor); the static branch-policy logic below defers to
-    // them.
+    // predictor).  Without one every branch blocks (the paper).
     const bool spec = cfg_.predictor.armed();
     std::vector<std::uint8_t> predOk;
     if (spec)
@@ -268,12 +260,11 @@ RuuSim::runImpl(const DecodedTrace &trace)
     // the live RUU entries (index relative to the insert cursor),
     // and the result times the segment can still read — producers of
     // both future inserts (link lookback) and of the live entries.
-    // Non-perfect mispredict streams are aperiodic in general, so
-    // the steady-state fast path stays off for them; a perfect
-    // predictor never mispredicts and keeps the oracle-identical
-    // schedule.
+    // Predictors with history (2-bit, fixed accuracy) mispredict
+    // aperiodically, so the fast path stays off for them; boundaries
+    // met while a mispredict is in flight are not observed.
     const bool steady = !kAudit && steadyStateEnabled() &&
-        !(spec && cfg_.predictor.kind != PredictorSpec::Kind::kPerfect);
+        cfg_.predictor.isStatic();
     SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
                                n);
     std::size_t boundary = tracker.nextBoundary();
@@ -293,7 +284,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                         ? next_insert - ruu[ruu_head].idx
                         : 0;
                 const std::size_t lw = seg.lookback + span;
-                if (next_insert < lw) {
+                if (next_insert < lw || wrong_mode) {
                     tracker.cancelObserve();
                 } else {
                     const ClockCycle base = t;
@@ -341,8 +332,12 @@ RuuSim::runImpl(const DecodedTrace &trace)
                     }
                     pool.appendSignature(base, sig);
                     wb.appendSignature(base, sig);
+                    const std::uint64_t counters[3] = {
+                        result.squashes, result.wrongPathOps,
+                        mispredict_cycles
+                    };
                     if (const auto skip =
-                            tracker.finishObserve(base, nullptr, 0)) {
+                            tracker.finishObserve(base, counters, 3)) {
                         const std::size_t oldW = next_insert;
                         next_insert += skip->ops;
                         t += skip->delta;
@@ -356,6 +351,9 @@ RuuSim::runImpl(const DecodedTrace &trace)
                             ruu[e].idx += std::uint32_t(skip->ops);
                         pool.shiftTime(skip->delta);
                         wb.shiftTime(skip->delta);
+                        result.squashes += skip->counters[0];
+                        result.wrongPathOps += skip->counters[1];
+                        mispredict_cycles += skip->counters[2];
                         // Refill the result-time window behind the
                         // landing cursor with the state shift: slot
                         // q takes the state the slot with the same
@@ -388,14 +386,16 @@ RuuSim::runImpl(const DecodedTrace &trace)
 
         // ---- resolve: squash a mispredicted branch -----------------
         if (wrong_mode) {
-            // The branch resolves one cycle after insert at the
-            // earliest, or when its condition operand exists.
+            // The branch resolves once its condition operand exists
+            // (PredictorSpec::resolveCycle); unknown until the
+            // producer dispatches.
             const std::uint32_t prod = trace.prodA(wrong_branch);
             ClockCycle tr = kUnknown;
             if (prod == kNoProducer)
-                tr = wrong_ts + 1;
+                tr = cfg_.predictor.resolveCycle(wrong_ts, 0);
             else if (result_time[prod] != kUnknown)
-                tr = std::max(result_time[prod], wrong_ts + 1);
+                tr = cfg_.predictor.resolveCycle(wrong_ts,
+                                                 result_time[prod]);
             if (tr != kUnknown && t >= tr) {
                 // Precise squash: every entry younger than the branch
                 // is wrong-path by construction; dropping them (and
@@ -594,15 +594,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
             unsigned inserted = 0;
             while (inserted < org_.width && next_insert < n) {
                 if (trace.isBranch(next_insert)) {
-                    // An armed predictor replaces the static branch
-                    // policy: its replayed outcome decides whether
-                    // the branch is free.
-                    const bool free_branch = spec
-                        ? predOk[next_insert] != 0
-                        : org_.branchPolicy == BranchPolicy::kOracle ||
-                          (org_.branchPolicy == BranchPolicy::kBtfn &&
-                           trace.btfnCorrect(next_insert));
-                    if (free_branch) {
+                    if (spec && predOk[next_insert]) {
                         // Correctly predicted: one issue slot, no
                         // stall, and the front end keeps issuing.
                         if constexpr (kAudit)
@@ -733,7 +725,6 @@ RuuSim::auditRules() const
     rules.frontWidth = org_.width;
     rules.checkBranchFloor = true;
     rules.completionConsistent = true;
-    rules.branchPolicy = org_.branchPolicy;
     rules.busCount =
         org_.busKind == BusKind::kSingle ? 1 : org_.width;
     rules.busKind = org_.busKind;

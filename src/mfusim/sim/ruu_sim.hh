@@ -28,13 +28,15 @@
  * Branches never enter the RUU: a branch holds its issue unit until
  * its condition operand is produced, then blocks issue for the
  * configured branch time (no speculation, as everywhere in the
- * paper).
+ * paper).  An armed predictor (MachineConfig::predictor) lets a
+ * correctly predicted branch cost one issue slot; after a mispredict
+ * the front end fetches wrong-path entries into the RUU until the
+ * branch resolves and squashes them.
  */
 
 #ifndef MFUSIM_SIM_RUU_SIM_HH
 #define MFUSIM_SIM_RUU_SIM_HH
 
-#include "mfusim/core/branch_policy.hh"
 #include "mfusim/funits/fu_pool.hh"
 #include "mfusim/funits/result_bus.hh"
 #include "mfusim/sim/simulator.hh"
@@ -48,15 +50,6 @@ struct RuuConfig
     unsigned width = 1;         //!< number of issue units (N)
     unsigned ruuSize = 10;      //!< total RUU entries
     BusKind busKind = BusKind::kPerUnit;
-
-    /**
-     * Branch handling (extension).  kBlocking is the paper's model:
-     * issue stalls at every branch until it resolves.  Under
-     * kBtfn/kOracle a correctly predicted branch costs one issue
-     * slot and issue continues (idealized speculative front end);
-     * mispredicted branches behave as under kBlocking.
-     */
-    BranchPolicy branchPolicy = BranchPolicy::kBlocking;
 
     /** Copies of each functional unit (extension; paper: 1). */
     unsigned fuCopies = 1;

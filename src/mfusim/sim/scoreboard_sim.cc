@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <vector>
 
 #include "mfusim/core/error.hh"
 #include "mfusim/funits/result_bus.hh"
@@ -43,10 +44,7 @@ ScoreboardSim::ScoreboardSim(const ScoreboardConfig &org,
         throw ConfigError("ScoreboardSim: fuCopies must be >= 1");
     if (org_.memPorts < 1)
         throw ConfigError("ScoreboardSim: memPorts must be >= 1");
-    if (cfg_.predictor.armed())
-        throw ConfigError(
-            "ScoreboardSim: branch prediction is not modeled for the"
-            " single-issue machines (drop the predictor spec)");
+    cfg_.predictor.requireNoWrongPath("ScoreboardSim");
 }
 
 std::string
@@ -70,10 +68,11 @@ ScoreboardSim::cacheKey() const
              ? "ilv"
              : "serial") +
         "|rbus=" + (org_.modelResultBus ? "1" : "0") +
-        "|bp=" + branchPolicyName(org_.branchPolicy) +
         "|chain=" + (org_.vectorChaining ? "1" : "0") +
         "|fuc=" + std::to_string(org_.fuCopies) +
-        "|mp=" + std::to_string(org_.memPorts);
+        "|mp=" + std::to_string(org_.memPorts) +
+        (cfg_.predictor.armed() ? "|pred=" + cfg_.predictor.key()
+                                : std::string());
 }
 
 SimResult
@@ -105,13 +104,23 @@ ScoreboardSim::runImpl(const DecodedTrace &trace)
 
     const std::size_t n = trace.size();
 
+    // Armed predictor (zero window): a correctly predicted branch is
+    // free; a mispredicted one waits and blocks like the paper's.
+    const bool spec = cfg_.predictor.armed();
+    std::vector<std::uint8_t> predOk;
+    if (spec)
+        predOk = precomputePredictions(trace, cfg_.predictor);
+
     // Steady-state fast path (off under audit: the event stream
     // must be complete).  The machine's timing state at an iteration
     // boundary is the live part of the register ready times, the
     // pool and bus timelines and the end watermark, all rebased to
     // the issue cursor; once it repeats across boundaries, the
-    // remaining iterations shift by a constant delta.
-    const bool steady = steadyStateEnabled() && !kObs;
+    // remaining iterations shift by a constant delta.  A predictor
+    // with history (2-bit, fixed accuracy) mispredicts aperiodically,
+    // so it keeps the plain path.
+    const bool steady = steadyStateEnabled() && !kObs &&
+        cfg_.predictor.isStatic();
     SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
                                n);
     std::size_t boundary = tracker.nextBoundary();
@@ -181,11 +190,7 @@ ScoreboardSim::runImpl(const DecodedTrace &trace)
         if (trace.isBranch(i)) {
             const ClockCycle cond_ready =
                 srcA != kNoReg ? regReady[srcA] : 0;
-            const bool predicted_free =
-                org_.branchPolicy == BranchPolicy::kOracle ||
-                (org_.branchPolicy == BranchPolicy::kBtfn &&
-                 trace.btfnCorrect(i));
-            if (predicted_free) {
+            if (spec && predOk[i]) {
                 // Correctly predicted: the branch spends one issue
                 // slot and never gates the stream.
                 const ClockCycle t = issue_cursor;
@@ -194,16 +199,17 @@ ScoreboardSim::runImpl(const DecodedTrace &trace)
                 issue_cursor = t + 1;
                 end = std::max(end, t + 1);
             } else {
-                // Blocking (and mispredicted-BTFN, which redirects
-                // once the outcome is known): wait for the
-                // condition, then hold the issue stage for the
-                // branch time.
+                // Blocking (and mispredicted, which redirects once
+                // the outcome is known): wait for the condition,
+                // then hold the issue stage for the branch time.
                 const ClockCycle t =
                     std::max(issue_cursor, cond_ready);
                 result.stalls.branch +=
                     (t - issue_cursor) + (cfg_.branchTime - 1);
                 if constexpr (kObs) {
                     emitAudit(AuditPhase::kIssue, t, i);
+                    if (spec)
+                        emitAudit(AuditPhase::kSquash, t, i);
                     emitStall(StallCause::kBranch, issue_cursor,
                               t - issue_cursor, i);
                     emitStall(StallCause::kBranch, t + 1,
@@ -313,7 +319,7 @@ ScoreboardSim::auditRules() const
     rules.wawOrdered = true;
     rules.completionConsistent = true;
     rules.vectorChaining = org_.vectorChaining;
-    rules.branchPolicy = org_.branchPolicy;
+    rules.predictor = cfg_.predictor;
     rules.busCount = org_.modelResultBus ? 1 : 0;
     rules.busKind = BusKind::kSingle;
     rules.checkFuCaps = true;

@@ -14,7 +14,9 @@
  *    the (single) result bus in the cycle this one would complete;
  *  - branches: a branch issues once its condition register is
  *    available and then blocks the issue stage for the configured
- *    branch time (5 slow / 2 fast).
+ *    branch time (5 slow / 2 fast).  An armed predictor (zero
+ *    wrong-path window only: one issue unit fetches nothing past a
+ *    branch) lets a correctly predicted branch cost one issue slot.
  *
  * Three of the paper's machines are configurations of this model:
  *
@@ -27,7 +29,6 @@
 #ifndef MFUSIM_SIM_SCOREBOARD_SIM_HH
 #define MFUSIM_SIM_SCOREBOARD_SIM_HH
 
-#include "mfusim/core/branch_policy.hh"
 #include "mfusim/funits/fu_pool.hh"
 #include "mfusim/sim/simulator.hh"
 
@@ -46,13 +47,6 @@ struct ScoreboardConfig
      * consistent with the 1-Bus multiple-issue machine at width 1.
      */
     bool modelResultBus = true;
-
-    /**
-     * Branch handling.  kBlocking is the paper's model; kBtfn and
-     * kOracle are mfusim extensions quantifying the cost of the
-     * paper's no-speculation assumption (see branch_policy.hh).
-     */
-    BranchPolicy branchPolicy = BranchPolicy::kBlocking;
 
     /**
      * CRAY-1 vector chaining (extension; only affects traces with

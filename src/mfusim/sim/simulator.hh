@@ -122,7 +122,7 @@ class Simulator
      * (serve/result_cache.hh): two simulators with equal cacheKey()
      * and equal MachineConfig MUST produce bit-identical SimResults
      * on every trace.  Unlike name(), the key serializes EVERY
-     * organization knob (branch policy, WAR blocking, FU copies,
+     * organization knob (armed predictor, WAR blocking, FU copies,
      * ports, ...), so ablation variants that share a display name
      * never alias.  An empty string opts out of caching; the base
      * class returns empty so external Simulator subclasses are

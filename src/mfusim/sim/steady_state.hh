@@ -134,7 +134,7 @@ class SteadyStateTracker
      * >= nextBoundary().  Picks the latest boundary at or before
      * the cursor (the cursor-boundary offset joins the signature, so
      * simulators whose cursor strides past boundaries — a
-     * multi-issue window under a predicting branch policy — still
+     * multi-issue window under a branch predictor — still
      * match like with like).  Returns false when the cursor left the
      * current segment's periodic region: no observation, the
      * boundary cursor resynchronizes, skip sigBuffer()/

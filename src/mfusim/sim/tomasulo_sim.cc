@@ -30,10 +30,7 @@ TomasuloSim::TomasuloSim(const TomasuloConfig &org,
         throw ConfigError("TomasuloSim: stationsPerFu must be >= 1");
     if (org_.cdbCount < 1)
         throw ConfigError("TomasuloSim: cdbCount must be >= 1");
-    if (cfg_.predictor.armed())
-        throw ConfigError(
-            "TomasuloSim: branch prediction is not modeled for the"
-            " single-issue machines (drop the predictor spec)");
+    cfg_.predictor.requireNoWrongPath("TomasuloSim");
 }
 
 std::string
@@ -48,7 +45,8 @@ TomasuloSim::cacheKey() const
 {
     return "tomasulo|rs=" + std::to_string(org_.stationsPerFu) +
         "|cdb=" + std::to_string(org_.cdbCount) +
-        "|bp=" + branchPolicyName(org_.branchPolicy);
+        (cfg_.predictor.armed() ? "|pred=" + cfg_.predictor.key()
+                                : std::string());
 }
 
 SimResult
@@ -107,11 +105,20 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
     ClockCycle issue_cursor = 0;
     ClockCycle end = 0;
 
+    // Armed predictor (zero window): correctly predicted branches are
+    // free; mispredicted ones block like the paper's.
+    const bool spec = cfg_.predictor.armed();
+    std::vector<std::uint8_t> predOk;
+    if (spec)
+        predOk = precomputePredictions(trace, cfg_.predictor);
+
     // Steady-state fast path (off under audit).  Boundary state:
     // live register values, station broadcast times, and the accept /
     // CDB reservation sets pruned to the future, rebased to the
-    // issue cursor.
-    const bool steady = steadyStateEnabled() && !kObs;
+    // issue cursor.  Predictors with history mispredict
+    // aperiodically and keep the plain path.
+    const bool steady = steadyStateEnabled() && !kObs &&
+        cfg_.predictor.isStatic();
     SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
                                n);
     std::size_t boundary = tracker.nextBoundary();
@@ -189,11 +196,7 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
         if (trace.isBranch(i)) {
             const ClockCycle cond_ready =
                 srcA != kNoReg ? value_ready[srcA] : 0;
-            const bool predicted_free =
-                org_.branchPolicy == BranchPolicy::kOracle ||
-                (org_.branchPolicy == BranchPolicy::kBtfn &&
-                 trace.btfnCorrect(i));
-            if (predicted_free) {
+            if (spec && predOk[i]) {
                 const ClockCycle t = issue_cursor;
                 if constexpr (kObs)
                     emitAudit(AuditPhase::kIssue, t, i);
@@ -204,6 +207,8 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
                     std::max(issue_cursor, cond_ready);
                 if constexpr (kObs) {
                     emitAudit(AuditPhase::kIssue, t, i);
+                    if (spec)
+                        emitAudit(AuditPhase::kSquash, t, i);
                     emitStall(StallCause::kBranch, issue_cursor,
                               t - issue_cursor, i);
                     emitStall(StallCause::kBranch, t + 1,
@@ -315,7 +320,7 @@ TomasuloSim::auditRules() const
     rules.checkBranchFloor = true;
     // Renaming by tag: WAW never serializes completion.
     rules.completionConsistent = true;
-    rules.branchPolicy = org_.branchPolicy;
+    rules.predictor = cfg_.predictor;
     rules.busCount = org_.cdbCount;
     rules.busKind = BusKind::kPerUnit;
     rules.checkFuCaps = true;

@@ -25,7 +25,6 @@
 #ifndef MFUSIM_SIM_TOMASULO_SIM_HH
 #define MFUSIM_SIM_TOMASULO_SIM_HH
 
-#include "mfusim/core/branch_policy.hh"
 #include "mfusim/sim/simulator.hh"
 
 namespace mfusim
@@ -43,8 +42,6 @@ struct TomasuloConfig
 
     /** Number of common data busses (classic 360/91: 1). */
     unsigned cdbCount = 1;
-
-    BranchPolicy branchPolicy = BranchPolicy::kBlocking;
 };
 
 /**

@@ -148,10 +148,21 @@ PredictorSpec::validate() const
     if (kind == Kind::kFixed && accuracyPct > 100)
         throw ConfigError("predictor: accuracy must be in [0,100], "
                           "got " + std::to_string(accuracyPct));
-    if (wrongPathWindow == 0 || wrongPathWindow > 4096)
+    if (wrongPathWindow > 4096)
         throw ConfigError(
-            "predictor: wrong-path window must be in [1,4096], got " +
+            "predictor: wrong-path window must be in [0,4096], got " +
             std::to_string(wrongPathWindow));
+}
+
+void
+PredictorSpec::requireNoWrongPath(const std::string &machine) const
+{
+    // A perfect predictor never mispredicts, so its window is moot.
+    if (armed() && kind != Kind::kPerfect && wrongPathWindow != 0)
+        throw ConfigError(
+            machine + ": a single-issue machine fetches no wrong path;"
+            " arm its predictor with a zero window (e.g. btfn:w0), "
+            "got " + key());
 }
 
 std::vector<std::uint8_t>

@@ -1,16 +1,19 @@
 /**
  * @file
- * Branch-predictor specifications for the speculative simulators.
+ * Branch-predictor specifications: the simulators' one branch model.
  *
- * The paper's machines never speculate: every simulator either blocks
- * the front end on an unresolved branch (BranchPolicy::kBlocking),
- * assumes a static backward-taken/forward-not-taken predictor that is
- * only credited when it happens to be right (kBtfn), or assumes
- * perfect knowledge (kOracle).  A PredictorSpec arms a *dynamic*
- * front end instead: the fetch stream follows the predicted path,
- * wrong-path instructions occupy real issue/FU/bus resources until
- * the branch resolves, and a mispredict squashes the younger ops
- * precisely (see docs/MODEL.md, "Speculation").
+ * The paper's machines never speculate: "execution of the branch
+ * target is not started until the branch outcome is known".  That is
+ * the disarmed spec (Kind::kNone): a branch waits for its condition
+ * and then blocks the front end for the branch time.  An armed
+ * PredictorSpec lets the front end run past a branch along the
+ * predicted path.  A correctly predicted branch costs one issue slot;
+ * a mispredicted one lets up to `wrongPathWindow` wrong-path
+ * instructions occupy real issue/FU/bus resources until the branch
+ * resolves, then squashes them precisely (see docs/MODEL.md,
+ * "Speculation").  A zero window fetches nothing past a mispredict,
+ * which is the idealized static predictor behind the machine-spec
+ * aliases ",btfn" (btfn:w0) and ",oracle" (perfect).
  *
  * The spec is a value type carried inside MachineConfig; this header
  * is therefore deliberately self-contained (no simulator includes).
@@ -23,9 +26,12 @@
 #ifndef MFUSIM_SPEC_PREDICTOR_HH
 #define MFUSIM_SPEC_PREDICTOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "mfusim/core/types.hh"
 
 namespace mfusim
 {
@@ -34,14 +40,13 @@ class DecodedTrace;
 
 /**
  * One branch-predictor configuration.  `kind == kNone` (the default)
- * means speculation is disarmed and the simulators keep their
- * paper-mode BranchPolicy semantics bit-identically.
+ * is the paper's blocking front end.
  */
 struct PredictorSpec
 {
     enum class Kind : std::uint8_t
     {
-        kNone,     //!< speculation disarmed (paper mode)
+        kNone,     //!< no prediction: the paper's blocking front end
         kPerfect,  //!< every branch predicted correctly
         kTaken,    //!< static always-taken
         kBtfn,     //!< static backward-taken / forward-not-taken
@@ -64,12 +69,52 @@ struct PredictorSpec
      * Wrong-path fetch window: how many wrong-path instructions the
      * front end can push past a mispredicted branch before it runs
      * out of fetched-ahead instructions.  Bounds the resource
-     * pollution a single mispredict can cause.
+     * pollution a single mispredict can cause; 0 fetches nothing
+     * past a mispredict (the only window the single-issue machines
+     * accept for a predictor that can mispredict).
      */
     unsigned wrongPathWindow = 8;
 
     /** True when a predictor is configured (kind != kNone). */
     bool armed() const { return kind != Kind::kNone; }
+
+    /**
+     * True when a branch's prediction depends only on that branch
+     * and its outcome (disarmed, perfect, taken, btfn).  The
+     * mispredict stream then repeats with the trace's loop period,
+     * which is what keeps the steady-state fast path exact; 2-bit
+     * counters and fixed-accuracy hashes carry history across
+     * iterations instead.
+     */
+    bool
+    isStatic() const
+    {
+        return kind != Kind::kTwoBit && kind != Kind::kFixed;
+    }
+
+    /**
+     * The cycle a mispredicted branch that entered the front end at
+     * @p issue resolves (and squashes): when its condition exists
+     * (@p condReady), but no earlier than the cycle after issue when
+     * the front end fetched down the wrong path in between.  With a
+     * zero window nothing was fetched, so the branch resolves exactly
+     * where a blocking branch would issue, and the redirect floor
+     * resolve + branchTime equals the blocking floor.
+     */
+    ClockCycle
+    resolveCycle(ClockCycle issue, ClockCycle condReady) const
+    {
+        return std::max(issue + (wrongPathWindow > 0 ? 1 : 0),
+                        condReady);
+    }
+
+    /**
+     * For machines that fetch no wrong path (the single-issue ones):
+     * accept a disarmed spec, a perfect predictor (it never
+     * mispredicts) or a zero window.
+     * @throws ConfigError naming @p machine otherwise.
+     */
+    void requireNoWrongPath(const std::string &machine) const;
 
     /**
      * Canonical short form, e.g. "2bit:512:w8" or "fixed:90:s1:w8";
@@ -84,7 +129,8 @@ struct PredictorSpec
      *   2bit[:TABLE]            (TABLE a power of two, default 512)
      *   fixed:PCT[:sSEED]       (PCT in [0,100], default seed 1)
      *
-     * any form may append ":wN" to set the wrong-path window.
+     * any form may append ":wN" to set the wrong-path window
+     * (N in [0,4096], default 8).
      *
      * @throws ConfigError on malformed input.
      */

@@ -25,6 +25,7 @@
 #include "mfusim/codegen/livermore.hh"
 #include "mfusim/core/decoded_trace.hh"
 #include "mfusim/core/error.hh"
+#include "mfusim/harness/spec_parse.hh"
 #include "mfusim/harness/sweep.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/sim/audit.hh"
@@ -56,7 +57,7 @@ allSims(const MachineConfig &cfg)
     sims.push_back(
         std::make_unique<Cdc6600Sim>(Cdc6600Config{}, cfg));
     sims.push_back(std::make_unique<TomasuloSim>(
-        TomasuloConfig{ 3, 1, BranchPolicy::kBlocking }, cfg));
+        TomasuloConfig{ 3, 1 }, cfg));
     sims.push_back(std::make_unique<MultiIssueSim>(
         MultiIssueConfig{ 4, true, BusKind::kPerUnit, false }, cfg));
     sims.push_back(std::make_unique<RuuSim>(
@@ -100,6 +101,37 @@ INSTANTIATE_TEST_SUITE_P(
             standardConfigs()[std::size_t(std::get<1>(info.param))]
                 .name();
     });
+
+// ---- zero-window predictors: the shared resolve rule ------------------
+
+class AuditZeroWindow : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(AuditZeroWindow, BtfnW0PassesOnSpeculativeMachines)
+{
+    // With nothing fetched past it, a mispredict resolves exactly when
+    // its condition exists (PredictorSpec::resolveCycle has no
+    // one-cycle minimum at :w0), and the auditor must apply the same
+    // rule.  LL8 on ooo:4 under M11BR5 is a cell where a one-cycle
+    // minimum would raise a branch-floor violation.
+    const MachineConfig cfg = configM11BR5();
+    const DecodedTrace &trace =
+        TraceLibrary::instance().decoded(GetParam(), cfg);
+    for (const char *machine :
+         { "seq:4,pred=btfn:w0", "ooo:4,pred=btfn:w0",
+           "ruu:4:50,pred=btfn:w0" }) {
+        const auto plain = parseMachineSpec(machine, cfg);
+        const auto audited = parseMachineSpec(machine, cfg);
+        SimResult checked;
+        ASSERT_NO_THROW(checked = runAudited(*audited, trace)) << machine;
+        EXPECT_EQ(checked.cycles, plain->run(trace).cycles) << machine;
+        EXPECT_EQ(checked.squashes, plain->run(trace).squashes)
+            << machine;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLoops, AuditZeroWindow,
+                         ::testing::Range(1, 15));
 
 TEST(Audit, VectorizedKernelPassesOnScoreboard)
 {
@@ -312,8 +344,7 @@ TEST(Watchdog, MultiIssueDiagnosesStalledIssue)
         dyn(Op::kFAdd, regS(2), regS(1), regS(1)),
     });
     MultiIssueSim sim(
-        MultiIssueConfig{ 2, false, BusKind::kPerUnit, false,
-                          BranchPolicy::kBlocking, 1, 1, 4 },
+        MultiIssueConfig{ 2, false, BusKind::kPerUnit, false, 1, 1, 4 },
         configM11BR5());
     try {
         sim.run(trace);
@@ -333,8 +364,7 @@ TEST(Watchdog, RuuDiagnosesStalledWindow)
         dyn(Op::kLoadS, regS(1), regA(1)),
         dyn(Op::kFAdd, regS(2), regS(1), regS(1)),
     });
-    RuuSim sim(RuuConfig{ 1, 10, BusKind::kPerUnit,
-                          BranchPolicy::kBlocking, 1, 1, 4 },
+    RuuSim sim(RuuConfig{ 1, 10, BusKind::kPerUnit, 1, 1, 4 },
                configM11BR5());
     try {
         sim.run(trace);

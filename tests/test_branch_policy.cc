@@ -1,17 +1,16 @@
 /**
  * @file
- * Branch-policy extension tests: golden timings for BTFN and oracle
- * prediction on all three issue organizations, plus ordering
- * properties across the benchmark traces.
+ * The ",btfn" / ",oracle" machine-spec aliases (pred=btfn:w0 and
+ * pred=perfect): golden timings on all three issue organizations,
+ * ordering properties across the benchmark traces, and the pinned
+ * cycles of the branch policies they replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include "mfusim/codegen/interpreter.hh"
+#include "mfusim/harness/spec_parse.hh"
 #include "mfusim/harness/trace_library.hh"
-#include "mfusim/sim/multi_issue_sim.hh"
-#include "mfusim/sim/ruu_sim.hh"
-#include "mfusim/sim/scoreboard_sim.hh"
 #include "test_util.hh"
 
 namespace mfusim
@@ -30,20 +29,36 @@ branch(bool taken, bool backward)
     return op;
 }
 
+/** Cycles of @p trace on machine spec @p machine under M11BR5. */
+ClockCycle
+cyclesOn(const std::string &machine, const DynTrace &trace)
+{
+    return parseMachineSpec(machine, configM11BR5())->run(trace).cycles;
+}
+
 TEST(BranchPolicy, Names)
 {
-    EXPECT_STREQ(branchPolicyName(BranchPolicy::kBlocking),
-                 "blocking");
-    EXPECT_STREQ(branchPolicyName(BranchPolicy::kBtfn), "btfn");
-    EXPECT_STREQ(branchPolicyName(BranchPolicy::kOracle), "oracle");
+    // The aliases arm exactly these predictors.
+    const auto key = [](const std::string &machine) {
+        return parseMachineSpec(machine, configM11BR5())
+            ->config()
+            .predictor.key();
+    };
+    EXPECT_EQ(key("ooo:4"), "");
+    EXPECT_EQ(key("ooo:4,btfn"), "btfn:w0");
+    EXPECT_EQ(key("ooo:4,oracle"), "perfect:w8");
+    EXPECT_EQ(parseMachineSpec("ooo:4,oracle", configM11BR5())
+                  ->cacheKey(),
+              parseMachineSpec("ooo:4,pred=perfect", configM11BR5())
+                  ->cacheKey());
 }
 
 TEST(BranchPolicy, BtfnPredicts)
 {
-    EXPECT_TRUE(btfnCorrect(/*backward=*/true, /*taken=*/true));
-    EXPECT_TRUE(btfnCorrect(false, false));
-    EXPECT_FALSE(btfnCorrect(true, false));
-    EXPECT_FALSE(btfnCorrect(false, true));
+    EXPECT_TRUE(branch(/*taken=*/true, /*backward=*/true).btfnCorrect());
+    EXPECT_TRUE(branch(false, false).btfnCorrect());
+    EXPECT_FALSE(branch(false, true).btfnCorrect());
+    EXPECT_FALSE(branch(true, false).btfnCorrect());
 }
 
 TEST(BranchPolicy, InterpreterMarksBackwardBranches)
@@ -84,16 +99,10 @@ TEST(BranchPolicy, ScoreboardOracleRemovesBranchWall)
         branch(true, true),
         dyn(Op::kAConst, A1),
     });
-    const MachineConfig cfg = configM11BR5();
-
-    ScoreboardConfig blocking = ScoreboardConfig::crayLike();
     // Blocking: branch at 1, next at 6, done 7.
-    EXPECT_EQ(ScoreboardSim(blocking, cfg).run(trace).cycles, 7u);
-
-    ScoreboardConfig oracle = ScoreboardConfig::crayLike();
-    oracle.branchPolicy = BranchPolicy::kOracle;
+    EXPECT_EQ(cyclesOn("cray", trace), 7u);
     // Oracle: branch at 1 (one slot), next at 2, done 3.
-    EXPECT_EQ(ScoreboardSim(oracle, cfg).run(trace).cycles, 3u);
+    EXPECT_EQ(cyclesOn("cray,oracle", trace), 3u);
 }
 
 TEST(BranchPolicy, ScoreboardBtfnMatchesOracleWhenCorrect)
@@ -108,13 +117,9 @@ TEST(BranchPolicy, ScoreboardBtfnMatchesOracleWhenCorrect)
         branch(/*taken=*/false, /*backward=*/true), // predicted wrong
         dyn(Op::kAConst, A1),
     });
-    const MachineConfig cfg = configM11BR5();
-    ScoreboardConfig btfn = ScoreboardConfig::crayLike();
-    btfn.branchPolicy = BranchPolicy::kBtfn;
-
-    EXPECT_EQ(ScoreboardSim(btfn, cfg).run(correct).cycles, 3u);
+    EXPECT_EQ(cyclesOn("cray,btfn", correct), 3u);
     // Mispredicted: behaves like blocking -> 7.
-    EXPECT_EQ(ScoreboardSim(btfn, cfg).run(wrong).cycles, 7u);
+    EXPECT_EQ(cyclesOn("cray,btfn", wrong), 7u);
 }
 
 TEST(BranchPolicy, OracleBranchDoesNotWaitForCondition)
@@ -126,11 +131,8 @@ TEST(BranchPolicy, OracleBranchDoesNotWaitForCondition)
         branch(true, true),
         dyn(Op::kAConst, A2),
     });
-    const MachineConfig cfg = configM11BR5();
-    ScoreboardConfig oracle = ScoreboardConfig::crayLike();
-    oracle.branchPolicy = BranchPolicy::kOracle;
     // load@0 (done 11), branch@1, aconst@2 done 3 -> end 11.
-    EXPECT_EQ(ScoreboardSim(oracle, cfg).run(trace).cycles, 11u);
+    EXPECT_EQ(cyclesOn("cray,oracle", trace), 11u);
 }
 
 TEST(BranchPolicy, MultiIssueOracleKeepsWindowAcrossTakenBranch)
@@ -141,17 +143,11 @@ TEST(BranchPolicy, MultiIssueOracleKeepsWindowAcrossTakenBranch)
         dyn(Op::kSConst, S2),
         dyn(Op::kSConst, S3),
     });
-    const MachineConfig cfg = configM11BR5();
     // Blocking: squash + floor -> 6 (see MultiIssueSim tests).
-    MultiIssueSim blocking({ 4, false, BusKind::kPerUnit, false },
-                           cfg);
-    EXPECT_EQ(blocking.run(trace).cycles, 6u);
+    EXPECT_EQ(cyclesOn("seq:4", trace), 6u);
     // Oracle: all four in one window; sconsts at 0, branch at 0,
     // the rest at 0 -> done 1.
-    MultiIssueSim oracle({ 4, false, BusKind::kPerUnit, false,
-                           BranchPolicy::kOracle },
-                         cfg);
-    EXPECT_EQ(oracle.run(trace).cycles, 1u);
+    EXPECT_EQ(cyclesOn("seq:4,oracle", trace), 1u);
 }
 
 TEST(BranchPolicy, MultiIssueMispredictSquashesBuffer)
@@ -163,12 +159,9 @@ TEST(BranchPolicy, MultiIssueMispredictSquashesBuffer)
         branch(/*taken=*/false, /*backward=*/true),
         dyn(Op::kSConst, S2),
     });
-    const MachineConfig cfg = configM11BR5();
-    MultiIssueSim btfn({ 4, false, BusKind::kPerUnit, false,
-                         BranchPolicy::kBtfn },
-                       cfg);
-    // sconst@0, branch@0 (A0 ready), floor 5, S2@5 -> done 6.
-    EXPECT_EQ(btfn.run(trace).cycles, 6u);
+    // sconst@0, branch@0 (A0 ready) resolves at 0, floor 5, S2@5 ->
+    // done 6.
+    EXPECT_EQ(cyclesOn("seq:4,btfn", trace), 6u);
 }
 
 TEST(BranchPolicy, RuuOracleKeepsInserting)
@@ -178,17 +171,82 @@ TEST(BranchPolicy, RuuOracleKeepsInserting)
         branch(true, true),
         dyn(Op::kSConst, S2),
     });
-    const MachineConfig cfg = configM11BR5();
     // Blocking: sconst ins@0; branch waits nothing (A0 ready),
     // blocks until 5; S2 ins@5, disp 6, result 7, commit 7.
-    RuuSim blocking({ 4, 10, BusKind::kPerUnit }, cfg);
-    EXPECT_EQ(blocking.run(trace).cycles, 7u);
+    EXPECT_EQ(cyclesOn("ruu:4:10", trace), 7u);
     // Oracle: all three consumed at cycle 0 (branch takes a slot);
     // dispatch at 1, results 2, commits 2.
-    RuuSim oracle({ 4, 10, BusKind::kPerUnit,
-                    BranchPolicy::kOracle },
-                  cfg);
-    EXPECT_EQ(oracle.run(trace).cycles, 2u);
+    EXPECT_EQ(cyclesOn("ruu:4:10,oracle", trace), 2u);
+}
+
+TEST(BranchAliases, ReproduceThePinnedLegacyCycles)
+{
+    const std::vector<test::PinnedCell> cells = test::pinnedAliasCycles();
+    // 9 machines x 2 aliases x 4 configs x 14 loops.
+    ASSERT_EQ(cells.size(), 1008u);
+    for (const test::PinnedCell &cell : cells) {
+        const MachineConfig cfg = parseConfigSpec(cell.config);
+        const auto sim = parseMachineSpec(cell.machine, cfg);
+        EXPECT_EQ(sim->run(TraceLibrary::instance().decoded(cell.loop,
+                                                            cfg))
+                      .cycles,
+                  cell.cycles)
+            << cell.machine << " " << cell.config << " LL"
+            << cell.loop;
+    }
+}
+
+TEST(BranchAliases, SimpleTakesNoBranchModel)
+{
+    // "simple" has no branch overlap to model.
+    const MachineConfig cfg = configM11BR5();
+    EXPECT_THROW(parseMachineSpec("simple,btfn", cfg), BranchModelError);
+    EXPECT_THROW(parseMachineSpec("simple,oracle", cfg),
+                 BranchModelError);
+    EXPECT_THROW(parseMachineSpec("simple,pred=2bit", cfg),
+                 BranchModelError);
+}
+
+TEST(BranchAliases, AtMostOneBranchModelPerMachine)
+{
+    const MachineConfig cfg = configM11BR5();
+    EXPECT_THROW(parseMachineSpec("ooo:4,btfn,oracle", cfg),
+                 BranchModelError);
+    EXPECT_THROW(parseMachineSpec("ooo:4,pred=btfn,pred=2bit", cfg),
+                 BranchModelError);
+    EXPECT_THROW(parseMachineSpec("ruu:4:50,oracle,pred=perfect", cfg),
+                 BranchModelError);
+}
+
+TEST(BranchAliases, NoBranchModelOnTopOfAnArmedPredictor)
+{
+    // The caller armed one already (CLI --predictor, request
+    // "predictor" field).
+    MachineConfig armed = configM11BR5();
+    armed.predictor = PredictorSpec::parse("2bit");
+    EXPECT_THROW(parseMachineSpec("ooo:4,pred=btfn", armed),
+                 BranchModelError);
+    EXPECT_THROW(parseMachineSpec("ooo:4,oracle", armed),
+                 BranchModelError);
+    EXPECT_NO_THROW(parseMachineSpec("ooo:4", armed));
+}
+
+TEST(BranchAliases, SingleIssueMachinesTakeOnlyAZeroWindow)
+{
+    const MachineConfig cfg = configM11BR5();
+    for (const char *machine : { "cray", "cdc", "tomasulo" }) {
+        const std::string m = machine;
+        EXPECT_NO_THROW(parseMachineSpec(m + ",btfn", cfg)) << m;
+        EXPECT_NO_THROW(parseMachineSpec(m + ",oracle", cfg)) << m;
+        EXPECT_NO_THROW(parseMachineSpec(m + ",pred=taken:w0", cfg))
+            << m;
+        EXPECT_THROW(parseMachineSpec(m + ",pred=btfn", cfg),
+                     ConfigError)
+            << m;
+        EXPECT_THROW(parseMachineSpec(m + ",pred=2bit:512:w1", cfg),
+                     ConfigError)
+            << m;
+    }
 }
 
 // ---- properties over the benchmark traces --------------------------
@@ -201,15 +259,14 @@ TEST_P(PolicyLoop, OracleAtLeastBtfnAtLeastBlocking)
 {
     const DynTrace &trace =
         TraceLibrary::instance().trace(GetParam());
-    const MachineConfig cfg = configM11BR5();
-    const auto rate = [&](BranchPolicy policy) {
-        RuuConfig org{ 4, 48, BusKind::kPerUnit, policy };
-        RuuSim sim(org, cfg);
-        return sim.run(trace).issueRate();
+    const auto rate = [&](const std::string &machine) {
+        return parseMachineSpec(machine, configM11BR5())
+            ->run(trace)
+            .issueRate();
     };
-    const double blocking = rate(BranchPolicy::kBlocking);
-    const double btfn = rate(BranchPolicy::kBtfn);
-    const double oracle = rate(BranchPolicy::kOracle);
+    const double blocking = rate("ruu:4:48");
+    const double btfn = rate("ruu:4:48,btfn");
+    const double oracle = rate("ruu:4:48,oracle");
     // Speculation inserts younger work earlier, and a greedily
     // dispatched younger op can occupy a functional unit or bus the
     // cycle before an older (critical-path) op wakes -- a Graham
@@ -236,9 +293,10 @@ TEST_P(PolicyLoop, OracleStillBelowDataflowLimitMinusBranches)
     // width.
     const DynTrace &trace =
         TraceLibrary::instance().trace(GetParam());
-    RuuSim oracle({ 4, 100, BusKind::kPerUnit, BranchPolicy::kOracle },
-                  configM11BR5());
-    EXPECT_LE(oracle.run(trace).issueRate(), 4.0);
+    EXPECT_LE(parseMachineSpec("ruu:4:100,oracle", configM11BR5())
+                  ->run(trace)
+                  .issueRate(),
+              4.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLoops, PolicyLoop,

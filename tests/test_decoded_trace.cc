@@ -70,8 +70,7 @@ TEST_P(DecodedTraceAllLoops, FieldsMatchTraitLookups)
         EXPECT_EQ(decoded.producesResult(i), producesResult(op.op))
             << "op " << i;
         EXPECT_EQ(decoded.taken(i), op.taken) << "op " << i;
-        EXPECT_EQ(decoded.btfnCorrect(i),
-                  btfnCorrect(op.backward, op.taken))
+        EXPECT_EQ(decoded.btfnCorrect(i), op.btfnCorrect())
             << "op " << i;
         EXPECT_EQ(decoded.dst(i), op.dst) << "op " << i;
         EXPECT_EQ(decoded.srcA(i), op.srcA) << "op " << i;

@@ -96,12 +96,8 @@ TEST(FuReplication, RuuMemoryBoundLoopGainsFromSecondPort)
     // port nearly doubles throughput.
     const DynTrace trace = synthetic::memoryStream(400, 70);
     const MachineConfig cfg = configM11BR5();
-    RuuSim one({ 4, 64, BusKind::kPerUnit,
-                 BranchPolicy::kBlocking, 1, 1 },
-               cfg);
-    RuuSim two({ 4, 64, BusKind::kPerUnit,
-                 BranchPolicy::kBlocking, 1, 2 },
-               cfg);
+    RuuSim one({ 4, 64, BusKind::kPerUnit, 1, 1 }, cfg);
+    RuuSim two({ 4, 64, BusKind::kPerUnit, 1, 2 }, cfg);
     const double r1 = one.run(trace).issueRate();
     const double r2 = two.run(trace).issueRate();
     EXPECT_GT(r2, r1 * 1.5);
@@ -113,9 +109,7 @@ TEST(FuReplication, ExtraUnitsNeverHurtMuchOnBenchmarks)
     for (int id : { 1, 5, 7 }) {
         const DynTrace &trace = TraceLibrary::instance().trace(id);
         RuuSim base({ 4, 64, BusKind::kPerUnit }, cfg);
-        RuuSim wide({ 4, 64, BusKind::kPerUnit,
-                      BranchPolicy::kBlocking, 4, 2 },
-                    cfg);
+        RuuSim wide({ 4, 64, BusKind::kPerUnit, 4, 2 }, cfg);
         const double r_base = base.run(trace).issueRate();
         const double r_wide = wide.run(trace).issueRate();
         EXPECT_GE(r_wide, r_base * 0.97) << "loop " << id;

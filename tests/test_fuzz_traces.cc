@@ -136,7 +136,7 @@ TEST_P(FuzzTrace, AllSimulatorsTerminateWithSaneRates)
         SimpleSim simple(cfg);
         ScoreboardSim cray(ScoreboardConfig::crayLike(), cfg);
         Cdc6600Sim cdc({}, cfg);
-        TomasuloSim tom({ 3, 1, BranchPolicy::kBlocking }, cfg);
+        TomasuloSim tom({ 3, 1 }, cfg);
         MultiIssueSim ooo({ 4, true, BusKind::kPerUnit, false }, cfg);
         RuuSim ruu({ 2, 20, BusKind::kPerUnit }, cfg);
 

@@ -35,7 +35,7 @@ ClockCycle
 tomCycles(const DynTrace &trace, unsigned rs = 3, unsigned cdb = 1,
           const MachineConfig &cfg = configM11BR5())
 {
-    TomasuloSim sim({ rs, cdb, BranchPolicy::kBlocking }, cfg);
+    TomasuloSim sim({ rs, cdb }, cfg);
     return sim.run(trace).cycles;
 }
 
@@ -189,8 +189,7 @@ TEST(TomasuloSim, CdbConflictDelaysDispatch)
 
 TEST(TomasuloSim, Name)
 {
-    TomasuloSim sim({ 2, 1, BranchPolicy::kBlocking },
-                    configM11BR5());
+    TomasuloSim sim({ 2, 1 }, configM11BR5());
     EXPECT_EQ(sim.name(), "Tomasulo(rs=2, cdb=1)");
 }
 
@@ -211,7 +210,7 @@ TEST_P(SchemeLoop, Section33Ordering)
 
     ScoreboardSim cray(ScoreboardConfig::crayLike(), cfg);
     Cdc6600Sim cdc({}, cfg);
-    TomasuloSim tom({ 3, 1, BranchPolicy::kBlocking }, cfg);
+    TomasuloSim tom({ 3, 1 }, cfg);
 
     const double r_cray = cray.run(trace).issueRate();
     const double r_cdc = cdc.run(trace).issueRate();
@@ -230,7 +229,7 @@ TEST_P(SchemeLoop, GenerousTomasuloApproachesSingleIssueRuu)
     const DynTrace &trace =
         TraceLibrary::instance().trace(GetParam());
     const MachineConfig cfg = configM11BR5();
-    TomasuloSim tom({ 8, 4, BranchPolicy::kBlocking }, cfg);
+    TomasuloSim tom({ 8, 4 }, cfg);
     RuuSim ruu({ 1, 50, BusKind::kPerUnit }, cfg);
     const double r_tom = tom.run(trace).issueRate();
     const double r_ruu = ruu.run(trace).issueRate();

@@ -461,15 +461,12 @@ allSims(const MachineConfig &cfg)
                      true });
     sims.push_back({ "ooo4",
                      std::make_unique<MultiIssueSim>(
-                         MultiIssueConfig{ 4, true, BusKind::kPerUnit,
-                                           false,
-                                           BranchPolicy::kBlocking },
+                         MultiIssueConfig{ 4, true, BusKind::kPerUnit },
                          cfg),
                      false });
     sims.push_back({ "ruu",
                      std::make_unique<RuuSim>(
-                         RuuConfig{ 2, 30, BusKind::kPerUnit,
-                                    BranchPolicy::kBlocking },
+                         RuuConfig{ 2, 30, BusKind::kPerUnit },
                          cfg),
                      true });
     return sims;
@@ -607,9 +604,7 @@ TEST(ObsExport, PipeviewShowsSchedule)
 {
     const MachineConfig cfg = configM11BR5();
     const DecodedTrace trace(TraceLibrary::instance().trace(5), cfg);
-    RuuSim sim(RuuConfig{ 2, 30, BusKind::kPerUnit,
-                          BranchPolicy::kBlocking },
-               cfg);
+    RuuSim sim(RuuConfig{ 2, 30, BusKind::kPerUnit }, cfg);
     PipeTraceRecorder rec;
     sim.attachAudit(&rec);
     sim.run(trace);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "mfusim/core/shutdown.hh"
+#include "mfusim/harness/spec_parse.hh"
 #include "mfusim/harness/sweep.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/serve/result_cache.hh"
@@ -118,14 +119,14 @@ TEST_F(ResultCacheTest, KeyCannotBeSpoofedAcrossFields)
 TEST_F(ResultCacheTest, SimulatorCacheKeysDistinguishVariants)
 {
     // The aliasing hazard that motivated cacheKey(): ScoreboardSim's
-    // name() is "CRAY-like" for every branch policy, so keys must
+    // name() is "CRAY-like" for every branch model, so keys must
     // come from cacheKey(), which serializes every organization knob.
     const MachineConfig cfg = configM11BR5();
+    MachineConfig oracle = cfg;
+    oracle.predictor = PredictorSpec::parse("perfect");
 
-    ScoreboardConfig blocking = ScoreboardConfig::crayLike();
-    ScoreboardConfig oracle = ScoreboardConfig::crayLike();
-    oracle.branchPolicy = BranchPolicy::kOracle;
-    const ScoreboardSim a(blocking, cfg), b(oracle, cfg);
+    const ScoreboardSim a(ScoreboardConfig::crayLike(), cfg),
+        b(ScoreboardConfig::crayLike(), oracle);
     EXPECT_EQ(a.name(), b.name()) << "precondition: names alias";
     EXPECT_NE(a.cacheKey(), b.cacheKey());
 
@@ -258,22 +259,19 @@ TEST_F(ResultCacheTest, SweepSecondRunIsAllHits)
 
 TEST_F(ResultCacheTest, SweepVariantsDoNotAlias)
 {
-    // Identical name(), different branch policy: the sweeps must not
+    // Identical name(), different branch model: the sweeps must not
     // cross-contaminate through the cache (the bug cacheKey() was
     // introduced to prevent).
     const std::vector<int> loops{ 3 };
     const MachineConfig cfg = configM11BR5();
-    const auto rateWith = [&](BranchPolicy policy) {
-        const SimFactory factory = [policy](const MachineConfig &c)
-            -> std::unique_ptr<Simulator> {
-            ScoreboardConfig org = ScoreboardConfig::crayLike();
-            org.branchPolicy = policy;
-            return std::make_unique<ScoreboardSim>(org, c);
+    const auto rateWith = [&](const char *machine) {
+        const SimFactory factory = [machine](const MachineConfig &c) {
+            return parseMachineSpec(machine, c);
         };
         return parallelPerLoopRates(factory, loops, cfg, 1)[0];
     };
-    const double blocking = rateWith(BranchPolicy::kBlocking);
-    const double oracle = rateWith(BranchPolicy::kOracle);
+    const double blocking = rateWith("cray");
+    const double oracle = rateWith("cray,oracle");
     EXPECT_NE(blocking, oracle)
         << "oracle branching must beat blocking on LL3 — a tie "
            "suggests the cache aliased the two organizations";

@@ -503,6 +503,51 @@ TEST_F(ServeE2E, BadInputsMapToFourHundreds)
     EXPECT_FALSE(err.find("error")->asString().empty());
 }
 
+TEST_F(ServeE2E, BranchModelOnSimpleIs400)
+{
+    EXPECT_EQ(roundTrip(port(), "POST", "/v1/simulate",
+                        R"({"loop": 5, "machine": "simple,btfn"})")
+                  .status,
+              400);
+    EXPECT_EQ(roundTrip(port(), "POST", "/v1/sweep",
+                        R"({"machine": ["cray", "simple,oracle"]})")
+                  .status,
+              400);
+}
+
+TEST_F(ServeE2E, TwoBranchModelsAre400)
+{
+    EXPECT_EQ(roundTrip(port(), "POST", "/v1/simulate",
+                        R"({"loop": 5, "machine": "ooo:4,btfn,oracle"})")
+                  .status,
+              400);
+    EXPECT_EQ(
+        roundTrip(port(), "POST", "/v1/simulate",
+                  R"({"loop": 5, "machine": "ooo:4,pred=btfn,pred=2bit"})")
+            .status,
+        400);
+}
+
+TEST_F(ServeE2E, BranchModelWithPredictorFieldIs400)
+{
+    EXPECT_EQ(roundTrip(port(), "POST", "/v1/simulate",
+                        R"({"loop": 7, "machine": "ooo:4,pred=btfn",
+                            "predictor": "2bit"})")
+                  .status,
+              400);
+    EXPECT_EQ(roundTrip(port(), "POST", "/v1/sweep",
+                        R"({"machine": "ruu:4:50,oracle",
+                            "predictor": "2bit", "loops": [1]})")
+                  .status,
+              400);
+    // Either one alone is fine.
+    EXPECT_EQ(roundTrip(port(), "POST", "/v1/simulate",
+                        R"({"loop": 7, "machine": "ooo:4",
+                            "predictor": "2bit"})")
+                  .status,
+              200);
+}
+
 TEST_F(ServeE2E, OversizedBodyIs413)
 {
     // 64 KiB limit in the fixture; send a Content-Length beyond it.

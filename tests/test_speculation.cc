@@ -5,18 +5,18 @@
  *
  *  - PredictorSpec parsing, keys, validation, and the shared
  *    prediction replay (2-bit FSM, fixed-accuracy determinism);
- *  - pred=perfect reproduces the legacy oracle branch policy
- *    bit-identically on every Livermore loop, on both machines;
+ *  - pred=perfect reproduces the pinned cycles of the legacy oracle
+ *    branch policy on every Livermore loop and machine;
  *  - audited speculative runs (squash-legality invariants) on every
  *    loop, plus crafted traces for the classic squash shapes: loop
  *    back-edge mispredict, nested mispredicts, squash while the
  *    condition's functional unit is still busy;
- *  - the steady-state fast path stays off under non-perfect
- *    predictors (and on, oracle-identical, under the perfect one);
+ *  - the steady-state fast path stays off under predictors with
+ *    history (and on, bit-identical, under the perfect one);
  *  - speculative lanes fall back to the scalar path inside runBatch
  *    with bit-identical results;
  *  - cache keys, config names, machine-spec ",pred=" plumbing, and
- *    the non-speculative machines' rejection of an armed predictor.
+ *    the single-issue machines' zero-window rule.
  */
 
 #include <gtest/gtest.h>
@@ -97,7 +97,8 @@ TEST(PredictorSpec, ParseAndKeyRoundTrip)
 {
     for (const char *text :
          { "perfect:w8", "taken:w8", "btfn:w4", "2bit:512:w8",
-           "2bit:64:w16", "fixed:90:s1:w8", "fixed:0:s7:w2" }) {
+           "2bit:64:w16", "fixed:90:s1:w8", "fixed:0:s7:w2",
+           "btfn:w0", "perfect:w0" }) {
         const PredictorSpec spec = PredictorSpec::parse(text);
         EXPECT_EQ(spec.key(), text);
         EXPECT_TRUE(PredictorSpec::parse(spec.key()) == spec) << text;
@@ -115,7 +116,7 @@ TEST(PredictorSpec, ParseRejectsMalformedSpecs)
 {
     for (const char *text :
          { "", "bogus", "2bit:500", "2bit:0", "fixed",
-           "fixed:101", "fixed:90:x3", "perfect:w0",
+           "fixed:101", "fixed:90:x3", "perfect:w",
            "taken:w5000", "2bit:512:junk" }) {
         EXPECT_THROW(PredictorSpec::parse(text), ConfigError) << text;
     }
@@ -195,7 +196,7 @@ TEST(PredictorReplay, FixedAccuracyIsSeededAndDeterministic)
     EXPECT_LT(double(wrong), 0.35 * double(branches));
 }
 
-// ---- perfect prediction == legacy oracle, every loop, both sims ------
+// ---- perfect prediction == legacy oracle, every loop, all machines ---
 
 class SpecLoop : public ::testing::TestWithParam<int>
 {
@@ -203,36 +204,29 @@ class SpecLoop : public ::testing::TestWithParam<int>
 
 TEST_P(SpecLoop, PerfectPredictorMatchesOracleBitIdentically)
 {
-    const MachineConfig base = configM11BR5();
-    const DecodedTrace &trace =
-        TraceLibrary::instance().decoded(GetParam(), base);
-    const MachineConfig perfect = withPredictor(base, "perfect");
-
-    {
-        MultiIssueSim oracle(
-            { 4, true, BusKind::kPerUnit, false, BranchPolicy::kOracle },
-            base);
-        MultiIssueSim spec({ 4, true, BusKind::kPerUnit, false },
-                           perfect);
-        expectSameResult(spec.run(trace), oracle.run(trace),
-                         "ooo w=4 perfect vs oracle");
+    // The cycles the legacy oracle branch policy produced, pinned
+    // before it became the ",oracle" alias: ",pred=perfect" must
+    // reproduce every one of this loop's cells.
+    const std::string suffix = ",oracle";
+    std::size_t checked = 0;
+    for (const test::PinnedCell &cell : test::pinnedAliasCycles()) {
+        const std::size_t at = cell.machine.size() - suffix.size();
+        if (cell.loop != GetParam() ||
+            cell.machine.compare(at, suffix.size(), suffix) != 0)
+            continue;
+        const std::string machine =
+            cell.machine.substr(0, at) + ",pred=perfect";
+        const MachineConfig cfg = parseConfigSpec(cell.config);
+        EXPECT_EQ(parseMachineSpec(machine, cfg)
+                      ->run(TraceLibrary::instance().decoded(
+                          cell.loop, cfg))
+                      .cycles,
+                  cell.cycles)
+            << machine << " " << cell.config;
+        ++checked;
     }
-    {
-        MultiIssueSim oracle(
-            { 4, false, BusKind::kPerUnit, false, BranchPolicy::kOracle },
-            base);
-        MultiIssueSim spec({ 4, false, BusKind::kPerUnit, false },
-                           perfect);
-        expectSameResult(spec.run(trace), oracle.run(trace),
-                         "seq w=4 perfect vs oracle");
-    }
-    {
-        RuuSim oracle(
-            { 4, 50, BusKind::kPerUnit, BranchPolicy::kOracle }, base);
-        RuuSim spec({ 4, 50, BusKind::kPerUnit }, perfect);
-        expectSameResult(spec.run(trace), oracle.run(trace),
-                         "ruu w=4/50 perfect vs oracle");
-    }
+    // 9 machines x 4 configs.
+    EXPECT_EQ(checked, 36u);
 }
 
 TEST_P(SpecLoop, AuditedTwoBitRunsPassSquashLegality)
@@ -430,21 +424,26 @@ TEST(Speculation, NonPerfectPredictorDisablesSteadyState)
 
 TEST(Speculation, PerfectPredictorKeepsSteadyState)
 {
-    // The perfect predictor keeps the oracle-identical schedule, so
-    // the fast path stays armed and skips whatever the oracle skips.
-    SteadyGuard steady(true);
+    // The perfect predictor never mispredicts, so the fast path stays
+    // armed and matches the plain path.
     const MachineConfig base = configM11BR5();
     const DecodedTrace &trace =
         TraceLibrary::instance().decoded(5, base);
-    MultiIssueSim oracle(
-        { 4, true, BusKind::kPerUnit, false, BranchPolicy::kOracle },
-        base);
-    MultiIssueSim spec({ 4, true, BusKind::kPerUnit, false },
-                       withPredictor(base, "perfect"));
-    const SimResult want = oracle.run(trace);
-    const SimResult got = spec.run(trace);
-    EXPECT_EQ(got.steadyOpsSkipped, want.steadyOpsSkipped);
-    EXPECT_EQ(got.cycles, want.cycles);
+    const MachineConfig pred = withPredictor(base, "perfect");
+    SimResult on, off;
+    {
+        SteadyGuard steady(true);
+        on = MultiIssueSim({ 4, true, BusKind::kPerUnit }, pred)
+                 .run(trace);
+    }
+    {
+        SteadyGuard steady(false);
+        off = MultiIssueSim({ 4, true, BusKind::kPerUnit }, pred)
+                  .run(trace);
+    }
+    EXPECT_GT(on.steadyOpsSkipped, 0u);
+    on.steadyOpsSkipped = off.steadyOpsSkipped;
+    expectSameResult(on, off, "steady on/off under perfect");
 }
 
 // ---- monotone issue rate vs predictor accuracy -----------------------
@@ -542,6 +541,8 @@ TEST(Speculation, MachineSpecPredOptionArmsThePredictor)
 
 TEST(Speculation, NonSpeculativeMachinesRejectAnArmedPredictor)
 {
+    // The single-issue machines fetch no wrong path: a predictor that
+    // can mispredict needs a zero window there.  SimpleSim takes none.
     const MachineConfig pred = withPredictor(configM11BR5(), "2bit");
     EXPECT_THROW(SimpleSim{ pred }, ConfigError);
     EXPECT_THROW(Cdc6600Sim(Cdc6600Config{}, pred), ConfigError);
@@ -549,16 +550,11 @@ TEST(Speculation, NonSpeculativeMachinesRejectAnArmedPredictor)
                  ConfigError);
     EXPECT_THROW(TomasuloSim(TomasuloConfig{}, pred), ConfigError);
 
-    // And the speculative machines insist the predictor replaces the
-    // static branch policy rather than stacking on top of it.
-    EXPECT_THROW(MultiIssueSim({ 4, true, BusKind::kPerUnit, false,
-                                 BranchPolicy::kOracle },
-                               pred),
-                 ConfigError);
-    EXPECT_THROW(RuuSim({ 4, 50, BusKind::kPerUnit,
-                          BranchPolicy::kBtfn },
-                        pred),
-                 ConfigError);
+    const MachineConfig w0 = withPredictor(configM11BR5(), "2bit:512:w0");
+    EXPECT_THROW(SimpleSim{ w0 }, ConfigError);
+    EXPECT_NO_THROW(Cdc6600Sim(Cdc6600Config{}, w0));
+    EXPECT_NO_THROW(ScoreboardSim(ScoreboardConfig::crayLike(), w0));
+    EXPECT_NO_THROW(TomasuloSim(TomasuloConfig{}, w0));
 }
 
 TEST(Speculation, TelemetryAccumulatesAcrossRuns)

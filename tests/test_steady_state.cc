@@ -3,12 +3,14 @@
  * Steady-state fast path coverage (sim/steady_state.hh).
  *
  *  - Every simulator produces bit-identical results (instructions,
- *    cycles, full stall breakdown) with the fast path on and off, on
- *    every library loop and machine config.
+ *    cycles, full stall breakdown, speculation counters) with the
+ *    fast path on and off, on every library loop and machine config,
+ *    with and without a static branch predictor armed.
  *  - The audited path matches too (auditing bypasses the fast path,
  *    so its event stream stays complete).
  *  - Crafted aperiodic and too-short traces never extrapolate.
- *  - The long loops actually exercise the fast path (skip > 0).
+ *  - The long loops actually exercise the fast path (skip > 0), also
+ *    under static predictors; predictors with history never do.
  *  - PeriodDetector finds the right segment shape on a hand-built
  *    periodic trace and stays silent on aperiodic ones.
  */
@@ -22,6 +24,7 @@
 
 #include "mfusim/core/decoded_trace.hh"
 #include "mfusim/dataflow/period_detector.hh"
+#include "mfusim/harness/spec_parse.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/sim/audit.hh"
 #include "mfusim/sim/cdc6600_sim.hh"
@@ -67,12 +70,34 @@ allSims(const MachineConfig &cfg)
     sims.push_back(
         std::make_unique<Cdc6600Sim>(Cdc6600Config{}, cfg));
     sims.push_back(std::make_unique<TomasuloSim>(
-        TomasuloConfig{ 3, 1, BranchPolicy::kBlocking }, cfg));
+        TomasuloConfig{ 3, 1 }, cfg));
     sims.push_back(std::make_unique<MultiIssueSim>(
         MultiIssueConfig{ 4, true, BusKind::kPerUnit, false }, cfg));
     sims.push_back(std::make_unique<RuuSim>(
         RuuConfig{ 2, 20, BusKind::kPerUnit }, cfg));
     return sims;
+}
+
+/**
+ * The static predictors (perfect, taken, btfn) on every machine that
+ * takes one: at :w0 and at the default window on MultiIssue and RUU,
+ * at :w0 on the single-issue machines (the only window they accept).
+ */
+std::vector<std::string>
+staticPredictorMachines()
+{
+    std::vector<std::string> specs;
+    for (const char *pred : { "perfect", "taken", "btfn" }) {
+        for (const char *machine : { "ooo:4", "ruu:2:20" }) {
+            specs.push_back(std::string(machine) + ",pred=" + pred);
+            specs.push_back(std::string(machine) + ",pred=" + pred +
+                            ":w0");
+        }
+        for (const char *machine : { "cray", "cdc", "tomasulo:3:1" })
+            specs.push_back(std::string(machine) + ",pred=" + pred +
+                            ":w0");
+    }
+    return specs;
 }
 
 void
@@ -81,6 +106,8 @@ expectSameResult(const SimResult &fast, const SimResult &plain,
 {
     EXPECT_EQ(fast.instructions, plain.instructions) << what;
     EXPECT_EQ(fast.cycles, plain.cycles) << what;
+    EXPECT_EQ(fast.squashes, plain.squashes) << what;
+    EXPECT_EQ(fast.wrongPathOps, plain.wrongPathOps) << what;
     ASSERT_EQ(fast.hasStalls, plain.hasStalls) << what;
     if (plain.hasStalls) {
         EXPECT_EQ(fast.stalls.raw, plain.stalls.raw) << what;
@@ -109,6 +136,10 @@ TEST_P(SteadyBitIdentity, FastPathMatchesPlainPath)
 
     auto fastSims = allSims(cfg);
     auto plainSims = allSims(cfg);
+    for (const std::string &spec : staticPredictorMachines()) {
+        fastSims.push_back(parseMachineSpec(spec, cfg));
+        plainSims.push_back(parseMachineSpec(spec, cfg));
+    }
     for (std::size_t s = 0; s < fastSims.size(); ++s) {
         SimResult plain;
         {
@@ -122,7 +153,9 @@ TEST_P(SteadyBitIdentity, FastPathMatchesPlainPath)
             SteadyGuard on(true);
             fast = fastSims[s]->run(trace);
         }
-        expectSameResult(fast, plain, fastSims[s]->name());
+        expectSameResult(fast, plain,
+                         fastSims[s]->name() + " " +
+                             fastSims[s]->config().name());
     }
 }
 
@@ -181,6 +214,37 @@ TEST(SteadyState, LongLoopsSkipOps)
                 << sim->name() << " LL" << loop;
             EXPECT_LT(r.steadyOpsSkipped, r.instructions)
                 << sim->name() << " LL" << loop;
+        }
+    }
+}
+
+TEST(SteadyState, StaticPredictorsKeepTheFastPath)
+{
+    // A static predictor's mispredicts repeat with the loop period,
+    // so the fast path stays on; 2-bit counters and fixed-accuracy
+    // hashes carry history across iterations and keep it off.
+    SteadyGuard on(true);
+    const MachineConfig cfg = configM11BR5();
+    for (const int loop : { 6, 7, 13 }) {
+        const DecodedTrace &trace =
+            TraceLibrary::instance().decoded(loop, cfg);
+        for (const std::string &spec : staticPredictorMachines()) {
+            EXPECT_GT(parseMachineSpec(spec, cfg)
+                          ->run(trace)
+                          .steadyOpsSkipped,
+                      0u)
+                << spec << " LL" << loop;
+        }
+        for (const char *spec :
+             { "ooo:4,pred=2bit", "ooo:4,pred=fixed:90",
+               "ruu:2:20,pred=2bit", "ruu:2:20,pred=fixed:90",
+               "cray,pred=2bit:512:w0", "cdc,pred=fixed:90:w0",
+               "tomasulo:3:1,pred=2bit:512:w0" }) {
+            EXPECT_EQ(parseMachineSpec(spec, cfg)
+                          ->run(trace)
+                          .steadyOpsSkipped,
+                      0u)
+                << spec << " LL" << loop;
         }
     }
 }

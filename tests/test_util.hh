@@ -7,7 +7,12 @@
 #ifndef MFUSIM_TESTS_TEST_UTIL_HH
 #define MFUSIM_TESTS_TEST_UTIL_HH
 
+#include <cstdint>
+#include <fstream>
 #include <initializer_list>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "mfusim/core/trace.hh"
 
@@ -39,6 +44,37 @@ traceOf(std::initializer_list<DynOp> ops, const char *name = "test")
     for (const DynOp &op : ops)
         trace.append(op);
     return trace;
+}
+
+/** One cell of the pinned legacy branch-policy fixture. */
+struct PinnedCell
+{
+    std::string machine;    //!< e.g. "ooo:4,btfn"
+    std::string config;     //!< e.g. "M11BR5"
+    int loop = 0;
+    std::uint64_t cycles = 0;
+};
+
+/**
+ * golden/branch_alias_cycles.txt: cycles of the ",btfn" / ",oracle"
+ * branch policies recorded before they became predictor aliases.
+ */
+inline std::vector<PinnedCell>
+pinnedAliasCycles()
+{
+    std::ifstream in(std::string(MFUSIM_TEST_GOLDEN_DIR) +
+                     "/branch_alias_cycles.txt");
+    std::vector<PinnedCell> cells;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        PinnedCell cell;
+        std::istringstream(line) >> cell.machine >> cell.config >>
+            cell.loop >> cell.cycles;
+        cells.push_back(cell);
+    }
+    return cells;
 }
 
 } // namespace test

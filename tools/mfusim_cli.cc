@@ -35,12 +35,14 @@
  *           MFUSIM_NO_STEADY_STATE=1 env var); results are identical
  *           either way — this is a debugging escape hatch
  * --predictor SPEC
- *           arm a branch predictor on the run's machine config
- *           (MultiIssue / RUU machines only).  SPEC is
- *           perfect | taken | btfn | 2bit[:TABLE] | fixed:PCT[:sSEED]
- *           with an optional ":wN" wrong-path-window suffix, e.g.
- *           "2bit:1024:w8" or "fixed:90".  Equivalent to the
- *           ",pred=SPEC" machine-spec option.
+ *           arm a branch predictor on the run's machine config.  SPEC
+ *           is perfect | taken | btfn | 2bit[:TABLE] |
+ *           fixed:PCT[:sSEED] with an optional ":wN" wrong-path-window
+ *           suffix (N in [0,4096], default 8), e.g. "2bit:1024:w8" or
+ *           "fixed:90".  The single-issue machines fetch no wrong path
+ *           and take only ":w0" (or perfect); "simple" takes none.
+ *           Equivalent to the ",pred=SPEC" machine-spec option, and
+ *           exclusive with it (exit 3).
  * --trace-out F    (rate/replay, single loop) write the pipeline
  *           schedule as Chrome/Perfetto trace-event JSON to F
  * --metrics-out F  (rate/replay) write the run's MetricsRegistry to
@@ -91,9 +93,11 @@
  * <machine> simple | serialmem | nonseg | cray | cdc |
  *           tomasulo[:<rs>[:<cdb>]] |
  *           seq:<w> | ooo:<w> | ruu:<w>:<size>
- *           with optional ",1bus" / ",xbar", ",btfn" / ",oracle" and
- *           ",pred=SPEC" suffixes, e.g. "ruu:4:50,1bus,oracle" or
- *           "ooo:4,pred=2bit"
+ *           with an optional ",1bus" / ",xbar" suffix and at most one
+ *           branch model: ",pred=SPEC" or its aliases ",btfn"
+ *           (= ",pred=btfn:w0") and ",oracle" (= ",pred=perfect"),
+ *           e.g. "ruu:4:50,1bus,oracle" or "ooo:4,pred=2bit".  A
+ *           second branch model exits 3.
  */
 
 #include <cerrno>
@@ -179,7 +183,8 @@ usage()
 // The shared spec grammar lives in harness/spec_parse.hh (the serve
 // daemon uses it too).  These wrappers keep the CLI's historical
 // behaviour: a bad spec prints to stderr and exits with the usage
-// code (2) instead of the ConfigError code (3).
+// code (2) instead of the ConfigError code (3).  A well-formed spec
+// whose branch model conflicts (BranchModelError) keeps code 3.
 
 MachineConfig
 parseConfig(const std::string &name)
@@ -219,6 +224,8 @@ parseMachine(const std::string &spec, const MachineConfig &cfg)
 {
     try {
         return parseMachineSpec(spec, cfg);
+    } catch (const BranchModelError &) {
+        throw;
     } catch (const ConfigError &e) {
         std::fprintf(stderr, "%s\n", e.what());
         std::exit(2);
@@ -383,6 +390,8 @@ cmdRateAll(const std::string &machine, const MachineConfig &cfg)
     // the grid at cell granularity; the partial table and metrics
     // file are still flushed before exiting 128+signo.
     installShutdownHandler();
+    // Parse once up front: a bad spec fails here, not in every cell.
+    const std::string sim_name = parseMachine(machine, cfg)->name();
     const SimFactory factory = [&machine](const MachineConfig &c) {
         return parseMachine(machine, c);
     };
@@ -406,7 +415,6 @@ cmdRateAll(const std::string &machine, const MachineConfig &cfg)
         rates = parallelPerLoopRates(factory, loops, cfg);
     }
 
-    const std::string sim_name = parseMachine(machine, cfg)->name();
     std::printf("%s, %s (%u jobs):\n", sim_name.c_str(),
                 cfg.name().c_str(), defaultSweepJobs());
     AsciiTable table;
