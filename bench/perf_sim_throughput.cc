@@ -13,7 +13,8 @@
  *  - BM_<sim>DynTrace: the one-shot path — run(DynTrace) decodes per
  *    call; what a caller pays when it times a trace exactly once.
  *
- * BM_DecodeTrace isolates the decode cost itself.
+ * BM_DecodeTrace isolates the decode cost itself (body and view);
+ * BM_DecodeView the per-configuration view over an existing body.
  */
 
 #include <benchmark/benchmark.h>
@@ -357,6 +358,24 @@ BM_DecodeTrace(benchmark::State &state)
                             std::int64_t(trace.size()));
 }
 BENCHMARK(BM_DecodeTrace);
+
+void
+BM_DecodeView(benchmark::State &state)
+{
+    // A per-configuration view over an existing body: what
+    // TraceLibrary::decoded() pays for each further configuration of
+    // a loop.
+    const std::shared_ptr<const TraceBody> &body =
+        TraceLibrary::instance().body(6);
+    const MachineConfig cfg = configM11BR5();
+    for (auto _ : state) {
+        const DecodedTrace view(body, cfg);
+        benchmark::DoNotOptimize(view.latency(0));
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(body->size()));
+}
+BENCHMARK(BM_DecodeView);
 
 void
 BM_TraceGeneration(benchmark::State &state)

@@ -6,6 +6,7 @@
 #include "mfusim/core/decoded_trace.hh"
 
 #include <array>
+#include <atomic>
 #include <cassert>
 #include <limits>
 
@@ -15,11 +16,56 @@
 namespace mfusim
 {
 
-DecodedTrace::DecodedTrace(const DynTrace &trace,
-                           const MachineConfig &cfg)
-    : name_(trace.name()), cfg_(cfg)
+namespace
 {
-    cfg_.validate();
+
+/** The static traits the decode needs, per opcode. */
+struct OpRow
+{
+    std::uint8_t fu;
+    std::uint8_t flags;     //!< the opcode-determined DecodedOps bits
+    std::uint8_t parcels;
+    bool usesVl;            //!< occupancy is the op's vector length
+    bool isLoad;
+    bool isStore;
+};
+
+const std::array<OpRow, kNumOps> &
+opRows()
+{
+    static const std::array<OpRow, kNumOps> rows = [] {
+        std::array<OpRow, kNumOps> out{};
+        for (unsigned o = 0; o < kNumOps; ++o) {
+            const Op op = Op(o);
+            const OpTraits &traits = traitsOf(op);
+            OpRow &row = out[o];
+            row.fu = std::uint8_t(traits.fu);
+            row.parcels = traits.parcels;
+            if (isBranch(op))
+                row.flags |= DecodedOps::kIsBranch;
+            if (isVector(op))
+                row.flags |= DecodedOps::kIsVector;
+            if (traits.fu == FuClass::kMemory)
+                row.flags |= DecodedOps::kIsMemory;
+            if (traits.fu == FuClass::kTransfer)
+                row.flags |= DecodedOps::kIsTransfer;
+            if (producesResult(op))
+                row.flags |= DecodedOps::kProducesResult;
+            row.usesVl = isVector(op) && op != Op::kVSetLen;
+            row.isLoad = isLoad(op);
+            row.isStore = isStore(op);
+        }
+        return out;
+    }();
+    return rows;
+}
+
+std::atomic<std::uint64_t> g_bodies_built{ 0 };
+
+} // namespace
+
+TraceBody::TraceBody(const DynTrace &trace) : name_(trace.name())
+{
     const auto &ops = trace.ops();
     const std::size_t n = ops.size();
     if (n >= kNoProducer) {
@@ -29,105 +75,156 @@ DecodedTrace::DecodedTrace(const DynTrace &trace,
             std::to_string(kNoProducer - 1) + ")");
     }
 
-    op_.reserve(n);
-    fu_.reserve(n);
-    flags_.reserve(n);
-    latency_.reserve(n);
-    occupancy_.reserve(n);
-    dst_.reserve(n);
-    srcA_.reserve(n);
-    srcB_.reserve(n);
-    staticIdx_.reserve(n);
-    prodA_.reserve(n);
-    prodB_.reserve(n);
-    prevWriter_.reserve(n);
+    // Size every array up front and fill it through raw pointers:
+    // the pass below is one row-table lookup and a dozen stores per
+    // op.
+    const auto sized = [n](auto &v) {
+        v.resize(n);
+        return v.data();
+    };
+    Op *const opArr = sized(arrays_.op);
+    std::uint8_t *const fu = sized(arrays_.fu);
+    std::uint8_t *const flags = sized(arrays_.flags);
+    std::uint16_t *const occupancy = sized(arrays_.occupancy);
+    RegId *const dst = sized(arrays_.dst);
+    RegId *const srcA = sized(arrays_.srcA);
+    RegId *const srcB = sized(arrays_.srcB);
+    std::uint32_t *const staticIdx = sized(arrays_.staticIdx);
+    std::uint32_t *const prodA = sized(arrays_.prodA);
+    std::uint32_t *const prodB = sized(arrays_.prodB);
+    std::uint32_t *const prevWriter = sized(arrays_.prevWriter);
+    size_ = n;
+    op_ = opArr;
+    fu_ = fu;
+    flags_ = flags;
+    occupancy_ = occupancy;
+    dst_ = dst;
+    srcA_ = srcA;
+    srcB_ = srcB;
+    staticIdx_ = staticIdx;
+    prodA_ = prodA;
+    prodB_ = prodB;
+    prevWriter_ = prevWriter;
 
+    const std::array<OpRow, kNumOps> &rows = opRows();
     std::array<std::uint32_t, kNumRegs> lastWriter;
     lastWriter.fill(kNoProducer);
 
-    stats_.totalOps = n;
+    // Per-opcode tallies, folded into TraceStats after the pass.
+    std::array<std::uint64_t, kNumOps> opCount{};
+    std::array<std::uint64_t, kNumOps> vlSum{};
+    std::uint64_t taken = 0;
+    std::uint64_t btfnCorrect = 0;
+
     for (std::size_t i = 0; i < n; ++i) {
         const DynOp &dyn = ops[i];
-        const OpTraits &traits = traitsOf(dyn.op);
-        const unsigned fu_idx = unsigned(traits.fu);
-        const unsigned latency = latencyOf(dyn.op, cfg);
-        const unsigned occupancy = vectorOccupancy(dyn);
-        assert(latency <= std::numeric_limits<std::uint16_t>::max());
-        assert(occupancy <= std::numeric_limits<std::uint16_t>::max());
+        assert(unsigned(dyn.op) < kNumOps);
+        const OpRow &row = rows[unsigned(dyn.op)];
 
-        std::uint8_t flags = 0;
-        if (mfusim::isBranch(dyn.op))
-            flags |= kIsBranch;
-        if (mfusim::isVector(dyn.op))
-            flags |= kIsVector;
-        if (traits.fu == FuClass::kMemory)
-            flags |= kIsMemory;
-        if (traits.fu == FuClass::kTransfer)
-            flags |= kIsTransfer;
-        if (mfusim::producesResult(dyn.op))
-            flags |= kProducesResult;
+        std::uint8_t f = row.flags;
         if (dyn.taken)
-            flags |= kTaken;
+            f |= kTaken;
         if (dyn.btfnCorrect())
-            flags |= kBtfnCorrect;
+            f |= kBtfnCorrect;
 
-        op_.push_back(dyn.op);
-        fu_.push_back(std::uint8_t(fu_idx));
-        flags_.push_back(flags);
-        latency_.push_back(std::uint16_t(latency));
-        occupancy_.push_back(std::uint16_t(occupancy));
-        dst_.push_back(dyn.dst);
-        srcA_.push_back(dyn.srcA);
-        srcB_.push_back(dyn.srcB);
-        staticIdx_.push_back(std::uint32_t(dyn.staticIdx));
+        opArr[i] = dyn.op;
+        fu[i] = row.fu;
+        flags[i] = f;
+        occupancy[i] = row.usesVl && dyn.vl > 0 ? dyn.vl : 1;
+        dst[i] = dyn.dst;
+        srcA[i] = dyn.srcA;
+        srcB[i] = dyn.srcB;
+        staticIdx[i] = std::uint32_t(dyn.staticIdx);
 
-        prodA_.push_back(dyn.srcA == kNoReg ? kNoProducer
-                                            : lastWriter[dyn.srcA]);
-        prodB_.push_back(dyn.srcB == kNoReg ? kNoProducer
-                                            : lastWriter[dyn.srcB]);
-        prevWriter_.push_back(dyn.dst == kNoReg ? kNoProducer
-                                                : lastWriter[dyn.dst]);
+        prodA[i] = dyn.srcA == kNoReg ? kNoProducer : lastWriter[dyn.srcA];
+        prodB[i] = dyn.srcB == kNoReg ? kNoProducer : lastWriter[dyn.srcB];
+        prevWriter[i] =
+            dyn.dst == kNoReg ? kNoProducer : lastWriter[dyn.dst];
         if (dyn.dst != kNoReg)
             lastWriter[dyn.dst] = std::uint32_t(i);
 
-        // Composition statistics, fused into the decode pass
-        // (field-for-field the same accounting as DynTrace::stats()).
-        stats_.perFu[fu_idx]++;
-        stats_.parcels += traits.parcels;
-        if (flags & kIsVector) {
-            hasVector_ = true;
-            stats_.vectorOps++;
-            stats_.vectorElements += dyn.vl;
-            stats_.vectorElementsPerFu[fu_idx] += dyn.vl;
-            stats_.vectorOpsPerFu[fu_idx]++;
-        }
-        if (flags & kIsBranch) {
-            stats_.branches++;
-            if (dyn.taken)
-                stats_.takenBranches++;
-            if (flags & kBtfnCorrect)
-                stats_.btfnCorrectBranches++;
-        } else if (mfusim::isLoad(dyn.op)) {
-            stats_.loads++;
-        } else if (mfusim::isStore(dyn.op)) {
-            stats_.stores++;
+        ++opCount[unsigned(dyn.op)];
+        vlSum[unsigned(dyn.op)] += dyn.vl;
+        if (f & kIsBranch) {
+            taken += dyn.taken;
+            btfnCorrect += (f & kBtfnCorrect) != 0;
         }
     }
+
+    // Composition statistics: field-for-field the same accounting as
+    // DynTrace::stats(), gathered per opcode.
+    stats_.totalOps = n;
+    stats_.takenBranches = taken;
+    stats_.btfnCorrectBranches = btfnCorrect;
+    for (unsigned o = 0; o < kNumOps; ++o) {
+        const std::uint64_t count = opCount[o];
+        if (count == 0)
+            continue;
+        const OpRow &row = rows[o];
+        stats_.perFu[row.fu] += count;
+        stats_.parcels += count * row.parcels;
+        if (row.flags & kIsVector) {
+            hasVector_ = true;
+            stats_.vectorOps += count;
+            stats_.vectorElements += vlSum[o];
+            stats_.vectorElementsPerFu[row.fu] += vlSum[o];
+            stats_.vectorOpsPerFu[row.fu] += count;
+        }
+        if (row.flags & kIsBranch)
+            stats_.branches += count;
+        else if (row.isLoad)
+            stats_.loads += count;
+        else if (row.isStore)
+            stats_.stores += count;
+    }
+    g_bodies_built.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t
+TraceBody::bodiesBuilt()
+{
+    return g_bodies_built.load(std::memory_order_relaxed);
 }
 
 const std::vector<RegId> &
-DecodedTrace::writtenRegs() const
+TraceBody::writtenRegs() const
 {
     std::call_once(writtenOnce_, [&] {
         std::array<bool, kNumRegs> seen{};
-        for (const RegId dst : dst_) {
-            if (dst != kNoReg && !seen[dst]) {
-                seen[dst] = true;
-                written_.push_back(dst);
+        for (std::size_t i = 0; i < size_; ++i) {
+            const RegId d = dst_[i];
+            if (d != kNoReg && !seen[d]) {
+                seen[d] = true;
+                written_.push_back(d);
             }
         }
     });
     return written_;
+}
+
+DecodedTrace::DecodedTrace(const DynTrace &trace,
+                           const MachineConfig &cfg)
+    : DecodedTrace(std::make_shared<const TraceBody>(trace), cfg)
+{
+}
+
+DecodedTrace::DecodedTrace(std::shared_ptr<const TraceBody> body,
+                           const MachineConfig &cfg)
+    : DecodedOps(*body), body_(std::move(body))
+{
+    cfg.validate();
+    cfg_.memLatency = cfg.memLatency;
+    cfg_.branchTime = cfg.branchTime;
+
+    std::array<std::uint16_t, kNumOps> latencyOfOp;
+    for (unsigned o = 0; o < kNumOps; ++o) {
+        const unsigned latency = latencyOf(Op(o), cfg_);
+        assert(latency <= std::numeric_limits<std::uint16_t>::max());
+        latencyOfOp[o] = std::uint16_t(latency);
+    }
+    latency_.resize(size_);
+    for (std::size_t i = 0; i < size_; ++i)
+        latency_[i] = latencyOfOp[unsigned(op_[i])];
 }
 
 } // namespace mfusim

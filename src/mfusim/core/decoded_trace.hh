@@ -6,23 +6,34 @@
  * (cycle loops revisit unissued instructions), and every visit used
  * to re-resolve the same static facts through traitsOf()/latencyOf():
  * functional-unit class, effective latency under the machine
- * configuration, vector occupancy, branch/store/result flags.  A
- * DecodedTrace resolves all of that exactly once per (trace, machine
- * configuration) pair and stores it in tightly packed parallel
- * arrays, so the simulators' hot loops reduce to integer loads.
+ * configuration, vector occupancy, branch/store/result flags.  The
+ * decode resolves all of that once and stores it in tightly packed
+ * parallel arrays, so the simulators' hot loops reduce to integer
+ * loads.
  *
- * The decode additionally precomputes the program-order dependence
- * links (last earlier writer of each operand and of the destination)
- * that MultiIssueSim and RuuSim previously rebuilt on every run, and
- * the whole-trace composition statistics the dataflow resource limit
- * needs.
+ * The decode is split in two, because only one array depends on the
+ * machine configuration:
  *
- * Contract: decode once, run many.  A DecodedTrace is immutable
+ *  - A TraceBody holds everything that is a function of the trace
+ *    alone: opcode, unit class, flags, occupancy, registers, static
+ *    index, the program-order dependence links (last earlier writer
+ *    of each operand and of the destination) that MultiIssueSim and
+ *    RuuSim previously rebuilt on every run, the whole-trace
+ *    composition statistics the dataflow resource limit needs, and
+ *    the lazily cached periodicity analysis.  It is built once per
+ *    trace.
+ *  - A DecodedTrace is a per-configuration view of a shared body: the
+ *    body's arrays plus one latency array, which embeds memLatency
+ *    and branchTime.  Building a view over an existing body costs one
+ *    2-byte store per op.
+ *
+ * Contract: decode once, run many.  Bodies and views are immutable
  * after construction and therefore safe to share across concurrent
  * simulator runs (see TraceLibrary::decoded() for the process-wide
- * cache).  Simulators verify that the decoded configuration matches
- * their own, because the stored latencies embed memLatency and
- * branchTime.
+ * cache, which keeps one body per loop and one view per
+ * configuration).  Simulators verify that the decoded configuration
+ * matches their own, because the stored latencies embed memLatency
+ * and branchTime.
  */
 
 #ifndef MFUSIM_CORE_DECODED_TRACE_HH
@@ -45,11 +56,12 @@ namespace mfusim
 struct TracePeriodicity;
 
 /**
- * One dynamic trace with all per-op static properties resolved for
- * one machine configuration, in parallel arrays indexed by trace
- * position.
+ * Read access to the configuration-independent per-op arrays of a
+ * decoded trace, indexed by trace position.  Both TraceBody (which
+ * owns the arrays) and DecodedTrace (which views a body's) derive
+ * from it, so each accessor is one indexed load either way.
  */
-class DecodedTrace
+class DecodedOps
 {
   public:
     /** No earlier writer of the operand (or unused operand slot). */
@@ -64,44 +76,11 @@ class DecodedTrace
     static constexpr std::uint8_t kTaken = 1u << 5;
     static constexpr std::uint8_t kBtfnCorrect = 1u << 6;
 
-    /** Decode @p trace under @p cfg (one pass over the ops). */
-    DecodedTrace(const DynTrace &trace, const MachineConfig &cfg);
-
-    const std::string &name() const { return name_; }
-    const MachineConfig &config() const { return cfg_; }
-
-    std::size_t size() const { return op_.size(); }
-    bool empty() const { return op_.empty(); }
-
-    /** True if any op is a vector-unit instruction. */
-    bool hasVector() const { return hasVector_; }
-
-    /** Composition statistics (same values as DynTrace::stats()). */
-    const TraceStats &stats() const { return stats_; }
-
-    /**
-     * Periodic-structure analysis of this trace (see
-     * dataflow/period_detector.hh), computed lazily on first use and
-     * cached for the life of the trace.  Thread safe; the steady-
-     * state fast path of every simulator starts here.
-     */
-    const TracePeriodicity &periodicity() const;
-
-    /**
-     * The distinct destination registers this trace ever writes, in
-     * first-write order.  Computed lazily and cached: the steady-
-     * state fast path scans this list at every iteration boundary
-     * instead of all kNumRegs (or all ops) per run.  Thread safe.
-     */
-    const std::vector<RegId> &writtenRegs() const;
-
-    // ---- per-op decoded fields -----------------------------------
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
 
     Op op(std::size_t i) const { return op_[i]; }
     FuClass fu(std::size_t i) const { return FuClass(fu_[i]); }
-
-    /** Effective latency: latencyOf(op, config()). */
-    unsigned latency(std::size_t i) const { return latency_[i]; }
 
     /** vectorOccupancy(): unit-holding cycles (1 for scalar ops). */
     unsigned occupancy(std::size_t i) const { return occupancy_[i]; }
@@ -152,35 +131,150 @@ class DecodedTrace
         return prevWriter_[i];
     }
 
+  protected:
+    DecodedOps() = default;
+    DecodedOps(const DecodedOps &) = default;
+    DecodedOps &operator=(const DecodedOps &) = default;
+
+    std::size_t size_ = 0;
+    const Op *op_ = nullptr;
+    const std::uint8_t *fu_ = nullptr;
+    const std::uint8_t *flags_ = nullptr;
+    const std::uint16_t *occupancy_ = nullptr;
+    const RegId *dst_ = nullptr;
+    const RegId *srcA_ = nullptr;
+    const RegId *srcB_ = nullptr;
+    const std::uint32_t *staticIdx_ = nullptr;
+    const std::uint32_t *prodA_ = nullptr;
+    const std::uint32_t *prodB_ = nullptr;
+    const std::uint32_t *prevWriter_ = nullptr;
+};
+
+/**
+ * The configuration-independent decode of one dynamic trace.
+ * Non-copyable: views hold raw pointers into its arrays.
+ */
+class TraceBody : public DecodedOps
+{
+  public:
+    /** Decode @p trace (one pass over the ops). */
+    explicit TraceBody(const DynTrace &trace);
+
+    TraceBody(const TraceBody &) = delete;
+    TraceBody &operator=(const TraceBody &) = delete;
+
+    const std::string &name() const { return name_; }
+
+    /** True if any op is a vector-unit instruction. */
+    bool hasVector() const { return hasVector_; }
+
+    /** Composition statistics (same values as DynTrace::stats()). */
+    const TraceStats &stats() const { return stats_; }
+
+    /**
+     * Periodic-structure analysis of this trace (see
+     * dataflow/period_detector.hh), computed lazily on first use and
+     * cached for the life of the body, so every configuration view
+     * shares one analysis.  Thread safe; the steady-state fast path
+     * of every simulator starts here.
+     */
+    const TracePeriodicity &periodicity() const;
+
+    /**
+     * The distinct destination registers this trace ever writes, in
+     * first-write order.  Computed lazily and cached: the steady-
+     * state fast path scans this list at every iteration boundary
+     * instead of all kNumRegs (or all ops) per run.  Thread safe.
+     */
+    const std::vector<RegId> &writtenRegs() const;
+
+    /**
+     * Bodies constructed and periodicity analyses run in this
+     * process so far (the tests pin that views share both).
+     */
+    static std::uint64_t bodiesBuilt();
+    static std::uint64_t periodAnalyses();
+
   private:
     std::string name_;
-    MachineConfig cfg_;
     TraceStats stats_;
     bool hasVector_ = false;
 
-    std::vector<Op> op_;
-    std::vector<std::uint8_t> fu_;
-    std::vector<std::uint8_t> flags_;
-    std::vector<std::uint16_t> latency_;
-    std::vector<std::uint16_t> occupancy_;
-    std::vector<RegId> dst_;
-    std::vector<RegId> srcA_;
-    std::vector<RegId> srcB_;
-    std::vector<std::uint32_t> staticIdx_;
-    std::vector<std::uint32_t> prodA_;
-    std::vector<std::uint32_t> prodB_;
-    std::vector<std::uint32_t> prevWriter_;
+    // The arrays the DecodedOps pointers name.
+    struct Arrays
+    {
+        std::vector<Op> op;
+        std::vector<std::uint8_t> fu;
+        std::vector<std::uint8_t> flags;
+        std::vector<std::uint16_t> occupancy;
+        std::vector<RegId> dst;
+        std::vector<RegId> srcA;
+        std::vector<RegId> srcB;
+        std::vector<std::uint32_t> staticIdx;
+        std::vector<std::uint32_t> prodA;
+        std::vector<std::uint32_t> prodB;
+        std::vector<std::uint32_t> prevWriter;
+    } arrays_;
 
     // Lazy periodicity cache (built in period_detector.cc, where
     // TracePeriodicity is complete; shared_ptr type-erases the
     // deleter so this header needs only the forward declaration).
-    // once_flag makes the trace non-copyable, which matches the
-    // decode-once-share-everywhere contract.
     mutable std::once_flag periodicityOnce_;
     mutable std::shared_ptr<const TracePeriodicity> periodicity_;
 
     mutable std::once_flag writtenOnce_;
     mutable std::vector<RegId> written_;
+};
+
+/**
+ * One dynamic trace with all per-op static properties resolved for
+ * one machine configuration: a shared TraceBody plus the per-op
+ * latencies under that configuration.
+ */
+class DecodedTrace : public DecodedOps
+{
+  public:
+    /** Decode @p trace under @p cfg, into a body of its own. */
+    DecodedTrace(const DynTrace &trace, const MachineConfig &cfg);
+
+    /** View @p body under @p cfg (one pass filling the latencies). */
+    DecodedTrace(std::shared_ptr<const TraceBody> body,
+                 const MachineConfig &cfg);
+
+    DecodedTrace(const DecodedTrace &) = delete;
+    DecodedTrace &operator=(const DecodedTrace &) = delete;
+
+    /**
+     * The configuration the latencies were decoded for.  Only
+     * memLatency and branchTime shape a decode, so the predictor is
+     * always disarmed here, whatever the caller's configuration.
+     */
+    const MachineConfig &config() const { return cfg_; }
+
+    /** The configuration-independent part, shared between views. */
+    const TraceBody &body() const { return *body_; }
+
+    const std::string &name() const { return body_->name(); }
+    bool hasVector() const { return body_->hasVector(); }
+    const TraceStats &stats() const { return body_->stats(); }
+    const TracePeriodicity &
+    periodicity() const
+    {
+        return body_->periodicity();
+    }
+    const std::vector<RegId> &
+    writtenRegs() const
+    {
+        return body_->writtenRegs();
+    }
+
+    /** Effective latency: latencyOf(op, config()). */
+    unsigned latency(std::size_t i) const { return latency_[i]; }
+
+  private:
+    std::shared_ptr<const TraceBody> body_;
+    MachineConfig cfg_;
+    std::vector<std::uint16_t> latency_;
 };
 
 } // namespace mfusim

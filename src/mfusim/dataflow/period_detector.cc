@@ -6,6 +6,7 @@
 #include "mfusim/dataflow/period_detector.hh"
 
 #include <algorithm>
+#include <atomic>
 
 namespace mfusim
 {
@@ -13,7 +14,9 @@ namespace mfusim
 namespace
 {
 
-constexpr std::uint32_t kNoProd = DecodedTrace::kNoProducer;
+constexpr std::uint32_t kNoProd = DecodedOps::kNoProducer;
+
+std::atomic<std::uint64_t> g_period_analyses{ 0 };
 
 /** Segments shorter than this many periods are not worth reporting.
  *  One period has no boundary pair to match; two periods already pay
@@ -21,14 +24,20 @@ constexpr std::uint32_t kNoProd = DecodedTrace::kNoProducer;
  *  (the tracker then skips on the first in-segment match). */
 constexpr std::size_t kMinPeriods = 2;
 
-/** Static per-op signature equality (everything but the links). */
+/**
+ * Static per-op signature equality (everything but the links).
+ * Latency is left out: under any one configuration it is a function
+ * of the opcode alone, so equal opcodes already imply equal
+ * latencies, and the segments come out the same for every
+ * configuration.
+ */
 bool
-sigEqual(const DecodedTrace &t, std::size_t a, std::size_t b)
+sigEqual(const TraceBody &t, std::size_t a, std::size_t b)
 {
     return t.op(a) == t.op(b) && t.fu(a) == t.fu(b) &&
-        t.flags(a) == t.flags(b) && t.latency(a) == t.latency(b) &&
-        t.occupancy(a) == t.occupancy(b) && t.dst(a) == t.dst(b) &&
-        t.srcA(a) == t.srcA(b) && t.srcB(a) == t.srcB(b);
+        t.flags(a) == t.flags(b) && t.occupancy(a) == t.occupancy(b) &&
+        t.dst(a) == t.dst(b) && t.srcA(a) == t.srcA(b) &&
+        t.srcB(a) == t.srcB(b);
 }
 
 /**
@@ -60,19 +69,18 @@ linkOk(std::uint32_t cur, std::uint32_t prev, std::size_t period,
  * exactness of a skip always rests on the full state signature.
  */
 std::vector<std::uint64_t>
-familyKey(const DecodedTrace &t, std::size_t base, std::size_t period,
+familyKey(const TraceBody &t, std::size_t base, std::size_t period,
           std::size_t count)
 {
     constexpr std::uint64_t kAncient = ~std::uint64_t(0);
     std::vector<std::uint64_t> key;
-    key.reserve(1 + period * 11);
+    key.reserve(1 + period * 10);
     key.push_back(period);
     const std::size_t start = base + (count - 1) * period;
     for (std::size_t i = start; i < start + period; ++i) {
         key.push_back(std::uint64_t(t.op(i)));
         key.push_back(std::uint64_t(t.fu(i)));
         key.push_back(t.flags(i));
-        key.push_back(t.latency(i));
         key.push_back(t.occupancy(i));
         key.push_back(t.dst(i));
         key.push_back(t.srcA(i));
@@ -92,7 +100,7 @@ familyKey(const DecodedTrace &t, std::size_t base, std::size_t period,
 
 /** Ops [start, start+period) repeat ops [start-period, start). */
 bool
-periodMatches(const DecodedTrace &t, std::size_t start,
+periodMatches(const TraceBody &t, std::size_t start,
               std::size_t period, std::size_t segBase)
 {
     for (std::size_t i = start; i < start + period; ++i) {
@@ -113,7 +121,7 @@ periodMatches(const DecodedTrace &t, std::size_t start,
 } // namespace
 
 TracePeriodicity
-detectPeriods(const DecodedTrace &trace)
+detectPeriods(const TraceBody &trace)
 {
     TracePeriodicity out;
     const std::size_t n = trace.size();
@@ -193,15 +201,28 @@ detectPeriods(const DecodedTrace &trace)
     return out;
 }
 
+TracePeriodicity
+detectPeriods(const DecodedTrace &trace)
+{
+    return detectPeriods(trace.body());
+}
+
+std::uint64_t
+TraceBody::periodAnalyses()
+{
+    return g_period_analyses.load(std::memory_order_relaxed);
+}
+
 const TracePeriodicity &
-DecodedTrace::periodicity() const
+TraceBody::periodicity() const
 {
     // call_once so concurrent simulators analyzing the same shared
-    // trace race safely; the analysis itself is deterministic.
+    // body race safely; the analysis itself is deterministic.
     std::call_once(periodicityOnce_, [&] {
         periodicity_ =
             std::make_shared<const TracePeriodicity>(
                 detectPeriods(*this));
+        g_period_analyses.fetch_add(1, std::memory_order_relaxed);
     });
     return *periodicity_;
 }

@@ -1,11 +1,11 @@
 /**
  * @file
- * Periodic-structure analysis of a DecodedTrace.
+ * Periodic-structure analysis of a decoded trace.
  *
  * Every Livermore trace is dominated by exact repetitions of a small
  * loop body: the same opcodes, registers, latencies and dependence
  * shape recur with a fixed stride.  detectPeriods() finds those
- * repetitions once per DecodedTrace so the timing simulators can
+ * repetitions once per TraceBody so the timing simulators can
  * recognize iteration boundaries and, once their architectural state
  * repeats from one boundary to the next, close the remaining
  * iterations by exact extrapolation instead of simulating them (see
@@ -14,10 +14,14 @@
  * A segment is anchored at taken branches (the loop back-edges): a
  * maximal run of equally spaced taken branches whose between-branch
  * op sequences are identical — same per-op signature (opcode, unit
- * class, flags, latency, occupancy, registers) and compatible
- * dependence links.  Two corresponding links are compatible when
- * both are absent, both shift by exactly one period, or both name
- * the same fixed pre-segment producer (a loop-invariant value).
+ * class, flags, occupancy, registers) and compatible dependence
+ * links.  Two corresponding links are compatible when both are
+ * absent, both shift by exactly one period, or both name the same
+ * fixed pre-segment producer (a loop-invariant value).  Latency is
+ * not part of the signature: under one machine configuration it
+ * follows from the opcode, so the analysis is the same for every
+ * configuration and runs once per trace, on the configuration-
+ * independent body that all configurations share.
  *
  * Nested loops with varying inner trip counts (LL6's triangular
  * kernel) decompose into many short segments, one per inner run;
@@ -108,6 +112,9 @@ struct TracePeriodicity
  * confirmed in an earlier segment, the tracker skips their second
  * period after one match.
  */
+TracePeriodicity detectPeriods(const TraceBody &trace);
+
+/** Analyze the configuration-independent body of @p trace. */
 TracePeriodicity detectPeriods(const DecodedTrace &trace);
 
 } // namespace mfusim

@@ -48,27 +48,32 @@ TraceLibrary::trace(int loopId)
     return *slot;
 }
 
+const std::shared_ptr<const TraceBody> &
+TraceLibrary::body(int loopId)
+{
+    const DynTrace &dyn = trace(loopId);
+    auto &slot = bodies_[std::size_t(loopId)];
+    std::call_once(bodyOnce_[std::size_t(loopId)], [&] {
+        slot = std::make_shared<const TraceBody>(dyn);
+    });
+    return slot;
+}
+
 const DecodedTrace &
 TraceLibrary::decoded(int loopId, const MachineConfig &cfg)
 {
-    checkLoopId(loopId);
-    DecodedShard &shard = decodedShards_[std::size_t(loopId)];
+    const std::shared_ptr<const TraceBody> &shared = body(loopId);
+    ViewShard &shard = viewShards_[std::size_t(loopId)];
     const std::uint64_t key =
         (std::uint64_t(cfg.memLatency) << 32) | cfg.branchTime;
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.cache.find(key);
-        if (it != shard.cache.end())
-            return *it->second;
-    }
-    // Build outside the lock (decoding may itself trigger a trace
-    // build, and other configurations of the same loop should not
-    // serialize behind it); a racing duplicate build loses and is
-    // discarded.
-    auto built = std::make_unique<DecodedTrace>(trace(loopId), cfg);
+    // A view costs one 2-byte store per op, so it is built under the
+    // shard lock: configurations of one loop briefly serialize, and
+    // no duplicate is ever built.
     std::lock_guard<std::mutex> lock(shard.mutex);
-    auto [it, inserted] = shard.cache.emplace(key, std::move(built));
-    return *it->second;
+    std::unique_ptr<DecodedTrace> &view = shard.cache[key];
+    if (!view)
+        view = std::make_unique<DecodedTrace>(shared, cfg);
+    return *view;
 }
 
 } // namespace mfusim

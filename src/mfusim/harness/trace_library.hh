@@ -5,12 +5,15 @@
  * Trace generation (assemble + interpret + validate) costs far more
  * than a timing simulation, and every experiment sweeps the same 14
  * traces over dozens of machine configurations, so traces are built
- * once per process and shared.  The same goes one level down: a
- * DecodedTrace of a (loop, machine configuration) pair is built once
- * and reused by every simulator timing that pair.
+ * once per process and shared.  The same goes one level down: each
+ * loop's configuration-independent TraceBody (decode, dependence
+ * links, statistics, periodicity analysis) is built once, and the
+ * DecodedTrace of a (loop, machine configuration) pair is a thin view
+ * of that body — a latency array — built once per pair and reused by
+ * every simulator timing it.
  *
- * Both caches are thread safe, so parallel sweep workers (sweep.hh)
- * can share the library without external locking.
+ * All three caches are thread safe, so parallel sweep workers
+ * (sweep.hh) can share the library without external locking.
  */
 
 #ifndef MFUSIM_HARNESS_TRACE_LIBRARY_HH
@@ -39,6 +42,13 @@ class TraceLibrary
     static TraceLibrary &instance();
 
     /**
+     * A library of its own, sharing nothing with instance(): every
+     * trace, body and view is built afresh on first use (the tests
+     * count builds this way).
+     */
+    TraceLibrary() = default;
+
+    /**
      * The validated dynamic trace of Livermore loop @p loopId
      * (1..14).  Built (and checked against the C++ reference
      * kernels) on first use; throws if validation fails.  Safe to
@@ -48,32 +58,43 @@ class TraceLibrary
     const DynTrace &trace(int loopId);
 
     /**
-     * The pre-decoded trace of loop @p loopId under @p cfg.  Decoded
-     * on first use per (loop, configuration) pair and cached for the
-     * life of the process; thread safe.
+     * The configuration-independent decode of loop @p loopId.  Built
+     * exactly once, on first use, even when many threads ask at once.
+     */
+    const std::shared_ptr<const TraceBody> &body(int loopId);
+
+    /**
+     * The pre-decoded trace of loop @p loopId under @p cfg: a view of
+     * body(loopId) with the latencies of @p cfg.  Built on first use
+     * per (loop, memLatency, branchTime) and cached for the life of
+     * the library; thread safe.  Every configuration of one loop
+     * shares one body, hence one periodicity analysis.  The view's
+     * config() carries the two latencies only (a disarmed predictor),
+     * whatever predictor the first caller asked with.
      */
     const DecodedTrace &decoded(int loopId, const MachineConfig &cfg);
 
   private:
-    TraceLibrary() = default;
-
     std::array<std::unique_ptr<DynTrace>, 15> traces_;
     std::array<std::once_flag, 15> traceOnce_;
 
-    // The decoded cache is sharded per loop: parallel sweep workers
+    std::array<std::shared_ptr<const TraceBody>, 15> bodies_;
+    std::array<std::once_flag, 15> bodyOnce_;
+
+    // The view cache is sharded per loop: parallel sweep workers
     // overwhelmingly ask for different loops at once (the sweep
     // runner fans out one loop per task), so one mutex per loop
     // removes the single global lock from the sweep hot path.  The
     // per-shard key folds the configuration fields that decoding
     // depends on into one integer.
-    struct DecodedShard
+    struct ViewShard
     {
         std::mutex mutex;
         std::unordered_map<std::uint64_t,
                            std::unique_ptr<DecodedTrace>>
             cache;
     };
-    std::array<DecodedShard, 15> decodedShards_;
+    std::array<ViewShard, 15> viewShards_;
 };
 
 } // namespace mfusim

@@ -95,7 +95,9 @@ BatchOutcome runBatch(const std::vector<BatchLane> &lanes);
  * True when two decoded traces are structurally identical: same op
  * count and per-op opcodes, unit classes, flags, registers and
  * dependence links.  Latencies and occupancies may differ (that is
- * the latency sweep axis).  Trivially true for aliased pointers.
+ * the latency sweep axis).  O(1) for views of one shared TraceBody
+ * (every configuration of one TraceLibrary loop); other pairs are
+ * compared field by field.
  */
 bool structurallyIdentical(const DecodedTrace &a, const DecodedTrace &b);
 

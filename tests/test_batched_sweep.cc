@@ -238,9 +238,15 @@ TEST(BatchedSweep, StructurallyDifferentTracesSplitGroups)
     EXPECT_FALSE(structurallyIdentical(a, b));
     EXPECT_TRUE(structurallyIdentical(a, a));
     // Same loop decoded under different configs: different latencies,
-    // same structure.
+    // same structure — one shared body in the library, two separate
+    // bodies (compared field by field) when decoded standalone.
     const DecodedTrace &a2 = lib.decoded(1, standardConfigs()[1]);
+    EXPECT_EQ(&a.body(), &a2.body());
     EXPECT_TRUE(structurallyIdentical(a, a2));
+    const DecodedTrace own(lib.trace(1), standardConfigs()[1]);
+    EXPECT_NE(&own.body(), &a.body());
+    EXPECT_TRUE(structurallyIdentical(a, own));
+    EXPECT_FALSE(structurallyIdentical(own, b));
 
     ScoreboardSim s1(ScoreboardConfig::crayLike(), cfg);
     ScoreboardSim s2(ScoreboardConfig::crayLike(), cfg);

@@ -2,16 +2,22 @@
  * @file
  * DecodedTrace: every decoded field must equal the trait lookup it
  * caches, for every op of every Livermore trace under all four
- * machine configurations, and running a simulator on the decoded
- * form must give exactly the run(DynTrace) result.
+ * machine configurations — in a standalone decode and in the
+ * library's shared-body view alike — and running a simulator on the
+ * decoded form must give exactly the run(DynTrace) result.  The
+ * library builds one body and one periodicity analysis per loop,
+ * shared by every configuration, also under concurrent first use.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <set>
 #include <stdexcept>
 
 #include "mfusim/core/decoded_trace.hh"
+#include "mfusim/dataflow/period_detector.hh"
+#include "mfusim/harness/sweep.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/sim/multi_issue_sim.hh"
 #include "mfusim/sim/ruu_sim.hh"
@@ -36,12 +42,11 @@ class DecodedTraceAllLoops
     }
 };
 
-TEST_P(DecodedTraceAllLoops, FieldsMatchTraitLookups)
+/** Every field of @p decoded equals the trait lookup it caches. */
+void
+expectFieldsMatch(const DynTrace &trace, const MachineConfig &cfg,
+                  const DecodedTrace &decoded)
 {
-    const DynTrace &trace = TraceLibrary::instance().trace(loopId());
-    const MachineConfig &cfg = config();
-    const DecodedTrace decoded(trace, cfg);
-
     ASSERT_EQ(decoded.size(), trace.size());
     EXPECT_EQ(decoded.name(), trace.name());
     EXPECT_TRUE(decoded.config() == cfg);
@@ -94,13 +99,9 @@ TEST_P(DecodedTraceAllLoops, FieldsMatchTraitLookups)
     EXPECT_EQ(decoded.hasVector(), any_vector);
 }
 
-TEST_P(DecodedTraceAllLoops, StatsMatchDynTrace)
+void
+expectStatsMatch(const TraceStats &expect, const TraceStats &got)
 {
-    const DynTrace &trace = TraceLibrary::instance().trace(loopId());
-    const DecodedTrace decoded(trace, config());
-
-    const TraceStats expect = trace.stats();
-    const TraceStats &got = decoded.stats();
     EXPECT_EQ(got.totalOps, expect.totalOps);
     EXPECT_EQ(got.parcels, expect.parcels);
     EXPECT_EQ(got.branches, expect.branches);
@@ -117,6 +118,31 @@ TEST_P(DecodedTraceAllLoops, StatsMatchDynTrace)
         EXPECT_EQ(got.vectorElementsPerFu[fu],
                   expect.vectorElementsPerFu[fu])
             << "fu " << fu;
+    }
+}
+
+TEST_P(DecodedTraceAllLoops, FieldsMatchTraitLookups)
+{
+    const DynTrace &trace = TraceLibrary::instance().trace(loopId());
+    const MachineConfig &cfg = config();
+    const DecodedTrace standalone(trace, cfg);
+    const DecodedTrace &view =
+        TraceLibrary::instance().decoded(loopId(), cfg);
+    for (const DecodedTrace *form : { &standalone, &view }) {
+        SCOPED_TRACE(form == &view ? "library view" : "standalone");
+        expectFieldsMatch(trace, cfg, *form);
+    }
+}
+
+TEST_P(DecodedTraceAllLoops, StatsMatchDynTrace)
+{
+    const DynTrace &trace = TraceLibrary::instance().trace(loopId());
+    const DecodedTrace standalone(trace, config());
+    const DecodedTrace &view =
+        TraceLibrary::instance().decoded(loopId(), config());
+    for (const DecodedTrace *form : { &standalone, &view }) {
+        SCOPED_TRACE(form == &view ? "library view" : "standalone");
+        expectStatsMatch(trace.stats(), form->stats());
     }
 }
 
@@ -170,6 +196,90 @@ TEST(DecodedTrace, LibraryCacheReturnsSameObject)
     const DecodedTrace &c =
         TraceLibrary::instance().decoded(3, configM5BR2());
     EXPECT_NE(&a, &c);
+}
+
+TEST(DecodedTrace, LibraryViewsShareOneBodyPerLoop)
+{
+    for (int loop = 1; loop <= 14; ++loop) {
+        const DecodedTrace &first = TraceLibrary::instance().decoded(
+            loop, standardConfigs().front());
+        EXPECT_EQ(&first.body(), TraceLibrary::instance().body(loop).get())
+            << "LL" << loop;
+        for (const MachineConfig &cfg : standardConfigs()) {
+            const DecodedTrace &view =
+                TraceLibrary::instance().decoded(loop, cfg);
+            EXPECT_EQ(&view.body(), &first.body())
+                << "LL" << loop << " " << cfg.name();
+            EXPECT_EQ(&view.periodicity(), &first.periodicity())
+                << "LL" << loop << " " << cfg.name();
+            EXPECT_EQ(&view.writtenRegs(), &first.writtenRegs())
+                << "LL" << loop << " " << cfg.name();
+        }
+    }
+}
+
+TEST(DecodedTrace, DecodeConfigDisarmsThePredictor)
+{
+    // The first caller of a (loop, config) view asks with a 2-bit
+    // predictor; the cached view must not report it to later callers.
+    TraceLibrary lib;
+    MachineConfig armed = configM11BR5();
+    armed.predictor = PredictorSpec::parse("2bit");
+    ASSERT_TRUE(armed.predictor.armed());
+
+    const DecodedTrace &view = lib.decoded(5, armed);
+    EXPECT_FALSE(view.config().predictor.armed());
+    EXPECT_EQ(view.config().name(), "M11BR5");
+    EXPECT_EQ(&lib.decoded(5, configM11BR5()), &view);
+
+    const DecodedTrace standalone(lib.trace(5), armed);
+    EXPECT_FALSE(standalone.config().predictor.armed());
+    EXPECT_EQ(standalone.config().name(), "M11BR5");
+}
+
+TEST(DecodedTrace, FreshLibraryBuildsOneBodyAndAnalysisPerLoop)
+{
+    TraceLibrary lib;
+    const std::uint64_t bodies = TraceBody::bodiesBuilt();
+    const std::uint64_t analyses = TraceBody::periodAnalyses();
+    std::set<const TraceBody *> seen;
+    for (int loop = 1; loop <= 14; ++loop) {
+        for (const MachineConfig &cfg : standardConfigs()) {
+            const DecodedTrace &view = lib.decoded(loop, cfg);
+            EXPECT_FALSE(view.periodicity().segments.empty())
+                << "LL" << loop << " " << cfg.name();
+            seen.insert(&view.body());
+        }
+    }
+    EXPECT_EQ(seen.size(), 14u);
+    EXPECT_EQ(TraceBody::bodiesBuilt() - bodies, 14u);
+    EXPECT_EQ(TraceBody::periodAnalyses() - analyses, 14u);
+}
+
+TEST(DecodedTrace, ConcurrentFirstUseBuildsOneBody)
+{
+    // Eight workers race to the first use of one loop under four
+    // configurations: one body, one analysis, four views of it.
+    TraceLibrary lib;
+    lib.trace(7);
+    const std::uint64_t bodies = TraceBody::bodiesBuilt();
+    const std::uint64_t analyses = TraceBody::periodAnalyses();
+    std::array<const DecodedTrace *, 8> views{};
+    runGrid(views.size(), [&](std::size_t i) {
+        const DecodedTrace &view = lib.decoded(
+            7, standardConfigs()[i % standardConfigs().size()]);
+        view.periodicity();
+        views[i] = &view;
+    }, 8);
+    EXPECT_EQ(TraceBody::bodiesBuilt() - bodies, 1u);
+    EXPECT_EQ(TraceBody::periodAnalyses() - analyses, 1u);
+    for (std::size_t i = 0; i < views.size(); ++i) {
+        EXPECT_EQ(&views[i]->body(), &views[0]->body()) << "job " << i;
+        EXPECT_EQ(views[i], views[i % 4]) << "job " << i;
+        EXPECT_TRUE(views[i]->config() ==
+                    standardConfigs()[i % standardConfigs().size()])
+            << "job " << i;
+    }
 }
 
 } // namespace

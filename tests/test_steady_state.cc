@@ -12,12 +12,15 @@
  *  - The long loops actually exercise the fast path (skip > 0), also
  *    under static predictors; predictors with history never do.
  *  - PeriodDetector finds the right segment shape on a hand-built
- *    periodic trace and stays silent on aperiodic ones.
+ *    periodic trace and stays silent on aperiodic ones, and the
+ *    once-per-body analysis reproduces the segments pinned in
+ *    golden/periodicity.txt for every loop and configuration.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -368,6 +371,51 @@ TEST(PeriodDetector, FindsHandBuiltLoop)
     ASSERT_FALSE(seg.ancients.empty());
     for (const std::uint32_t a : seg.ancients)
         EXPECT_LT(a, seg.base);
+}
+
+/** @p seg as a golden/periodicity.txt line. */
+std::string
+segmentLine(const MachineConfig &cfg, int loop, const TraceSegment &seg)
+{
+    std::ostringstream out;
+    out << cfg.name() << ' ' << loop << ' ' << seg.base << ' '
+        << seg.period << ' ' << seg.count << ' ' << seg.lookback << ' '
+        << seg.inserts << ' ' << seg.family << ' ';
+    if (seg.ancients.empty())
+        out << '-';
+    for (std::size_t k = 0; k < seg.ancients.size(); ++k)
+        out << (k > 0 ? "," : "") << seg.ancients[k];
+    return out.str();
+}
+
+TEST(PeriodDetector, ReproducesPinnedSegments)
+{
+    // The fixture was recorded while every (loop, configuration)
+    // decode ran its own analysis, latencies included.  The analysis
+    // of the shared body, and that of a standalone decode, must
+    // reproduce it under every configuration.
+    const std::vector<std::string> pinned = test::pinnedPeriodicity();
+    ASSERT_EQ(pinned.size(), 332u);
+    std::vector<std::string> shared;
+    std::vector<std::string> standalone;
+    for (const MachineConfig &cfg : standardConfigs()) {
+        for (int loop = 1; loop <= 14; ++loop) {
+            const DecodedTrace &view =
+                TraceLibrary::instance().decoded(loop, cfg);
+            for (const TraceSegment &seg : view.periodicity().segments)
+                shared.push_back(segmentLine(cfg, loop, seg));
+            const DecodedTrace own(TraceLibrary::instance().trace(loop),
+                                   cfg);
+            for (const TraceSegment &seg : detectPeriods(own).segments)
+                standalone.push_back(segmentLine(cfg, loop, seg));
+        }
+    }
+    ASSERT_EQ(shared.size(), pinned.size());
+    ASSERT_EQ(standalone.size(), pinned.size());
+    for (std::size_t i = 0; i < pinned.size(); ++i) {
+        EXPECT_EQ(shared[i], pinned[i]) << "fixture line " << i;
+        EXPECT_EQ(standalone[i], pinned[i]) << "fixture line " << i;
+    }
 }
 
 TEST(PeriodDetector, CoversMostOfLivermoreLoops)

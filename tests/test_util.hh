@@ -77,6 +77,24 @@ pinnedAliasCycles()
     return cells;
 }
 
+/**
+ * golden/periodicity.txt: the periodic segments of every (loop,
+ * configuration) decode, one line per segment, comments dropped.
+ */
+inline std::vector<std::string>
+pinnedPeriodicity()
+{
+    std::ifstream in(std::string(MFUSIM_TEST_GOLDEN_DIR) +
+                     "/periodicity.txt");
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (!line.empty() && line[0] != '#')
+            lines.push_back(line);
+    }
+    return lines;
+}
+
 } // namespace test
 } // namespace mfusim
 
