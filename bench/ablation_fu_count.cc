@@ -51,10 +51,10 @@ meanLimit(LoopClass cls, const MachineConfig &cfg, unsigned fu,
 {
     std::vector<double> rates;
     for (int id : loopsOf(cls)) {
-        rates.push_back(computeLimits(
-                            TraceLibrary::instance().trace(id), cfg,
-                            false, fu, mem)
-                            .actualRate);
+        rates.push_back(
+            computeLimits(TraceLibrary::instance().decoded(id, cfg),
+                          false, fu, mem)
+                .actualRate);
     }
     return harmonicMean(rates);
 }
@@ -84,7 +84,7 @@ main()
             for (int id : loopsOf(cls)) {
                 limit_rates.push_back(
                     computeLimits(
-                        TraceLibrary::instance().trace(id), cfg,
+                        TraceLibrary::instance().decoded(id, cfg),
                         false, fu, mem)
                         .resourceRate);
             }

@@ -53,8 +53,8 @@ main()
             std::vector<double> limits;
             for (int id : loopsOf(cls)) {
                 limits.push_back(
-                    computeLimits(TraceLibrary::instance().trace(id),
-                                  cfg)
+                    computeLimits(
+                        TraceLibrary::instance().decoded(id, cfg))
                         .actualRate);
             }
             row.push_back(AsciiTable::num(harmonicMean(limits)));

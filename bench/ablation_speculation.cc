@@ -36,8 +36,8 @@ main()
     {
         std::uint64_t correct = 0, total = 0;
         for (int id = 1; id <= 14; ++id) {
-            const TraceStats stats =
-                TraceLibrary::instance().trace(id).stats();
+            const TraceStats &stats =
+                TraceLibrary::instance().body(id)->stats();
             correct += stats.btfnCorrectBranches;
             total += stats.branches;
         }

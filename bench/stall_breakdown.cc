@@ -51,7 +51,7 @@ main()
             for (int id = 1; id <= 14; ++id) {
                 ScoreboardSim sim(org, cfg);
                 const SimResult r =
-                    sim.run(TraceLibrary::instance().trace(id));
+                    sim.run(TraceLibrary::instance().decoded(id, cfg));
                 addStallBreakdown(reg, r.stalls);
                 reg.counter("ops.total").add(r.instructions);
                 reg.counter("cycles.total").add(r.cycles);

@@ -30,9 +30,9 @@ meanLimit(LoopClass cls, const MachineConfig &cfg)
 {
     std::vector<double> rates;
     for (int id : loopsOf(cls)) {
-        rates.push_back(computeLimits(
-                            TraceLibrary::instance().trace(id), cfg)
-                            .actualRate);
+        rates.push_back(
+            computeLimits(TraceLibrary::instance().decoded(id, cfg))
+                .actualRate);
     }
     return harmonicMean(rates);
 }

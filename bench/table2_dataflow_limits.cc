@@ -33,7 +33,7 @@ limitsFor(LoopClass cls, const MachineConfig &cfg, bool serial)
     std::vector<double> pseudo, resource, actual;
     for (int id : loopsOf(cls)) {
         const LimitResult r = computeLimits(
-            TraceLibrary::instance().trace(id), cfg, serial);
+            TraceLibrary::instance().decoded(id, cfg), serial);
         pseudo.push_back(r.pseudoRate);
         resource.push_back(r.resourceRate);
         actual.push_back(r.actualRate);

@@ -216,15 +216,11 @@ DecodedTrace::DecodedTrace(std::shared_ptr<const TraceBody> body,
     cfg_.memLatency = cfg.memLatency;
     cfg_.branchTime = cfg.branchTime;
 
-    std::array<std::uint16_t, kNumOps> latencyOfOp;
     for (unsigned o = 0; o < kNumOps; ++o) {
         const unsigned latency = latencyOf(Op(o), cfg_);
         assert(latency <= std::numeric_limits<std::uint16_t>::max());
-        latencyOfOp[o] = std::uint16_t(latency);
+        latencyOfOp_[o] = std::uint16_t(latency);
     }
-    latency_.resize(size_);
-    for (std::size_t i = 0; i < size_; ++i)
-        latency_[i] = latencyOfOp[unsigned(op_[i])];
 }
 
 } // namespace mfusim

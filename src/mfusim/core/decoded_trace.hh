@@ -23,9 +23,10 @@
  *    the lazily cached periodicity analysis.  It is built once per
  *    trace.
  *  - A DecodedTrace is a per-configuration view of a shared body: the
- *    body's arrays plus one latency array, which embeds memLatency
- *    and branchTime.  Building a view over an existing body costs one
- *    2-byte store per op.
+ *    body's arrays plus a per-opcode latency table (kNumOps entries),
+ *    which embeds memLatency and branchTime.  latency(i) is the table
+ *    entry of op(i), so a view costs O(1) to build and holds no per-op
+ *    array of its own.
  *
  * Contract: decode once, run many.  Bodies and views are immutable
  * after construction and therefore safe to share across concurrent
@@ -39,6 +40,7 @@
 #ifndef MFUSIM_CORE_DECODED_TRACE_HH
 #define MFUSIM_CORE_DECODED_TRACE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -228,8 +230,8 @@ class TraceBody : public DecodedOps
 
 /**
  * One dynamic trace with all per-op static properties resolved for
- * one machine configuration: a shared TraceBody plus the per-op
- * latencies under that configuration.
+ * one machine configuration: a shared TraceBody plus the latency of
+ * each opcode under that configuration.
  */
 class DecodedTrace : public DecodedOps
 {
@@ -237,7 +239,7 @@ class DecodedTrace : public DecodedOps
     /** Decode @p trace under @p cfg, into a body of its own. */
     DecodedTrace(const DynTrace &trace, const MachineConfig &cfg);
 
-    /** View @p body under @p cfg (one pass filling the latencies). */
+    /** View @p body under @p cfg (fills the per-opcode table). */
     DecodedTrace(std::shared_ptr<const TraceBody> body,
                  const MachineConfig &cfg);
 
@@ -268,13 +270,17 @@ class DecodedTrace : public DecodedOps
         return body_->writtenRegs();
     }
 
-    /** Effective latency: latencyOf(op, config()). */
-    unsigned latency(std::size_t i) const { return latency_[i]; }
+    /** Effective latency: latencyOf(op(i), config()). */
+    unsigned
+    latency(std::size_t i) const
+    {
+        return latencyOfOp_[unsigned(op_[i])];
+    }
 
   private:
     std::shared_ptr<const TraceBody> body_;
     MachineConfig cfg_;
-    std::vector<std::uint16_t> latency_;
+    std::array<std::uint16_t, kNumOps> latencyOfOp_{};
 };
 
 } // namespace mfusim

@@ -44,6 +44,7 @@ TraceLibrary::trace(int loopId)
     // caller retries and sees the same exception.
     std::call_once(traceOnce_[std::size_t(loopId)], [&] {
         slot = std::make_unique<DynTrace>(traceKernel(loopId));
+        tracesHeld_.fetch_add(1, std::memory_order_relaxed);
     });
     return *slot;
 }
@@ -51,10 +52,13 @@ TraceLibrary::trace(int loopId)
 const std::shared_ptr<const TraceBody> &
 TraceLibrary::body(int loopId)
 {
-    const DynTrace &dyn = trace(loopId);
+    checkLoopId(loopId);
     auto &slot = bodies_[std::size_t(loopId)];
+    // traceKernel() validates the trace before the body exists; the
+    // raw ops die with the temporary, so a library that only
+    // simulates holds each loop once, decoded.
     std::call_once(bodyOnce_[std::size_t(loopId)], [&] {
-        slot = std::make_shared<const TraceBody>(dyn);
+        slot = std::make_shared<const TraceBody>(traceKernel(loopId));
     });
     return slot;
 }
@@ -66,7 +70,7 @@ TraceLibrary::decoded(int loopId, const MachineConfig &cfg)
     ViewShard &shard = viewShards_[std::size_t(loopId)];
     const std::uint64_t key =
         (std::uint64_t(cfg.memLatency) << 32) | cfg.branchTime;
-    // A view costs one 2-byte store per op, so it is built under the
+    // A view costs one per-opcode table, so it is built under the
     // shard lock: configurations of one loop briefly serialize, and
     // no duplicate is ever built.
     std::lock_guard<std::mutex> lock(shard.mutex);

@@ -4,13 +4,20 @@
  *
  * Trace generation (assemble + interpret + validate) costs far more
  * than a timing simulation, and every experiment sweeps the same 14
- * traces over dozens of machine configurations, so traces are built
- * once per process and shared.  The same goes one level down: each
- * loop's configuration-independent TraceBody (decode, dependence
- * links, statistics, periodicity analysis) is built once, and the
- * DecodedTrace of a (loop, machine configuration) pair is a thin view
- * of that body — a latency array — built once per pair and reused by
- * every simulator timing it.
+ * traces over dozens of machine configurations, so each loop is
+ * generated once per process and shared as its configuration-
+ * independent TraceBody (decode, dependence links, statistics,
+ * periodicity analysis).  The DecodedTrace of a (loop, machine
+ * configuration) pair is a thin view of that body — a per-opcode
+ * latency table — built once per pair and reused by every simulator
+ * timing it.
+ *
+ * Only the bodies are simulated, so the library does not keep the
+ * raw DynTrace a body was decoded from: body() generates and
+ * validates the trace, decodes it and drops it.  trace() is a
+ * separate cache, filled only for the callers that need raw ops
+ * (saving a trace, tests, the benchmark's per-layer replay); it
+ * generates the loop again on its first use.
  *
  * All three caches are thread safe, so parallel sweep workers
  * (sweep.hh) can share the library without external locking.
@@ -20,6 +27,7 @@
 #define MFUSIM_HARNESS_TRACE_LIBRARY_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -50,16 +58,19 @@ class TraceLibrary
 
     /**
      * The validated dynamic trace of Livermore loop @p loopId
-     * (1..14).  Built (and checked against the C++ reference
-     * kernels) on first use; throws if validation fails.  Safe to
-     * call from multiple threads: exactly one builds the trace,
-     * the rest wait.
+     * (1..14), for callers that need the raw ops; simulation goes
+     * through body() and decoded(), which never build it.  Built
+     * (and checked against the C++ reference kernels) on first use;
+     * throws if validation fails.  Safe to call from multiple
+     * threads: exactly one builds the trace, the rest wait.
      */
     const DynTrace &trace(int loopId);
 
     /**
      * The configuration-independent decode of loop @p loopId.  Built
-     * exactly once, on first use, even when many threads ask at once.
+     * exactly once, on first use, even when many threads ask at once,
+     * from a trace that is validated against the reference kernels
+     * first and dropped once decoded; throws if validation fails.
      */
     const std::shared_ptr<const TraceBody> &body(int loopId);
 
@@ -74,9 +85,19 @@ class TraceLibrary
      */
     const DecodedTrace &decoded(int loopId, const MachineConfig &cfg);
 
+    /**
+     * DynTraces this library holds: one per loop trace() has been
+     * asked for, none for loops only decoded (the tests pin that).
+     */
+    std::size_t tracesHeld() const
+    {
+        return tracesHeld_.load(std::memory_order_relaxed);
+    }
+
   private:
     std::array<std::unique_ptr<DynTrace>, 15> traces_;
     std::array<std::once_flag, 15> traceOnce_;
+    std::atomic<std::size_t> tracesHeld_{ 0 };
 
     std::array<std::shared_ptr<const TraceBody>, 15> bodies_;
     std::array<std::once_flag, 15> bodyOnce_;

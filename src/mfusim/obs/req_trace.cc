@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdio>
+#include <new>
 
 #include "mfusim/core/clock.hh"
 #include "mfusim/obs/trace_event.hh"
@@ -52,16 +54,23 @@ endpointForPath(std::string_view path)
 
 // ---------------------------------------------------------------- SpanRing
 
+static_assert(alignof(std::max_align_t) >=
+                  std::atomic_ref<std::uint64_t>::required_alignment,
+              "calloc'd slot words must suit atomic_ref");
+
 SpanRing::SpanRing(std::size_t capacity)
     : capacity_(capacity ? capacity : 1),
-      slots_(new Slot[capacity_])
+      words_(static_cast<std::uint64_t *>(
+          std::calloc(capacity_ * kSlotWords, sizeof(std::uint64_t))))
 {
+    if (!words_)
+        throw std::bad_alloc();
 }
 
 void
 SpanRing::push(const RequestSpan &span)
 {
-    Slot &slot = slots_[next_ % capacity_];
+    const std::size_t slot = next_ % capacity_;
     ++next_;
 
     std::uint64_t words[kWords] = {};
@@ -71,12 +80,13 @@ SpanRing::push(const RequestSpan &span)
     // fence orders the odd store before the payload stores; the
     // final release store publishes the payload to readers that
     // observe the even sequence.
-    const std::uint64_t s = slot.seq.load(std::memory_order_relaxed);
-    slot.seq.store(s + 1, std::memory_order_relaxed);
+    const std::atomic_ref<std::uint64_t> seq = word(slot, 0);
+    const std::uint64_t s = seq.load(std::memory_order_relaxed);
+    seq.store(s + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
     for (std::size_t i = 0; i < kWords; ++i)
-        slot.words[i].store(words[i], std::memory_order_relaxed);
-    slot.seq.store(s + 2, std::memory_order_release);
+        word(slot, 1 + i).store(words[i], std::memory_order_relaxed);
+    seq.store(s + 2, std::memory_order_release);
 
     pushed_.store(pushed_.load(std::memory_order_relaxed) + 1,
                   std::memory_order_relaxed);
@@ -86,22 +96,19 @@ void
 SpanRing::snapshot(std::vector<RequestSpan> &out) const
 {
     for (std::size_t i = 0; i < capacity_; ++i) {
-        const Slot &slot = slots_[i];
+        const std::atomic_ref<std::uint64_t> seq = word(i, 0);
         // Bounded retries: the writer laps rarely (one push per
         // completed request); a persistently torn slot is dropped
         // rather than stalling the snapshot.
         for (int attempt = 0; attempt < 4; ++attempt) {
-            const std::uint64_t s1 =
-                slot.seq.load(std::memory_order_acquire);
+            const std::uint64_t s1 = seq.load(std::memory_order_acquire);
             if (s1 == 0 || (s1 & 1))
                 break;      // never written, or mid-write: retry
             std::uint64_t words[kWords];
             for (std::size_t w = 0; w < kWords; ++w)
-                words[w] =
-                    slot.words[w].load(std::memory_order_relaxed);
+                words[w] = word(i, 1 + w).load(std::memory_order_relaxed);
             std::atomic_thread_fence(std::memory_order_acquire);
-            const std::uint64_t s2 =
-                slot.seq.load(std::memory_order_relaxed);
+            const std::uint64_t s2 = seq.load(std::memory_order_relaxed);
             if (s1 != s2)
                 continue;   // overwritten under us
             RequestSpan span;

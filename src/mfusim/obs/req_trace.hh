@@ -36,6 +36,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -121,6 +122,12 @@ std::string_view endpointForPath(std::string_view path);
  * the payload is copied as relaxed atomic words, so a snapshot
  * during overwrite retries (bounded) or skips the slot — readers
  * never block the writer.
+ *
+ * The slots are plain words in zero-filled (calloc'd) storage,
+ * accessed through std::atomic_ref, so an idle ring costs address
+ * space only: a page becomes resident when the writer first reaches
+ * it, and a sequence word that still reads 0 marks a slot never
+ * written.
  */
 class SpanRing
 {
@@ -139,14 +146,24 @@ class SpanRing
   private:
     static constexpr std::size_t kWords =
         (sizeof(RequestSpan) + 7) / 8;
-    struct Slot
+    /** Slot layout: the sequence word, then the payload words. */
+    static constexpr std::size_t kSlotWords = 1 + kWords;
+
+    struct FreeWords
     {
-        std::atomic<std::uint64_t> seq{ 0 };
-        std::atomic<std::uint64_t> words[kWords];
+        void operator()(std::uint64_t *words) const { std::free(words); }
     };
 
+    /** The atomic view of word @p index of slot @p slot. */
+    std::atomic_ref<std::uint64_t>
+    word(std::size_t slot, std::size_t index) const
+    {
+        return std::atomic_ref<std::uint64_t>(
+            words_[slot * kSlotWords + index]);
+    }
+
     std::size_t capacity_;
-    std::unique_ptr<Slot[]> slots_;
+    std::unique_ptr<std::uint64_t[], FreeWords> words_;
     std::uint64_t next_ = 0;                //!< writer-only cursor
     std::atomic<std::uint64_t> pushed_{ 0 };
 };

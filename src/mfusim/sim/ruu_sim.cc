@@ -138,6 +138,8 @@ RuuSim::runImpl(const DecodedTrace &trace)
     ruu.reserve(n);
     std::size_t ruu_head = 0;
     std::vector<unsigned> bank_count(num_banks, 0);
+    // Dispatches per bank in the current cycle (reset every cycle).
+    std::vector<unsigned> dispatched_bank(num_banks, 0);
     std::vector<ClockCycle> result_time(n, kUnknown);
 
     FuPool pool({ FuDiscipline::kSegmented,
@@ -455,7 +457,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
 
         // ---- dispatch: RUU -> functional units ---------------------
         unsigned dispatched_total = 0;
-        std::vector<unsigned> dispatched_bank(num_banks, 0);
+        std::fill(dispatched_bank.begin(), dispatched_bank.end(), 0u);
         for (std::size_t e = ruu_head; e < ruu.size(); ++e) {
             Entry &entry = ruu[e];
             if (dispatched_total >= dispatch_cap)

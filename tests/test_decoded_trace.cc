@@ -6,7 +6,8 @@
  * library's shared-body view alike — and running a simulator on the
  * decoded form must give exactly the run(DynTrace) result.  The
  * library builds one body and one periodicity analysis per loop,
- * shared by every configuration, also under concurrent first use.
+ * shared by every configuration, also under concurrent first use,
+ * and keeps no DynTrace unless trace() is asked for one.
  */
 
 #include <gtest/gtest.h>
@@ -256,12 +257,53 @@ TEST(DecodedTrace, FreshLibraryBuildsOneBodyAndAnalysisPerLoop)
     EXPECT_EQ(TraceBody::periodAnalyses() - analyses, 14u);
 }
 
+TEST(DecodedTrace, FreshLibraryHoldsBodiesNotTraces)
+{
+    // Building every view leaves one body per loop and no DynTrace,
+    // and each view's latency(i), read from its per-opcode table, is
+    // latencyOf(op, cfg).  A later trace() generates the loop again,
+    // op for op the ops the body was decoded from.
+    TraceLibrary lib;
+    const std::uint64_t bodies = TraceBody::bodiesBuilt();
+    for (int loop = 1; loop <= 14; ++loop) {
+        for (const MachineConfig &cfg : standardConfigs()) {
+            const DecodedTrace &view = lib.decoded(loop, cfg);
+            for (std::size_t i = 0; i < view.size(); ++i)
+                ASSERT_EQ(view.latency(i), latencyOf(view.op(i), cfg))
+                    << "LL" << loop << " " << cfg.name() << " op " << i;
+        }
+    }
+    EXPECT_EQ(TraceBody::bodiesBuilt() - bodies, 14u);
+    EXPECT_EQ(lib.tracesHeld(), 0u);
+
+    for (int loop = 1; loop <= 14; ++loop) {
+        SCOPED_TRACE("LL" + std::to_string(loop));
+        const TraceBody &body = *lib.body(loop);
+        const DynTrace &trace = lib.trace(loop);
+        EXPECT_EQ(body.name(), trace.name());
+        ASSERT_EQ(body.size(), trace.size());
+        for (std::size_t i = 0; i < body.size(); ++i) {
+            const DynOp &op = trace.ops()[i];
+            ASSERT_EQ(body.op(i), op.op) << "op " << i;
+            ASSERT_EQ(body.dst(i), op.dst) << "op " << i;
+            ASSERT_EQ(body.srcA(i), op.srcA) << "op " << i;
+            ASSERT_EQ(body.srcB(i), op.srcB) << "op " << i;
+            ASSERT_EQ(body.staticIdx(i), std::uint32_t(op.staticIdx))
+                << "op " << i;
+            ASSERT_EQ(body.taken(i), op.taken) << "op " << i;
+            ASSERT_EQ(body.occupancy(i), vectorOccupancy(op))
+                << "op " << i;
+        }
+    }
+    EXPECT_EQ(lib.tracesHeld(), 14u);
+    EXPECT_EQ(TraceBody::bodiesBuilt() - bodies, 14u);
+}
+
 TEST(DecodedTrace, ConcurrentFirstUseBuildsOneBody)
 {
     // Eight workers race to the first use of one loop under four
     // configurations: one body, one analysis, four views of it.
     TraceLibrary lib;
-    lib.trace(7);
     const std::uint64_t bodies = TraceBody::bodiesBuilt();
     const std::uint64_t analyses = TraceBody::periodAnalyses();
     std::array<const DecodedTrace *, 8> views{};

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -1329,6 +1330,121 @@ TEST(RequestTrace, RingKeepsNewestSpansOldestFirst)
     ASSERT_EQ(last2.size(), 2u);
     EXPECT_EQ(last2[0].seq, 9u);
     EXPECT_EQ(last2[1].seq, 10u);
+}
+
+/** A span whose every field derives from @p i (1-based). */
+RequestSpan
+ringSpan(std::uint64_t i)
+{
+    RequestSpan span;
+    span.seq = i;
+    span.setEndpoint("simulate");
+    for (unsigned s = 0; s < kNumStamps; ++s)
+        span.ts[s] = 1000 * i + s;
+    span.cacheNs = 7 * i;
+    span.fd = int(i % 1000);
+    span.gen = std::uint32_t(3 * i);
+    span.status = 200;
+    return span;
+}
+
+/** @p span is exactly ringSpan(span.seq): no torn or mixed words. */
+void
+expectWholeSpan(const RequestSpan &span)
+{
+    const RequestSpan want = ringSpan(span.seq);
+    for (unsigned s = 0; s < kNumStamps; ++s)
+        EXPECT_EQ(span.ts[s], want.ts[s]) << "seq " << span.seq;
+    EXPECT_EQ(span.cacheNs, want.cacheNs) << "seq " << span.seq;
+    EXPECT_EQ(span.fd, want.fd) << "seq " << span.seq;
+    EXPECT_EQ(span.gen, want.gen) << "seq " << span.seq;
+    EXPECT_EQ(span.status, want.status) << "seq " << span.seq;
+    EXPECT_STREQ(span.endpoint, want.endpoint) << "seq " << span.seq;
+}
+
+TEST(RequestTrace, FreshRingSnapshotsEmpty)
+{
+    const SpanRing ring(2048);
+    EXPECT_EQ(ring.capacity(), 2048u);
+    EXPECT_EQ(ring.pushed(), 0u);
+    std::vector<RequestSpan> out;
+    ring.snapshot(out);
+    EXPECT_TRUE(out.empty());
+
+    // A zero capacity still holds one span.
+    SpanRing tiny(0);
+    EXPECT_EQ(tiny.capacity(), 1u);
+    tiny.snapshot(out);
+    EXPECT_TRUE(out.empty());
+}
+
+TEST(RequestTrace, RingBelowCapacityKeepsEveryPush)
+{
+    SpanRing ring(2048);
+    const std::uint64_t k = 100;
+    for (std::uint64_t i = 1; i <= k; ++i)
+        ring.push(ringSpan(i));
+    EXPECT_EQ(ring.pushed(), k);
+
+    std::vector<RequestSpan> out;
+    ring.snapshot(out);
+    ASSERT_EQ(out.size(), k);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i].seq, i + 1);     // slot order = push order
+        expectWholeSpan(out[i]);
+    }
+}
+
+TEST(RequestTrace, RingLappedTwiceKeepsNewestCapacity)
+{
+    SpanRing ring(2048);
+    const std::uint64_t pushes = 2 * ring.capacity();
+    for (std::uint64_t i = 1; i <= pushes; ++i)
+        ring.push(ringSpan(i));
+    EXPECT_EQ(ring.pushed(), pushes);
+
+    std::vector<RequestSpan> out;
+    ring.snapshot(out);
+    ASSERT_EQ(out.size(), ring.capacity());
+    std::set<std::uint64_t> seqs;
+    for (const RequestSpan &span : out) {
+        EXPECT_GT(span.seq, pushes - ring.capacity());
+        expectWholeSpan(span);
+        seqs.insert(span.seq);
+    }
+    EXPECT_EQ(seqs.size(), ring.capacity());
+}
+
+TEST(RequestTrace, ConcurrentSnapshotSeesOnlyWholeSpans)
+{
+    // The writer laps a small ring while a reader snapshots: every
+    // span the reader keeps must be one the writer pushed, whole.
+    SpanRing ring(8);
+    constexpr std::uint64_t kPushes = 20000;
+    std::atomic<bool> done{ false };
+    std::thread writer([&] {
+        for (std::uint64_t i = 1; i <= kPushes; ++i)
+            ring.push(ringSpan(i));
+        done.store(true, std::memory_order_release);
+    });
+    std::vector<RequestSpan> out;
+    while (!done.load(std::memory_order_acquire)) {
+        out.clear();
+        ring.snapshot(out);
+        for (const RequestSpan &span : out) {
+            EXPECT_GE(span.seq, 1u);
+            EXPECT_LE(span.seq, kPushes);
+            expectWholeSpan(span);
+        }
+    }
+    writer.join();
+    out.clear();
+    ring.snapshot(out);
+    EXPECT_EQ(out.size(), ring.capacity());
+    for (const RequestSpan &span : out) {
+        EXPECT_GT(span.seq, kPushes - ring.capacity());
+        expectWholeSpan(span);
+    }
 }
 
 TEST(RequestTrace, SlowLogThresholdAndRateCap)

@@ -331,9 +331,8 @@ cmdList()
     table.setHeader({ "Loop", "Name", "Class", "Ops", "Branches",
                       "Mem%", "BTFN%" });
     for (const KernelSpec &spec : kernelSpecs()) {
-        const DynTrace &trace =
-            TraceLibrary::instance().trace(spec.id);
-        const TraceStats stats = trace.stats();
+        const TraceStats &stats =
+            TraceLibrary::instance().body(spec.id)->stats();
         table.addRow({
             "LL" + std::to_string(spec.id),
             spec.name,
