@@ -13,7 +13,7 @@ namespace mfusim
 
 FuPool::FuPool(const FuPoolConfig &poolCfg,
                const MachineConfig &machineCfg)
-    : machineCfg_(machineCfg), fuCopies_(poolCfg.fuCopies)
+    : machineCfg_(machineCfg)
 {
     assert(poolCfg.fuCopies >= 1 && poolCfg.memPorts >= 1);
     units_.assign(std::size_t(kNumFuClasses) * poolCfg.fuCopies,

@@ -7,6 +7,11 @@
  * plus the memory port.  Register-transfer operations use dedicated
  * data paths and never contend for a unit; branches are resolved by
  * the issue stage and likewise bypass the pool.
+ *
+ * This is the one representation of execution-unit state: every
+ * simulator's run() and every batched sweep lane (sim/batched.hh)
+ * carries a FuPool, and the per-op FuClass paths below and the
+ * unit/port transitions they call are all header-inline.
  */
 
 #ifndef MFUSIM_FUNITS_FU_POOL_HH
@@ -157,9 +162,9 @@ class FuPool
     const FunctionalUnit &
     bestUnit(FuClass fu) const
     {
-        const auto base = std::size_t(fu) * fuCopies_;
-        std::size_t best = base;
-        for (std::size_t i = base + 1; i < base + fuCopies_; ++i) {
+        std::size_t best = std::size_t(fu);
+        for (std::size_t i = best + kNumFuClasses; i < units_.size();
+             i += kNumFuClasses) {
             if (units_[i].nextFree() < units_[best].nextFree())
                 best = i;
         }
@@ -192,10 +197,11 @@ class FuPool
     }
 
     MachineConfig machineCfg_;
-    // units_[class * fuCopies + copy]
+    // units_[copy * kNumFuClasses + class]: copy 0 of a class sits
+    // at its class index, so the paper's one-of-each machine finds
+    // its unit without scanning.
     std::vector<FunctionalUnit> units_;
     std::vector<MemoryPort> memory_;
-    unsigned fuCopies_;
 };
 
 } // namespace mfusim

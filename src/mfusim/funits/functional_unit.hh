@@ -11,11 +11,16 @@
  *    operation every clock cycle (CRAY style).
  *
  * A FunctionalUnit tracks only when it can next *accept* work; the
- * per-operation result latency is the caller's business.
+ * per-operation result latency is the caller's business.  Its
+ * transitions are inline: they run per op inside every simulator's
+ * issue loop and every batched lane, scalar and lockstep alike.
  */
 
 #ifndef MFUSIM_FUNITS_FUNCTIONAL_UNIT_HH
 #define MFUSIM_FUNITS_FUNCTIONAL_UNIT_HH
+
+#include <algorithm>
+#include <cassert>
 
 #include "mfusim/core/types.hh"
 
@@ -58,8 +63,18 @@ class FunctionalUnit
      *        for scalar ops; a vector op streams one element per
      *        cycle and holds even a segmented unit for VL cycles.
      */
-    void accept(ClockCycle when, unsigned latency,
-                unsigned occupancy = 1);
+    void
+    accept(ClockCycle when, unsigned latency, unsigned occupancy = 1)
+    {
+        assert(canAccept(when) && "accepted an op while busy");
+        assert(occupancy >= 1);
+        // A segmented unit starts one new operation per cycle; a
+        // vector operation feeds it one element per cycle and so
+        // holds it for its whole occupancy.
+        nextFree_ = discipline_ == FuDiscipline::kSegmented
+                        ? when + occupancy
+                        : when + std::max(latency, occupancy);
+    }
 
     FuDiscipline discipline() const { return discipline_; }
 

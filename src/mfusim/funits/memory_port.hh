@@ -11,10 +11,14 @@
  *  - "interleaved": a new request can be accepted every cycle and
  *    requests complete in pipelined fashion (the NonSegmented,
  *    CRAY-like, and all multiple-issue machines).
+ *
+ * Like FunctionalUnit, its per-op transitions are inline.
  */
 
 #ifndef MFUSIM_FUNITS_MEMORY_PORT_HH
 #define MFUSIM_FUNITS_MEMORY_PORT_HH
+
+#include <cassert>
 
 #include "mfusim/core/types.hh"
 
@@ -53,7 +57,16 @@ class MemoryPort
      * available.  @p occupancy > 1 models a vector reference
      * streaming one word per cycle.
      */
-    ClockCycle accept(ClockCycle when, unsigned occupancy = 1);
+    ClockCycle
+    accept(ClockCycle when, unsigned occupancy = 1)
+    {
+        assert(canAccept(when) && "memory accepted a request while busy");
+        assert(occupancy >= 1);
+        nextFree_ = discipline_ == MemDiscipline::kInterleaved
+                        ? when + occupancy
+                        : when + latency_ + occupancy - 1;
+        return when + latency_ + occupancy - 1;
+    }
 
     unsigned latency() const { return latency_; }
     MemDiscipline discipline() const { return discipline_; }

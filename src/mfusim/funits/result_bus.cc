@@ -6,70 +6,10 @@
 #include "mfusim/funits/result_bus.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 namespace mfusim
 {
-
-std::uint64_t
-CycleReservations::maskFor(ClockCycle t) const
-{
-    assert(t >= base_ && "reservation in the forgotten past");
-    assert(t < base_ + 64 && "reservation beyond the 64-cycle window");
-    return std::uint64_t(1) << (t - base_);
-}
-
-bool
-CycleReservations::isReserved(ClockCycle t) const
-{
-    if (t < base_)
-        return false;
-    if (t >= base_ + 64)
-        return false;
-    return (bits_ & (std::uint64_t(1) << (t - base_))) != 0;
-}
-
-bool
-CycleReservations::tryReserve(ClockCycle t)
-{
-    const std::uint64_t mask = maskFor(t);
-    if (bits_ & mask)
-        return false;
-    bits_ |= mask;
-    return true;
-}
-
-void
-CycleReservations::advanceTo(ClockCycle now)
-{
-    if (now <= base_)
-        return;
-    const ClockCycle shift = now - base_;
-    bits_ = shift >= 64 ? 0 : bits_ >> shift;
-    base_ = now;
-}
-
-void
-CycleReservations::reset()
-{
-    base_ = 0;
-    bits_ = 0;
-}
-
-ClockCycle
-CycleReservations::nextFreeSlot(ClockCycle from) const
-{
-    if (from < base_)
-        return from;                    // forgotten past: free
-    if (from >= base_ + 64)
-        return from;                    // beyond the window: free
-    // countr_one finds the run of reserved cycles starting at
-    // `from`; the window's high bits are zero past base_ + 64, so
-    // the scan always terminates inside it.
-    const std::uint64_t occupied = bits_ >> (from - base_);
-    return from + std::countr_one(occupied);
-}
 
 ClockCycle
 ResultBusSet::earliestReserve(unsigned unit,

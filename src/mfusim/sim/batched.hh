@@ -20,11 +20,13 @@
  * program order: SimpleSim and ScoreboardSim issue one op at a time,
  * and in-order MultiIssueSim's window boundaries and issue order are
  * timing-independent (a window is refilled only when drained, and a
- * squashing branch truncates it by trace structure alone).  For the
- * in-order multiple-issue machine the kernel replaces the scalar
- * pass-rescan loop with its exact fixpoint: an op issues at the
- * least cycle >= its predecessor's issue cycle (plus one across a
- * window refill) that satisfies its dependence, branch-floor,
+ * squashing branch truncates it by trace structure alone).  The
+ * single-issue lanes are the simulators' own Lane state advanced by
+ * their own advance() — run() is the one-lane case — so only the
+ * in-order multiple-issue machine has a kernel here.  It replaces the
+ * scalar pass-rescan loop with its exact fixpoint: an op issues at
+ * the least cycle >= its predecessor's issue cycle (plus one across
+ * a window refill) that satisfies its dependence, branch-floor,
  * functional-unit and result-bus constraints — the same cycle the
  * scalar pass loop converges to, because its event hints are exact.
  *
@@ -35,13 +37,13 @@
  * leaves it early; the blocks the skip crossed pass over the lane
  * with one cursor compare.
  *
- * Lanes that the lockstep kernels do not cover — out-of-order issue,
- * the RUU machines, vector traces under multiple issue, machines
- * with replicated units (fuCopies/memPorts > 1), audited runs,
- * structurally incompatible traces, and single-lane batches —
- * fall back to the scalar run() inside the same call, so callers
- * need no capability logic.  Results are bit-identical to the scalar
- * path in every covered and uncovered case.
+ * Lanes that lockstep does not cover — out-of-order issue, the RUU
+ * machines, vector traces, replicated units or an armed predictor
+ * under multiple issue, audited runs (they need the instrumented
+ * instantiation), structurally incompatible traces, and single-lane
+ * batches — fall back to the scalar run() inside the same call, so
+ * callers need no capability logic.  Results are bit-identical to the
+ * scalar path in every covered and uncovered case.
  */
 
 #ifndef MFUSIM_SIM_BATCHED_HH

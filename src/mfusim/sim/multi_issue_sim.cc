@@ -65,7 +65,7 @@ MultiIssueSim::run(const DecodedTrace &trace)
     return auditSink() ? runImpl<true>(trace) : runImpl<false>(trace);
 }
 
-template <bool kAudit>
+template <bool kObs>
 SimResult
 MultiIssueSim::runImpl(const DecodedTrace &trace)
 {
@@ -253,7 +253,7 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
     // always settles before the refill.  Predictors with history
     // (2-bit counters, fixed-accuracy hashes) do not respect the
     // trace's loop period, so the fast path stays off for them.
-    const bool steady = !kAudit && steadyStateEnabled() &&
+    const bool steady = !kObs && steadyStateEnabled() &&
         cfg_.predictor.isStatic();
     SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
                                n);
@@ -447,14 +447,14 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                     }
                 }
                 if (buffer_hazard) {
-                    if constexpr (kAudit)
+                    if constexpr (kObs)
                         seen_unissued = true;
                     if (!org_.outOfOrder)
                         break;      // nothing later may issue either
                     continue;
                 }
                 [[maybe_unused]] bool is_head = false;
-                if constexpr (kAudit) {
+                if constexpr (kObs) {
                     is_head = !seen_unissued;
                     seen_unissued = true;
                 }
@@ -481,7 +481,7 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                     earliest = std::max(earliest, floorTime);
 
                 if (earliest > t) {
-                    if constexpr (kAudit) {
+                    if constexpr (kObs) {
                         if (is_head && !head_blocked) {
                             // Decompose the binding register/control
                             // constraint back into the paper's
@@ -528,7 +528,7 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                 const unsigned unit = unsigned(s);
                 const FuClass op_fu = trace.fu(j);
                 if (!pool.canAccept(op_fu, t)) {
-                    if constexpr (kAudit) {
+                    if constexpr (kObs) {
                         if (is_head && !head_blocked) {
                             head_cause = StallCause::kFuBusy;
                             head_op = j;
@@ -543,7 +543,7 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                 }
                 const bool produces = trace.producesResult(j);
                 if (produces && !bus.canReserve(unit, t + latency)) {
-                    if constexpr (kAudit) {
+                    if constexpr (kObs) {
                         if (is_head && !head_blocked) {
                             head_cause = StallCause::kBusBusy;
                             head_op = j;
@@ -568,7 +568,7 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                 // Issue instruction j at cycle t.
                 const ClockCycle ready =
                     pool.accept(op_fu, t, latency);
-                if constexpr (kAudit) {
+                if constexpr (kObs) {
                     emitAudit(AuditPhase::kIssue, t, j,
                               std::int32_t(unit));
                     if (!trace.isBranch(j)) {
@@ -618,7 +618,7 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                 hint == kNever ? t + 1 : std::max(t + 1, hint);
             if (next - last_event > watchdog)
                 throw_watchdog(next, wStart, wEnd);
-            if constexpr (kAudit) {
+            if constexpr (kObs) {
                 // Nothing issued this pass: charge [t, next) to
                 // whatever blocked the oldest unissued entry.  A
                 // span that straddles a mispredict's resolve cycle
@@ -682,7 +682,7 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                     }
                 }
                 ++result.wrongPathOps;
-                if constexpr (kAudit)
+                if constexpr (kObs)
                     emitAudit(AuditPhase::kWrongPath, c, j,
                               std::int32_t(k));
             }
@@ -694,7 +694,7 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
             end = std::max(end, floorTime);
             ++result.squashes;
             mispredictCycles += floorTime - (pendingIssue + 1);
-            if constexpr (kAudit)
+            if constexpr (kObs)
                 emitAudit(AuditPhase::kSquash, tr, j);
             pendingBranch = kNoPending;
         }

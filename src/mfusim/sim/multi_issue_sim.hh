@@ -89,7 +89,7 @@ class MultiIssueSim : public Simulator
     const MachineConfig &config() const override { return cfg_; }
     AuditRules auditRules() const override;
 
-    /** Organization knobs (the batched sweep kernel mirrors them). */
+    /** Organization knobs (the batched lockstep kernel reads them). */
     const MultiIssueConfig &org() const { return org_; }
 
   private:
@@ -97,7 +97,7 @@ class MultiIssueSim : public Simulator
      * run() body, compiled once with audit emission and once without
      * so the audit-off issue loop carries no per-event branches.
      */
-    template <bool kAudit>
+    template <bool kObs>
     SimResult runImpl(const DecodedTrace &trace);
 
     MultiIssueConfig org_;

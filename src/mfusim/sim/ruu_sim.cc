@@ -67,7 +67,7 @@ RuuSim::run(const DecodedTrace &trace)
     return auditSink() ? runImpl<true>(trace) : runImpl<false>(trace);
 }
 
-template <bool kAudit>
+template <bool kObs>
 SimResult
 RuuSim::runImpl(const DecodedTrace &trace)
 {
@@ -265,7 +265,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
     // Predictors with history (2-bit, fixed accuracy) mispredict
     // aperiodically, so the fast path stays off for them; boundaries
     // met while a mispredict is in flight are not observed.
-    const bool steady = !kAudit && steadyStateEnabled() &&
+    const bool steady = !kObs && steadyStateEnabled() &&
         cfg_.predictor.isStatic();
     SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
                                n);
@@ -416,7 +416,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                 ++result.squashes;
                 mispredict_cycles +=
                     insert_blocked_until - (wrong_ts + 1);
-                if constexpr (kAudit)
+                if constexpr (kObs)
                     emitAudit(AuditPhase::kSquash, tr, wrong_branch);
                 progress = true;
             } else if (tr != kUnknown) {
@@ -446,7 +446,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                 hint = std::min(hint, r);
                 break;
             }
-            if constexpr (kAudit)
+            if constexpr (kObs)
                 emitAudit(AuditPhase::kCommit, t, head.idx);
             bank_count[head.bank]--;
             ++ruu_head;
@@ -526,7 +526,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
             }
 
             const ClockCycle ready = pool.accept(fu, t, latency);
-            if constexpr (kAudit) {
+            if constexpr (kObs) {
                 emitAudit(AuditPhase::kDispatch, t, idx,
                           std::int32_t(entry.bank));
                 emitAudit(AuditPhase::kComplete, ready, idx,
@@ -543,7 +543,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
 
         // ---- insert: issue units -> RUU ----------------------------
         if (t < insert_blocked_until) {
-            if constexpr (kAudit) {
+            if constexpr (kObs) {
                 if (next_insert < n) {
                     front_blocked = true;
                     front_cause = drain_from_squash
@@ -576,7 +576,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                     bank_count[bank]++;
                     ++wrong_counter;
                 }
-                if constexpr (kAudit)
+                if constexpr (kObs)
                     emitAudit(AuditPhase::kWrongPath, t, wrong_branch,
                               std::int32_t(wrong_count));
                 ++wrong_count;
@@ -584,7 +584,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                 ++fetched;
                 progress = true;
             }
-            if constexpr (kAudit) {
+            if constexpr (kObs) {
                 // Wrong-path fetch emits no kInsert events, so the
                 // whole cycle reads as a mispredict stall in the run
                 // metrics.
@@ -599,7 +599,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                     if (spec && predOk[next_insert]) {
                         // Correctly predicted: one issue slot, no
                         // stall, and the front end keeps issuing.
-                        if constexpr (kAudit)
+                        if constexpr (kObs)
                             emitAudit(AuditPhase::kInsert, t,
                                       next_insert);
                         end = std::max(end, t + 1);
@@ -615,7 +615,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                         // RUU entry; the resolve check at the top of
                         // the loop squashes when its condition
                         // arrives.
-                        if constexpr (kAudit)
+                        if constexpr (kObs)
                             emitAudit(AuditPhase::kInsert, t,
                                       next_insert);
                         wrong_mode = true;
@@ -636,7 +636,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                     const std::uint32_t prod =
                         trace.prodA(next_insert);
                     if (!operand_ready(prod, t)) {
-                        if constexpr (kAudit) {
+                        if constexpr (kObs) {
                             if (inserted == 0) {
                                 front_blocked = true;
                                 front_cause = StallCause::kBranch;
@@ -648,7 +648,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                             hint = std::min(hint, h);
                         break;
                     }
-                    if constexpr (kAudit)
+                    if constexpr (kObs)
                         emitAudit(AuditPhase::kInsert, t,
                                   next_insert);
                     insert_blocked_until = t + cfg_.branchTime;
@@ -662,7 +662,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                 const unsigned bank =
                     banked ? unsigned(insert_counter % org_.width) : 0;
                 if (bank_count[bank] >= bank_cap[bank]) {
-                    if constexpr (kAudit) {
+                    if constexpr (kObs) {
                         if (inserted == 0) {
                             front_blocked = true;
                             front_cause = StallCause::kBufferDrain;
@@ -672,7 +672,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                     break;      // RUU (bank) full: stall in order
                 }
 
-                if constexpr (kAudit)
+                if constexpr (kObs)
                     emitAudit(AuditPhase::kInsert, t, next_insert,
                               std::int32_t(bank));
                 ruu.push_back(Entry{ std::uint32_t(next_insert), bank,
@@ -687,7 +687,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
 
         // ---- advance time ------------------------------------------
         if (progress) {
-            if constexpr (kAudit) {
+            if constexpr (kObs) {
                 // Back-end progress with a blocked front: the issue
                 // units still lost this cycle.
                 if (front_blocked)
@@ -700,7 +700,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                 (hint == kUnknown || hint <= t) ? t + 1 : hint;
             if (next - last_event > watchdog)
                 throw_watchdog(next);
-            if constexpr (kAudit) {
+            if constexpr (kObs) {
                 if (front_blocked)
                     emitStall(front_cause, t, next - t, front_op);
             }

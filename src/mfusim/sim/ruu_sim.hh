@@ -86,7 +86,7 @@ class RuuSim : public Simulator
      * run() body, compiled once with audit emission and once without
      * so the audit-off scheduling loop carries no per-event branches.
      */
-    template <bool kAudit>
+    template <bool kObs>
     SimResult runImpl(const DecodedTrace &trace);
 
     RuuConfig org_;

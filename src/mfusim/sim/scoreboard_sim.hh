@@ -29,8 +29,15 @@
 #ifndef MFUSIM_SIM_SCOREBOARD_SIM_HH
 #define MFUSIM_SIM_SCOREBOARD_SIM_HH
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
+#include "mfusim/core/registers.hh"
 #include "mfusim/funits/fu_pool.hh"
+#include "mfusim/funits/result_bus.hh"
 #include "mfusim/sim/simulator.hh"
+#include "mfusim/sim/steady_state.hh"
 
 namespace mfusim
 {
@@ -71,6 +78,10 @@ struct ScoreboardConfig
 
 /**
  * The single-issue scoreboarded machine.
+ *
+ * One run is one Lane advanced over the whole trace; the batched
+ * sweep kernel (sim/batched.hh) advances many lanes over one trace
+ * block by block through the same advance().
  */
 class ScoreboardSim : public Simulator
 {
@@ -79,6 +90,46 @@ class ScoreboardSim : public Simulator
     ScoreboardSim(const ScoreboardConfig &org,
                   const MachineConfig &cfg);
 
+    /** The whole timing state of one run over one trace. */
+    struct Lane
+    {
+        /**
+         * A run of @p sim over @p trace, at op 0.  Steady state is
+         * tracked unless it is disabled, a sink is attached (the
+         * event stream must be complete) or the predictor has
+         * history (it mispredicts aperiodically).
+         */
+        Lane(const ScoreboardSim &sim, const DecodedTrace &trace);
+
+        const DecodedTrace *trace;
+        std::array<ClockCycle, kNumRegs> regReady{};
+        // First-element availability of vector results (== regReady
+        // for scalar results); vector consumers read it when
+        // chaining.
+        std::array<ClockCycle, kNumRegs> chainReady{};
+        FuPool pool;
+        CycleReservations bus;          // the single result bus
+        // Per-branch prediction outcome; empty when disarmed.
+        std::vector<std::uint8_t> predOk;
+        SteadyStateTracker tracker;
+        ClockCycle issueCursor = 0;     // earliest next issue slot
+        ClockCycle end = 0;
+        StallBreakdown stalls;
+        std::size_t boundary;           // next steady-state boundary
+        std::size_t cursor = 0;         // next op to issue
+    };
+
+    /**
+     * Issue ops of @p lane until its cursor reaches @p stop (a
+     * steady-state skip may carry it past).  kObs emits the audit
+     * event and stall-sample stream; it requires an attached sink.
+     */
+    template <bool kObs>
+    void advance(Lane &lane, std::size_t stop) const;
+
+    /** The result of a lane advanced over its whole trace. */
+    static SimResult result(const Lane &lane);
+
     using Simulator::run;
     SimResult run(const DecodedTrace &trace) override;
     std::string name() const override;
@@ -86,15 +137,7 @@ class ScoreboardSim : public Simulator
     const MachineConfig &config() const override { return cfg_; }
     AuditRules auditRules() const override;
 
-    /** Organization knobs (the batched sweep kernel mirrors them). */
-    const ScoreboardConfig &org() const { return org_; }
-
   private:
-    // The issue loop is compiled twice: kObs=false (no attached
-    // sink) carries zero event/stall-emission code, so the default
-    // path's throughput is untouched by instrumentation.
-    template <bool kObs> SimResult runImpl(const DecodedTrace &trace);
-
     ScoreboardConfig org_;
     MachineConfig cfg_;
 };

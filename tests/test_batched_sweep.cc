@@ -7,8 +7,9 @@
  *    1/3 latency axis and the organization axes matches the scalar
  *    path on every Livermore loop, with the steady-state fast path
  *    on and off — every SimResult field, including steadyOpsSkipped.
- *  - The covered groups really run the lockstep kernels
- *    (lockstepLanes > 0), and uncovered lanes (audited, out-of-order
+ *  - The covered groups really run lockstep (lockstepLanes > 0) —
+ *    single-issue lanes with replicated units or a zero-window
+ *    predictor included — and uncovered lanes (audited, out-of-order
  *    issue, single-cell batches, structurally different traces) fall
  *    back to the scalar path with identical results.
  *  - An audited lane inside a batch produces the same timing as the
@@ -31,6 +32,7 @@
 #include "mfusim/sim/scoreboard_sim.hh"
 #include "mfusim/sim/simple_sim.hh"
 #include "mfusim/sim/steady_state.hh"
+#include "mfusim/spec/predictor.hh"
 
 namespace mfusim
 {
@@ -72,7 +74,8 @@ expectSameResult(const SimResult &got, const SimResult &want,
 /**
  * The sweep variants one batch advances over a single loop: the full
  * Table 1/3 latency axis (all standard configs) for each machine
- * organization.  Mirrors how runGrid / the table benches batch.
+ * organization, plus replicated-unit and zero-window-predictor
+ * scoreboard lanes.  Mirrors how runGrid / the table benches batch.
  */
 struct Variant
 {
@@ -97,6 +100,24 @@ sweepVariants(int loop)
             v.push_back(
                 { std::make_unique<ScoreboardSim>(org, cfg), &trace,
                   "Scoreboard/" + cfg.name() });
+        }
+        ScoreboardConfig fuc = ScoreboardConfig::crayLike();
+        fuc.fuCopies = 2;
+        ScoreboardConfig mp = ScoreboardConfig::nonSegmented();
+        mp.memPorts = 2;
+        for (const auto &org : { fuc, mp }) {
+            v.push_back(
+                { std::make_unique<ScoreboardSim>(org, cfg), &trace,
+                  "Scoreboard(replicated)/" + cfg.name() });
+        }
+        for (const char *pred : { "btfn:w0", "2bit:w0", "perfect" }) {
+            MachineConfig armed = cfg;
+            armed.predictor = PredictorSpec::parse(pred);
+            v.push_back({ std::make_unique<ScoreboardSim>(
+                              ScoreboardConfig::crayLike(), armed),
+                          &trace,
+                          std::string("Scoreboard(") + pred + ")/" +
+                              cfg.name() });
         }
         for (const unsigned width : { 2u, 4u, 8u }) {
             for (const BusKind bus :
@@ -132,9 +153,9 @@ TEST_P(BatchedBitIdentity, MatchesScalarPath)
     const BatchOutcome out = runBatch(lanes);
 
     ASSERT_EQ(out.results.size(), variants.size());
-    // Every covered lane must actually take a lockstep kernel: the
-    // library loops are scalar and each (kind, loop) group holds >= 2
-    // lanes.
+    // Every covered lane must actually run lockstep — replicated-unit
+    // and predictor-armed scoreboard lanes too: the library loops are
+    // scalar and each (kind, loop) group holds >= 2 lanes.
     EXPECT_EQ(out.lockstepLanes, variants.size());
     EXPECT_EQ(out.scalarLanes, 0u);
 
