@@ -1,0 +1,142 @@
+/**
+ * @file
+ * The multiple-issue cell grid pinned in golden/multi_issue_cells.txt.
+ *
+ * MultiIssueSim (in-order and out-of-order issue) and RuuSim are
+ * about to be rebuilt as lanes of one kernel, as SimpleSim and
+ * ScoreboardSim were.  This grid pins every SimResult field of 24
+ * machines of the two families first: seq/ooo at widths 2 and 8 and
+ * the RUU at three (width, size) points, each with its N-bus,
+ * single-bus and crossbar result buses, plus one replicated-unit
+ * variant per family.  Every machine runs unarmed over all 14 loops
+ * and the four standard configurations, and under four predictors
+ * over the 14 loops and M11BR5/M5BR2.
+ */
+
+#ifndef MFUSIM_TESTS_MULTI_ISSUE_CELLS_HH
+#define MFUSIM_TESTS_MULTI_ISSUE_CELLS_HH
+
+#include <functional>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "mfusim/core/machine_config.hh"
+#include "mfusim/sim/multi_issue_sim.hh"
+#include "mfusim/sim/ruu_sim.hh"
+
+namespace mfusim
+{
+namespace test
+{
+
+/** One machine of the grid, built per configuration. */
+struct MultiIssueMachine
+{
+    std::string label;      //!< fixture column 1, e.g. "ruu:4:50,1bus"
+    std::function<std::unique_ptr<Simulator>(const MachineConfig &)>
+        make;
+};
+
+inline std::vector<MultiIssueMachine>
+multiIssueMachines()
+{
+    std::vector<MultiIssueMachine> m;
+    const std::pair<const char *, BusKind> buses[] = {
+        { "", BusKind::kPerUnit },
+        { ",1bus", BusKind::kSingle },
+        { ",xbar", BusKind::kCrossbar },
+    };
+    const auto multi = [](MultiIssueConfig org) {
+        return [org](const MachineConfig &cfg) {
+            return std::unique_ptr<Simulator>(
+                std::make_unique<MultiIssueSim>(org, cfg));
+        };
+    };
+    const auto ruu = [](RuuConfig org) {
+        return [org](const MachineConfig &cfg) {
+            return std::unique_ptr<Simulator>(
+                std::make_unique<RuuSim>(org, cfg));
+        };
+    };
+    for (const bool ooo : { false, true }) {
+        const std::string family = ooo ? "ooo:" : "seq:";
+        for (const unsigned width : { 2u, 8u }) {
+            for (const auto &[suffix, bus] : buses) {
+                m.push_back({ family + std::to_string(width) + suffix,
+                              multi({ width, ooo, bus }) });
+            }
+        }
+        MultiIssueConfig replicated{ 4, ooo, BusKind::kPerUnit };
+        replicated.fuCopies = 2;
+        replicated.memPorts = 2;
+        m.push_back({ family + "4/fuc2mp2", multi(replicated) });
+    }
+    const std::pair<unsigned, unsigned> ruus[] = {
+        { 1, 10 }, { 4, 50 }, { 8, 256 },
+    };
+    for (const auto &[width, size] : ruus) {
+        for (const auto &[suffix, bus] : buses) {
+            m.push_back({ "ruu:" + std::to_string(width) + ":" +
+                              std::to_string(size) + suffix,
+                          ruu({ width, size, bus }) });
+        }
+    }
+    RuuConfig replicated{ 4, 50, BusKind::kPerUnit };
+    replicated.fuCopies = 2;
+    replicated.memPorts = 2;
+    m.push_back({ "ruu:4:50/fuc2mp2", ruu(replicated) });
+    return m;
+}
+
+/** The predictors the grid arms ("" = none). */
+inline const std::vector<std::string> &
+multiIssuePredictors()
+{
+    static const std::vector<std::string> preds = {
+        "", "btfn:w0", "perfect", "2bit", "fixed:90",
+    };
+    return preds;
+}
+
+/** The configurations a machine runs under @p pred. */
+inline std::vector<MachineConfig>
+multiIssueConfigs(const std::string &pred)
+{
+    if (pred.empty()) {
+        const auto &all = standardConfigs();
+        return { all.begin(), all.end() };
+    }
+    return { configM11BR5(), configM5BR2() };
+}
+
+/** Index of the steadyOpsSkipped field in a fixture line. */
+constexpr std::size_t kSteadySkippedField = 12;
+
+/**
+ * One fixture line: machine, predictor ("-" for none), configuration,
+ * loop, then instructions, cycles, hasStalls, the five stall
+ * counters, steadyOpsSkipped (of a steady-state run), squashes and
+ * wrongPathOps.
+ */
+inline std::string
+multiIssueCellLine(const std::string &machine, const std::string &pred,
+                   const MachineConfig &cfg, int loop,
+                   const SimResult &r)
+{
+    std::ostringstream out;
+    out << machine << ' ' << (pred.empty() ? "-" : pred) << ' '
+        << cfg.name() << ' ' << loop << ' ' << r.instructions << ' '
+        << r.cycles << ' ' << r.hasStalls << ' ' << r.stalls.raw << ' '
+        << r.stalls.waw << ' ' << r.stalls.structural << ' '
+        << r.stalls.resultBus << ' ' << r.stalls.branch << ' '
+        << r.steadyOpsSkipped << ' ' << r.squashes << ' '
+        << r.wrongPathOps;
+    return out.str();
+}
+
+} // namespace test
+} // namespace mfusim
+
+#endif // MFUSIM_TESTS_MULTI_ISSUE_CELLS_HH

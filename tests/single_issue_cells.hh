@@ -14,7 +14,6 @@
 #ifndef MFUSIM_TESTS_SINGLE_ISSUE_CELLS_HH
 #define MFUSIM_TESTS_SINGLE_ISSUE_CELLS_HH
 
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -105,21 +104,6 @@ singleIssueCellLine(const std::string &machine, const MachineConfig &cfg,
         << r.stalls.branch << ' ' << r.steadyOpsSkipped << ' '
         << r.squashes;
     return out.str();
-}
-
-/** golden/single_issue_cells.txt, comments dropped. */
-inline std::vector<std::string>
-pinnedSingleIssueCells()
-{
-    std::ifstream in(std::string(MFUSIM_TEST_GOLDEN_DIR) +
-                     "/single_issue_cells.txt");
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line[0] != '#')
-            lines.push_back(line);
-    }
-    return lines;
 }
 
 } // namespace test

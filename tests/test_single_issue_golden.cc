@@ -21,6 +21,7 @@
 #include "mfusim/sim/batched.hh"
 #include "mfusim/sim/steady_state.hh"
 #include "single_issue_cells.hh"
+#include "test_util.hh"
 
 namespace mfusim
 {
@@ -36,7 +37,7 @@ class SingleIssueGolden : public ::testing::TestWithParam<bool>
     {
         prev_ = steadyStateEnabled();
         setSteadyStateEnabled(GetParam());
-        pinned_ = test::pinnedSingleIssueCells();
+        pinned_ = test::goldenLines("single_issue_cells.txt");
         ASSERT_EQ(pinned_.size(), kPinnedCells)
             << "missing or truncated golden/single_issue_cells.txt";
         if (!GetParam()) {

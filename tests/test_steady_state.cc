@@ -394,7 +394,8 @@ TEST(PeriodDetector, ReproducesPinnedSegments)
     // decode ran its own analysis, latencies included.  The analysis
     // of the shared body, and that of a standalone decode, must
     // reproduce it under every configuration.
-    const std::vector<std::string> pinned = test::pinnedPeriodicity();
+    const std::vector<std::string> pinned =
+        test::goldenLines("periodicity.txt");
     ASSERT_EQ(pinned.size(), 332u);
     std::vector<std::string> shared;
     std::vector<std::string> standalone;

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "mfusim/core/trace_io.hh"
+#include "mfusim/harness/spec_parse.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "test_util.hh"
 
@@ -68,6 +69,26 @@ TEST(TraceIo, BenchmarkTraceRoundTrip)
     EXPECT_EQ(a.loads, b.loads);
     EXPECT_EQ(a.stores, b.stores);
     EXPECT_EQ(a.parcels, b.parcels);
+}
+
+TEST(TraceDigestGolden, ExpandedTracesMatchFixture)
+{
+    // The saved text of every Livermore trace and of two kernel
+    // variants, pinned while the interpreter still emitted DynTraces
+    // directly: expanding them from the execution log must change no
+    // op, operand, branch outcome or vector length.
+    const std::vector<std::string> pinned =
+        test::goldenLines("trace_digests.txt");
+    ASSERT_EQ(pinned.size(), 16u)
+        << "missing or truncated golden/trace_digests.txt";
+    std::vector<std::string> got;
+    for (int loop = 1; loop <= 14; ++loop) {
+        got.push_back(test::traceDigestLine(
+            std::to_string(loop), TraceLibrary::instance().trace(loop)));
+    }
+    for (const char *spec : { "1x4", "7v" })
+        got.push_back(test::traceDigestLine(spec, traceForLoopSpec(spec)));
+    EXPECT_EQ(got, pinned);
 }
 
 TEST(TraceIo, SaveRegisterNamesRoundTrip)

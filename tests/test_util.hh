@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "mfusim/core/trace.hh"
+#include "mfusim/core/trace_io.hh"
 
 namespace mfusim
 {
@@ -78,14 +79,13 @@ pinnedAliasCycles()
 }
 
 /**
- * golden/periodicity.txt: the periodic segments of every (loop,
- * configuration) decode, one line per segment, comments dropped.
+ * The lines of golden/@p file, comments and blank lines dropped
+ * (empty if the file is missing).
  */
 inline std::vector<std::string>
-pinnedPeriodicity()
+goldenLines(const std::string &file)
 {
-    std::ifstream in(std::string(MFUSIM_TEST_GOLDEN_DIR) +
-                     "/periodicity.txt");
+    std::ifstream in(std::string(MFUSIM_TEST_GOLDEN_DIR) + "/" + file);
     std::vector<std::string> lines;
     std::string line;
     while (std::getline(in, line)) {
@@ -93,6 +93,25 @@ pinnedPeriodicity()
             lines.push_back(line);
     }
     return lines;
+}
+
+/**
+ * One golden/trace_digests.txt line: @p spec, the op count and the
+ * FNV-1a 64 digest of @p trace's saveTrace() text.
+ */
+inline std::string
+traceDigestLine(const std::string &spec, const DynTrace &trace)
+{
+    std::ostringstream text;
+    saveTrace(text, trace);
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char c : text.str()) {
+        hash ^= std::uint8_t(c);
+        hash *= 0x100000001b3ull;
+    }
+    std::ostringstream line;
+    line << spec << ' ' << trace.size() << ' ' << std::hex << hash;
+    return line.str();
 }
 
 } // namespace test
