@@ -96,7 +96,7 @@ main()
             b0[1] = bim;
         }
     }
-    const DynTrace trace = interp.run("cmacc");
+    const DynTrace trace("cmacc", program.code, interp.run());
     const double norm = b0[0] * b0[0] + b0[1] * b0[1];
     const double expected = ref::refDiv(acc_re, norm);
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Quickstart: write a tiny program with the assembler, execute it in
- * the functional interpreter to get a dynamic trace, and measure its
- * issue rate on the paper's machines.
+ * the functional interpreter, expand its execution log into a dynamic
+ * trace, and measure its issue rate on the paper's machines.
  *
  * The program is DAXPY: y[i] = a*x[i] + y[i] over 64 elements.
  *
@@ -49,13 +49,13 @@ main()
                     .disassemble()
                     .c_str());
 
-    // ---- 2. execute it for real to get a trace ---------------------
+    // ---- 2. execute it for real, then expand its log into a trace --
     Interpreter interp(program, 200);
     for (int i = 0; i < n; ++i) {
         interp.pokeMemF(std::uint64_t(x_base + i), double(i));
         interp.pokeMemF(std::uint64_t(y_base + i), 1.0);
     }
-    const DynTrace trace = interp.run("daxpy");
+    const DynTrace trace("daxpy", program.code, interp.run());
     std::printf("executed %zu instructions; y[3] = %.2f (expect "
                 "%.2f)\n\n",
                 trace.size(), interp.peekMemF(y_base + 3),

@@ -44,6 +44,11 @@ fromI(std::int64_t value)
 Interpreter::Interpreter(const Program &program, std::size_t memWords)
     : program_(program), memory_(memWords, 0)
 {
+    if (program.size() > std::size_t(ExecLog::kMaxStaticIdx) + 1) {
+        throw std::runtime_error(
+            "Interpreter: program of " + std::to_string(program.size()) +
+            " instructions exceeds the execution log's static index");
+    }
 }
 
 void
@@ -104,10 +109,10 @@ Interpreter::storeWord(std::int64_t addr, std::uint64_t bits)
     memory_[std::size_t(addr)] = bits;
 }
 
-DynTrace
-Interpreter::run(std::string traceName, std::uint64_t maxDynOps)
+ExecLog
+Interpreter::run(std::uint64_t maxDynOps)
 {
-    DynTrace trace(std::move(traceName));
+    ExecLog log;
 
     const auto aVal = [this](RegId r) -> std::int64_t {
         switch (classOf(r)) {
@@ -144,12 +149,8 @@ Interpreter::run(std::string traceName, std::uint64_t maxDynOps)
             break;
 
         ++executed;
-        DynOp dyn{ inst.op, inst.dst, inst.srcA, inst.srcB, pc, false,
-                   false };
-
-        StaticIndex next_pc = pc + 1;
-        bool is_branch = false;
-        bool taken = false;
+        bool taken = false;     // branches only
+        std::uint8_t vl = 0;    // vector ops record the length they ran at
 
         switch (inst.op) {
           // ---- address ops ------------------------------------------
@@ -280,7 +281,7 @@ Interpreter::run(std::string traceName, std::uint64_t maxDynOps)
                       std::to_string(requested));
               }
               vl_ = unsigned(requested);
-              dyn.vl = std::uint8_t(vl_);
+              vl = std::uint8_t(vl_);
               break;
           }
           case Op::kVLoad:
@@ -291,7 +292,7 @@ Interpreter::run(std::string traceName, std::uint64_t maxDynOps)
                   dst_v[k] = asF(loadWord(
                       base + std::int64_t(k) * inst.imm));
               }
-              dyn.vl = std::uint8_t(vl_);
+              vl = std::uint8_t(vl_);
               break;
           }
           case Op::kVStore:
@@ -302,7 +303,7 @@ Interpreter::run(std::string traceName, std::uint64_t maxDynOps)
                   storeWord(base + std::int64_t(k) * inst.imm,
                             asBits(src_v[k]));
               }
-              dyn.vl = std::uint8_t(vl_);
+              vl = std::uint8_t(vl_);
               break;
           }
           case Op::kVFAdd:
@@ -317,7 +318,7 @@ Interpreter::run(std::string traceName, std::uint64_t maxDynOps)
                       inst.op == Op::kVFSub ? a[k] - b[k] :
                                               a[k] * b[k];
               }
-              dyn.vl = std::uint8_t(vl_);
+              vl = std::uint8_t(vl_);
               break;
           }
           case Op::kVFAddSV:
@@ -330,45 +331,36 @@ Interpreter::run(std::string traceName, std::uint64_t maxDynOps)
                   dst_v[k] = inst.op == Op::kVFAddSV ?
                       scalar + b[k] : scalar * b[k];
               }
-              dyn.vl = std::uint8_t(vl_);
+              vl = std::uint8_t(vl_);
               break;
           }
 
           // ---- control -------------------------------------------------
           case Op::kBrAZ:
-            is_branch = true;
             taken = aRegs_[0] == 0;
             break;
           case Op::kBrANZ:
-            is_branch = true;
             taken = aRegs_[0] != 0;
             break;
           case Op::kBrAP:
-            is_branch = true;
             taken = aRegs_[0] >= 0;
             break;
           case Op::kBrAM:
-            is_branch = true;
             taken = aRegs_[0] < 0;
             break;
           case Op::kBrSZ:
-            is_branch = true;
             taken = sRegs_[0] == 0;
             break;
           case Op::kBrSNZ:
-            is_branch = true;
             taken = sRegs_[0] != 0;
             break;
           case Op::kBrSP:
-            is_branch = true;
             taken = asI(sRegs_[0]) >= 0;
             break;
           case Op::kBrSM:
-            is_branch = true;
             taken = asI(sRegs_[0]) < 0;
             break;
           case Op::kJump:
-            is_branch = true;
             taken = true;
             break;
           case Op::kHalt:
@@ -376,18 +368,11 @@ Interpreter::run(std::string traceName, std::uint64_t maxDynOps)
             break;
         }
 
-        if (is_branch) {
-            dyn.taken = taken;
-            dyn.backward = StaticIndex(inst.imm) <= pc;
-            if (taken)
-                next_pc = StaticIndex(inst.imm);
-        }
-
-        trace.append(dyn);
-        pc = next_pc;
+        log.append(pc, taken, vl);
+        pc = taken ? inst.target() : pc + 1;
     }
 
-    return trace;
+    return log;
 }
 
 } // namespace mfusim

@@ -4,10 +4,18 @@
  *
  * The Interpreter executes a static Program with full architectural
  * semantics (register files, word-addressed memory, branch outcomes)
- * and records the executed instruction stream as a DynTrace.  It is
- * the mfusim substitute for the paper's instruction-trace generation
- * step: "Instruction traces were generated for each of the benchmark
- * programs and then used to drive the simulations."
+ * and records the executed instruction stream as an ExecLog: 4 bytes
+ * per executed instruction (static index, taken bit, vector length),
+ * everything else being the program's.  It is the mfusim substitute
+ * for the paper's instruction-trace generation step: "Instruction
+ * traces were generated for each of the benchmark programs and then
+ * used to drive the simulations."
+ *
+ * The log is the interpreter's only output.  The simulation path
+ * decodes it straight into a TraceBody (decoded_trace.hh), so the
+ * trace library never builds the 16 B/op DynTrace; callers that want
+ * raw ops expand one, reserved to its exact size, with
+ * DynTrace(name, program.code, log).
  *
  * Because it computes real values, kernel results can be validated
  * against plain C++ reference implementations, guaranteeing that the
@@ -29,7 +37,7 @@ namespace mfusim
 {
 
 /**
- * Executes Programs and produces DynTraces.
+ * Executes Programs and logs their execution.
  *
  * Memory is an array of 64-bit words (the CRAY-1 is word addressed);
  * S and T registers hold raw 64-bit patterns interpreted as two's
@@ -43,6 +51,8 @@ class Interpreter
      * @param program  the program to execute (must end in kHalt on
      *                 every path)
      * @param memWords size of the data memory in 64-bit words
+     * @throws std::runtime_error if @p program has more instructions
+     *         than an ExecLog entry can index.
      */
     Interpreter(const Program &program, std::size_t memWords);
 
@@ -62,17 +72,15 @@ class Interpreter
     std::size_t memWords() const { return memory_.size(); }
 
     /**
-     * Run the program from instruction 0 until kHalt, recording the
-     * trace.
+     * Run the program from instruction 0 until kHalt, logging every
+     * executed instruction (kHalt itself is not logged).
      *
-     * @param traceName  name stored in the returned DynTrace
      * @param maxDynOps  safety valve against runaway programs; an
      *                   exception is thrown when exceeded
      * @throws std::runtime_error on out-of-bounds memory access,
      *         PC escape, or dynamic-op overflow.
      */
-    DynTrace run(std::string traceName,
-                 std::uint64_t maxDynOps = 50'000'000);
+    ExecLog run(std::uint64_t maxDynOps = 50'000'000);
 
   private:
     std::uint64_t loadWord(std::int64_t addr) const;

@@ -36,6 +36,10 @@ buildLoop06()
     for (std::size_t i = 0; i < b.size(); ++i)
         b[i] = kernelValue(6, 1000 + i, 0.0, 0.02);
 
+    // Reserved exactly: grown by doubling, the 4097 cells would take
+    // a 128 KiB block, and the trace library frees none that large
+    // (trace_library.hh).
+    kernel.initF.reserve(1 + b.size());
     kernel.initF.push_back({ wBase, w[0] });
     for (std::size_t i = 0; i < b.size(); ++i)
         kernel.initF.push_back({ bBase + i, b[i] });

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 #include "mfusim/core/error.hh"
 #include "mfusim/core/registers.hh"
@@ -60,14 +61,24 @@ opRows()
     return rows;
 }
 
+/** The next @p n-element column of a block, advancing @p next. */
+template <class T>
+T *
+carve(std::byte *&next, std::size_t n)
+{
+    T *const column = reinterpret_cast<T *>(next);
+    next += n * sizeof(T);
+    return column;
+}
+
 std::atomic<std::uint64_t> g_bodies_built{ 0 };
 
 } // namespace
 
-TraceBody::TraceBody(const DynTrace &trace) : name_(trace.name())
+template <class OpAt>
+void
+TraceBody::decode(std::size_t n, OpAt opAt)
 {
-    const auto &ops = trace.ops();
-    const std::size_t n = ops.size();
     if (n >= kNoProducer) {
         throw TraceError(
             "trace \"" + name_ + "\" has " + std::to_string(n) +
@@ -75,24 +86,28 @@ TraceBody::TraceBody(const DynTrace &trace) : name_(trace.name())
             std::to_string(kNoProducer - 1) + ")");
     }
 
-    // Size every array up front and fill it through raw pointers:
-    // the pass below is one row-table lookup and a dozen stores per
-    // op.
-    const auto sized = [n](auto &v) {
-        v.resize(n);
-        return v.data();
-    };
-    Op *const opArr = sized(arrays_.op);
-    std::uint8_t *const fu = sized(arrays_.fu);
-    std::uint8_t *const flags = sized(arrays_.flags);
-    std::uint16_t *const occupancy = sized(arrays_.occupancy);
-    RegId *const dst = sized(arrays_.dst);
-    RegId *const srcA = sized(arrays_.srcA);
-    RegId *const srcB = sized(arrays_.srcB);
-    std::uint32_t *const staticIdx = sized(arrays_.staticIdx);
-    std::uint32_t *const prodA = sized(arrays_.prodA);
-    std::uint32_t *const prodB = sized(arrays_.prodB);
-    std::uint32_t *const prevWriter = sized(arrays_.prevWriter);
+    // Carve every column out of one block, widest element type first
+    // so each column starts aligned, and fill them through raw
+    // pointers: the pass below is one row-table lookup and a dozen
+    // stores per op.
+    constexpr std::size_t kBytesPerOp = 4 * sizeof(std::uint32_t) +
+        sizeof(std::uint16_t) + 3 * sizeof(RegId) + sizeof(Op) +
+        2 * sizeof(std::uint8_t);
+    columns_ = std::make_unique_for_overwrite<std::byte[]>(
+        n * kBytesPerOp);
+    std::byte *next = columns_.get();
+    std::uint32_t *const staticIdx = carve<std::uint32_t>(next, n);
+    std::uint32_t *const prodA = carve<std::uint32_t>(next, n);
+    std::uint32_t *const prodB = carve<std::uint32_t>(next, n);
+    std::uint32_t *const prevWriter = carve<std::uint32_t>(next, n);
+    std::uint16_t *const occupancy = carve<std::uint16_t>(next, n);
+    RegId *const dst = carve<RegId>(next, n);
+    RegId *const srcA = carve<RegId>(next, n);
+    RegId *const srcB = carve<RegId>(next, n);
+    Op *const opArr = carve<Op>(next, n);
+    std::uint8_t *const fu = carve<std::uint8_t>(next, n);
+    std::uint8_t *const flags = carve<std::uint8_t>(next, n);
+    assert(next == columns_.get() + n * kBytesPerOp);
     size_ = n;
     op_ = opArr;
     fu_ = fu;
@@ -117,7 +132,7 @@ TraceBody::TraceBody(const DynTrace &trace) : name_(trace.name())
     std::uint64_t btfnCorrect = 0;
 
     for (std::size_t i = 0; i < n; ++i) {
-        const DynOp &dyn = ops[i];
+        const DynOp &dyn = opAt(i);
         assert(unsigned(dyn.op) < kNumOps);
         const OpRow &row = rows[unsigned(dyn.op)];
 
@@ -178,6 +193,21 @@ TraceBody::TraceBody(const DynTrace &trace) : name_(trace.name())
             stats_.stores += count;
     }
     g_bodies_built.fetch_add(1, std::memory_order_relaxed);
+}
+
+TraceBody::TraceBody(const DynTrace &trace) : name_(trace.name())
+{
+    const std::vector<DynOp> &ops = trace.ops();
+    decode(ops.size(), [&ops](std::size_t i) -> const DynOp & {
+        return ops[i];
+    });
+}
+
+TraceBody::TraceBody(std::string name, std::span<const Instruction> code,
+                     const ExecLog &log)
+    : name_(std::move(name))
+{
+    decode(log.size(), [&](std::size_t i) { return log.op(code, i); });
 }
 
 std::uint64_t

@@ -21,12 +21,22 @@
  *    RuuSim previously rebuilt on every run, the whole-trace
  *    composition statistics the dataflow resource limit needs, and
  *    the lazily cached periodicity analysis.  It is built once per
- *    trace.
+ *    trace, with every column in one block of its final size
+ *    (27 B/op).
  *  - A DecodedTrace is a per-configuration view of a shared body: the
  *    body's arrays plus a per-opcode latency table (kNumOps entries),
  *    which embeds memLatency and branchTime.  latency(i) is the table
  *    entry of op(i), so a view costs O(1) to build and holds no per-op
  *    array of its own.
+ *
+ * A body has two sources, decoded by one per-op pass.  The trace
+ * library's come straight from the interpreter: (program, ExecLog)
+ * -> TraceBody, each op rebuilt from its 4-byte log entry and the
+ * static instruction as the pass reads it, so no DynTrace exists on
+ * the simulation path.  Replayed (loadTrace), synthetic and
+ * hand-built traces are DynTraces and decode through
+ * TraceBody(const DynTrace &).  The two give the same body for the
+ * same run (the DecodedTrace.LogDecodeMatchesTraceDecode test).
  *
  * Contract: decode once, run many.  Bodies and views are immutable
  * after construction and therefore safe to share across concurrent
@@ -44,6 +54,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -159,8 +170,17 @@ class DecodedOps
 class TraceBody : public DecodedOps
 {
   public:
-    /** Decode @p trace (one pass over the ops). */
+    /** Decode @p trace: replayed, synthetic and hand-built traces. */
     explicit TraceBody(const DynTrace &trace);
+
+    /**
+     * Decode the run @p log recorded from @p code, named @p name.
+     * The same per-op pass as decoding DynTrace(name, code, log),
+     * with each op rebuilt from the log as it is read, so the
+     * 16 B/op trace is never built.
+     */
+    TraceBody(std::string name, std::span<const Instruction> code,
+              const ExecLog &log);
 
     TraceBody(const TraceBody &) = delete;
     TraceBody &operator=(const TraceBody &) = delete;
@@ -202,21 +222,13 @@ class TraceBody : public DecodedOps
     TraceStats stats_;
     bool hasVector_ = false;
 
-    // The arrays the DecodedOps pointers name.
-    struct Arrays
-    {
-        std::vector<Op> op;
-        std::vector<std::uint8_t> fu;
-        std::vector<std::uint8_t> flags;
-        std::vector<std::uint16_t> occupancy;
-        std::vector<RegId> dst;
-        std::vector<RegId> srcA;
-        std::vector<RegId> srcB;
-        std::vector<std::uint32_t> staticIdx;
-        std::vector<std::uint32_t> prodA;
-        std::vector<std::uint32_t> prodB;
-        std::vector<std::uint32_t> prevWriter;
-    } arrays_;
+    /** The decode pass: @p opAt(i) is op i of n, as a DynOp. */
+    template <class OpAt>
+    void decode(std::size_t n, OpAt opAt);
+
+    // Every column the DecodedOps pointers name, in one block of its
+    // final size (27 B/op), widest element type first.
+    std::unique_ptr<std::byte[]> columns_;
 
     // Lazy periodicity cache (built in period_detector.cc, where
     // TracePeriodicity is complete; shared_ptr type-erases the

@@ -1,13 +1,21 @@
 /**
  * @file
- * Dynamic trace statistics.
+ * Dynamic trace expansion and statistics.
  */
 
 #include "mfusim/core/trace.hh"
 
-
 namespace mfusim
 {
+
+DynTrace::DynTrace(std::string name, std::span<const Instruction> code,
+                   const ExecLog &log)
+    : name_(std::move(name))
+{
+    ops_.reserve(log.size());
+    for (std::size_t i = 0; i < log.size(); ++i)
+        ops_.push_back(log.op(code, i));
+}
 
 TraceStats
 DynTrace::stats() const

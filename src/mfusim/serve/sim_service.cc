@@ -138,8 +138,7 @@ runCell(const std::string &loopSpec, const std::string &machineSpec,
             return out.audited ? runAudited(*sim, decoded)
                                : sim->run(decoded);
         }
-        const DynTrace dyn = traceForLoopSpec(loopSpec);
-        const DecodedTrace decoded(dyn, cfg);
+        const DecodedTrace decoded(bodyForLoopSpec(loopSpec), cfg);
         return out.audited ? runAudited(*sim, decoded)
                            : sim->run(decoded);
     };

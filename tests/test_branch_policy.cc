@@ -71,7 +71,7 @@ TEST(BranchPolicy, InterpreterMarksBackwardBranches)
     as.halt();
     Program p = as.finish();
     Interpreter interp(p, 8);
-    const DynTrace trace = interp.run("t");
+    const DynTrace trace("t", p.code, interp.run());
     for (const DynOp &op : trace.ops()) {
         if (isBranch(op.op)) {
             EXPECT_TRUE(op.backward);
@@ -87,7 +87,7 @@ TEST(BranchPolicy, InterpreterMarksBackwardBranches)
     fw.halt();
     Program p2 = fw.finish();
     Interpreter interp2(p2, 8);
-    const DynTrace trace2 = interp2.run("t");
+    const DynTrace trace2("t", p2.code, interp2.run());
     EXPECT_FALSE(trace2[1].backward);
 }
 

@@ -7,7 +7,9 @@
  * decoded form must give exactly the run(DynTrace) result.  The
  * library builds one body and one periodicity analysis per loop,
  * shared by every configuration, also under concurrent first use,
- * and keeps no DynTrace unless trace() is asked for one.
+ * and keeps no DynTrace unless trace() is asked for one.  A body
+ * decoded straight from the interpreter's execution log equals the
+ * decode of the DynTrace expanded from it, column for column.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 
 #include "mfusim/core/decoded_trace.hh"
 #include "mfusim/dataflow/period_detector.hh"
+#include "mfusim/harness/spec_parse.hh"
 #include "mfusim/harness/sweep.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/sim/multi_issue_sim.hh"
@@ -297,6 +300,63 @@ TEST(DecodedTrace, FreshLibraryHoldsBodiesNotTraces)
     }
     EXPECT_EQ(lib.tracesHeld(), 14u);
     EXPECT_EQ(TraceBody::bodiesBuilt() - bodies, 14u);
+}
+
+TEST(DecodedTrace, LogDecodeMatchesTraceDecode)
+{
+    // The library's bodies (and bodyForLoopSpec()'s) are decoded from
+    // the execution log, never from a DynTrace; decoding the expanded
+    // trace instead must give the same body.
+    std::vector<std::string> specs;
+    for (int loop = 1; loop <= 14; ++loop)
+        specs.push_back(std::to_string(loop));
+    specs.push_back("1x4");
+    specs.push_back("7v");
+    for (const std::string &spec : specs) {
+        SCOPED_TRACE("LL" + spec);
+        const bool inLibrary =
+            spec.find_first_not_of("0123456789") == std::string::npos;
+        const std::shared_ptr<const TraceBody> fromLog = inLibrary ?
+            TraceLibrary::instance().body(std::stoi(spec)) :
+            bodyForLoopSpec(spec);
+        const TraceBody fromTrace(traceForLoopSpec(spec));
+        const TraceBody &a = *fromLog;
+        const TraceBody &b = fromTrace;
+
+        EXPECT_EQ(a.name(), b.name());
+        EXPECT_EQ(a.hasVector(), b.hasVector());
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a.op(i), b.op(i)) << "op " << i;
+            ASSERT_EQ(a.fu(i), b.fu(i)) << "op " << i;
+            ASSERT_EQ(a.flags(i), b.flags(i)) << "op " << i;
+            ASSERT_EQ(a.occupancy(i), b.occupancy(i)) << "op " << i;
+            ASSERT_EQ(a.dst(i), b.dst(i)) << "op " << i;
+            ASSERT_EQ(a.srcA(i), b.srcA(i)) << "op " << i;
+            ASSERT_EQ(a.srcB(i), b.srcB(i)) << "op " << i;
+            ASSERT_EQ(a.staticIdx(i), b.staticIdx(i)) << "op " << i;
+            ASSERT_EQ(a.prodA(i), b.prodA(i)) << "op " << i;
+            ASSERT_EQ(a.prodB(i), b.prodB(i)) << "op " << i;
+            ASSERT_EQ(a.prevWriter(i), b.prevWriter(i)) << "op " << i;
+        }
+        expectStatsMatch(b.stats(), a.stats());
+
+        const TracePeriodicity &pa = a.periodicity();
+        const TracePeriodicity &pb = b.periodicity();
+        EXPECT_EQ(pa.coveredOps, pb.coveredOps);
+        ASSERT_EQ(pa.segments.size(), pb.segments.size());
+        for (std::size_t k = 0; k < pa.segments.size(); ++k) {
+            const TraceSegment &sa = pa.segments[k];
+            const TraceSegment &sb = pb.segments[k];
+            EXPECT_EQ(sa.base, sb.base) << "segment " << k;
+            EXPECT_EQ(sa.period, sb.period) << "segment " << k;
+            EXPECT_EQ(sa.count, sb.count) << "segment " << k;
+            EXPECT_EQ(sa.lookback, sb.lookback) << "segment " << k;
+            EXPECT_EQ(sa.inserts, sb.inserts) << "segment " << k;
+            EXPECT_EQ(sa.family, sb.family) << "segment " << k;
+            EXPECT_EQ(sa.ancients, sb.ancients) << "segment " << k;
+        }
+    }
 }
 
 TEST(DecodedTrace, ConcurrentFirstUseBuildsOneBody)

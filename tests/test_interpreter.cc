@@ -21,7 +21,7 @@ struct Ran
     explicit Ran(const Program &p, std::size_t mem = 64)
         : interp(p, mem)
     {
-        trace = interp.run("t");
+        trace = DynTrace("t", p.code, interp.run());
     }
     Interpreter interp;
     DynTrace trace;
@@ -155,7 +155,7 @@ TEST(Interpreter, OutOfBoundsLoadThrows)
     as.halt();
     Program p = as.finish();
     Interpreter interp(p, 64);
-    EXPECT_THROW(interp.run("t"), std::runtime_error);
+    EXPECT_THROW(interp.run(), std::runtime_error);
 }
 
 TEST(Interpreter, NegativeAddressThrows)
@@ -166,7 +166,7 @@ TEST(Interpreter, NegativeAddressThrows)
     as.halt();
     Program p = as.finish();
     Interpreter interp(p, 64);
-    EXPECT_THROW(interp.run("t"), std::runtime_error);
+    EXPECT_THROW(interp.run(), std::runtime_error);
 }
 
 TEST(Interpreter, ConditionalBranchSemantics)
@@ -260,7 +260,7 @@ TEST(Interpreter, DynOpLimitThrows)
     as.jump(forever);
     Program p = as.finish();
     Interpreter interp(p, 8);
-    EXPECT_THROW(interp.run("t", 1000), std::runtime_error);
+    EXPECT_THROW(interp.run(1000), std::runtime_error);
 }
 
 TEST(Interpreter, PokePeekMemory)

@@ -57,7 +57,7 @@ TEST(VectorInterpreter, LoadComputeStore)
         interp.pokeMemF(std::uint64_t(i), double(i));
         interp.pokeMemF(std::uint64_t(100 + i), 10.0 * i);
     }
-    const DynTrace trace = interp.run("v");
+    const DynTrace trace("v", p.code, interp.run());
     for (int i = 0; i < 8; ++i)
         EXPECT_DOUBLE_EQ(interp.peekMemF(std::uint64_t(200 + i)),
                          11.0 * i);
@@ -82,7 +82,7 @@ TEST(VectorInterpreter, StridedLoad)
     Interpreter interp(p, 100);
     for (int i = 0; i < 12; ++i)
         interp.pokeMemF(std::uint64_t(i), double(i));
-    interp.run("v");
+    interp.run();
     EXPECT_DOUBLE_EQ(interp.peekMemF(50), 0.0);
     EXPECT_DOUBLE_EQ(interp.peekMemF(51), 3.0);
     EXPECT_DOUBLE_EQ(interp.peekMemF(52), 6.0);
@@ -106,7 +106,7 @@ TEST(VectorInterpreter, ScalarVectorForms)
     Interpreter interp(p, 50);
     for (int i = 0; i < 3; ++i)
         interp.pokeMemF(std::uint64_t(i), double(i + 1));
-    interp.run("v");
+    interp.run();
     for (int i = 0; i < 3; ++i)
         EXPECT_DOUBLE_EQ(interp.peekMemF(std::uint64_t(20 + i)),
                          2.0 * (i + 1) + 2.0);
@@ -120,7 +120,7 @@ TEST(VectorInterpreter, BadVlThrows)
     as.halt();
     Program p = as.finish();
     Interpreter interp(p, 16);
-    EXPECT_THROW(interp.run("v"), std::runtime_error);
+    EXPECT_THROW(interp.run(), std::runtime_error);
 
     Assembler as2;
     as2.aconst(A1, 65);
@@ -128,7 +128,7 @@ TEST(VectorInterpreter, BadVlThrows)
     as2.halt();
     Program p2 = as2.finish();
     Interpreter interp2(p2, 16);
-    EXPECT_THROW(interp2.run("v"), std::runtime_error);
+    EXPECT_THROW(interp2.run(), std::runtime_error);
 }
 
 // ---- strip-mined kernels --------------------------------------------
