@@ -4,18 +4,24 @@
  *
  * MultiIssueSim (in-order and out-of-order issue) and RuuSim are
  * about to be rebuilt as lanes of one kernel, as SimpleSim and
- * ScoreboardSim were.  This grid pins every SimResult field of 24
+ * ScoreboardSim were.  This grid pins every SimResult field of 36
  * machines of the two families first: seq/ooo at widths 2 and 8 and
  * the RUU at three (width, size) points, each with its N-bus,
  * single-bus and crossbar result buses, plus one replicated-unit
- * variant per family.  Every machine runs unarmed over all 14 loops
- * and the four standard configurations, and under four predictors
- * over the 14 loops and M11BR5/M5BR2.
+ * variant per family, then seq/ooo at widths 1 and 4 with the same
+ * three buses.  Every machine runs unarmed over all 14 loops and the
+ * four standard configurations, and under four predictors over the
+ * 14 loops and M11BR5/M5BR2.
+ *
+ * golden/multi_issue_obs.txt pins the instrumented runs of seq/ooo at
+ * widths 1, 2, 4 and 8: the stall attribution and a digest of the
+ * audit event and stall-sample streams (multiIssueObsLine()).
  */
 
 #ifndef MFUSIM_TESTS_MULTI_ISSUE_CELLS_HH
 #define MFUSIM_TESTS_MULTI_ISSUE_CELLS_HH
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -23,6 +29,9 @@
 #include <vector>
 
 #include "mfusim/core/machine_config.hh"
+#include "mfusim/obs/metrics.hh"
+#include "mfusim/obs/pipe_trace.hh"
+#include "mfusim/obs/run_metrics.hh"
 #include "mfusim/sim/multi_issue_sim.hh"
 #include "mfusim/sim/ruu_sim.hh"
 
@@ -87,6 +96,15 @@ multiIssueMachines()
     replicated.fuCopies = 2;
     replicated.memPorts = 2;
     m.push_back({ "ruu:4:50/fuc2mp2", ruu(replicated) });
+    for (const bool ooo : { false, true }) {
+        const std::string family = ooo ? "ooo:" : "seq:";
+        for (const unsigned width : { 1u, 4u }) {
+            for (const auto &[suffix, bus] : buses) {
+                m.push_back({ family + std::to_string(width) + suffix,
+                              multi({ width, ooo, bus }) });
+            }
+        }
+    }
     return m;
 }
 
@@ -133,6 +151,81 @@ multiIssueCellLine(const std::string &machine, const std::string &pred,
         << r.stalls.resultBus << ' ' << r.stalls.branch << ' '
         << r.steadyOpsSkipped << ' ' << r.squashes << ' '
         << r.wrongPathOps;
+    return out.str();
+}
+
+/**
+ * A PipeTraceRecorder that also folds the audit event stream and the
+ * stall-sample stream into two FNV-1a 64 digests.
+ */
+class DigestingRecorder : public PipeTraceRecorder
+{
+  public:
+    void
+    onEvent(const AuditEvent &event) override
+    {
+        PipeTraceRecorder::onEvent(event);
+        mix(events, event.cycle, 8);
+        mix(events, event.op, 8);
+        mix(events, std::uint32_t(event.unit), 4);
+        mix(events, std::uint8_t(event.phase), 1);
+    }
+
+    void
+    onStall(const StallSample &sample) override
+    {
+        PipeTraceRecorder::onStall(sample);
+        mix(stallSamples, sample.from, 8);
+        mix(stallSamples, sample.cycles, 8);
+        mix(stallSamples, sample.op, 8);
+        mix(stallSamples, std::uint8_t(sample.cause), 1);
+    }
+
+    std::uint64_t events = kFnvBasis;
+    std::uint64_t stallSamples = kFnvBasis;
+
+  private:
+    static constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+    /** Fold the low @p bytes bytes of @p value, least significant
+     *  first. */
+    static void
+    mix(std::uint64_t &hash, std::uint64_t value, unsigned bytes)
+    {
+        for (unsigned b = 0; b < bytes; ++b) {
+            hash ^= (value >> (8 * b)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    }
+};
+
+/**
+ * One golden/multi_issue_obs.txt line: @p sim's instrumented run of
+ * @p trace (loop @p loop under @p pred, "-" for none): machine,
+ * predictor, loop, cycles, the cycles.stall.<cause> totals of
+ * populateRunMetrics() in StallCause order, then the event and
+ * stall-sample digests in hex.
+ */
+inline std::string
+multiIssueObsLine(const std::string &machine, const std::string &pred,
+                  int loop, Simulator &sim, const DecodedTrace &trace)
+{
+    DigestingRecorder rec;
+    sim.attachAudit(&rec);
+    const SimResult r = sim.run(trace);
+    sim.attachAudit(nullptr);
+    MetricsRegistry reg;
+    populateRunMetrics(reg, trace, rec, r, sim);
+
+    std::ostringstream out;
+    out << machine << ' ' << (pred.empty() ? "-" : pred) << ' ' << loop
+        << ' ' << r.cycles;
+    for (unsigned c = 0; c < kNumStallCauses; ++c) {
+        out << ' '
+            << reg.counterValue(std::string("cycles.stall.") +
+                                stallCauseName(StallCause(c)));
+    }
+    out << ' ' << std::hex << rec.events << ' ' << rec.stallSamples;
     return out.str();
 }
 
