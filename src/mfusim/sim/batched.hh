@@ -1,6 +1,6 @@
 /**
  * @file
- * Batched lockstep sweep kernel: one trace pass advances many
+ * Batched lockstep sweep: one trace pass advances many
  * configuration lanes.
  *
  * Every paper table sweeps one op stream across orthogonal machine
@@ -16,34 +16,28 @@
  * other's state, so any interleaving is bit-identical and the block
  * schedule is purely a locality choice.
  *
- * Lockstep is possible because the covered machines consume ops in
- * program order: SimpleSim and ScoreboardSim issue one op at a time,
- * and in-order MultiIssueSim's window boundaries and issue order are
- * timing-independent (a window is refilled only when drained, and a
- * squashing branch truncates it by trace structure alone).  The
- * single-issue lanes are the simulators' own Lane state advanced by
- * their own advance() — run() is the one-lane case — so only the
- * in-order multiple-issue machine has a kernel here.  It replaces the
- * scalar pass-rescan loop with its exact fixpoint: an op issues at
- * the least cycle >= its predecessor's issue cycle (plus one across
- * a window refill) that satisfies its dependence, branch-floor,
- * functional-unit and result-bus constraints — the same cycle the
- * scalar pass loop converges to, because its event hints are exact.
+ * Lockstep needs no kernel of its own: every covered machine —
+ * SimpleSim, ScoreboardSim and MultiIssueSim, in either issue order —
+ * defines its whole timing state as a Lane and one advance() over
+ * it, and run() is the one-lane case.  runBatch() only groups lanes
+ * and calls advance() block by block, so a batched result is the
+ * scalar result by construction; the golden fixtures
+ * (tests/golden/single_issue_cells.txt, multi_issue_cells.txt) check
+ * the timing itself.
  *
  * The steady-state fast path composes per lane: each lane owns a
- * SteadyStateTracker and observes the same boundaries with the same
- * signature recipe as its scalar simulator, so it takes the same
- * skips.  A lane whose skip extrapolates past the current block
- * leaves it early; the blocks the skip crossed pass over the lane
- * with one cursor compare.
+ * SteadyStateTracker and takes the same skips as its scalar run.  A
+ * lane whose skip extrapolates past the current block leaves it
+ * early; the blocks the skip crossed pass over the lane with one
+ * cursor compare.
  *
- * Lanes that lockstep does not cover — out-of-order issue, the RUU
- * machines, vector traces, replicated units or an armed predictor
- * under multiple issue, audited runs (they need the instrumented
+ * Lanes that lockstep does not cover — the RUU, CDC 6600 and
+ * Tomasulo machines, audited runs (they need the instrumented
  * instantiation), structurally incompatible traces, and single-lane
- * batches — fall back to the scalar run() inside the same call, so
- * callers need no capability logic.  Results are bit-identical to the
- * scalar path in every covered and uncovered case.
+ * groups — fall back to the scalar run() inside the same call, so
+ * callers need no capability logic.  Errors are the scalar path's
+ * too: a multiple-issue lane over a vector trace throws the same
+ * SimError, and a tripped watchdog the same diagnosis.
  */
 
 #ifndef MFUSIM_SIM_BATCHED_HH
@@ -77,7 +71,7 @@ struct BatchOutcome
 {
     /** Per-lane results, in lane order; bit-identical to scalar. */
     std::vector<SimResult> results;
-    /** Lanes advanced by a lockstep kernel. */
+    /** Lanes advanced in block lockstep. */
     std::size_t lockstepLanes = 0;
     /** Lanes that fell back to the scalar path. */
     std::size_t scalarLanes = 0;
@@ -86,8 +80,8 @@ struct BatchOutcome
 /**
  * Advance every lane over its trace and return the per-lane results.
  * Lanes are grouped by machine kind and structural trace family;
- * groups of two or more compatible lanes run a lockstep kernel, all
- * other lanes run their simulator's scalar path.  Exceptions from
+ * groups of two or more compatible lanes advance in block lockstep,
+ * all other lanes run their simulator's scalar path.  Exceptions from
  * any lane propagate (the batch is abandoned, as a scalar sweep
  * cell's would be).
  */
@@ -107,7 +101,7 @@ bool structurallyIdentical(const DecodedTrace &a, const DecodedTrace &b);
  * Cumulative process-lifetime runBatch() telemetry, for the serve
  * daemon's /metrics endpoint (monotone counters).  `lanes` is the
  * total batch size submitted across all calls; the lockstep/scalar
- * split tells how much of it the kernels actually covered.
+ * split tells how much of it lockstep actually covered.
  */
 struct BatchTelemetry
 {

@@ -6,12 +6,13 @@
 #include "mfusim/sim/multi_issue_sim.hh"
 
 #include <algorithm>
-#include <array>
+#include <cassert>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "mfusim/core/error.hh"
-#include "mfusim/sim/steady_state.hh"
+#include "mfusim/spec/predictor.hh"
 
 namespace mfusim
 {
@@ -20,6 +21,141 @@ namespace
 {
 
 constexpr ClockCycle kNever = std::numeric_limits<ClockCycle>::max();
+constexpr std::uint32_t kNoProd = DecodedTrace::kNoProducer;
+constexpr std::size_t kNoIdx = MultiIssueSim::Lane::kNoFloor;
+
+/**
+ * Diagnose and abort a tripped watchdog: op @p j, the oldest unissued
+ * op, found no issue slot in the pass at cycle @p t, whose next event
+ * @p next lies more than @p watchdog cycles after the latest issue.
+ * Names the hazard that blocks it.  Kept out of line, with every
+ * clock value passed by value, so the string building neither bloats
+ * the issue loops it guards nor pins their state to memory.
+ */
+[[noreturn]] __attribute__((noinline, cold)) void
+throwWatchdog(const MultiIssueSim::Lane &lane, ClockCycle watchdog,
+              std::size_t j, ClockCycle t, ClockCycle lastEvent,
+              ClockCycle next, std::size_t floorIdx,
+              ClockCycle floorTime)
+{
+    const DecodedTrace &trace = *lane.trace;
+    ClockCycle earliest = 0;
+    std::uint32_t blocker = kNoProd;
+    for (const std::uint32_t prod :
+         { trace.prodA(j), trace.prodB(j), trace.prevWriter(j) }) {
+        if (prod != kNoProd && lane.completion[prod] > earliest) {
+            earliest = lane.completion[prod];
+            blocker = prod;
+        }
+    }
+    std::string why;
+    if (floorIdx < j && floorTime > earliest) {
+        why = "the branch floor of op #" + std::to_string(floorIdx) +
+            " (cycle " + std::to_string(floorTime) + ")";
+    } else if (earliest > t && blocker != kNoProd) {
+        why = "the result of op #" + std::to_string(blocker) + " (" +
+            mnemonicOf(trace.op(blocker)) + ", completes at cycle " +
+            std::to_string(lane.completion[blocker]) + ")";
+    } else if (!lane.pool.canAccept(trace.fu(j), t)) {
+        why = std::string("the ") + fuClassName(trace.fu(j)) +
+            " unit (accepts at cycle " +
+            std::to_string(lane.pool.earliestAccept(trace.fu(j), t)) +
+            ")";
+    } else {
+        why = "a result-bus slot at cycle " +
+            std::to_string(t + trace.latency(j));
+    }
+    throw SimError(
+        "MultiIssueSim: no issue for " +
+        std::to_string(next - lastEvent) + " cycles (watchdog " +
+        std::to_string(watchdog) + "; cycles " +
+        std::to_string(lastEvent) + ".." + std::to_string(next) +
+        "): oldest unissued op #" + std::to_string(j) + " (" +
+        mnemonicOf(trace.op(j)) + ") is waiting for " + why);
+}
+
+/** The check an in-order op waits on. */
+enum class Check
+{
+    kDependence,    //!< its producers or the branch floor
+    kUnit,          //!< its functional unit
+    kBus,           //!< its result bus
+};
+
+/**
+ * In-order issue: the least cycle >= @p t at which op @p j clears
+ * @p earliest (its dependences and the branch floor), its functional
+ * unit and its result bus (@p busIdx, or any bus on a crossbar) —
+ * found by jumping from each failing check to the exact cycle it
+ * clears.  @p onWait(at, next, check) sees every jump, in order.
+ * Changes no state, so a diagnosis can replay it: a bus window
+ * answers any query at or after its base exactly, and no op looks
+ * before the previous issue cycle, so queries slide nothing.
+ */
+template <class OnWait>
+inline __attribute__((always_inline)) ClockCycle
+inOrderIssueCycle(MultiIssueSim::Lane &lane, std::size_t j,
+                  std::size_t busIdx, bool crossbar, ClockCycle t,
+                  ClockCycle earliest, OnWait &&onWait)
+{
+    const DecodedTrace &trace = *lane.trace;
+    const FuClass fu = trace.fu(j);
+    const unsigned latency = trace.latency(j);
+    const bool produces = trace.producesResult(j);
+    ClockCycle at = t;
+    if (earliest > at) {
+        onWait(at, earliest, Check::kDependence);
+        at = earliest;
+    }
+    while (true) {
+        const ClockCycle at_fu = lane.pool.earliestAccept(fu, at);
+        if (at_fu != at) {
+            onWait(at, at_fu, Check::kUnit);
+            at = at_fu;
+        }
+        if (!produces)
+            return at;
+        ClockCycle slot = kNever;
+        if (crossbar) {
+            for (std::size_t b = 0; b < lane.bus.numBusses(); ++b)
+                slot = std::min(slot,
+                                lane.bus.bus(b).nextFreeSlot(at + latency));
+        } else {
+            slot = lane.bus.bus(busIdx).nextFreeSlot(at + latency);
+        }
+        if (slot == at + latency)
+            return at;
+        onWait(at, slot - latency, Check::kBus);
+        at = slot - latency;    // recheck the unit
+    }
+}
+
+/**
+ * The watchdog of in-order op @p j tripped somewhere on its way from
+ * @p t to its issue cycle: replay the way to the first jump that
+ * trips it and diagnose the op there, as a cycle-by-cycle scan would
+ * (one that first finds the op blocked at @p chargeFrom).
+ */
+[[noreturn]] __attribute__((noinline, cold)) void
+throwInOrderWatchdog(MultiIssueSim::Lane &lane, ClockCycle watchdog,
+                     std::size_t j, std::size_t busIdx, bool crossbar,
+                     ClockCycle t, ClockCycle chargeFrom,
+                     ClockCycle earliest, ClockCycle lastEvent,
+                     std::size_t floorIdx, ClockCycle floorTime)
+{
+    const ClockCycle at = inOrderIssueCycle(
+        lane, j, busIdx, crossbar, t, earliest,
+        [&](ClockCycle from, ClockCycle next, Check) {
+            if (next - lastEvent > watchdog) {
+                throwWatchdog(lane, watchdog, j,
+                              std::max(from, chargeFrom), lastEvent,
+                              next, floorIdx, floorTime);
+            }
+        });
+    // Unreachable: the issue cycle is the last jump's target.
+    throwWatchdog(lane, watchdog, j, t, lastEvent, at, floorIdx,
+                  floorTime);
+}
 
 } // namespace
 
@@ -59,336 +195,346 @@ MultiIssueSim::cacheKey() const
                                 : std::string());
 }
 
-SimResult
-MultiIssueSim::run(const DecodedTrace &trace)
+MultiIssueSim::Lane::Lane(const MultiIssueSim &sim,
+                          const DecodedTrace &t_,
+                          ClockCycle *completion_)
+    : trace(&t_), completion(completion_),
+      pool({ FuDiscipline::kSegmented, MemDiscipline::kInterleaved,
+             sim.org_.fuCopies, sim.org_.memPorts },
+           sim.cfg_),
+      bus(sim.org_.busKind, sim.org_.width),
+      tracker(steadyStateEnabled() && sim.auditSink() == nullptr &&
+                      sim.cfg_.predictor.isStatic()
+                  ? &t_.periodicity()
+                  : nullptr,
+              t_.size()),
+      boundary(tracker.nextBoundary())
 {
-    return auditSink() ? runImpl<true>(trace) : runImpl<false>(trace);
-}
-
-template <bool kObs>
-SimResult
-MultiIssueSim::runImpl(const DecodedTrace &trace)
-{
-    checkDecodedConfig(trace, cfg_);
-    SimResult result;
-    result.instructions = trace.size();
-    if (trace.empty())
-        return result;
-
-    const std::size_t n = trace.size();
-
-    // The multiple-issue study is scalar-only, as in the paper.
-    if (trace.hasVector()) {
+    checkDecodedConfig(t_, sim.cfg_);
+    if (t_.hasVector()) {
         throw SimError(
             "MultiIssueSim: vector instructions are not "
             "supported (the paper's multiple-issue study is "
             "scalar-only; use ScoreboardSim)");
     }
-
     // Armed predictor: the front end speculates down the predicted
     // path.  Prediction outcomes are precomputed once in trace order
     // (they are timing-independent; wrong-path ops never update the
     // predictor).  Without one every branch blocks (the paper).
-    const bool spec = cfg_.predictor.armed();
-    std::vector<std::uint8_t> predOk;
-    if (spec)
-        predOk = precomputePredictions(trace, cfg_.predictor);
+    if (sim.cfg_.predictor.armed())
+        predOk = precomputePredictions(t_, sim.cfg_.predictor);
+}
 
-    // A branch is "predicted free" when it resolves without gating
-    // the stream: a correctly predicted branch.
-    const auto predicted_free = [&trace, spec, &predOk](std::size_t j) {
-        return spec && trace.isBranch(j) && predOk[j] != 0;
-    };
-    // Under a predictor the front end carries on past every branch
-    // without waiting for its condition: a mispredicted one resolves
-    // (and squashes) in the background.
-    const auto issue_free = [&trace, spec](std::size_t j) {
-        return spec && trace.isBranch(j);
-    };
+SimResult
+MultiIssueSim::result(const Lane &lane)
+{
+    SimResult result;
+    result.instructions = lane.trace->size();
+    result.cycles = lane.end;
+    result.steadyOpsSkipped = lane.tracker.opsSkipped();
+    result.squashes = lane.squashes;
+    result.wrongPathOps = lane.wrongPathOps;
+    return result;
+}
+
+SimResult
+MultiIssueSim::run(const DecodedTrace &trace)
+{
+    std::vector<ClockCycle> completion(trace.size(), 0);
+    Lane lane(*this, trace, completion.data());
+    if (auditSink())
+        advance<true>(lane, trace.size());
+    else
+        advance<false>(lane, trace.size());
+    return result(lane);
+}
+
+template <bool kObs>
+void
+MultiIssueSim::advance(Lane &lane, std::size_t stop) const
+{
+    if (org_.outOfOrder)
+        advanceWindows<kObs, true>(lane, stop);
+    else
+        advanceWindows<kObs, false>(lane, stop);
+}
+
+template <bool kObs, bool kOutOfOrder>
+void
+MultiIssueSim::advanceWindows(Lane &lane, std::size_t stop) const
+{
+    const DecodedTrace &trace = *lane.trace;
+    const std::size_t n = trace.size();
+    ClockCycle *const completion = lane.completion;
+    FuPool &pool = lane.pool;
+    ResultBusSet &bus = lane.bus;
+    SteadyStateTracker &tracker = lane.tracker;
+    const bool spec = !lane.predOk.empty();
+    const std::uint8_t *const predOk = lane.predOk.data();
+    const unsigned width = org_.width;
+    const ClockCycle branch_time = cfg_.branchTime;
+    const bool crossbar = bus.kind() == BusKind::kCrossbar;
+    const bool single_bus = bus.kind() == BusKind::kSingle;
+    const ClockCycle watchdog = org_.watchdogCycles > 0
+                                    ? org_.watchdogCycles
+                                    : kDefaultWatchdogCycles;
+
+    // The hot scalars live in locals for the whole call (registers
+    // across a batched block) and are stored back once at the end.
+    std::size_t wStart = lane.cursor;
+    std::size_t boundary = lane.boundary;
+    ClockCycle t = lane.t;
+    ClockCycle last_event = lane.lastEvent;
+    ClockCycle end = lane.end;
+    std::size_t floorIdx = lane.floorIdx;
+    ClockCycle floorTime = lane.floorTime;
+    ClockCycle floorResolve = lane.floorResolve;
+    bool floorMispredict = lane.floorMispredict;
+    std::uint64_t squashes = lane.squashes;
+    std::uint64_t wrongPathOps = lane.wrongPathOps;
+    std::uint64_t mispredictCycles = lane.mispredictCycles;
+
     // A branch squashes the buffer slots behind it when the machine
     // must refetch: a mispredicted branch, or a taken branch on the
     // blocking front end.
-    const auto squashes = [&trace, spec,
-                           &predicted_free](std::size_t j) {
-        if (!trace.isBranch(j) || predicted_free(j))
-            return false;
-        return spec || trace.taken(j);
+    const auto squashes_window = [&trace, spec, predOk](std::size_t j) {
+        return trace.isBranch(j) && (spec ? !predOk[j] : trace.taken(j));
     };
-
-    // Program-order dependence links, precomputed at decode time.
-    // With out-of-order issue a younger instruction may write a
-    // register before an older reader has issued; the older reader
-    // must wait on its *true* (program-order) producer, not on
-    // whatever wrote the register most recently.  (The paper ignores
-    // WAR hazards, so the younger write neither blocks nor creates a
-    // dependence.)  prodA/prodB point at the last earlier writer of
-    // each source; prevWriter at the last earlier writer of the
-    // destination (the CRAY WAW register reservation).
-    constexpr std::uint32_t kNoProd = DecodedTrace::kNoProducer;
-    // Completion (result-available) time of each issued instruction.
-    std::vector<ClockCycle> completion(n, 0);
-    FuPool pool({ FuDiscipline::kSegmented,
-                  MemDiscipline::kInterleaved, org_.fuCopies,
-                  org_.memPorts },
-                cfg_);
-    ResultBusSet bus(org_.busKind, org_.width);
-
-    std::vector<bool> issued(org_.width, false);
-    // Static buffer-order hazards of the current window, as
-    // bitmasks: bit k of conflict[j] is set when window entry k
-    // (k < j) blocks entry j while k is unissued.  Whether a pair
-    // conflicts depends only on the instructions (registers, branch
-    // prediction), not on timing, so the masks are computed once per
-    // window and each pass's hazard scan collapses to one AND
-    // against the unissued mask.  Windows wider than 64 fall back to
-    // the per-pair scan.
-    const bool use_masks = org_.width <= 64;
-    std::vector<std::uint64_t> conflict(use_masks ? org_.width : 0);
-    std::uint64_t unissued_mask = 0;
-
-    // Issue floor imposed by the most recently issued branch: no
-    // instruction that follows it in program order may issue before
-    // floorTime.  When the floor comes from a squashed mispredict,
-    // floorResolve splits it for stall attribution: cycles before
-    // the resolve were spent fetching the wrong path, cycles after
-    // it are the post-squash redirect.
-    std::size_t floorIdx = std::numeric_limits<std::size_t>::max();
-    ClockCycle floorTime = 0;
-    ClockCycle floorResolve = 0;
-    bool floorMispredict = false;
 
     // One mispredicted branch can be pending per window (it
     // truncates the window behind itself); its resolve time and
     // wrong-path fetch are settled once the window drains, when the
     // condition producer's completion time is known.
-    constexpr std::size_t kNoPending =
-        std::numeric_limits<std::size_t>::max();
-    std::size_t pendingBranch = kNoPending;
+    std::size_t pendingBranch = kNoIdx;
     ClockCycle pendingIssue = 0;
-    std::uint64_t mispredictCycles = 0;
 
-    ClockCycle t = 0;
-    ClockCycle end = 0;
-    // Forgetting horizon of the result-bus reservation window: the
-    // wrong-path pollution below may only reserve cycles the bus
-    // still remembers (>= its last advanceTo).
-    ClockCycle busBase = 0;
-    // No-forward-progress watchdog: cycle of the most recent issue.
-    const ClockCycle watchdog = org_.watchdogCycles > 0
-                                    ? org_.watchdogCycles
-                                    : kDefaultWatchdogCycles;
-    ClockCycle last_event = 0;
-    // Diagnose and abort a tripped watchdog: name the oldest
-    // unissued op and the hazard that blocks it.  Kept out of line
-    // so the string building does not bloat the issue loop it
-    // guards; the hot window bounds come in as arguments so their
-    // addresses never escape into the closure.
-    const auto throw_watchdog =
-        [&](ClockCycle next, std::size_t wStart, std::size_t wEnd)
-            __attribute__((noinline, cold)) {
-        std::size_t oldest = wEnd;
-        for (std::size_t j = wStart; j < wEnd; ++j) {
-            if (!issued[j - wStart]) {
-                oldest = j;
-                break;
+    // Issue op @p j at cycle @p at from issue unit @p unit: the
+    // bookkeeping both issue orders share.  The caller has reserved
+    // its result bus.
+    const auto issue = [&](std::size_t j, bool is_branch, ClockCycle at,
+                           unsigned unit, ClockCycle ready, bool produces)
+        __attribute__((always_inline)) {
+        if constexpr (kObs) {
+            emitAudit(AuditPhase::kIssue, at, j, std::int32_t(unit));
+            if (!is_branch) {
+                emitAudit(AuditPhase::kComplete, ready, j,
+                          produces ? std::int32_t(unit) : -1);
             }
         }
-        std::string why = "unknown hazard";
-        if (oldest < wEnd) {
-            const std::size_t j = oldest;
-            ClockCycle earliest = 0;
-            std::uint32_t blocker = kNoProd;
-            for (const std::uint32_t prod :
-                 { trace.prodA(j), trace.prodB(j),
-                   trace.prevWriter(j) }) {
-                if (prod != kNoProd && completion[prod] > earliest) {
-                    earliest = completion[prod];
-                    blocker = prod;
-                }
-            }
-            if (floorIdx < j && floorTime > earliest) {
-                why = "the branch floor of op #" +
-                    std::to_string(floorIdx) + " (cycle " +
-                    std::to_string(floorTime) + ")";
-            } else if (earliest > t && blocker != kNoProd) {
-                why = "the result of op #" +
-                    std::to_string(blocker) + " (" +
-                    mnemonicOf(trace.op(blocker)) +
-                    ", completes at cycle " +
-                    std::to_string(completion[blocker]) + ")";
-            } else if (!pool.canAccept(trace.fu(j), t)) {
-                why = std::string("the ") +
-                    fuClassName(trace.fu(j)) +
-                    " unit (accepts at cycle " +
-                    std::to_string(pool.earliestAccept(
-                        trace.fu(j), t)) +
-                    ")";
+        completion[j] = ready;
+        if (is_branch) {
+            if (spec && !predOk[j]) {
+                pendingBranch = j;
+                pendingIssue = at;
+                end = std::max(end, at + 1);
+            } else if (spec) {
+                // Predicted correctly: one issue slot, no gating.
+                end = std::max(end, at + 1);
             } else {
-                why = "a result-bus slot at cycle " +
-                    std::to_string(t + trace.latency(j));
+                floorIdx = j;
+                floorTime = at + branch_time;
+                end = std::max(end, floorTime);
             }
+        } else {
+            end = std::max(end, ready);
         }
-        throw SimError(
-            "MultiIssueSim: no issue for " +
-            std::to_string(next - last_event) +
-            " cycles (watchdog " + std::to_string(watchdog) +
-            "; cycles " + std::to_string(last_event) + ".." +
-            std::to_string(next) + "): oldest unissued op #" +
-            std::to_string(oldest) +
-            (oldest < wEnd
-                 ? std::string(" (") +
-                       mnemonicOf(trace.op(oldest)) +
-                       ") is waiting for " + why
-                 : std::string(" is outside the window")));
     };
 
-    // Steady-state fast path (see sim/steady_state.hh; audit runs
-    // use the plain path).  Boundaries are checked at window refill;
-    // under a predictor the window strides past them, which the
-    // tracker handles by folding the cursor-boundary offset into the
-    // signature.  Boundary state: the watchdog gap, the branch floor,
-    // the completion times the segment can still read (its
-    // link-lookback window plus fixed pre-segment producers), the
-    // pool and bus timelines, and the end watermark; a mispredict
-    // always settles before the refill.  Predictors with history
-    // (2-bit counters, fixed-accuracy hashes) do not respect the
-    // trace's loop period, so the fast path stays off for them.
-    const bool steady = !kObs && steadyStateEnabled() &&
-        cfg_.predictor.isStatic();
-    SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
-                               n);
-    std::size_t boundary = tracker.nextBoundary();
+    // The cycles op @p j waits for: its producers' results (raw: the
+    // sources; waw: the previous writer of its destination) and,
+    // with the branch floor, the earliest cycle they allow.  Under a
+    // predictor the front end carries on past every branch without
+    // waiting for its condition: a mispredicted one resolves (and
+    // squashes) in the background.
+    struct Dependences
+    {
+        ClockCycle raw;
+        ClockCycle waw;
+        ClockCycle earliest;
+    };
+    const auto dependences = [&](std::size_t j)
+        __attribute__((always_inline)) {
+        const std::uint32_t prodA = trace.prodA(j);
+        const std::uint32_t prodB = trace.prodB(j);
+        const std::uint32_t prevW = trace.prevWriter(j);
+        Dependences d{ 0, 0, 0 };
+        if (!(spec && trace.isBranch(j)) && prodA != kNoProd)
+            d.raw = completion[prodA];
+        if (prodB != kNoProd)
+            d.raw = std::max(d.raw, completion[prodB]);
+        if (prevW != kNoProd)
+            d.waw = completion[prevW];
+        d.earliest = std::max(d.raw, d.waw);
+        if (floorIdx < j)
+            d.earliest = std::max(d.earliest, floorTime);
+        return d;
+    };
+    // Why op @p j, blocked at cycle @p at by its dependences @p d, is
+    // waiting: the binding constraint in the paper's conflict
+    // classes, or the floor of a squashed mispredict — wrong-path
+    // fetch up to its resolve, the refetch redirect after it.
+    const auto dependence_cause = [&](std::size_t j, const Dependences &d,
+                                      ClockCycle at) {
+        if (floorMispredict && floorIdx < j && floorTime == d.earliest &&
+            d.raw != d.earliest && d.waw != d.earliest) {
+            return at < floorResolve ? StallCause::kMispredict
+                                     : StallCause::kSquashDrain;
+        }
+        return trace.isBranch(j)      ? StallCause::kBranch
+               : d.raw == d.earliest ? StallCause::kRaw
+               : d.waw == d.earliest ? StallCause::kWaw
+                                     : StallCause::kBranch;
+    };
+    // Charge cycles [@p from, @p next) to @p cause for op @p j; a
+    // wrong-path wait that outlasts the resolve ends as squash drain.
+    const auto charge = [&](StallCause cause, ClockCycle from,
+                            ClockCycle next, std::size_t j) {
+        if (cause == StallCause::kMispredict && next > floorResolve) {
+            emitStall(StallCause::kMispredict, from, floorResolve - from,
+                      j);
+            emitStall(StallCause::kSquashDrain, floorResolve,
+                      next - floorResolve, j);
+        } else {
+            emitStall(cause, from, next - from, j);
+        }
+    };
 
-    std::size_t wStart = 0;             // first instruction in buffer
-    while (wStart < n) {
-        if (wStart >= boundary) {
-            if (tracker.beginObserve(wStart)) {
-                const TraceSegment &seg = tracker.segment();
-                const std::size_t lw = seg.lookback;
-                if (wStart < lw) {
-                    // Not enough simulated history to snapshot the
-                    // lookback window.
-                    tracker.cancelObserve();
-                } else {
-                    const ClockCycle base = t;
-                    auto &sig = tracker.sigBuffer();
-                    sig.push_back(t - last_event);  // watchdog: exact
-                    sig.push_back(
-                        floorIdx != std::numeric_limits<
-                                        std::size_t>::max() &&
-                                floorTime > base
-                            ? floorTime - base
-                            : 0);
-                    for (std::size_t q = wStart - lw; q < wStart; ++q)
-                        sig.push_back(completion[q] > base
-                                          ? completion[q] - base
-                                          : 0);
-                    // A live pre-segment completion can never match
-                    // across boundaries (it is a fixed cycle while
-                    // the clock advances), so a match certifies all
-                    // of these are stale — no shift needed.
-                    for (const std::uint32_t a : seg.ancients)
-                        sig.push_back(completion[a] > base
-                                          ? completion[a] - base
-                                          : 0);
-                    pool.appendSignature(base, sig);
-                    bus.appendSignature(base, sig);
-                    sig.push_back(end - base);  // end >= t at refill
-                    const std::uint64_t counters[3] = {
-                        result.squashes, result.wrongPathOps,
-                        mispredictCycles
-                    };
-                    if (const auto skip =
-                            tracker.finishObserve(base, counters, 3)) {
-                        const std::size_t oldW = wStart;
-                        wStart += skip->ops;
-                        t += skip->delta;
-                        end += skip->delta;
-                        last_event += skip->delta;
-                        if (floorIdx != std::numeric_limits<
-                                            std::size_t>::max())
-                            floorTime += skip->delta;
-                        pool.shiftTime(skip->delta);
-                        bus.shiftTime(skip->delta);
-                        result.squashes += skip->counters[0];
-                        result.wrongPathOps += skip->counters[1];
-                        mispredictCycles += skip->counters[2];
-                        // Refill the lookback window behind the
-                        // landing cursor with the state shift: the
-                        // source op has the same cursor-relative
-                        // phase and was simulated exactly.
-                        for (std::size_t q = wStart - lw; q < wStart;
-                             ++q) {
-                            if (q < oldW)
-                                continue;       // simulated exactly
-                            completion[q] =
-                                completion[q - skip->ops] +
-                                skip->delta;
+    // In-order issue: each op of the window [wStart, @p wEnd) at the
+    // least cycle that clears its constraints (see the class
+    // comment), no earlier than the previous op's.
+    const auto schedule_in_order = [&](std::size_t wEnd)
+        __attribute__((always_inline)) {
+        for (std::size_t i = wStart; i < wEnd; ++i) {
+            const std::uint8_t flags = trace.flags(i);
+            const bool is_branch = flags & DecodedTrace::kIsBranch;
+            const bool produces = flags & DecodedTrace::kProducesResult;
+            const unsigned unit = unsigned(i - wStart);
+            const std::size_t bus_idx = single_bus ? 0 : unit;
+            const Dependences d = dependences(i);
+
+            // Within a window the next op may issue in the same cycle
+            // as the previous one, so a cycle-by-cycle scan would
+            // first find it blocked one cycle later: stalls are
+            // charged from there.  The instrumented run checks the
+            // watchdog at each jump, before charging it; the plain
+            // run once per op, replaying the jumps only if it trips.
+            const ClockCycle charge_from = i == wStart ? t : t + 1;
+            const ClockCycle at = inOrderIssueCycle(
+                lane, i, bus_idx, crossbar, t, d.earliest,
+                [&]([[maybe_unused]] ClockCycle jump_at,
+                    [[maybe_unused]] ClockCycle next,
+                    [[maybe_unused]] Check check) {
+                    if constexpr (kObs) {
+                        const ClockCycle from =
+                            std::max(jump_at, charge_from);
+                        if (next - last_event > watchdog) {
+                            throwWatchdog(lane, watchdog, i, from,
+                                          last_event, next, floorIdx,
+                                          floorTime);
                         }
+                        charge(check == Check::kUnit  ? StallCause::kFuBusy
+                               : check == Check::kBus ? StallCause::kBusBusy
+                                   : dependence_cause(i, d, from),
+                               from, next, i);
                     }
+                });
+            if constexpr (!kObs) {
+                if (at - last_event > watchdog) {
+                    throwInOrderWatchdog(lane, watchdog, i, bus_idx,
+                                         crossbar, t, charge_from,
+                                         d.earliest, last_event,
+                                         floorIdx, floorTime);
                 }
             }
-            boundary = tracker.nextBoundary();
-        }
-        // Window [wStart, wEnd): a taken branch squashes the slots
-        // behind it (they hold wrong-path instructions that never
-        // issue), so the issuable window ends just after it.
-        std::size_t wEnd = std::min(wStart + org_.width, n);
-        for (std::size_t j = wStart; j < wEnd; ++j) {
-            if (squashes(j)) {
-                wEnd = j + 1;
-                break;
-            }
-        }
-        std::fill(issued.begin(), issued.end(), false);
 
+            const FuClass fu = trace.fu(i);
+            const ClockCycle ready =
+                pool.accept(fu, at, trace.latency(i));
+            if (produces) {
+                // The crossbar takes the first bus with the
+                // completion cycle free.
+                std::size_t b = crossbar ? 0 : bus_idx;
+                while (true) {
+                    CycleReservations &rb = bus.bus(b);
+                    rb.advanceTo(at);
+                    if (rb.tryReserve(ready))
+                        break;
+                    assert(crossbar && b + 1 < bus.numBusses() &&
+                           "result bus slot taken");
+                    ++b;
+                }
+            }
+            issue(i, is_branch, at, unit, ready, produces);
+            last_event = at;
+            t = at;
+        }
+        t += 1;
+    };
+
+    // Out-of-order issue: rescan the window pass by pass.
+    //
+    // Program-order dependence links, precomputed at decode time:
+    // a younger instruction may write a register before an older
+    // reader has issued; the older reader must wait on its *true*
+    // (program-order) producer, not on whatever wrote the register
+    // most recently.  (The paper ignores WAR hazards, so the younger
+    // write neither blocks nor creates a dependence.)
+    std::vector<bool> issued;
+    std::vector<std::uint64_t> conflict;
+    // Static buffer-order hazards of the current window, as bitmasks:
+    // bit k of conflict[j] is set when window entry k (k < j) blocks
+    // entry j while k is unissued.  Whether a pair conflicts depends
+    // only on the instructions (registers, branch prediction), not
+    // on timing, so the masks are computed once per window and each
+    // pass's hazard scan collapses to one AND against the unissued
+    // mask.  Windows wider than 64 fall back to the per-pair scan.
+    const bool use_masks = width <= 64;
+    if constexpr (kOutOfOrder) {
+        issued.resize(width);
+        conflict.resize(use_masks ? width : 0);
+    }
+    // A branch blocks the entries behind it unless it is predicted
+    // correctly (the machine does not otherwise speculate); under a
+    // predictor a branch does not wait for its condition.
+    const auto blocks_later = [&trace, spec, predOk](std::size_t k) {
+        return trace.isBranch(k) && !(spec && predOk[k]);
+    };
+    const auto pair_blocks = [&](std::size_t k, std::size_t j) {
+        if (blocks_later(k))
+            return true;                // no speculation
+        const RegId prev_dst = trace.dst(k);
+        if (prev_dst != kNoReg) {
+            if (!(spec && trace.isBranch(j)) &&
+                (prev_dst == trace.srcA(j) || prev_dst == trace.srcB(j)))
+                return true;            // RAW in buffer
+            if (prev_dst == trace.dst(j))
+                return true;            // WAW in buffer
+        }
+        return org_.blockWar && trace.dst(j) != kNoReg &&
+            (trace.srcA(k) == trace.dst(j) ||
+             trace.srcB(k) == trace.dst(j));    // WAR in buffer
+    };
+    const auto schedule_out_of_order = [&](std::size_t wEnd)
+        __attribute__((always_inline)) {
+        std::fill(issued.begin(), issued.end(), false);
         const std::size_t wlen = wEnd - wStart;
+        std::uint64_t unissued_mask = 0;
         if (use_masks) {
             unissued_mask = wlen >= 64 ? ~std::uint64_t(0)
                                        : (std::uint64_t(1) << wlen) - 1;
             for (std::size_t j = wStart; j < wEnd; ++j) {
-                const std::size_t s = j - wStart;
-                if (!org_.outOfOrder) {
-                    // Sequential issue: every unissued predecessor
-                    // blocks.
-                    conflict[s] = (std::uint64_t(1) << s) - 1;
-                    continue;
-                }
                 std::uint64_t mask = 0;
-                const bool free_branch = issue_free(j);
-                const RegId op_dst = trace.dst(j);
-                const RegId op_srcA = trace.srcA(j);
-                const RegId op_srcB = trace.srcB(j);
                 for (std::size_t k = wStart; k < j; ++k) {
-                    bool blocks = false;
-                    if (trace.isBranch(k) && !predicted_free(k))
-                        blocks = true;          // no speculation
-                    const RegId prev_dst = trace.dst(k);
-                    if (prev_dst != kNoReg) {
-                        if (!free_branch &&
-                            (prev_dst == op_srcA ||
-                             prev_dst == op_srcB)) {
-                            blocks = true;      // RAW in buffer
-                        }
-                        if (prev_dst == op_dst)
-                            blocks = true;      // WAW in buffer
-                    }
-                    if (org_.blockWar && op_dst != kNoReg &&
-                        (trace.srcA(k) == op_dst ||
-                         trace.srcB(k) == op_dst)) {
-                        blocks = true;          // WAR in buffer
-                    }
-                    if (blocks)
+                    if (pair_blocks(k, j))
                         mask |= std::uint64_t(1) << (k - wStart);
                 }
-                conflict[s] = mask;
+                conflict[j - wStart] = mask;
             }
         }
 
         std::size_t remaining = wlen;
         while (remaining > 0) {
             bus.advanceTo(t);
-            busBase = t;
             bool progress = false;
             ClockCycle hint = kNever;   // earliest future issue event
 
@@ -402,11 +548,10 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
             [[maybe_unused]] bool seen_unissued = false;
             [[maybe_unused]] StallCause head_cause = StallCause::kOther;
             [[maybe_unused]] std::uint64_t head_op = 0;
-            [[maybe_unused]] bool head_floor_split = false;
 
             for (std::size_t j = wStart; j < wEnd; ++j) {
                 const std::size_t s = j - wStart;
-                bool buffer_hazard;
+                bool buffer_hazard = false;
                 if (use_masks) {
                     if (!(unissued_mask >> s & 1))
                         continue;       // already issued
@@ -414,43 +559,15 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                 } else {
                     if (issued[s])
                         continue;
-                    buffer_hazard = false;
                     for (std::size_t k = wStart;
                          k < j && !buffer_hazard; ++k) {
-                        if (issued[k - wStart])
-                            continue;
-                        if (!org_.outOfOrder) {
-                            // Sequential issue: any unissued
-                            // predecessor blocks.
-                            buffer_hazard = true;
-                            break;
-                        }
-                        if (trace.isBranch(k) && !predicted_free(k)) {
-                            buffer_hazard = true;   // no speculation
-                            break;
-                        }
-                        const RegId prev_dst = trace.dst(k);
-                        if (prev_dst != kNoReg) {
-                            if (!issue_free(j) &&
-                                (prev_dst == trace.srcA(j) ||
-                                 prev_dst == trace.srcB(j))) {
-                                buffer_hazard = true;   // RAW in buffer
-                            }
-                            if (prev_dst == trace.dst(j))
-                                buffer_hazard = true;   // WAW in buffer
-                        }
-                        if (org_.blockWar && trace.dst(j) != kNoReg &&
-                            (trace.srcA(k) == trace.dst(j) ||
-                             trace.srcB(k) == trace.dst(j))) {
-                            buffer_hazard = true;       // WAR in buffer
-                        }
+                        buffer_hazard =
+                            !issued[k - wStart] && pair_blocks(k, j);
                     }
                 }
                 if (buffer_hazard) {
                     if constexpr (kObs)
                         seen_unissued = true;
-                    if (!org_.outOfOrder)
-                        break;      // nothing later may issue either
                     continue;
                 }
                 [[maybe_unused]] bool is_head = false;
@@ -464,63 +581,16 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                 // earlier *unissued* entries) are resolved only by a
                 // later cycle's scan.
                 const unsigned latency = trace.latency(j);
-                const bool free_branch = issue_free(j);
-                ClockCycle earliest = 0;
-                // A predicted-free branch does not wait for its
-                // condition to issue (it resolves in the background).
-                if (!free_branch && trace.prodA(j) != kNoProd)
-                    earliest = std::max(earliest,
-                                        completion[trace.prodA(j)]);
-                if (trace.prodB(j) != kNoProd)
-                    earliest = std::max(earliest,
-                                        completion[trace.prodB(j)]);
-                if (trace.prevWriter(j) != kNoProd)
-                    earliest = std::max(earliest,
-                                        completion[trace.prevWriter(j)]);
-                if (floorIdx < j)
-                    earliest = std::max(earliest, floorTime);
-
-                if (earliest > t) {
+                const Dependences d = dependences(j);
+                if (d.earliest > t) {
                     if constexpr (kObs) {
                         if (is_head && !head_blocked) {
-                            // Decompose the binding register/control
-                            // constraint back into the paper's
-                            // conflict classes.
-                            ClockCycle rawT = 0, wawT = 0;
-                            if (!free_branch &&
-                                trace.prodA(j) != kNoProd)
-                                rawT = completion[trace.prodA(j)];
-                            if (trace.prodB(j) != kNoProd)
-                                rawT = std::max(
-                                    rawT, completion[trace.prodB(j)]);
-                            if (trace.prevWriter(j) != kNoProd)
-                                wawT = completion[trace.prevWriter(j)];
-                            if (floorMispredict && floorIdx < j &&
-                                floorTime == earliest &&
-                                rawT != earliest && wawT != earliest) {
-                                // Blocked by a squashed mispredict:
-                                // wrong-path fetch up to the resolve,
-                                // the refetch redirect after it.
-                                head_cause = t < floorResolve
-                                    ? StallCause::kMispredict
-                                    : StallCause::kSquashDrain;
-                                head_floor_split = t < floorResolve;
-                            } else {
-                                head_cause = trace.isBranch(j)
-                                    ? StallCause::kBranch
-                                    : rawT == earliest
-                                        ? StallCause::kRaw
-                                    : wawT == earliest
-                                        ? StallCause::kWaw
-                                        : StallCause::kBranch;
-                            }
+                            head_cause = dependence_cause(j, d, t);
                             head_op = j;
                             head_blocked = true;
                         }
                     }
-                    hint = std::min(hint, earliest);
-                    if (!org_.outOfOrder)
-                        break;
+                    hint = std::min(hint, d.earliest);
                     continue;
                 }
 
@@ -537,8 +607,6 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                     }
                     hint = std::min(hint,
                                     pool.earliestAccept(op_fu, t));
-                    if (!org_.outOfOrder)
-                        break;
                     continue;
                 }
                 const bool produces = trace.producesResult(j);
@@ -554,53 +622,20 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                     // the first free slot is taken on every eligible
                     // bus, and a no-progress pass adds no
                     // reservations, so the op cannot issue any
-                    // earlier (the old conservative hint was t + 1,
-                    // which rescanned the window every cycle).
+                    // earlier.
                     hint = std::min(
                         hint,
                         bus.earliestReserve(unit, t + latency) -
                             latency);
-                    if (!org_.outOfOrder)
-                        break;
                     continue;
                 }
 
                 // Issue instruction j at cycle t.
                 const ClockCycle ready =
                     pool.accept(op_fu, t, latency);
-                if constexpr (kObs) {
-                    emitAudit(AuditPhase::kIssue, t, j,
-                              std::int32_t(unit));
-                    if (!trace.isBranch(j)) {
-                        emitAudit(AuditPhase::kComplete, ready, j,
-                                  produces ? std::int32_t(unit) : -1);
-                    }
-                }
-                if (produces) {
+                if (produces)
                     bus.reserve(unit, ready);
-                    end = std::max(end, ready);
-                }
-                completion[j] = ready;
-                if (trace.isBranch(j)) {
-                    if (spec && !predOk[j]) {
-                        // Mispredicted: the resolve time, wrong-path
-                        // fetch and squash floor are settled at
-                        // window drain, once the condition
-                        // producer's completion time is known.
-                        pendingBranch = j;
-                        pendingIssue = t;
-                        end = std::max(end, t + 1);
-                    } else if (free_branch) {
-                        // One issue slot, no gating.
-                        end = std::max(end, t + 1);
-                    } else {
-                        floorIdx = j;
-                        floorTime = t + cfg_.branchTime;
-                        end = std::max(end, floorTime);
-                    }
-                } else {
-                    end = std::max(end, ready);
-                }
+                issue(j, trace.isBranch(j), t, unit, ready, produces);
                 issued[s] = true;
                 unissued_mask &= ~(std::uint64_t(1) << s);
                 --remaining;
@@ -616,27 +651,115 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
             }
             const ClockCycle next =
                 hint == kNever ? t + 1 : std::max(t + 1, hint);
-            if (next - last_event > watchdog)
-                throw_watchdog(next, wStart, wEnd);
+            if (next - last_event > watchdog) {
+                const auto oldest =
+                    std::find(issued.begin(), issued.end(), false);
+                throwWatchdog(lane, watchdog,
+                              wStart + std::size_t(oldest -
+                                                   issued.begin()),
+                              t, last_event, next, floorIdx, floorTime);
+            }
             if constexpr (kObs) {
                 // Nothing issued this pass: charge [t, next) to
-                // whatever blocked the oldest unissued entry.  A
-                // span that straddles a mispredict's resolve cycle
-                // splits into wrong-path fetch + squash drain.
-                if (head_blocked) {
-                    if (head_floor_split && next > floorResolve) {
-                        emitStall(StallCause::kMispredict, t,
-                                  floorResolve - t, head_op);
-                        emitStall(StallCause::kSquashDrain,
-                                  floorResolve, next - floorResolve,
-                                  head_op);
-                    } else {
-                        emitStall(head_cause, t, next - t, head_op);
-                    }
-                }
+                // whatever blocked the oldest unissued entry.
+                if (head_blocked)
+                    charge(head_cause, t, next, head_op);
             }
             t = next;
         }
+    };
+
+    while (wStart < stop) {
+        // Steady-state fast path (see sim/steady_state.hh; audit runs
+        // use the plain path).  Boundaries are checked at window
+        // refill; under a predictor the window strides past them,
+        // which the tracker handles by folding the cursor-boundary
+        // offset into the signature.  Boundary state: the watchdog
+        // gap, the branch floor, the completion times the segment can
+        // still read (its link-lookback window plus fixed pre-segment
+        // producers), the pool and bus timelines, and the end
+        // watermark; a mispredict always settles before the refill.
+        // Predictors with history (2-bit counters, fixed-accuracy
+        // hashes) do not respect the trace's loop period, so the
+        // fast path stays off for them.
+        if (wStart >= boundary) {
+            if (tracker.beginObserve(wStart)) {
+                const TraceSegment &seg = tracker.segment();
+                const std::size_t lw = seg.lookback;
+                if (wStart < lw) {
+                    // Not enough simulated history to snapshot the
+                    // lookback window.
+                    tracker.cancelObserve();
+                } else {
+                    const ClockCycle base = t;
+                    auto &sig = tracker.sigBuffer();
+                    sig.push_back(t - last_event);  // watchdog: exact
+                    sig.push_back(floorIdx != kNoIdx && floorTime > base
+                                      ? floorTime - base
+                                      : 0);
+                    for (std::size_t q = wStart - lw; q < wStart; ++q)
+                        sig.push_back(completion[q] > base
+                                          ? completion[q] - base
+                                          : 0);
+                    // A live pre-segment completion can never match
+                    // across boundaries (it is a fixed cycle while
+                    // the clock advances), so a match certifies all
+                    // of these are stale — no shift needed.
+                    for (const std::uint32_t a : seg.ancients)
+                        sig.push_back(completion[a] > base
+                                          ? completion[a] - base
+                                          : 0);
+                    pool.appendSignature(base, sig);
+                    bus.appendSignature(base, sig);
+                    sig.push_back(end - base);  // end >= t at refill
+                    const std::uint64_t counters[3] = {
+                        squashes, wrongPathOps, mispredictCycles
+                    };
+                    if (const auto skip =
+                            tracker.finishObserve(base, counters, 3)) {
+                        const std::size_t oldW = wStart;
+                        wStart += skip->ops;
+                        t += skip->delta;
+                        end += skip->delta;
+                        last_event += skip->delta;
+                        if (floorIdx != kNoIdx)
+                            floorTime += skip->delta;
+                        pool.shiftTime(skip->delta);
+                        bus.shiftTime(skip->delta);
+                        squashes += skip->counters[0];
+                        wrongPathOps += skip->counters[1];
+                        mispredictCycles += skip->counters[2];
+                        // Refill the lookback window behind the
+                        // landing cursor with the state shift: the
+                        // source op has the same cursor-relative
+                        // phase and was simulated exactly.
+                        for (std::size_t q = wStart - lw; q < wStart;
+                             ++q) {
+                            if (q < oldW)
+                                continue;       // simulated exactly
+                            completion[q] =
+                                completion[q - skip->ops] + skip->delta;
+                        }
+                    }
+                }
+            }
+            boundary = tracker.nextBoundary();
+        }
+
+        // Window [wStart, wEnd): a squashing branch ends it (the
+        // slots behind it hold wrong-path instructions that never
+        // issue).
+        std::size_t wEnd = std::min(wStart + width, n);
+        for (std::size_t j = wStart; j < wEnd; ++j) {
+            if (squashes_window(j)) {
+                wEnd = j + 1;
+                break;
+            }
+        }
+        if constexpr (kOutOfOrder)
+            schedule_out_of_order(wEnd);
+        else
+            schedule_in_order(wEnd);
 
         // A mispredicted branch drained with this window: it issued
         // at pendingIssue and resolves at tr (PredictorSpec::
@@ -651,17 +774,21 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
         // touched architectural state (completion[] carries only
         // trace ops) — and the refetch redirect floors the right
         // path at tr + branchTime.
-        if (spec && pendingBranch != kNoPending) {
+        if (pendingBranch != kNoIdx) {
             const std::size_t j = pendingBranch;
             const ClockCycle tr = cfg_.predictor.resolveCycle(
                 pendingIssue, trace.prodA(j) != kNoProd
                                   ? completion[trace.prodA(j)]
                                   : 0);
 
+            // The result busses remember cycles from the window's
+            // last issue on (a window slides them no further), so
+            // the wrong path may only reserve those.
+            const ClockCycle bus_base = last_event;
+            bus.advanceTo(bus_base);
             const unsigned window = cfg_.predictor.wrongPathWindow;
             for (unsigned k = 0; k < window; ++k) {
-                const ClockCycle c =
-                    pendingIssue + 1 + k / org_.width;
+                const ClockCycle c = pendingIssue + 1 + k / width;
                 if (c >= tr)
                     break;
                 const std::size_t src = (j + 1 + k) % n;
@@ -673,15 +800,15 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                     // Its (doomed) result claims a completion slot
                     // when the bus still remembers that cycle and no
                     // right-path op holds it.
-                    const unsigned unit = k % org_.width;
+                    const unsigned unit = k % width;
                     const ClockCycle done = c + wrong_lat;
-                    if (trace.producesResult(src) && done >= busBase &&
-                        done - busBase < 64 &&
+                    if (trace.producesResult(src) && done >= bus_base &&
+                        done - bus_base < 64 &&
                         bus.canReserve(unit, done)) {
                         bus.reserve(unit, done);
                     }
                 }
-                ++result.wrongPathOps;
+                ++wrongPathOps;
                 if constexpr (kObs)
                     emitAudit(AuditPhase::kWrongPath, c, j,
                               std::int32_t(k));
@@ -692,11 +819,11 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
             floorTime = tr + cfg_.branchTime;
             floorMispredict = true;
             end = std::max(end, floorTime);
-            ++result.squashes;
+            ++squashes;
             mispredictCycles += floorTime - (pendingIssue + 1);
             if constexpr (kObs)
                 emitAudit(AuditPhase::kSquash, tr, j);
-            pendingBranch = kNoPending;
+            pendingBranch = kNoIdx;
         }
 
         // Refill: the next window's instructions can issue no
@@ -706,13 +833,24 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
         wStart = wEnd;
     }
 
-    result.cycles = end;
-    result.steadyOpsSkipped = tracker.opsSkipped();
-    if (spec)
-        recordSpecRun(result.squashes, result.wrongPathOps,
-                      mispredictCycles);
-    return result;
+    if (spec && lane.cursor < n && wStart >= n)
+        recordSpecRun(squashes, wrongPathOps, mispredictCycles);
+    lane.cursor = wStart;
+    lane.boundary = boundary;
+    lane.t = t;
+    lane.lastEvent = last_event;
+    lane.end = end;
+    lane.floorIdx = floorIdx;
+    lane.floorTime = floorTime;
+    lane.floorResolve = floorResolve;
+    lane.floorMispredict = floorMispredict;
+    lane.squashes = squashes;
+    lane.wrongPathOps = wrongPathOps;
+    lane.mispredictCycles = mispredictCycles;
 }
+
+// runBatch() advances lanes through the uninstrumented instantiation.
+template void MultiIssueSim::advance<false>(Lane &, std::size_t) const;
 
 AuditRules
 MultiIssueSim::auditRules() const

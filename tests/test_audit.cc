@@ -29,6 +29,7 @@
 #include "mfusim/harness/sweep.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/sim/audit.hh"
+#include "mfusim/sim/batched.hh"
 #include "mfusim/sim/cdc6600_sim.hh"
 #include "mfusim/sim/multi_issue_sim.hh"
 #include "mfusim/sim/ruu_sim.hh"
@@ -338,23 +339,32 @@ TEST(Watchdog, MultiIssueDiagnosesStalledIssue)
 {
     // A load feeding a dependent add stalls issue for the memory
     // latency; a 4-cycle threshold must trip with a diagnostic
-    // naming the waiting op.
+    // naming the waiting op and its hazard — in a batch too.
     const DynTrace trace = traceOf({
         dyn(Op::kLoadS, regS(1), regA(1)),
         dyn(Op::kFAdd, regS(2), regS(1), regS(1)),
     });
-    MultiIssueSim sim(
-        MultiIssueConfig{ 2, false, BusKind::kPerUnit, false, 1, 1, 4 },
-        configM11BR5());
+    const MultiIssueConfig org{ 2, false, BusKind::kPerUnit, false,
+                                1, 1, 4 };
+    const std::string want =
+        "MultiIssueSim: no issue for 11 cycles (watchdog 4; cycles "
+        "0..11): oldest unissued op #1 (fadd) is waiting for the "
+        "result of op #0 (loads, completes at cycle 11)";
+    MultiIssueSim sim(org, configM11BR5());
     try {
         sim.run(trace);
         FAIL() << "watchdog did not fire";
     } catch (const SimError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("MultiIssueSim"), std::string::npos)
-            << what;
-        EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
-        EXPECT_NE(what.find("op #1"), std::string::npos) << what;
+        EXPECT_EQ(std::string(e.what()), want);
+    }
+
+    const DecodedTrace decoded(trace, configM11BR5());
+    MultiIssueSim other(org, configM11BR5());
+    try {
+        runBatch({ { &sim, &decoded }, { &other, &decoded } });
+        FAIL() << "batched watchdog did not fire";
+    } catch (const SimError &e) {
+        EXPECT_EQ(std::string(e.what()), want);
     }
 }
 

@@ -1,17 +1,18 @@
 /**
  * @file
- * Batched lockstep sweep kernel coverage (sim/batched.hh).
+ * Batched lockstep sweep coverage (sim/batched.hh).
  *
  *  - Bit identity: every covered sim (Simple, Scoreboard orgs,
- *    in-order MultiIssue widths x bus kinds) batched over the Table
- *    1/3 latency axis and the organization axes matches the scalar
- *    path on every Livermore loop, with the steady-state fast path
- *    on and off — every SimResult field, including steadyOpsSkipped.
+ *    MultiIssue in both issue orders across widths, bus kinds,
+ *    replicated units and predictors) batched over the Table 1/3
+ *    latency axis and the organization axes matches the scalar path
+ *    on every Livermore loop, with the steady-state fast path on and
+ *    off — every SimResult field, including steadyOpsSkipped.
  *  - The covered groups really run lockstep (lockstepLanes > 0) —
- *    single-issue lanes with replicated units or a zero-window
- *    predictor included — and uncovered lanes (audited, out-of-order
- *    issue, single-cell batches, structurally different traces) fall
- *    back to the scalar path with identical results.
+ *    lanes with replicated units or an armed predictor included —
+ *    and uncovered lanes (audited, single-cell batches, structurally
+ *    different traces) fall back to the scalar path with identical
+ *    results.
  *  - An audited lane inside a batch produces the same timing as the
  *    plain path and a complete event stream (the Auditor accepts it).
  */
@@ -59,6 +60,8 @@ expectSameResult(const SimResult &got, const SimResult &want,
     EXPECT_EQ(got.instructions, want.instructions) << what;
     EXPECT_EQ(got.cycles, want.cycles) << what;
     EXPECT_EQ(got.steadyOpsSkipped, want.steadyOpsSkipped) << what;
+    EXPECT_EQ(got.squashes, want.squashes) << what;
+    EXPECT_EQ(got.wrongPathOps, want.wrongPathOps) << what;
     ASSERT_EQ(got.hasStalls, want.hasStalls) << what;
     if (want.hasStalls) {
         EXPECT_EQ(got.stalls.raw, want.stalls.raw) << what;
@@ -74,8 +77,9 @@ expectSameResult(const SimResult &got, const SimResult &want,
 /**
  * The sweep variants one batch advances over a single loop: the full
  * Table 1/3 latency axis (all standard configs) for each machine
- * organization, plus replicated-unit and zero-window-predictor
- * scoreboard lanes.  Mirrors how runGrid / the table benches batch.
+ * organization, plus replicated-unit and predictor-armed lanes of
+ * the scoreboard and both multiple-issue orders.  Mirrors how
+ * runGrid / the table benches batch.
  */
 struct Variant
 {
@@ -119,16 +123,34 @@ sweepVariants(int loop)
                           std::string("Scoreboard(") + pred + ")/" +
                               cfg.name() });
         }
-        for (const unsigned width : { 2u, 4u, 8u }) {
-            for (const BusKind bus :
-                 { BusKind::kPerUnit, BusKind::kSingle }) {
-                v.push_back(
-                    { std::make_unique<MultiIssueSim>(
-                          MultiIssueConfig{ width, false, bus },
-                          cfg),
-                      &trace,
-                      "SeqIssue(w=" + std::to_string(width) + ")/" +
-                          cfg.name() });
+        for (const bool ooo : { false, true }) {
+            const std::string family = ooo ? "ooo:" : "seq:";
+            for (const unsigned width : { 1u, 2u, 4u, 8u }) {
+                for (const BusKind bus :
+                     { BusKind::kPerUnit, BusKind::kSingle }) {
+                    v.push_back({ std::make_unique<MultiIssueSim>(
+                                      MultiIssueConfig{ width, ooo, bus },
+                                      cfg),
+                                  &trace,
+                                  family + std::to_string(width) + "/" +
+                                      busKindName(bus) + "/" +
+                                      cfg.name() });
+                }
+            }
+            MultiIssueConfig replicated{ 4, ooo, BusKind::kPerUnit };
+            replicated.fuCopies = 2;
+            replicated.memPorts = 2;
+            v.push_back({ std::make_unique<MultiIssueSim>(replicated, cfg),
+                          &trace, family + "4/fuc2mp2/" + cfg.name() });
+            for (const char *pred : { "btfn:w0", "2bit", "perfect" }) {
+                MachineConfig armed = cfg;
+                armed.predictor = PredictorSpec::parse(pred);
+                v.push_back({ std::make_unique<MultiIssueSim>(
+                                  MultiIssueConfig{ 4, ooo,
+                                                    BusKind::kPerUnit },
+                                  armed),
+                              &trace,
+                              family + "4," + pred + "/" + cfg.name() });
             }
         }
     }
@@ -154,8 +176,8 @@ TEST_P(BatchedBitIdentity, MatchesScalarPath)
 
     ASSERT_EQ(out.results.size(), variants.size());
     // Every covered lane must actually run lockstep — replicated-unit
-    // and predictor-armed scoreboard lanes too: the library loops are
-    // scalar and each (kind, loop) group holds >= 2 lanes.
+    // and predictor-armed lanes too: the library loops are scalar and
+    // each (kind, loop) group holds >= 2 lanes.
     EXPECT_EQ(out.lockstepLanes, variants.size());
     EXPECT_EQ(out.scalarLanes, 0u);
 
@@ -191,7 +213,7 @@ TEST(BatchedSweep, SingleCellBatchTakesScalarPath)
                      "single-cell");
 }
 
-TEST(BatchedSweep, OutOfOrderLanesFallBackScalar)
+TEST(BatchedSweep, OutOfOrderLanesRunLockstep)
 {
     const MachineConfig cfg = standardConfigs()[0];
     const DecodedTrace &trace =
@@ -204,8 +226,8 @@ TEST(BatchedSweep, OutOfOrderLanesFallBackScalar)
                                         { &ooo2, &trace },
                                         { &seq1, &trace },
                                         { &seq2, &trace } });
-    EXPECT_EQ(out.lockstepLanes, 2u);
-    EXPECT_EQ(out.scalarLanes, 2u);
+    EXPECT_EQ(out.lockstepLanes, 4u);
+    EXPECT_EQ(out.scalarLanes, 0u);
 
     for (const unsigned width : { 4u, 8u }) {
         for (const bool ooo : { true, false }) {

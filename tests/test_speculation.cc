@@ -472,17 +472,18 @@ TEST(Speculation, IssueRateClimbsWithPredictorAccuracy)
     EXPECT_GT(perfect, r60);
 }
 
-// ---- batched sweep fallback ------------------------------------------
+// ---- batched sweeps --------------------------------------------------
 
-TEST(Speculation, SpeculativeLanesFallBackScalarInsideBatches)
+TEST(Speculation, SpeculativeSeqLanesRunLockstepInsideBatches)
 {
     const MachineConfig base = standardConfigs()[0];
     const DecodedTrace &trace =
         TraceLibrary::instance().decoded(5, base);
     const MachineConfig pred = withPredictor(base, "2bit");
 
-    // Two plain in-order lanes (a lockstep group) mixed with
-    // speculative lanes that the kernel must not cover.
+    // Two plain in-order lanes and a speculative one form a lockstep
+    // group (one lane state covers the predictor); the speculative
+    // RUU lane has no lane state yet and runs scalar.
     MultiIssueSim seq1(MultiIssueConfig{ 4, false }, base);
     MultiIssueSim seq2(MultiIssueConfig{ 8, false }, base);
     MultiIssueSim specSeq(MultiIssueConfig{ 4, false }, pred);
@@ -492,8 +493,8 @@ TEST(Speculation, SpeculativeLanesFallBackScalarInsideBatches)
                                         { &seq2, &trace },
                                         { &specSeq, &trace },
                                         { &specRuu, &trace } });
-    EXPECT_EQ(out.lockstepLanes, 2u);
-    EXPECT_EQ(out.scalarLanes, 2u);
+    EXPECT_EQ(out.lockstepLanes, 3u);
+    EXPECT_EQ(out.scalarLanes, 1u);
 
     MultiIssueSim freshSeq(MultiIssueConfig{ 4, false }, pred);
     expectSameResult(out.results.at(2), freshSeq.run(trace),

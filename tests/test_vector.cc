@@ -10,6 +10,7 @@
 #include "mfusim/codegen/interpreter.hh"
 #include "mfusim/codegen/livermore.hh"
 #include "mfusim/dataflow/limits.hh"
+#include "mfusim/sim/batched.hh"
 #include "mfusim/sim/multi_issue_sim.hh"
 #include "mfusim/sim/ruu_sim.hh"
 #include "mfusim/sim/scoreboard_sim.hh"
@@ -253,6 +254,13 @@ TEST(VectorGuards, MultiIssueRejectsVectorTraces)
     EXPECT_THROW(multi.run(trace), SimError);
     RuuSim ruu({ 2, 20, BusKind::kPerUnit }, configM11BR5());
     EXPECT_THROW(ruu.run(trace), SimError);
+
+    // Batched lanes of either issue order refuse it the same way.
+    const DecodedTrace decoded(trace, configM11BR5());
+    MultiIssueSim seq({ 4, false, BusKind::kPerUnit, false },
+                      configM11BR5());
+    EXPECT_THROW(runBatch({ { &multi, &decoded }, { &seq, &decoded } }),
+                 SimError);
 }
 
 } // namespace
