@@ -283,12 +283,13 @@ BENCHMARK(BM_RuuSteady)
 // ---- batched lockstep sweep --------------------------------------
 //
 // The full Table 3 in-order grid — 4 standard configs x scalar-class
-// loops x 16 (stations, bus) variants — timed through the batched
-// lockstep kernel (batched=1) and the equivalent per-variant scalar
-// loop (batched=0), with the steady-state fast path off and on.  The
-// ResultCache is bypassed on both paths so the on/off
-// items_per_second ratio isolates the kernel itself; that ratio is
-// the batched-sweep speedup gate in tools/check_bench_regression.py.
+// loops x 16 (stations, bus) variants — with the lanes advanced in
+// block lockstep through runBatch() (batched=1) or one at a time
+// through run() (batched=0), with the steady-state fast path off and
+// on.  Both arms run the same MultiIssueSim::advance(), so the
+// batched/one-lane items_per_second ratio measures lockstep's
+// locality alone.  tools/check_bench_regression.py --run gates that
+// ratio and the steady on/off ratio within one run.
 
 void
 BM_BatchedSweep(benchmark::State &state)
