@@ -116,9 +116,9 @@ std::vector<double> parallelPerLoopRates(const SimFactory &factory,
  * the loop's decoded trace together through the batched lockstep
  * kernel (sim/batched.hh) — one trace pass, many configs — and every
  * computed cell is stored back, so one simulate fills many cache
- * entries.  Lanes the kernel does not cover (out-of-order issue,
- * RUU, audited cells) fall back to the scalar path inside the same
- * call; results are bit-identical to per-variant
+ * entries.  Lanes lockstep does not cover (the RUU, CDC 6600 and
+ * Tomasulo machines, audited cells) fall back to the scalar path
+ * inside the same call; results are bit-identical to per-variant
  * parallelPerLoopRates() either way.
  *
  * Returns rates[variant][loop index].  Audit and failure reporting
