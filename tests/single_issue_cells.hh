@@ -8,7 +8,10 @@
  * pins every SimResult field of the four Table 1 machines, their
  * replicated-unit and bus/chaining variants, and the scoreboard
  * machines under every zero-window predictor, as recorded while the
- * scalar simulators and the batched kernel were separate code.
+ * scalar simulators and the batched kernel were separate code.  The
+ * CDC 6600 and Tomasulo machines of section 3.3 follow: both result
+ * bus models, four station/CDB counts, and three zero-window
+ * predictors on each.
  */
 
 #ifndef MFUSIM_TESTS_SINGLE_ISSUE_CELLS_HH
@@ -21,8 +24,10 @@
 #include <vector>
 
 #include "mfusim/core/machine_config.hh"
+#include "mfusim/sim/cdc6600_sim.hh"
 #include "mfusim/sim/scoreboard_sim.hh"
 #include "mfusim/sim/simple_sim.hh"
+#include "mfusim/sim/tomasulo_sim.hh"
 #include "mfusim/spec/predictor.hh"
 
 namespace mfusim
@@ -84,6 +89,46 @@ singleIssueMachines()
         for (const auto &[name, org] : orgs)
             m.push_back({ std::string(name) + ",pred=" + pred,
                           scoreboard(org, pred) });
+    }
+    const auto cdc = [](bool bus, const std::string &pred = "") {
+        return [bus, pred](const MachineConfig &base) {
+            MachineConfig cfg = base;
+            if (!pred.empty())
+                cfg.predictor = PredictorSpec::parse(pred);
+            Cdc6600Config org;
+            org.modelResultBus = bus;
+            return std::unique_ptr<Simulator>(
+                std::make_unique<Cdc6600Sim>(org, cfg));
+        };
+    };
+    const auto tomasulo = [](unsigned rs, unsigned cdb,
+                             const std::string &pred = "") {
+        return [rs, cdb, pred](const MachineConfig &base) {
+            MachineConfig cfg = base;
+            if (!pred.empty())
+                cfg.predictor = PredictorSpec::parse(pred);
+            TomasuloConfig org;
+            org.stationsPerFu = rs;
+            org.cdbCount = cdb;
+            return std::unique_ptr<Simulator>(
+                std::make_unique<TomasuloSim>(org, cfg));
+        };
+    };
+    m.push_back({ "cdc", cdc(true) });
+    m.push_back({ "cdc,xbar", cdc(false) });
+    for (const auto &[rs, cdb] : { std::pair{ 1u, 1u }, std::pair{ 3u, 1u },
+                                   std::pair{ 3u, 2u },
+                                   std::pair{ 8u, 2u } }) {
+        m.push_back({ "tomasulo:" + std::to_string(rs) + ':' +
+                          std::to_string(cdb),
+                      tomasulo(rs, cdb) });
+    }
+    const TomasuloConfig tomasulo_default;
+    for (const char *pred : { "btfn:w0", "2bit:w0", "perfect" }) {
+        m.push_back({ std::string("cdc,pred=") + pred, cdc(true, pred) });
+        m.push_back({ std::string("tomasulo,pred=") + pred,
+                      tomasulo(tomasulo_default.stationsPerFu,
+                               tomasulo_default.cdbCount, pred) });
     }
     return m;
 }

@@ -28,7 +28,7 @@ namespace mfusim
 namespace
 {
 
-constexpr std::size_t kPinnedCells = 1400;
+constexpr std::size_t kPinnedCells = 2072;
 
 class SingleIssueGolden : public ::testing::TestWithParam<bool>
 {
