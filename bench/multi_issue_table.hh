@@ -32,11 +32,11 @@ runMultiIssueTable(const char *title, LoopClass cls, bool outOfOrder)
     std::printf("%s\n(measured [paper])\n\n", title);
 
     // All 16 (stations, bus) variants of one (config, loop) cell
-    // time the same decoded trace, so each grid cell advances them
-    // together through the batched lockstep kernel — one trace pass,
-    // 16 lanes — instead of 16 scalar re-walks.  Cells still write
+    // time the same decoded trace: each grid cell hands them to the
+    // batched sweep entry together, which runs each lane alone and
+    // populates the result cache in one call.  Cells still write
     // only their own slots and the render stays serial, so the
-    // printed table is bit-identical to the scalar sweep.
+    // printed table is bit-identical to a serial run.
     constexpr int kStations = 8;
     constexpr int kConfigs = 4;
     constexpr int kBusses = 2;

@@ -33,11 +33,10 @@ runRuuTable(const char *title, LoopClass cls)
 
     // All 48 (size, units, bus) variants of one (config, loop) cell
     // time the same decoded trace: each grid cell hands them to the
-    // batched sweep entry together (runBatch falls back to the
-    // scalar path for the RUU machines, so the win here is the
-    // shared decode and one-pass cache population, not lockstep).
-    // Cells still write only their own slots and the render stays
-    // serial, so the printed table is bit-identical to a serial run.
+    // batched sweep entry together, which runs each lane alone and
+    // populates the result cache in one call.  Cells still write
+    // only their own slots and the render stays serial, so the
+    // printed table is bit-identical to a serial run.
     constexpr int kConfigs = 4;
     constexpr int kSizes = 6;
     constexpr int kUnits = 4;

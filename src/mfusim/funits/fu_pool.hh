@@ -9,9 +9,9 @@
  * the issue stage and likewise bypass the pool.
  *
  * This is the one representation of execution-unit state: every
- * simulator's run() and every batched sweep lane (sim/batched.hh)
- * carries a FuPool, and the per-op FuClass paths below and the
- * unit/port transitions they call are all header-inline.
+ * simulator's run() carries a FuPool, and the per-op FuClass paths
+ * below and the unit/port transitions they call are all
+ * header-inline.
  */
 
 #ifndef MFUSIM_FUNITS_FU_POOL_HH

@@ -13,7 +13,7 @@
  * A FunctionalUnit tracks only when it can next *accept* work; the
  * per-operation result latency is the caller's business.  Its
  * transitions are inline: they run per op inside every simulator's
- * issue loop and every batched lane, scalar and lockstep alike.
+ * issue loop.
  */
 
 #ifndef MFUSIM_FUNITS_FUNCTIONAL_UNIT_HH

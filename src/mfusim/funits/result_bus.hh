@@ -16,9 +16,9 @@
  *
  * Branches and stores produce no register result and use no bus.
  *
- * CycleReservations is the one representation of a bus: the
- * simulators and the batched sweep lanes all carry these windows,
- * and its per-op methods are header-inline.  ResultBusSet exposes
+ * CycleReservations is the one representation of a bus: every
+ * simulator carries these windows, and its per-op methods are
+ * header-inline.  ResultBusSet exposes
  * each bus so a caller can slide only the one an op touches.
  */
 

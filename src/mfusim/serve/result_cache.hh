@@ -103,9 +103,9 @@ class ResultCache
                 SimResult *out) const;
 
     /**
-     * lookup() that counts one hit or one miss.  The batched sweep
-     * kernel decouples the lookup from the store — one lockstep pass
-     * computes many cells at once — so it cannot use getOrCompute()'s
+     * lookup() that counts one hit or one miss.  A batched sweep
+     * decouples the lookup from the store — one runBatch() computes
+     * many cells at once — so it cannot use getOrCompute()'s
      * single-cell compute callback.
      */
     bool probe(const std::string &machineKey,

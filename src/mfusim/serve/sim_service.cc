@@ -400,8 +400,8 @@ SimService::handleSweep(const std::string &body)
 
     // 'machine' is one spec string or a list of them: every listed
     // variant sweeps the same loops and config in one request, and
-    // the variants advance over each loop's trace together through
-    // the batched lockstep kernel (sim/batched.hh).
+    // the variants run over each loop's trace in one batch
+    // (sim/batched.hh).
     const Json &machineField = requireMember(request, "machine");
     std::vector<std::string> machineSpecs;
     if (machineField.isString()) {
@@ -477,10 +477,9 @@ SimService::handleSweep(const std::string &body)
             return parseMachineSpec(spec, c);
         });
     }
-    // One batched run per loop cell: the lockstep kernel advances
-    // every cache-missing variant in one trace pass and stores each
-    // computed cell back, so this call populates every covered
-    // ResultCache entry at once.
+    // One batch per loop cell: every cache-missing variant runs over
+    // the loop's trace and each computed cell is stored back, so
+    // this call populates every covered ResultCache entry at once.
     const std::vector<std::vector<double>> rates =
         batchedPerLoopRates(variants, loops, cfg, jobs);
 
@@ -621,17 +620,11 @@ SimService::handleMetrics()
         }
     }
     ResultCache::instance().appendMetrics(snapshot);
-    // Batched lockstep kernel telemetry (sim/batched.hh):
-    // batch_size is the cumulative lane count submitted to
-    // runBatch(), split into lockstep-advanced and scalar-fallback
-    // lanes.
+    // Batched sweep telemetry (sim/batched.hh): batch_size is the
+    // cumulative lane count submitted to runBatch().
     const BatchTelemetry batch = batchTelemetry();
     snapshot.counter("sweep.batches").add(batch.batches);
     snapshot.counter("sweep.batch_size").add(batch.lanes);
-    snapshot.counter("sweep.batch.lockstep_lanes")
-        .add(batch.lockstepLanes);
-    snapshot.counter("sweep.batch.scalar_lanes")
-        .add(batch.scalarLanes);
     // Speculation telemetry (spec/predictor.hh): registered
     // unconditionally so the families exist (at zero) before any
     // speculative run.

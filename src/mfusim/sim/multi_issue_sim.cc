@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "mfusim/core/error.hh"
+#include "mfusim/funits/fu_pool.hh"
+#include "mfusim/sim/steady_state.hh"
 #include "mfusim/spec/predictor.hh"
 
 namespace mfusim
@@ -22,7 +24,30 @@ namespace
 
 constexpr ClockCycle kNever = std::numeric_limits<ClockCycle>::max();
 constexpr std::uint32_t kNoProd = DecodedTrace::kNoProducer;
-constexpr std::size_t kNoIdx = MultiIssueSim::Lane::kNoFloor;
+constexpr std::size_t kNoIdx = ~std::size_t(0);
+
+/**
+ * The timing state of one run that outlives a window, besides the
+ * scalars the schedule keeps in locals: each op's completion cycle,
+ * the unit and result-bus timelines.
+ */
+struct Lane
+{
+    Lane(const DecodedTrace &t, const MultiIssueConfig &org,
+         const MachineConfig &cfg)
+        : trace(&t), completion(t.size(), 0),
+          pool({ FuDiscipline::kSegmented, MemDiscipline::kInterleaved,
+                 org.fuCopies, org.memPorts },
+               cfg),
+          bus(org.busKind, org.width)
+    {
+    }
+
+    const DecodedTrace *trace;
+    std::vector<ClockCycle> completion;
+    FuPool pool;
+    ResultBusSet bus;
+};
 
 /**
  * Diagnose and abort a tripped watchdog: op @p j, the oldest unissued
@@ -33,7 +58,7 @@ constexpr std::size_t kNoIdx = MultiIssueSim::Lane::kNoFloor;
  * the issue loops it guards nor pins their state to memory.
  */
 [[noreturn]] __attribute__((noinline, cold)) void
-throwWatchdog(const MultiIssueSim::Lane &lane, ClockCycle watchdog,
+throwWatchdog(const Lane &lane, ClockCycle watchdog,
               std::size_t j, ClockCycle t, ClockCycle lastEvent,
               ClockCycle next, std::size_t floorIdx,
               ClockCycle floorTime)
@@ -94,7 +119,7 @@ enum class Check
  */
 template <class OnWait>
 inline __attribute__((always_inline)) ClockCycle
-inOrderIssueCycle(MultiIssueSim::Lane &lane, std::size_t j,
+inOrderIssueCycle(Lane &lane, std::size_t j,
                   std::size_t busIdx, bool crossbar, ClockCycle t,
                   ClockCycle earliest, OnWait &&onWait)
 {
@@ -137,7 +162,7 @@ inOrderIssueCycle(MultiIssueSim::Lane &lane, std::size_t j,
  * (one that first finds the op blocked at @p chargeFrom).
  */
 [[noreturn]] __attribute__((noinline, cold)) void
-throwInOrderWatchdog(MultiIssueSim::Lane &lane, ClockCycle watchdog,
+throwInOrderWatchdog(Lane &lane, ClockCycle watchdog,
                      std::size_t j, std::size_t busIdx, bool crossbar,
                      ClockCycle t, ClockCycle chargeFrom,
                      ClockCycle earliest, ClockCycle lastEvent,
@@ -195,82 +220,51 @@ MultiIssueSim::cacheKey() const
                                 : std::string());
 }
 
-MultiIssueSim::Lane::Lane(const MultiIssueSim &sim,
-                          const DecodedTrace &t_,
-                          ClockCycle *completion_)
-    : trace(&t_), completion(completion_),
-      pool({ FuDiscipline::kSegmented, MemDiscipline::kInterleaved,
-             sim.org_.fuCopies, sim.org_.memPorts },
-           sim.cfg_),
-      bus(sim.org_.busKind, sim.org_.width),
-      tracker(steadyStateEnabled() && sim.auditSink() == nullptr &&
-                      sim.cfg_.predictor.isStatic()
-                  ? &t_.periodicity()
-                  : nullptr,
-              t_.size()),
-      boundary(tracker.nextBoundary())
+SimResult
+MultiIssueSim::run(const DecodedTrace &trace)
 {
-    checkDecodedConfig(t_, sim.cfg_);
-    if (t_.hasVector()) {
+    if (auditSink()) {
+        return org_.outOfOrder ? runWindows<true, true>(trace)
+                               : runWindows<true, false>(trace);
+    }
+    return org_.outOfOrder ? runWindows<false, true>(trace)
+                           : runWindows<false, false>(trace);
+}
+
+template <bool kObs, bool kOutOfOrder>
+SimResult
+MultiIssueSim::runWindows(const DecodedTrace &trace) const
+{
+    checkDecodedConfig(trace, cfg_);
+    if (trace.hasVector()) {
         throw SimError(
             "MultiIssueSim: vector instructions are not "
             "supported (the paper's multiple-issue study is "
             "scalar-only; use ScoreboardSim)");
     }
+    const std::size_t n = trace.size();
+    Lane lane(trace, org_, cfg_);
+    ClockCycle *const completion = lane.completion.data();
+    FuPool &pool = lane.pool;
+    ResultBusSet &bus = lane.bus;
     // Armed predictor: the front end speculates down the predicted
     // path.  Prediction outcomes are precomputed once in trace order
     // (they are timing-independent; wrong-path ops never update the
     // predictor).  Without one every branch blocks (the paper).
-    if (sim.cfg_.predictor.armed())
-        predOk = precomputePredictions(t_, sim.cfg_.predictor);
-}
-
-SimResult
-MultiIssueSim::result(const Lane &lane)
-{
-    SimResult result;
-    result.instructions = lane.trace->size();
-    result.cycles = lane.end;
-    result.steadyOpsSkipped = lane.tracker.opsSkipped();
-    result.squashes = lane.squashes;
-    result.wrongPathOps = lane.wrongPathOps;
-    return result;
-}
-
-SimResult
-MultiIssueSim::run(const DecodedTrace &trace)
-{
-    std::vector<ClockCycle> completion(trace.size(), 0);
-    Lane lane(*this, trace, completion.data());
-    if (auditSink())
-        advance<true>(lane, trace.size());
-    else
-        advance<false>(lane, trace.size());
-    return result(lane);
-}
-
-template <bool kObs>
-void
-MultiIssueSim::advance(Lane &lane, std::size_t stop) const
-{
-    if (org_.outOfOrder)
-        advanceWindows<kObs, true>(lane, stop);
-    else
-        advanceWindows<kObs, false>(lane, stop);
-}
-
-template <bool kObs, bool kOutOfOrder>
-void
-MultiIssueSim::advanceWindows(Lane &lane, std::size_t stop) const
-{
-    const DecodedTrace &trace = *lane.trace;
-    const std::size_t n = trace.size();
-    ClockCycle *const completion = lane.completion;
-    FuPool &pool = lane.pool;
-    ResultBusSet &bus = lane.bus;
-    SteadyStateTracker &tracker = lane.tracker;
-    const bool spec = !lane.predOk.empty();
-    const std::uint8_t *const predOk = lane.predOk.data();
+    const std::vector<std::uint8_t> predictions =
+        cfg_.predictor.armed()
+            ? precomputePredictions(trace, cfg_.predictor)
+            : std::vector<std::uint8_t>();
+    const bool spec = !predictions.empty();
+    const std::uint8_t *const predOk = predictions.data();
+    // Steady state is tracked unless it is disabled, a sink is
+    // attached or the predictor has history.
+    SteadyStateTracker tracker(steadyStateEnabled() &&
+                                       auditSink() == nullptr &&
+                                       cfg_.predictor.isStatic()
+                                   ? &trace.periodicity()
+                                   : nullptr,
+                               n);
     const unsigned width = org_.width;
     const ClockCycle branch_time = cfg_.branchTime;
     const bool crossbar = bus.kind() == BusKind::kCrossbar;
@@ -279,20 +273,21 @@ MultiIssueSim::advanceWindows(Lane &lane, std::size_t stop) const
                                     ? org_.watchdogCycles
                                     : kDefaultWatchdogCycles;
 
-    // The hot scalars live in locals for the whole call (registers
-    // across a batched block) and are stored back once at the end.
-    std::size_t wStart = lane.cursor;
-    std::size_t boundary = lane.boundary;
-    ClockCycle t = lane.t;
-    ClockCycle last_event = lane.lastEvent;
-    ClockCycle end = lane.end;
-    std::size_t floorIdx = lane.floorIdx;
-    ClockCycle floorTime = lane.floorTime;
-    ClockCycle floorResolve = lane.floorResolve;
-    bool floorMispredict = lane.floorMispredict;
-    std::uint64_t squashes = lane.squashes;
-    std::uint64_t wrongPathOps = lane.wrongPathOps;
-    std::uint64_t mispredictCycles = lane.mispredictCycles;
+    std::size_t wStart = 0;         // first op of the next window
+    std::size_t boundary = tracker.nextBoundary();
+    ClockCycle t = 0;               // cycle the next window starts
+    ClockCycle last_event = 0;      // latest issue (watchdog)
+    ClockCycle end = 0;
+    // Issue floor of the latest blocking or mispredicted branch: no
+    // later op issues before floorTime.  floorResolve is a squashed
+    // mispredict's resolve cycle (stall attribution).
+    std::size_t floorIdx = kNoIdx;
+    ClockCycle floorTime = 0;
+    ClockCycle floorResolve = 0;
+    bool floorMispredict = false;
+    std::uint64_t squashes = 0;
+    std::uint64_t wrongPathOps = 0;
+    std::uint64_t mispredictCycles = 0;
 
     // A branch squashes the buffer slots behind it when the machine
     // must refetch: a mispredicted branch, or a taken branch on the
@@ -669,7 +664,7 @@ MultiIssueSim::advanceWindows(Lane &lane, std::size_t stop) const
         }
     };
 
-    while (wStart < stop) {
+    while (wStart < n) {
         // Steady-state fast path (see sim/steady_state.hh; audit runs
         // use the plain path).  Boundaries are checked at window
         // refill; under a predictor the window strides past them,
@@ -833,24 +828,16 @@ MultiIssueSim::advanceWindows(Lane &lane, std::size_t stop) const
         wStart = wEnd;
     }
 
-    if (spec && lane.cursor < n && wStart >= n)
+    if (spec && n > 0)
         recordSpecRun(squashes, wrongPathOps, mispredictCycles);
-    lane.cursor = wStart;
-    lane.boundary = boundary;
-    lane.t = t;
-    lane.lastEvent = last_event;
-    lane.end = end;
-    lane.floorIdx = floorIdx;
-    lane.floorTime = floorTime;
-    lane.floorResolve = floorResolve;
-    lane.floorMispredict = floorMispredict;
-    lane.squashes = squashes;
-    lane.wrongPathOps = wrongPathOps;
-    lane.mispredictCycles = mispredictCycles;
+    SimResult result;
+    result.instructions = n;
+    result.cycles = end;
+    result.steadyOpsSkipped = tracker.opsSkipped();
+    result.squashes = squashes;
+    result.wrongPathOps = wrongPathOps;
+    return result;
 }
-
-// runBatch() advances lanes through the uninstrumented instantiation.
-template void MultiIssueSim::advance<false>(Lane &, std::size_t) const;
 
 AuditRules
 MultiIssueSim::auditRules() const

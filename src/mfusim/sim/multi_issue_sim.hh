@@ -39,13 +39,8 @@
 #ifndef MFUSIM_SIM_MULTI_ISSUE_SIM_HH
 #define MFUSIM_SIM_MULTI_ISSUE_SIM_HH
 
-#include <cstdint>
-#include <vector>
-
-#include "mfusim/funits/fu_pool.hh"
 #include "mfusim/funits/result_bus.hh"
 #include "mfusim/sim/simulator.hh"
-#include "mfusim/sim/steady_state.hh"
 
 namespace mfusim
 {
@@ -80,10 +75,6 @@ struct MultiIssueConfig
 /**
  * The multiple-issue instruction-buffer machine.
  *
- * One run is one Lane advanced over the whole trace; a batched
- * sweep (sim/batched.hh) advances many lanes over one trace block
- * by block through the same advance().
- *
  * The issue order decides how a window is scheduled:
  *
  *  - In-order issue computes each op's issue cycle directly.  An op
@@ -111,67 +102,6 @@ class MultiIssueSim : public Simulator
     /** @throws ConfigError on a zero width / unit / port count. */
     MultiIssueSim(const MultiIssueConfig &org, const MachineConfig &cfg);
 
-    /**
-     * The whole timing state of one run over one trace.
-     *
-     * advance() schedules whole windows, so a lane always rests at a
-     * window refill: the window end and a pending mispredict (it is
-     * settled when its window drains) never outlive a call.
-     */
-    struct Lane
-    {
-        /**
-         * A run of @p sim over @p trace, at op 0, that writes each
-         * op's completion cycle to @p completion: trace.size()
-         * zeroed slots the caller owns for the lane's lifetime (a
-         * batch hands each lane a slice of one block).  Steady state
-         * is tracked unless it is disabled, a sink is attached or
-         * the predictor has history.
-         *
-         * @throws SimError on a trace with vector instructions (the
-         *         paper's multiple-issue study is scalar-only).
-         */
-        Lane(const MultiIssueSim &sim, const DecodedTrace &trace,
-             ClockCycle *completion);
-
-        const DecodedTrace *trace;
-        ClockCycle *completion;
-        FuPool pool;
-        ResultBusSet bus;
-        // Per-branch prediction outcome; empty when disarmed.
-        std::vector<std::uint8_t> predOk;
-        SteadyStateTracker tracker;
-        std::size_t boundary;           // next steady-state boundary
-        std::size_t cursor = 0;         // first op of the next window
-        ClockCycle t = 0;               // cycle the next window starts
-        ClockCycle lastEvent = 0;       // latest issue (watchdog)
-        ClockCycle end = 0;
-        // Issue floor of the latest blocking or mispredicted branch:
-        // no later op issues before floorTime.  floorResolve is a
-        // squashed mispredict's resolve cycle (stall attribution).
-        std::size_t floorIdx = kNoFloor;
-        ClockCycle floorTime = 0;
-        ClockCycle floorResolve = 0;
-        bool floorMispredict = false;
-        std::uint64_t squashes = 0;
-        std::uint64_t wrongPathOps = 0;
-        std::uint64_t mispredictCycles = 0;
-
-        static constexpr std::size_t kNoFloor = ~std::size_t(0);
-    };
-
-    /**
-     * Schedule windows of @p lane until its cursor reaches @p stop
-     * (the last window, or a steady-state skip, may carry it past).
-     * kObs emits the audit event and stall-sample stream; it
-     * requires an attached sink.
-     */
-    template <bool kObs>
-    void advance(Lane &lane, std::size_t stop) const;
-
-    /** The result of a lane advanced over its whole trace. */
-    static SimResult result(const Lane &lane);
-
     using Simulator::run;
     SimResult run(const DecodedTrace &trace) override;
     std::string name() const override;
@@ -180,10 +110,16 @@ class MultiIssueSim : public Simulator
     AuditRules auditRules() const override;
 
   private:
-    /** advance() for one issue order, so each schedule compiles
-     *  alone. */
+    /**
+     * run() for one issue order, so each schedule compiles alone.
+     * kObs emits the audit event and stall-sample stream; it
+     * requires an attached sink.
+     *
+     * @throws SimError on a trace with vector instructions (the
+     *         paper's multiple-issue study is scalar-only).
+     */
     template <bool kObs, bool kOutOfOrder>
-    void advanceWindows(Lane &lane, std::size_t stop) const;
+    SimResult runWindows(const DecodedTrace &trace) const;
 
     MultiIssueConfig org_;
     MachineConfig cfg_;

@@ -6,9 +6,16 @@
 #include "mfusim/sim/scoreboard_sim.hh"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstdint>
+#include <vector>
 
 #include "mfusim/core/error.hh"
+#include "mfusim/core/registers.hh"
+#include "mfusim/funits/result_bus.hh"
+#include "mfusim/sim/steady_state.hh"
+#include "mfusim/spec/predictor.hh"
 
 namespace mfusim
 {
@@ -72,76 +79,55 @@ ScoreboardSim::cacheKey() const
                                 : std::string());
 }
 
-ScoreboardSim::Lane::Lane(const ScoreboardSim &sim,
-                          const DecodedTrace &t)
-    : trace(&t),
-      pool({ sim.org_.fuDiscipline, sim.org_.memDiscipline,
-             sim.org_.fuCopies, sim.org_.memPorts },
-           sim.cfg_),
-      tracker(steadyStateEnabled() && sim.auditSink() == nullptr &&
-                      sim.cfg_.predictor.isStatic()
-                  ? &t.periodicity()
-                  : nullptr,
-              t.size()),
-      boundary(tracker.nextBoundary())
-{
-    checkDecodedConfig(t, sim.cfg_);
-    // Armed predictor (zero window): a correctly predicted branch is
-    // free; a mispredicted one waits and blocks like the paper's.
-    if (sim.cfg_.predictor.armed())
-        predOk = precomputePredictions(t, sim.cfg_.predictor);
-}
-
-SimResult
-ScoreboardSim::result(const Lane &lane)
-{
-    SimResult result;
-    result.instructions = lane.trace->size();
-    result.hasStalls = true;
-    result.cycles = lane.end;
-    result.stalls = lane.stalls;
-    result.steadyOpsSkipped = lane.tracker.opsSkipped();
-    return result;
-}
-
 SimResult
 ScoreboardSim::run(const DecodedTrace &trace)
 {
-    Lane lane(*this, trace);
-    if (auditSink())
-        advance<true>(lane, trace.size());
-    else
-        advance<false>(lane, trace.size());
-    return result(lane);
+    return auditSink() ? runImpl<true>(trace) : runImpl<false>(trace);
 }
 
 template <bool kObs>
-void
-ScoreboardSim::advance(Lane &lane, std::size_t stop) const
+SimResult
+ScoreboardSim::runImpl(const DecodedTrace &trace) const
 {
-    const DecodedTrace &trace = *lane.trace;
-    std::array<ClockCycle, kNumRegs> &regReady = lane.regReady;
-    std::array<ClockCycle, kNumRegs> &chainReady = lane.chainReady;
-    FuPool &pool = lane.pool;
-    CycleReservations &bus = lane.bus;
-    SteadyStateTracker &tracker = lane.tracker;
-    const bool spec = !lane.predOk.empty();
-    const std::uint8_t *const predOk = lane.predOk.data();
+    checkDecodedConfig(trace, cfg_);
+    const std::size_t n = trace.size();
+    std::array<ClockCycle, kNumRegs> regReady{};
+    // First-element availability of vector results (== regReady for
+    // scalar results); vector consumers read it when chaining.
+    std::array<ClockCycle, kNumRegs> chainReady{};
+    FuPool pool({ org_.fuDiscipline, org_.memDiscipline, org_.fuCopies,
+                  org_.memPorts },
+                cfg_);
+    CycleReservations bus;      // the single result bus
+    // Armed predictor (zero window): a correctly predicted branch is
+    // free; a mispredicted one waits and blocks like the paper's.
+    const std::vector<std::uint8_t> predictions =
+        cfg_.predictor.armed()
+            ? precomputePredictions(trace, cfg_.predictor)
+            : std::vector<std::uint8_t>();
+    const bool spec = !predictions.empty();
+    const std::uint8_t *const predOk = predictions.data();
+    // Steady state is tracked unless it is disabled, a sink is
+    // attached (the event stream must be complete) or the predictor
+    // has history (it mispredicts aperiodically).
+    SteadyStateTracker tracker(steadyStateEnabled() &&
+                                       auditSink() == nullptr &&
+                                       cfg_.predictor.isStatic()
+                                   ? &trace.periodicity()
+                                   : nullptr,
+                               n);
     // Only registers the trace writes can ever hold a live ready
     // time, so signatures scan this cached list instead of all
     // kNumRegs (or all ops) per run.
     const std::vector<RegId> &written = trace.writtenRegs();
     const bool has_vector = trace.hasVector();
 
-    // The hot scalars live in locals for the whole call (registers
-    // across a batched block) and are stored back once at the end.
-    std::size_t i = lane.cursor;
-    std::size_t boundary = lane.boundary;
-    ClockCycle issue_cursor = lane.issueCursor;
-    ClockCycle end = lane.end;
-    StallBreakdown stalls = lane.stalls;
+    std::size_t boundary = tracker.nextBoundary();
+    ClockCycle issue_cursor = 0;    // earliest next issue slot
+    ClockCycle end = 0;
+    StallBreakdown stalls;
 
-    for (; i < stop; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         // Steady state: the machine's timing state at an iteration
         // boundary is the live part of the register ready times,
         // the pool and bus timelines and the end watermark, all
@@ -322,15 +308,14 @@ ScoreboardSim::advance(Lane &lane, std::size_t stop) const
         end = std::max(end, ready);
     }
 
-    lane.cursor = i;
-    lane.boundary = boundary;
-    lane.issueCursor = issue_cursor;
-    lane.end = end;
-    lane.stalls = stalls;
+    SimResult result;
+    result.instructions = n;
+    result.hasStalls = true;
+    result.cycles = end;
+    result.stalls = stalls;
+    result.steadyOpsSkipped = tracker.opsSkipped();
+    return result;
 }
-
-// runBatch() advances lanes through the uninstrumented instantiation.
-template void ScoreboardSim::advance<false>(Lane &, std::size_t) const;
 
 AuditRules
 ScoreboardSim::auditRules() const

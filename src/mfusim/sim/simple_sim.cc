@@ -5,58 +5,38 @@
 
 #include "mfusim/sim/simple_sim.hh"
 
+#include "mfusim/sim/steady_state.hh"
+
 namespace mfusim
 {
-
-SimpleSim::Lane::Lane(const SimpleSim &sim, const DecodedTrace &t)
-    : trace(&t),
-      tracker(steadyStateEnabled() && sim.auditSink() == nullptr
-                  ? &t.periodicity()
-                  : nullptr,
-              t.size()),
-      boundary(tracker.nextBoundary())
-{
-    checkDecodedConfig(t, sim.cfg_);
-}
-
-SimResult
-SimpleSim::result(const Lane &lane)
-{
-    SimResult result;
-    result.instructions = lane.trace->size();
-    result.cycles = lane.end;
-    result.steadyOpsSkipped = lane.tracker.opsSkipped();
-    return result;
-}
 
 SimResult
 SimpleSim::run(const DecodedTrace &trace)
 {
-    Lane lane(*this, trace);
-    if (auditSink())
-        advance<true>(lane, trace.size());
-    else
-        advance<false>(lane, trace.size());
-    return result(lane);
+    return auditSink() ? runImpl<true>(trace) : runImpl<false>(trace);
 }
 
 template <bool kObs>
-void
-SimpleSim::advance(Lane &lane, std::size_t stop) const
+SimResult
+SimpleSim::runImpl(const DecodedTrace &trace) const
 {
+    checkDecodedConfig(trace, cfg_);
     // Instruction i enters execution when instruction i-1 leaves it;
     // the two-stage pipeline otherwise always has the next
     // instruction decoded and waiting, so execution is back to back:
     // total time is simply the sum of execution latencies (every
     // latency is at least 1 cycle, so the issue stage never starves
     // the execute stage).
-    const DecodedTrace &trace = *lane.trace;
-    SteadyStateTracker &tracker = lane.tracker;
-    std::size_t i = lane.cursor;
-    std::size_t boundary = lane.boundary;
-    ClockCycle end = lane.end;
+    const std::size_t n = trace.size();
+    SteadyStateTracker tracker(
+        steadyStateEnabled() && auditSink() == nullptr
+            ? &trace.periodicity()
+            : nullptr,
+        n);
+    std::size_t boundary = tracker.nextBoundary();
+    ClockCycle end = 0;     // the execute stage frees
 
-    for (; i < stop; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         // Steady state: the machine's whole timing state is `end`,
         // so every boundary of a periodic segment matches trivially
         // and the per-period cycle delta (the body's latency sum)
@@ -87,13 +67,12 @@ SimpleSim::advance(Lane &lane, std::size_t stop) const
             emitAudit(AuditPhase::kComplete, end, i);
     }
 
-    lane.cursor = i;
-    lane.boundary = boundary;
-    lane.end = end;
+    SimResult result;
+    result.instructions = n;
+    result.cycles = end;
+    result.steadyOpsSkipped = tracker.opsSkipped();
+    return result;
 }
-
-// runBatch() advances lanes through the uninstrumented instantiation.
-template void SimpleSim::advance<false>(Lane &, std::size_t) const;
 
 AuditRules
 SimpleSim::auditRules() const

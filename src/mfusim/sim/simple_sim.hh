@@ -19,16 +19,11 @@
 
 #include "mfusim/core/error.hh"
 #include "mfusim/sim/simulator.hh"
-#include "mfusim/sim/steady_state.hh"
 
 namespace mfusim
 {
 
-/**
- * The serial two-stage machine.  One run is one Lane advanced over
- * the whole trace; the batched sweep kernel (sim/batched.hh) advances
- * many lanes block by block through the same advance().
- */
+/** The serial two-stage machine. */
 class SimpleSim : public Simulator
 {
   public:
@@ -40,34 +35,6 @@ class SimpleSim : public Simulator
                 " serial machine (drop the predictor spec)");
     }
 
-    /** The whole timing state of one run over one trace. */
-    struct Lane
-    {
-        /**
-         * A run of @p sim over @p trace, at op 0; steady state is
-         * tracked unless disabled or a sink is attached.
-         */
-        Lane(const SimpleSim &sim, const DecodedTrace &trace);
-
-        const DecodedTrace *trace;
-        SteadyStateTracker tracker;
-        ClockCycle end = 0;             // the execute stage frees
-        std::size_t boundary;           // next steady-state boundary
-        std::size_t cursor = 0;         // next op to execute
-    };
-
-    /**
-     * Execute ops of @p lane until its cursor reaches @p stop (a
-     * steady-state skip may carry it past).  kObs emits the audit
-     * event and stall-sample stream; without it the loop is a pure
-     * latency sum.
-     */
-    template <bool kObs>
-    void advance(Lane &lane, std::size_t stop) const;
-
-    /** The result of a lane advanced over its whole trace. */
-    static SimResult result(const Lane &lane);
-
     using Simulator::run;
     SimResult run(const DecodedTrace &trace) override;
     std::string name() const override { return "Simple"; }
@@ -76,6 +43,11 @@ class SimpleSim : public Simulator
     AuditRules auditRules() const override;
 
   private:
+    // The execute loop is compiled twice: kObs emits the audit event
+    // and stall-sample stream; without it the loop is a pure latency
+    // sum.
+    template <bool kObs> SimResult runImpl(const DecodedTrace &trace) const;
+
     MachineConfig cfg_;
 };
 

@@ -2,10 +2,9 @@
  * @file
  * The multiple-issue cell grid pinned in golden/multi_issue_cells.txt.
  *
- * MultiIssueSim (in-order and out-of-order issue) and RuuSim are
- * about to be rebuilt as lanes of one kernel, as SimpleSim and
- * ScoreboardSim were.  This grid pins every SimResult field of 36
- * machines of the two families first: seq/ooo at widths 2 and 8 and
+ * This grid pins every SimResult field of 36 machines of the
+ * MultiIssueSim (in-order and out-of-order issue) and RuuSim
+ * families, recorded before either family was rebuilt: seq/ooo at widths 2 and 8 and
  * the RUU at three (width, size) points, each with its N-bus,
  * single-bus and crossbar result buses, plus one replicated-unit
  * variant per family, then seq/ooo at widths 1 and 4 with the same

@@ -2,16 +2,15 @@
  * @file
  * The single-issue cell grid pinned in golden/single_issue_cells.txt.
  *
- * SimpleSim::run() and ScoreboardSim::run() advance the same lane
- * transition that runBatch() advances block by block, so comparing
- * the two no longer checks the timing rules themselves.  This grid
- * pins every SimResult field of the four Table 1 machines, their
- * replicated-unit and bus/chaining variants, and the scoreboard
- * machines under every zero-window predictor, as recorded while the
- * scalar simulators and the batched kernel were separate code.  The
- * CDC 6600 and Tomasulo machines of section 3.3 follow: both result
- * bus models, four station/CDB counts, and three zero-window
- * predictors on each.
+ * runBatch() runs each lane through its simulator's run(), so
+ * comparing the two does not check the timing rules themselves.
+ * This grid pins every SimResult field of the four Table 1 machines,
+ * their replicated-unit and bus/chaining variants, and the
+ * scoreboard machines under every zero-window predictor, as recorded
+ * while the scalar simulators and a batched kernel were separate
+ * code.  The CDC 6600 and Tomasulo machines of section 3.3 follow:
+ * both result bus models, four station/CDB counts, and three
+ * zero-window predictors on each.
  */
 
 #ifndef MFUSIM_TESTS_SINGLE_ISSUE_CELLS_HH

@@ -1,18 +1,15 @@
 /**
  * @file
- * Batched lockstep sweep coverage (sim/batched.hh).
+ * Batched sweep coverage (sim/batched.hh).
  *
- *  - Bit identity: every covered sim (Simple, Scoreboard orgs,
- *    MultiIssue in both issue orders across widths, bus kinds,
- *    replicated units and predictors) batched over the Table 1/3
- *    latency axis and the organization axes matches the scalar path
- *    on every Livermore loop, with the steady-state fast path on and
- *    off — every SimResult field, including steadyOpsSkipped.
- *  - The covered groups really run lockstep (lockstepLanes > 0) —
- *    lanes with replicated units or an armed predictor included —
- *    and uncovered lanes (audited, single-cell batches, structurally
- *    different traces) fall back to the scalar path with identical
- *    results.
+ *  - Bit identity: every sim (Simple, Scoreboard orgs, MultiIssue in
+ *    both issue orders across widths, bus kinds, replicated units
+ *    and predictors) batched over the Table 1/3 latency axis and the
+ *    organization axes matches its own run() on every Livermore
+ *    loop, with the steady-state fast path on and off — every
+ *    SimResult field, including steadyOpsSkipped.
+ *  - Single-cell batches, mixed issue orders, audited lanes and
+ *    lanes over different traces each return their own run() result.
  *  - An audited lane inside a batch produces the same timing as the
  *    plain path and a complete event stream (the Auditor accepts it).
  */
@@ -175,11 +172,6 @@ TEST_P(BatchedBitIdentity, MatchesScalarPath)
     const BatchOutcome out = runBatch(lanes);
 
     ASSERT_EQ(out.results.size(), variants.size());
-    // Every covered lane must actually run lockstep — replicated-unit
-    // and predictor-armed lanes too: the library loops are scalar and
-    // each (kind, loop) group holds >= 2 lanes.
-    EXPECT_EQ(out.lockstepLanes, variants.size());
-    EXPECT_EQ(out.scalarLanes, 0u);
 
     std::vector<Variant> fresh = sweepVariants(loop);
     for (std::size_t i = 0; i < variants.size(); ++i) {
@@ -196,7 +188,7 @@ INSTANTIATE_TEST_SUITE_P(
             (std::get<1>(info.param) ? "_steady" : "_plain");
     });
 
-// ---- fallback lanes ---------------------------------------------------
+// ---- lanes run alone ---------------------------------------------------
 
 TEST(BatchedSweep, SingleCellBatchTakesScalarPath)
 {
@@ -205,8 +197,7 @@ TEST(BatchedSweep, SingleCellBatchTakesScalarPath)
         TraceLibrary::instance().decoded(3, cfg);
     ScoreboardSim sim(ScoreboardConfig::crayLike(), cfg);
     const BatchOutcome out = runBatch({ { &sim, &trace } });
-    EXPECT_EQ(out.lockstepLanes, 0u);
-    EXPECT_EQ(out.scalarLanes, 1u);
+    ASSERT_EQ(out.results.size(), 1u);
 
     ScoreboardSim fresh(ScoreboardConfig::crayLike(), cfg);
     expectSameResult(out.results.at(0), fresh.run(trace),
@@ -215,6 +206,8 @@ TEST(BatchedSweep, SingleCellBatchTakesScalarPath)
 
 TEST(BatchedSweep, OutOfOrderLanesRunLockstep)
 {
+    // Both issue orders and two widths in one batch: each lane
+    // returns its own run() result.
     const MachineConfig cfg = standardConfigs()[0];
     const DecodedTrace &trace =
         TraceLibrary::instance().decoded(5, cfg);
@@ -226,8 +219,7 @@ TEST(BatchedSweep, OutOfOrderLanesRunLockstep)
                                         { &ooo2, &trace },
                                         { &seq1, &trace },
                                         { &seq2, &trace } });
-    EXPECT_EQ(out.lockstepLanes, 4u);
-    EXPECT_EQ(out.scalarLanes, 0u);
+    ASSERT_EQ(out.results.size(), 4u);
 
     for (const unsigned width : { 4u, 8u }) {
         for (const bool ooo : { true, false }) {
@@ -257,14 +249,16 @@ TEST(BatchedSweep, AuditedLaneFallsBackScalarWithCleanAudit)
                                         { &plain1, &trace },
                                         { &plain2, &trace } });
     audited.attachAudit(nullptr);
-    EXPECT_EQ(out.lockstepLanes, 2u);
-    EXPECT_EQ(out.scalarLanes, 1u);
+    ASSERT_EQ(out.results.size(), 3u);
     EXPECT_NO_THROW(auditor.finish());
     EXPECT_EQ(out.results.at(0).steadyOpsSkipped, 0u);
 
     ScoreboardSim fresh(ScoreboardConfig::crayLike(), cfg);
     expectSameResult(out.results.at(1), fresh.run(trace),
-                     "lockstep lane next to audited lane");
+                     "plain lane next to audited lane");
+    ScoreboardSim freshSerial(ScoreboardConfig::serialMemory(), cfg);
+    expectSameResult(out.results.at(2), freshSerial.run(trace),
+                     "serial-memory lane next to audited lane");
     SteadyGuard off(false);
     ScoreboardSim freshPlain(ScoreboardConfig::crayLike(), cfg);
     SimResult base = freshPlain.run(trace);
@@ -274,38 +268,35 @@ TEST(BatchedSweep, AuditedLaneFallsBackScalarWithCleanAudit)
 
 TEST(BatchedSweep, StructurallyDifferentTracesSplitGroups)
 {
-    const MachineConfig cfg = standardConfigs()[0];
+    // Lanes over different traces return their own run() results:
+    // two loops, and one loop decoded under two configurations —
+    // from the library's shared body and standalone.
     TraceLibrary &lib = TraceLibrary::instance();
+    const MachineConfig &cfg = standardConfigs()[0];
+    const MachineConfig &slow = standardConfigs()[1];
     const DecodedTrace &a = lib.decoded(1, cfg);
     const DecodedTrace &b = lib.decoded(2, cfg);
-    EXPECT_FALSE(structurallyIdentical(a, b));
-    EXPECT_TRUE(structurallyIdentical(a, a));
-    // Same loop decoded under different configs: different latencies,
-    // same structure — one shared body in the library, two separate
-    // bodies (compared field by field) when decoded standalone.
-    const DecodedTrace &a2 = lib.decoded(1, standardConfigs()[1]);
-    EXPECT_EQ(&a.body(), &a2.body());
-    EXPECT_TRUE(structurallyIdentical(a, a2));
-    const DecodedTrace own(lib.trace(1), standardConfigs()[1]);
-    EXPECT_NE(&own.body(), &a.body());
-    EXPECT_TRUE(structurallyIdentical(a, own));
-    EXPECT_FALSE(structurallyIdentical(own, b));
+    const DecodedTrace &a2 = lib.decoded(1, slow);
+    const DecodedTrace own(lib.trace(1), slow);
+    const std::vector<const DecodedTrace *> traces = { &a, &b, &a2,
+                                                       &own, &a };
 
-    ScoreboardSim s1(ScoreboardConfig::crayLike(), cfg);
-    ScoreboardSim s2(ScoreboardConfig::crayLike(), cfg);
-    ScoreboardSim s3(ScoreboardConfig::crayLike(), cfg);
-    const BatchOutcome out = runBatch(
-        { { &s1, &a }, { &s2, &b }, { &s3, &a } });
-    // The two LL1 lanes form a lockstep group; the lone LL2 lane
-    // falls back.
-    EXPECT_EQ(out.lockstepLanes, 2u);
-    EXPECT_EQ(out.scalarLanes, 1u);
-    for (int i = 0; i < 3; ++i) {
-        ScoreboardSim fresh(ScoreboardConfig::crayLike(), cfg);
-        expectSameResult(
-            out.results.at(std::size_t(i)),
-            fresh.run(i == 1 ? b : a),
-            "lane " + std::to_string(i));
+    std::vector<std::unique_ptr<ScoreboardSim>> sims;
+    std::vector<BatchLane> lanes;
+    for (const DecodedTrace *trace : traces) {
+        sims.push_back(std::make_unique<ScoreboardSim>(
+            ScoreboardConfig::crayLike(), trace->config()));
+        lanes.push_back({ sims.back().get(), trace });
+    }
+    const BatchOutcome out = runBatch(lanes);
+    ASSERT_EQ(out.results.size(), traces.size());
+    EXPECT_NE(out.results[0].cycles, out.results[1].cycles);
+    EXPECT_NE(out.results[0].cycles, out.results[2].cycles);
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+        ScoreboardSim fresh(ScoreboardConfig::crayLike(),
+                            traces[i]->config());
+        expectSameResult(out.results[i], fresh.run(*traces[i]),
+                         "lane " + std::to_string(i));
     }
 }
 

@@ -2,13 +2,12 @@
  * @file
  * Pinned single-issue timings (golden/single_issue_cells.txt).
  *
- * SimpleSim and ScoreboardSim have one lane transition each: run()
- * advances one lane over the whole trace, runBatch() advances many
- * lanes over it block by block.  Comparing the two checks the block
- * schedule, not the timing rules, so both are checked against cells
- * recorded while the scalar simulators and the batched kernel were
- * separate implementations — with the steady-state fast path on and
- * off.
+ * runBatch() runs each lane through its simulator's run(), so
+ * comparing the two does not check the timing rules; both are
+ * checked against cells recorded while the scalar simulators and a
+ * batched kernel were separate implementations (the CDC 6600 and
+ * Tomasulo cells: with the simulators as they were when pinned) —
+ * with the steady-state fast path on and off.
  */
 
 #include <gtest/gtest.h>

@@ -481,9 +481,8 @@ TEST(Speculation, SpeculativeSeqLanesRunLockstepInsideBatches)
         TraceLibrary::instance().decoded(5, base);
     const MachineConfig pred = withPredictor(base, "2bit");
 
-    // Two plain in-order lanes and a speculative one form a lockstep
-    // group (one lane state covers the predictor); the speculative
-    // RUU lane has no lane state yet and runs scalar.
+    // Plain and speculative lanes share a batch; each returns its
+    // own run() result.
     MultiIssueSim seq1(MultiIssueConfig{ 4, false }, base);
     MultiIssueSim seq2(MultiIssueConfig{ 8, false }, base);
     MultiIssueSim specSeq(MultiIssueConfig{ 4, false }, pred);
@@ -493,9 +492,14 @@ TEST(Speculation, SpeculativeSeqLanesRunLockstepInsideBatches)
                                         { &seq2, &trace },
                                         { &specSeq, &trace },
                                         { &specRuu, &trace } });
-    EXPECT_EQ(out.lockstepLanes, 3u);
-    EXPECT_EQ(out.scalarLanes, 1u);
+    ASSERT_EQ(out.results.size(), 4u);
 
+    MultiIssueSim freshSeq1(MultiIssueConfig{ 4, false }, base);
+    expectSameResult(out.results.at(0), freshSeq1.run(trace),
+                     "plain seq lane, width 4");
+    MultiIssueSim freshSeq2(MultiIssueConfig{ 8, false }, base);
+    expectSameResult(out.results.at(1), freshSeq2.run(trace),
+                     "plain seq lane, width 8");
     MultiIssueSim freshSeq(MultiIssueConfig{ 4, false }, pred);
     expectSameResult(out.results.at(2), freshSeq.run(trace),
                      "speculative seq lane");
