@@ -19,6 +19,18 @@
 namespace mfusim
 {
 
+namespace
+{
+
+/**
+ * Largest numeric machine-spec field (issue width, buffer size,
+ * station and bus counts): a machine this size still allocates its
+ * per-run scratch.
+ */
+constexpr unsigned kMaxSpecField = 65536;
+
+} // namespace
+
 MachineConfig
 parseConfigSpec(const std::string &name)
 {
@@ -127,16 +139,23 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
         if (i >= fields.size())
             throw ConfigError("machine spec '" + spec +
                               "' needs more fields");
-        try {
-            std::size_t used = 0;
-            const unsigned long value = std::stoul(fields[i], &used);
-            if (used != fields[i].size())
-                throw std::invalid_argument(fields[i]);
-            return unsigned(value);
-        } catch (const std::exception &) {
-            throw ConfigError("bad numeric field '" + fields[i] +
-                              "' in machine spec '" + spec + "'");
+        const std::string &field = fields[i];
+        unsigned value = 0;
+        bool ok = !field.empty();
+        for (const char c : field) {
+            if (c < '0' || c > '9' ||
+                value > (kMaxSpecField - unsigned(c - '0')) / 10) {
+                ok = false;
+                break;
+            }
+            value = value * 10 + unsigned(c - '0');
         }
+        if (!ok)
+            throw ConfigError("bad numeric field '" + field +
+                              "' in machine spec '" + spec +
+                              "' (want decimal digits, at most " +
+                              std::to_string(kMaxSpecField) + ")");
+        return value;
     };
 
     if (fields[0] == "simple") {

@@ -83,8 +83,9 @@ std::shared_ptr<const TraceBody> bodyForLoopSpec(const std::string &spec);
  * model in the spec arms a predictor on the simulator's copy of
  * @p cfg.
  * @throws BranchModelError on a branch model the machine may not
- *         carry; ConfigError on an unknown machine / option /
- *         malformed numeric field.
+ *         carry; ConfigError on an unknown machine / option, or
+ *         a numeric field that is not plain decimal digits within
+ *         the parser's size bound.
  */
 std::unique_ptr<Simulator> parseMachineSpec(const std::string &spec,
                                             const MachineConfig &cfg);

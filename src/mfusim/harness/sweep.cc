@@ -166,13 +166,41 @@ runGrid(std::size_t cells,
     }
 }
 
+namespace
+{
+
+/**
+ * runGrid() with one cell per loop, every cell attempted; a failure
+ * is re-keyed from its cell index to the caller's terms, "loop <id>
+ * (<config>): <message>".
+ */
+void
+runLoopGrid(const std::vector<int> &loops, const MachineConfig &cfg,
+            unsigned jobs, const std::function<void(std::size_t)> &body)
+{
+    try {
+        runGrid(loops.size(), body, jobs, GridFailurePolicy::kContinue);
+    } catch (const SweepError &e) {
+        std::vector<SweepError::Failure> failures;
+        failures.reserve(e.failures().size());
+        for (const SweepError::Failure &f : e.failures()) {
+            failures.push_back(SweepError::Failure{
+                f.cell,
+                "loop " + std::to_string(loops[f.cell]) + " (" +
+                    cfg.name() + "): " + f.message });
+        }
+        throw SweepError(std::move(failures), loops.size());
+    }
+}
+
+} // namespace
+
 std::vector<double>
 parallelPerLoopRates(const SimFactory &factory,
                      const std::vector<int> &loops,
                      const MachineConfig &cfg, unsigned jobs)
 {
-    // The single-variant sweep is a one-lane batch per loop, which
-    // runBatch() routes to the plain scalar path.
+    // The single-variant sweep is a one-lane batch per loop.
     return batchedPerLoopRates({ factory }, loops, cfg, jobs)
         .front();
 }
@@ -185,77 +213,62 @@ batchedPerLoopRates(const std::vector<SimFactory> &variants,
     std::vector<std::vector<double>> rates(
         variants.size(), std::vector<double>(loops.size()));
     const bool audit = auditRequested();
-    try {
-        runGrid(loops.size(), [&](std::size_t i) {
-            const DecodedTrace &trace =
-                TraceLibrary::instance().decoded(loops[i], cfg);
-            const std::string traceKey =
-                "LL" + std::to_string(loops[i]);
-            ResultCache &cache = ResultCache::instance();
+    runLoopGrid(loops, cfg, jobs, [&](std::size_t i) {
+        const DecodedTrace &trace =
+            TraceLibrary::instance().decoded(loops[i], cfg);
+        const std::string traceKey =
+            "LL" + std::to_string(loops[i]);
+        ResultCache &cache = ResultCache::instance();
 
-            // Cells whose simulator states a complete cache identity
-            // are memoized process-wide (serve/result_cache.hh):
-            // re-sweeping the same (machine, loop, config) cell — a
-            // table bench revisiting a column, `rate all` re-run by
-            // the serve daemon — skips the simulation entirely.
-            // The remaining variants advance over the trace together
-            // in one lockstep pass, then every computed cell is
-            // stored back (one simulate, many cache fills).
-            std::vector<std::unique_ptr<Simulator>> sims(
-                variants.size());
-            std::vector<std::string> keys(variants.size());
-            std::vector<std::size_t> missed;
-            for (std::size_t v = 0; v < variants.size(); ++v) {
-                sims[v] = variants[v](cfg);
-                keys[v] = sims[v]->cacheKey();
-                SimResult cached;
-                if (!keys[v].empty() &&
-                    cache.probe(keys[v], traceKey, cfg, audit,
-                                &cached)) {
-                    rates[v][i] = cached.issueRate();
-                    continue;
-                }
-                missed.push_back(v);
+        // Cells whose simulator states a complete cache identity
+        // are memoized process-wide (serve/result_cache.hh):
+        // re-sweeping the same (machine, loop, config) cell — a
+        // table bench revisiting a column, `rate all` re-run by
+        // the serve daemon — skips the simulation entirely.
+        // The remaining variants run over the trace in one batch,
+        // then every computed cell is stored back.
+        std::vector<std::unique_ptr<Simulator>> sims(
+            variants.size());
+        std::vector<std::string> keys(variants.size());
+        std::vector<std::size_t> missed;
+        for (std::size_t v = 0; v < variants.size(); ++v) {
+            sims[v] = variants[v](cfg);
+            keys[v] = sims[v]->cacheKey();
+            SimResult cached;
+            if (!keys[v].empty() &&
+                cache.probe(keys[v], traceKey, cfg, audit,
+                            &cached)) {
+                rates[v][i] = cached.issueRate();
+                continue;
             }
-            if (audit) {
-                // Audited cells need the complete per-op event
-                // stream: scalar path, as before.
-                for (const std::size_t v : missed) {
-                    const SimResult result =
-                        runAudited(*sims[v], trace);
-                    if (!keys[v].empty())
-                        cache.store(keys[v], traceKey, cfg, audit,
-                                    result);
-                    rates[v][i] = result.issueRate();
-                }
-                return;
-            }
-            std::vector<BatchLane> lanes;
-            lanes.reserve(missed.size());
-            for (const std::size_t v : missed)
-                lanes.push_back({ sims[v].get(), &trace });
-            const BatchOutcome out = runBatch(lanes);
-            for (std::size_t m = 0; m < missed.size(); ++m) {
-                const std::size_t v = missed[m];
+            missed.push_back(v);
+        }
+        if (audit) {
+            // Audited cells need the complete per-op event
+            // stream: scalar path, as before.
+            for (const std::size_t v : missed) {
+                const SimResult result =
+                    runAudited(*sims[v], trace);
                 if (!keys[v].empty())
                     cache.store(keys[v], traceKey, cfg, audit,
-                                out.results[m]);
-                rates[v][i] = out.results[m].issueRate();
+                                result);
+                rates[v][i] = result.issueRate();
             }
-        }, jobs, GridFailurePolicy::kContinue);
-    } catch (const SweepError &e) {
-        // Re-key the cell indices as loop ids so the report reads in
-        // the caller's terms.
-        std::vector<SweepError::Failure> failures;
-        failures.reserve(e.failures().size());
-        for (const SweepError::Failure &f : e.failures()) {
-            failures.push_back(SweepError::Failure{
-                f.cell,
-                "loop " + std::to_string(loops[f.cell]) + " (" +
-                    cfg.name() + "): " + f.message });
+            return;
         }
-        throw SweepError(std::move(failures), loops.size());
-    }
+        std::vector<BatchLane> lanes;
+        lanes.reserve(missed.size());
+        for (const std::size_t v : missed)
+            lanes.push_back({ sims[v].get(), &trace });
+        const BatchOutcome out = runBatch(lanes);
+        for (std::size_t m = 0; m < missed.size(); ++m) {
+            const std::size_t v = missed[m];
+            if (!keys[v].empty())
+                cache.store(keys[v], traceKey, cfg, audit,
+                            out.results[m]);
+            rates[v][i] = out.results[m].issueRate();
+        }
+    });
     return rates;
 }
 
@@ -271,34 +284,22 @@ parallelPerLoopMetrics(const SimFactory &factory,
     // interrupted sweep (core/shutdown.hh) the merge below can count
     // how many cells actually completed.
     std::vector<char> done(loops.size(), 0);
-    try {
-        runGrid(loops.size(), [&](std::size_t i) {
-            const DecodedTrace &trace =
-                TraceLibrary::instance().decoded(loops[i], cfg);
-            auto sim = factory(cfg);
-            PipeTraceRecorder recorder;
-            sim->attachAudit(&recorder);
-            const SimResult result = sim->run(trace);
-            sim->attachAudit(nullptr);
-            out.rates[i] = result.issueRate();
-            populateRunMetrics(cells[i], trace, recorder, result,
-                               *sim);
-            cells[i]
-                .gauge("rate.LL" + std::to_string(loops[i]))
-                .set(result.issueRate());
-            done[i] = 1;
-        }, jobs, GridFailurePolicy::kContinue);
-    } catch (const SweepError &e) {
-        std::vector<SweepError::Failure> failures;
-        failures.reserve(e.failures().size());
-        for (const SweepError::Failure &f : e.failures()) {
-            failures.push_back(SweepError::Failure{
-                f.cell,
-                "loop " + std::to_string(loops[f.cell]) + " (" +
-                    cfg.name() + "): " + f.message });
-        }
-        throw SweepError(std::move(failures), loops.size());
-    }
+    runLoopGrid(loops, cfg, jobs, [&](std::size_t i) {
+        const DecodedTrace &trace =
+            TraceLibrary::instance().decoded(loops[i], cfg);
+        auto sim = factory(cfg);
+        PipeTraceRecorder recorder;
+        sim->attachAudit(&recorder);
+        const SimResult result = sim->run(trace);
+        sim->attachAudit(nullptr);
+        out.rates[i] = result.issueRate();
+        populateRunMetrics(cells[i], trace, recorder, result,
+                           *sim);
+        cells[i]
+            .gauge("rate.LL" + std::to_string(loops[i]))
+            .set(result.issueRate());
+        done[i] = 1;
+    });
     // Serial index-order merge: deterministic regardless of the
     // worker schedule.
     out.metrics.setLabel("config", cfg.name());

@@ -112,14 +112,11 @@ std::vector<double> parallelPerLoopRates(const SimFactory &factory,
 /**
  * Batched parallelPerLoopRates(): many machine variants swept over
  * the same loops and config in one call.  One grid cell per loop;
- * within a cell the variants that miss the ResultCache advance over
- * the loop's decoded trace together through the batched lockstep
- * kernel (sim/batched.hh) — one trace pass, many configs — and every
- * computed cell is stored back, so one simulate fills many cache
- * entries.  Lanes lockstep does not cover (the RUU, CDC 6600 and
- * Tomasulo machines, audited cells) fall back to the scalar path
- * inside the same call; results are bit-identical to per-variant
- * parallelPerLoopRates() either way.
+ * within a cell the variants that miss the ResultCache run over the
+ * loop's decoded trace as one runBatch() (sim/batched.hh), each lane
+ * alone through its simulator's run(), and every computed cell is
+ * stored back, so one call fills many cache entries.  Results are
+ * bit-identical to per-variant parallelPerLoopRates().
  *
  * Returns rates[variant][loop index].  Audit and failure reporting
  * as in parallelPerLoopRates(); a failing variant fails its whole

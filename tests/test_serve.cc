@@ -418,8 +418,8 @@ TEST_F(ServeE2E, SweepMatchesDirectParallelRates)
 TEST_F(ServeE2E, BatchedSweepManyMachinesOneRequest)
 {
     // A 'machine' list sweeps every variant in one request: the
-    // variants advance over each loop through the batched lockstep
-    // kernel and must reproduce the per-variant scalar sweep.
+    // variants run over each loop in one batch and must reproduce
+    // the per-variant scalar sweep.
     const Response r = roundTrip(
         port(), "POST", "/v1/sweep",
         R"({"machine": ["seq:2", "seq:4", "seq:4,1bus"],
@@ -448,15 +448,21 @@ TEST_F(ServeE2E, BatchedSweepManyMachinesOneRequest)
                 << specs[v] << " row " << i;
     }
 
-    // The batched kernel's telemetry reaches /metrics.
+    // The batch telemetry reaches /metrics: batches and lanes, with
+    // no lane-kind split (every lane runs alone).
     const Response metrics = roundTrip(port(), "GET", "/metrics");
     ASSERT_EQ(metrics.status, 200);
+    EXPECT_NE(metrics.body.find("mfusim_sweep_batches_total"),
+              std::string::npos)
+        << metrics.body;
     EXPECT_NE(metrics.body.find("mfusim_sweep_batch_size_total"),
               std::string::npos)
         << metrics.body;
-    EXPECT_NE(
-        metrics.body.find("mfusim_sweep_batch_lockstep_lanes_total"),
-        std::string::npos)
+    EXPECT_EQ(metrics.body.find("mfusim_sweep_batch_lockstep"),
+              std::string::npos)
+        << metrics.body;
+    EXPECT_EQ(metrics.body.find("mfusim_sweep_batch_scalar"),
+              std::string::npos)
         << metrics.body;
 }
 
@@ -480,6 +486,18 @@ TEST_F(ServeE2E, BadInputsMapToFourHundreds)
                         R"({"loop": 99, "machine": "cray"})")
                   .status,
               400);
+    // Numeric machine-spec fields out of range, negative or past
+    // 32 bits: a config error, never a wrapped or huge machine.
+    for (const char *body :
+         { R"({"loop": 5, "machine": "ooo:99999999999"})",
+           R"({"loop": 5, "machine": "ruu:4:-1"})",
+           R"({"loop": 5, "machine": "tomasulo:4294967297:1"})" }) {
+        const Response bad =
+            roundTrip(port(), "POST", "/v1/simulate", body);
+        EXPECT_EQ(bad.status, 400) << body << " -> " << bad.body;
+        EXPECT_NE(bad.body.find("bad numeric field"), std::string::npos)
+            << body << " -> " << bad.body;
+    }
     // Missing fields.
     EXPECT_EQ(roundTrip(port(), "POST", "/v1/simulate",
                         R"({"machine": "cray"})")
