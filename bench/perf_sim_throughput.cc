@@ -280,22 +280,18 @@ BENCHMARK(BM_RuuSteady)
     ->Args({ 13, 0 })
     ->Args({ 13, 1 });
 
-// ---- batched lockstep sweep --------------------------------------
+// ---- batched sweep --------------------------------------------------
 //
 // The full Table 3 in-order grid — 4 standard configs x scalar-class
-// loops x 16 (stations, bus) variants — with the lanes advanced in
-// block lockstep through runBatch() (batched=1) or one at a time
-// through run() (batched=0), with the steady-state fast path off and
-// on.  Both arms run the same MultiIssueSim::advance(), so the
-// batched/one-lane items_per_second ratio measures lockstep's
-// locality alone.  tools/check_bench_regression.py --run gates that
-// ratio and the steady on/off ratio within one run.
+// loops x 16 (stations, bus) variants — through runBatch(), one batch
+// per (config, loop) cell, with the steady-state fast path off (0)
+// and on (1).  tools/check_bench_regression.py --run gates the
+// steady on/off items_per_second ratio within one run.
 
 void
 BM_BatchedSweep(benchmark::State &state)
 {
-    const bool batched = state.range(0) != 0;
-    setSteadyStateEnabled(state.range(1) != 0);
+    setSteadyStateEnabled(state.range(0) != 0);
     const auto &configs = standardConfigs();
     const std::vector<int> &loops = loopsOf(LoopClass::kScalar);
     std::int64_t ops = 0;
@@ -306,6 +302,7 @@ BM_BatchedSweep(benchmark::State &state)
                 const DecodedTrace &trace =
                     TraceLibrary::instance().decoded(loop, cfg);
                 std::vector<std::unique_ptr<Simulator>> sims;
+                std::vector<BatchLane> lanes;
                 for (unsigned stations = 1; stations <= 8;
                      ++stations) {
                     for (const BusKind bus :
@@ -315,22 +312,13 @@ BM_BatchedSweep(benchmark::State &state)
                                 MultiIssueConfig{ stations, false,
                                                   bus, false },
                                 cfg));
+                        lanes.push_back({ sims.back().get(), &trace });
                     }
                 }
-                if (batched) {
-                    std::vector<BatchLane> lanes;
-                    lanes.reserve(sims.size());
-                    for (const auto &sim : sims)
-                        lanes.push_back({ sim.get(), &trace });
-                    benchmark::DoNotOptimize(
-                        runBatch(lanes).results.front().cycles);
-                } else {
-                    for (const auto &sim : sims)
-                        benchmark::DoNotOptimize(
-                            sim->run(trace).cycles);
-                }
+                benchmark::DoNotOptimize(
+                    runBatch(lanes).results.front().cycles);
                 ops += std::int64_t(trace.size()) *
-                       std::int64_t(sims.size());
+                       std::int64_t(lanes.size());
             }
         }
     }
@@ -338,10 +326,8 @@ BM_BatchedSweep(benchmark::State &state)
     state.SetItemsProcessed(std::int64_t(state.iterations()) * ops);
 }
 BENCHMARK(BM_BatchedSweep)
-    ->Args({ 0, 0 })
-    ->Args({ 1, 0 })
-    ->Args({ 0, 1 })
-    ->Args({ 1, 1 })
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // ---- decode and generation costs ---------------------------------

@@ -252,7 +252,7 @@ class MetricsRegistry
  * RAII wall-clock phase timer: on destruction adds the elapsed
  * seconds to a gauge (conventionally "profile.<phase>_seconds").
  * Used by the CLI to stamp decode / period-detect / simulate phase
- * times into metrics output and by run_bench.sh's self-profile.
+ * times into metrics output.
  */
 class ScopedPhaseTimer
 {
