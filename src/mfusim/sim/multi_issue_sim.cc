@@ -27,9 +27,9 @@ constexpr std::uint32_t kNoProd = DecodedTrace::kNoProducer;
 constexpr std::size_t kNoIdx = ~std::size_t(0);
 
 /**
- * The timing state of one run that outlives a window, besides the
- * scalars the schedule keeps in locals: each op's completion cycle,
- * the unit and result-bus timelines.
+ * The per-run timing state the schedule's helpers below read, besides
+ * the scalars runWindows() keeps in locals: each op's completion
+ * cycle and the unit and result-bus timelines.
  */
 struct Lane
 {
