@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "mfusim/core/decoded_trace.hh"
+#include "mfusim/core/error.hh"
 #include "mfusim/core/machine_config.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/sim/audit.hh"
@@ -202,6 +203,22 @@ TEST(BatchedSweep, SingleCellBatchTakesScalarPath)
     ScoreboardSim fresh(ScoreboardConfig::crayLike(), cfg);
     expectSameResult(out.results.at(0), fresh.run(trace),
                      "single-cell");
+}
+
+TEST(BatchedSweep, NullLaneIsConfigError)
+{
+    const MachineConfig cfg = standardConfigs()[0];
+    const DecodedTrace &trace =
+        TraceLibrary::instance().decoded(3, cfg);
+    ScoreboardSim sim(ScoreboardConfig::crayLike(), cfg);
+    const BatchTelemetry before = batchTelemetry();
+    EXPECT_THROW(runBatch({ { &sim, &trace }, { nullptr, &trace } }),
+                 ConfigError);
+    EXPECT_THROW(runBatch({ { &sim, &trace }, { &sim, nullptr } }),
+                 ConfigError);
+    const BatchTelemetry after = batchTelemetry();
+    EXPECT_EQ(after.batches, before.batches);
+    EXPECT_EQ(after.lanes, before.lanes);
 }
 
 TEST(BatchedSweep, OutOfOrderLanesRunLockstep)
