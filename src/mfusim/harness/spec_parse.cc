@@ -5,7 +5,9 @@
 
 #include "mfusim/harness/spec_parse.hh"
 
+#include <charconv>
 #include <sstream>
+#include <system_error>
 #include <vector>
 
 #include "mfusim/core/error.hh"
@@ -139,18 +141,14 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
         if (i >= fields.size())
             throw ConfigError("machine spec '" + spec +
                               "' needs more fields");
+        // from_chars() into an unsigned takes no sign, space or
+        // prefix, and reports overflow.
         const std::string &field = fields[i];
+        const char *const end = field.data() + field.size();
         unsigned value = 0;
-        bool ok = !field.empty();
-        for (const char c : field) {
-            if (c < '0' || c > '9' ||
-                value > (kMaxSpecField - unsigned(c - '0')) / 10) {
-                ok = false;
-                break;
-            }
-            value = value * 10 + unsigned(c - '0');
-        }
-        if (!ok)
+        const auto [stop, ec] =
+            std::from_chars(field.data(), end, value);
+        if (ec != std::errc() || stop != end || value > kMaxSpecField)
             throw ConfigError("bad numeric field '" + field +
                               "' in machine spec '" + spec +
                               "' (want decimal digits, at most " +
