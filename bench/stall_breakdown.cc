@@ -42,17 +42,15 @@ main()
         for (const MachineConfig &cfg :
              { configM11BR5(), configM5BR2() }) {
             // Aggregate through the observability layer: each run's
-            // StallBreakdown lands in a MetricsRegistry under the
+            // SimResult::stalls lands in a MetricsRegistry under the
             // standard cycles.stall.* names, and the table is
-            // rendered from the registry.  tests cross-check that
-            // this path is count-identical to summing the
-            // SimResult fields directly.
+            // rendered from the registry.
             MetricsRegistry reg;
             for (int id = 1; id <= 14; ++id) {
                 ScoreboardSim sim(org, cfg);
                 const SimResult r =
                     sim.run(TraceLibrary::instance().decoded(id, cfg));
-                addStallBreakdown(reg, r.stalls);
+                addStallCounters(reg, r.stalls);
                 reg.counter("ops.total").add(r.instructions);
                 reg.counter("cycles.total").add(r.cycles);
             }

@@ -38,15 +38,15 @@ main(int argc, char **argv)
     std::printf("  CRAY-like issue rate %.3f (%llu cycles)\n",
                 base.issueRate(),
                 (unsigned long long)base.cycles);
-    const auto pct = [&base](std::uint64_t c) {
-        return 100.0 * double(c) / double(base.cycles);
+    const auto pct = [&base](StallCause cause) {
+        return 100.0 * double(base.stalls[unsigned(cause)]) /
+            double(base.cycles);
     };
     std::printf("  stalls: RAW %.0f%%  WAW %.0f%%  structural "
                 "%.0f%%  bus %.0f%%  branch %.0f%%\n",
-                pct(base.stalls.raw), pct(base.stalls.waw),
-                pct(base.stalls.structural),
-                pct(base.stalls.resultBus),
-                pct(base.stalls.branch));
+                pct(StallCause::kRaw), pct(StallCause::kWaw),
+                pct(StallCause::kFuBusy), pct(StallCause::kBusBusy),
+                pct(StallCause::kBranch));
 
     std::printf("\n=== Step 4: try the fixes ===\n");
     struct Fix

@@ -8,11 +8,15 @@
  * stage sat idle, only the simulator knows which hazard was binding
  * at that moment.  An ObsSink therefore extends AuditSink with
  * StallSample callbacks: every simulator, at the exact points where
- * it resolves a wait, reports the cycles lost and the cause, using
- * the same attribution the single-issue machines have always used
- * for SimResult::stalls (binding hazard in check order).
+ * it resolves a wait, reports the cycles lost and the cause (the
+ * binding hazard in check order).
  *
- * The cause taxonomy mirrors the paper's conflict classes:
+ * StallCause is mfusim's one stall taxonomy.  SimResult::stalls is a
+ * StallCounts indexed by it; the scoreboard family adds to the same
+ * counters at the same points where it emits samples, on every run,
+ * so its summary equals the sum of its samples.  The other machines
+ * report stalls only as samples.  The causes mirror the paper's
+ * conflict classes:
  *
  *   | cause        | paper conflict class                          |
  *   |--------------|-----------------------------------------------|
@@ -34,6 +38,7 @@
 #ifndef MFUSIM_OBS_OBS_SINK_HH
 #define MFUSIM_OBS_OBS_SINK_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -61,6 +66,9 @@ enum class StallCause : std::uint8_t
 
 constexpr unsigned kNumStallCauses =
     static_cast<unsigned>(StallCause::kNumCauses);
+
+/** Stall cycles per cause, indexed by StallCause. */
+using StallCounts = std::array<std::uint64_t, kNumStallCauses>;
 
 /** Stable metric-name spelling of a cause, e.g. "fu_busy". */
 inline const char *

@@ -21,12 +21,6 @@ namespace
 
 constexpr ClockCycle kNoCycle = PipeTraceRecorder::kNoCycle;
 
-std::string
-stallCounterName(StallCause cause)
-{
-    return std::string("cycles.stall.") + stallCauseName(cause);
-}
-
 /**
  * Build the per-cycle occupancy profile of [in, out) intervals and
  * feed it into a histogram + time series.  Intervals are clipped to
@@ -110,7 +104,7 @@ populateRunMetrics(MetricsRegistry &metrics, const DecodedTrace &trace,
     metrics.counter("cycles.front_active").add(activeCycles);
 
     std::uint64_t stallCycles = 0;
-    std::array<std::uint64_t, kNumStallCauses> byCause{};
+    StallCounts byCause{};
     for (const StallSample &s : recorder.stalls()) {
         if (s.from >= total)
             continue;
@@ -119,11 +113,7 @@ populateRunMetrics(MetricsRegistry &metrics, const DecodedTrace &trace,
         byCause[unsigned(s.cause)] += charge;
         stallCycles += charge;
     }
-    for (unsigned c = 0; c < kNumStallCauses; ++c) {
-        if (byCause[c])
-            metrics.counter(stallCounterName(StallCause(c)))
-                .add(byCause[c]);
-    }
+    addStallCounters(metrics, byCause);
 
     if (activeCycles + stallCycles > total) {
         throw Error("populateRunMetrics: stall attribution overlaps "
@@ -243,14 +233,14 @@ populateRunMetrics(MetricsRegistry &metrics, const DecodedTrace &trace,
 }
 
 void
-addStallBreakdown(MetricsRegistry &metrics,
-                  const StallBreakdown &stalls)
+addStallCounters(MetricsRegistry &metrics, const StallCounts &stalls)
 {
-    metrics.counter("cycles.stall.raw").add(stalls.raw);
-    metrics.counter("cycles.stall.waw").add(stalls.waw);
-    metrics.counter("cycles.stall.fu_busy").add(stalls.structural);
-    metrics.counter("cycles.stall.bus_busy").add(stalls.resultBus);
-    metrics.counter("cycles.stall.branch").add(stalls.branch);
+    for (unsigned c = 0; c < kNumStallCauses; ++c) {
+        if (stalls[c])
+            metrics.counter(std::string("cycles.stall.") +
+                            stallCauseName(StallCause(c)))
+                .add(stalls[c]);
+    }
 }
 
 } // namespace mfusim

@@ -49,14 +49,13 @@ void populateRunMetrics(MetricsRegistry &metrics,
                         const Simulator &sim);
 
 /**
- * Fold a scoreboard-family StallBreakdown into the same
- * "cycles.stall.<cause>" counters populateRunMetrics() uses
- * (structural -> fu_busy, resultBus -> bus_busy).  Lets
- * bench/stall_breakdown and fast-path runs share the registry
- * vocabulary without recording a schedule.
+ * Add each non-zero cause of @p stalls to its "cycles.stall.<cause>"
+ * counter.  populateRunMetrics() folds its samples in through this,
+ * and bench/stall_breakdown folds SimResult::stalls, so both name
+ * the counters the same way.
  */
-void addStallBreakdown(MetricsRegistry &metrics,
-                       const StallBreakdown &stalls);
+void addStallCounters(MetricsRegistry &metrics,
+                      const StallCounts &stalls);
 
 } // namespace mfusim
 

@@ -27,9 +27,10 @@ constexpr std::uint32_t kRecordMagic = 0x5255464DU; // "MFUR" LE
 // v2: payload grew the speculation counters (squashes, wrongPathOps).
 // v3: machine keys lost the branch-policy field ("|bp="); ",oracle"
 // and ",btfn" now key as the predictors they alias.
+// v4: every StallCause counter is stored, not just the first five.
 // A version bump discards older journals wholesale — recomputing is
 // always safe; decoding an old record under a new key scheme never is.
-constexpr std::uint32_t kSchemaVersion = 3;
+constexpr std::uint32_t kSchemaVersion = 4;
 /** Framing sanity bound: no composed key approaches this. */
 constexpr std::uint32_t kMaxPayloadBytes = 1 << 20;
 constexpr std::size_t kRecordHeaderBytes = 12;
@@ -66,22 +67,23 @@ getU64(const char *p)
     return v;
 }
 
-/** payload := keyLen key instructions cycles stalls[5] hasStalls
- *  skipped squashes wrongPathOps */
+/** payload := keyLen key instructions cycles stalls[kNumStallCauses]
+ *  hasStalls skipped squashes wrongPathOps; kValueBytes counts the
+ *  bytes after the key. */
+constexpr std::size_t kValueBytes =
+    (2 + kNumStallCauses) * 8 + 1 + 3 * 8;
+
 std::string
 encodePayload(const std::string &key, const SimResult &r)
 {
     std::string payload;
-    payload.reserve(4 + key.size() + 7 * 8 + 1 + 3 * 8);
+    payload.reserve(4 + key.size() + kValueBytes);
     putU32(payload, std::uint32_t(key.size()));
     payload.append(key);
     putU64(payload, r.instructions);
     putU64(payload, r.cycles);
-    putU64(payload, r.stalls.raw);
-    putU64(payload, r.stalls.waw);
-    putU64(payload, r.stalls.structural);
-    putU64(payload, r.stalls.resultBus);
-    putU64(payload, r.stalls.branch);
+    for (const std::uint64_t stalls : r.stalls)
+        putU64(payload, stalls);
     payload.push_back(r.hasStalls ? '\1' : '\0');
     putU64(payload, r.steadyOpsSkipped);
     putU64(payload, r.squashes);
@@ -96,21 +98,21 @@ decodePayload(const char *p, std::size_t size, std::string *key,
     if (size < 4)
         return false;
     const std::uint32_t keyLen = getU32(p);
-    if (size != 4 + std::size_t(keyLen) + 7 * 8 + 1 + 3 * 8)
+    if (size != 4 + std::size_t(keyLen) + kValueBytes)
         return false;
     key->assign(p + 4, keyLen);
     const char *q = p + 4 + keyLen;
     r->instructions = getU64(q);
     r->cycles = getU64(q + 8);
-    r->stalls.raw = getU64(q + 16);
-    r->stalls.waw = getU64(q + 24);
-    r->stalls.structural = getU64(q + 32);
-    r->stalls.resultBus = getU64(q + 40);
-    r->stalls.branch = getU64(q + 48);
-    r->hasStalls = q[56] != '\0';
-    r->steadyOpsSkipped = getU64(q + 57);
-    r->squashes = getU64(q + 65);
-    r->wrongPathOps = getU64(q + 73);
+    q += 16;
+    for (std::uint64_t &stalls : r->stalls) {
+        stalls = getU64(q);
+        q += 8;
+    }
+    r->hasStalls = *q != '\0';
+    r->steadyOpsSkipped = getU64(q + 1);
+    r->squashes = getU64(q + 9);
+    r->wrongPathOps = getU64(q + 17);
     return true;
 }
 

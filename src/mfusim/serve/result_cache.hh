@@ -18,8 +18,8 @@
  * modes, and a code-version string (the git SHA for daemon builds),
  * so a key can never alias two runs that could differ in any output
  * bit.  Values are complete SimResults, so hits reproduce
- * instructions, cycles, stall breakdowns and steady-state telemetry
- * bit-identically.
+ * instructions, cycles, per-cause stall counters and steady-state
+ * telemetry bit-identically.
  *
  * Thread safety: the map is sharded 16 ways by key hash — each shard
  * has its own mutex and hit/miss counters (cache-line separated), so

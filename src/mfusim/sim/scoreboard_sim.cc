@@ -20,6 +20,18 @@
 namespace mfusim
 {
 
+namespace
+{
+
+// The scoreboard charges kRaw..kBranch only, so steady state tracks
+// the first five counters.
+constexpr unsigned kTrackedCauses = 5;
+static_assert(unsigned(StallCause::kRaw) == 0 &&
+                  unsigned(StallCause::kBranch) == kTrackedCauses - 1,
+              "kRaw..kBranch must be StallCounts 0..4");
+
+} // namespace
+
 ScoreboardConfig
 ScoreboardConfig::serialMemory()
 {
@@ -125,7 +137,15 @@ ScoreboardSim::runImpl(const DecodedTrace &trace) const
     std::size_t boundary = tracker.nextBoundary();
     ClockCycle issue_cursor = 0;    // earliest next issue slot
     ClockCycle end = 0;
-    StallBreakdown stalls;
+    StallCounts stalls{};
+    // Charge @p cycles lost from cycle @p from to @p cause; an
+    // instrumented run also reports them as a StallSample.
+    const auto stall = [&](StallCause cause, ClockCycle from,
+                           ClockCycle cycles, std::size_t op) {
+        stalls[unsigned(cause)] += cycles;
+        if constexpr (kObs)
+            emitStall(cause, from, cycles, op);
+    };
 
     for (std::size_t i = 0; i < n; ++i) {
         // Steady state: the machine's timing state at an iteration
@@ -158,12 +178,8 @@ ScoreboardSim::runImpl(const DecodedTrace &trace) const
                 bus.advanceTo(base);
                 sig.push_back(bus.bits());
                 sig.push_back(end - base);  // end >= cursor: exact
-                const std::uint64_t counters[5] = {
-                    stalls.raw, stalls.waw, stalls.structural,
-                    stalls.resultBus, stalls.branch
-                };
-                if (const auto skip =
-                        tracker.finishObserve(base, counters, 5)) {
+                if (const auto skip = tracker.finishObserve(
+                        base, stalls.data(), kTrackedCauses)) {
                     i += skip->ops;
                     issue_cursor += skip->delta;
                     end += skip->delta;
@@ -176,11 +192,8 @@ ScoreboardSim::runImpl(const DecodedTrace &trace) const
                         r += skip->delta;
                     pool.shiftTime(skip->delta);
                     bus.shiftTime(skip->delta);
-                    stalls.raw += skip->counters[0];
-                    stalls.waw += skip->counters[1];
-                    stalls.structural += skip->counters[2];
-                    stalls.resultBus += skip->counters[3];
-                    stalls.branch += skip->counters[4];
+                    for (unsigned c = 0; c < kTrackedCauses; ++c)
+                        stalls[c] += skip->counters[c];
                 }
             }
             boundary = tracker.nextBoundary();
@@ -207,17 +220,15 @@ ScoreboardSim::runImpl(const DecodedTrace &trace) const
                 // then hold the issue stage for the branch time.
                 const ClockCycle t =
                     std::max(issue_cursor, cond_ready);
-                stalls.branch +=
-                    (t - issue_cursor) + (cfg_.branchTime - 1);
                 if constexpr (kObs) {
                     emitAudit(AuditPhase::kIssue, t, i);
                     if (spec)
                         emitAudit(AuditPhase::kSquash, t, i);
-                    emitStall(StallCause::kBranch, issue_cursor,
-                              t - issue_cursor, i);
-                    emitStall(StallCause::kBranch, t + 1,
-                              cfg_.branchTime - 1, i);
                 }
+                stall(StallCause::kBranch, issue_cursor,
+                      t - issue_cursor, i);
+                stall(StallCause::kBranch, t + 1, cfg_.branchTime - 1,
+                      i);
                 issue_cursor = t + cfg_.branchTime;
                 end = std::max(end, t + cfg_.branchTime);
             }
@@ -241,16 +252,11 @@ ScoreboardSim::runImpl(const DecodedTrace &trace) const
             t = std::max(t, chain && v_src ? chainReady[src]
                                            : regReady[src]);
         }
-        stalls.raw += t - issue_cursor;
-        if constexpr (kObs)
-            emitStall(StallCause::kRaw, issue_cursor,
-                      t - issue_cursor, i);
+        stall(StallCause::kRaw, issue_cursor, t - issue_cursor, i);
         ClockCycle mark = t;
         if (dst != kNoReg)
             t = std::max(t, regReady[dst]);         // WAW reservation
-        stalls.waw += t - mark;
-        if constexpr (kObs)
-            emitStall(StallCause::kWaw, mark, t - mark, i);
+        stall(StallCause::kWaw, mark, t - mark, i);
 
         // Structural hazards: functional unit, then result bus.
         // Vector results stream over the vector register write
@@ -259,9 +265,7 @@ ScoreboardSim::runImpl(const DecodedTrace &trace) const
             trace.producesResult(i) && !vector_op;
         while (true) {
             const ClockCycle at_fu = pool.earliestAccept(fu, t);
-            stalls.structural += at_fu - t;
-            if constexpr (kObs)
-                emitStall(StallCause::kFuBusy, t, at_fu - t, i);
+            stall(StallCause::kFuBusy, t, at_fu - t, i);
             t = at_fu;
             if (needs_bus) {
                 bus.advanceTo(t);
@@ -273,10 +277,8 @@ ScoreboardSim::runImpl(const DecodedTrace &trace) const
                 // always has a free slot, so this terminates.)
                 const ClockCycle slot = bus.nextFreeSlot(t + latency);
                 if (slot != t + latency) {
-                    stalls.resultBus += slot - (t + latency);
-                    if constexpr (kObs)
-                        emitStall(StallCause::kBusBusy, t,
-                                  slot - (t + latency), i);
+                    stall(StallCause::kBusBusy, t,
+                          slot - (t + latency), i);
                     t = slot - latency;
                     continue;   // recheck the unit at the later cycle
                 }

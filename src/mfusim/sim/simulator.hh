@@ -34,36 +34,18 @@ namespace mfusim
  */
 constexpr ClockCycle kDefaultWatchdogCycles = 1000000;
 
-/**
- * Where issue cycles were lost, for simulators that can attribute
- * them (currently the single-issue scoreboard family).  Each counter
- * is the number of cycles the issue stage waited on that hazard as
- * the *binding* constraint, attributed in hazard-check order
- * (RAW, then WAW, then structural, then result bus).
- */
-struct StallBreakdown
-{
-    std::uint64_t raw = 0;          //!< waiting for source operands
-    std::uint64_t waw = 0;          //!< destination register reserved
-    std::uint64_t structural = 0;   //!< functional unit / memory busy
-    std::uint64_t resultBus = 0;    //!< completion-slot conflicts
-    std::uint64_t branch = 0;       //!< condition waits + branch time
-
-    std::uint64_t
-    total() const
-    {
-        return raw + waw + structural + resultBus + branch;
-    }
-};
-
 /** Outcome of one simulation. */
 struct SimResult
 {
     std::uint64_t instructions = 0; //!< dynamic instructions issued
     ClockCycle cycles = 0;          //!< completion time of the trace
 
-    /** Valid only when hasStalls is set. */
-    StallBreakdown stalls;
+    /**
+     * Issue cycles lost per StallCause, each charged to the binding
+     * hazard in check order.  Only the scoreboard family fills them
+     * (and sets hasStalls); it uses causes kRaw..kBranch only.
+     */
+    StallCounts stalls{};
     bool hasStalls = false;
 
     /**

@@ -133,9 +133,9 @@ constexpr std::size_t kSteadySkippedField = 12;
 
 /**
  * One fixture line: machine, predictor ("-" for none), configuration,
- * loop, then instructions, cycles, hasStalls, the five stall
- * counters, steadyOpsSkipped (of a steady-state run), squashes and
- * wrongPathOps.
+ * loop, then instructions, cycles, hasStalls, the stall counters of
+ * causes kRaw..kBranch, steadyOpsSkipped (of a steady-state run),
+ * squashes and wrongPathOps.
  */
 inline std::string
 multiIssueCellLine(const std::string &machine, const std::string &pred,
@@ -145,10 +145,10 @@ multiIssueCellLine(const std::string &machine, const std::string &pred,
     std::ostringstream out;
     out << machine << ' ' << (pred.empty() ? "-" : pred) << ' '
         << cfg.name() << ' ' << loop << ' ' << r.instructions << ' '
-        << r.cycles << ' ' << r.hasStalls << ' ' << r.stalls.raw << ' '
-        << r.stalls.waw << ' ' << r.stalls.structural << ' '
-        << r.stalls.resultBus << ' ' << r.stalls.branch << ' '
-        << r.steadyOpsSkipped << ' ' << r.squashes << ' '
+        << r.cycles << ' ' << r.hasStalls << ' ';
+    for (unsigned c = 0; c <= unsigned(StallCause::kBranch); ++c)
+        out << r.stalls[c] << ' ';
+    out << r.steadyOpsSkipped << ' ' << r.squashes << ' '
         << r.wrongPathOps;
     return out.str();
 }

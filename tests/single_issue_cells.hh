@@ -134,8 +134,8 @@ singleIssueMachines()
 
 /**
  * One fixture line: machine, configuration, loop, then cycles, the
- * five stall counters, steadyOpsSkipped (of a steady-state run) and
- * squashes.
+ * stall counters of causes kRaw..kBranch, steadyOpsSkipped (of a
+ * steady-state run) and squashes.
  */
 inline std::string
 singleIssueCellLine(const std::string &machine, const MachineConfig &cfg,
@@ -143,10 +143,10 @@ singleIssueCellLine(const std::string &machine, const MachineConfig &cfg,
 {
     std::ostringstream out;
     out << machine << ' ' << cfg.name() << ' ' << loop << ' '
-        << r.cycles << ' ' << r.stalls.raw << ' ' << r.stalls.waw << ' '
-        << r.stalls.structural << ' ' << r.stalls.resultBus << ' '
-        << r.stalls.branch << ' ' << r.steadyOpsSkipped << ' '
-        << r.squashes;
+        << r.cycles << ' ';
+    for (unsigned c = 0; c <= unsigned(StallCause::kBranch); ++c)
+        out << r.stalls[c] << ' ';
+    out << r.steadyOpsSkipped << ' ' << r.squashes;
     return out.str();
 }
 

@@ -87,9 +87,8 @@ TEST_P(AuditAllLoops, ZeroViolationsAndBitIdenticalResults)
         SimResult checked;
         ASSERT_NO_THROW(checked = runAudited(*audited[s], trace))
             << plain[s]->name();
-        EXPECT_EQ(checked.cycles, base.cycles) << plain[s]->name();
-        EXPECT_EQ(checked.instructions, base.instructions)
-            << plain[s]->name();
+        checked.steadyOpsSkipped = base.steadyOpsSkipped;
+        test::expectSameResult(checked, base, plain[s]->name());
     }
 }
 

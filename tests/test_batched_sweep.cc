@@ -32,45 +32,15 @@
 #include "mfusim/sim/simple_sim.hh"
 #include "mfusim/sim/steady_state.hh"
 #include "mfusim/spec/predictor.hh"
+#include "test_util.hh"
 
 namespace mfusim
 {
 namespace
 {
 
-class SteadyGuard
-{
-  public:
-    explicit SteadyGuard(bool on) : prev_(steadyStateEnabled())
-    {
-        setSteadyStateEnabled(on);
-    }
-    ~SteadyGuard() { setSteadyStateEnabled(prev_); }
-
-  private:
-    bool prev_;
-};
-
-void
-expectSameResult(const SimResult &got, const SimResult &want,
-                 const std::string &what)
-{
-    EXPECT_EQ(got.instructions, want.instructions) << what;
-    EXPECT_EQ(got.cycles, want.cycles) << what;
-    EXPECT_EQ(got.steadyOpsSkipped, want.steadyOpsSkipped) << what;
-    EXPECT_EQ(got.squashes, want.squashes) << what;
-    EXPECT_EQ(got.wrongPathOps, want.wrongPathOps) << what;
-    ASSERT_EQ(got.hasStalls, want.hasStalls) << what;
-    if (want.hasStalls) {
-        EXPECT_EQ(got.stalls.raw, want.stalls.raw) << what;
-        EXPECT_EQ(got.stalls.waw, want.stalls.waw) << what;
-        EXPECT_EQ(got.stalls.structural, want.stalls.structural)
-            << what;
-        EXPECT_EQ(got.stalls.resultBus, want.stalls.resultBus)
-            << what;
-        EXPECT_EQ(got.stalls.branch, want.stalls.branch) << what;
-    }
-}
+using test::expectSameResult;
+using test::SteadyGuard;
 
 /**
  * The sweep variants one batch advances over a single loop: the full

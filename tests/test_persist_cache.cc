@@ -22,6 +22,7 @@
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/serve/persist_cache.hh"
 #include "mfusim/serve/result_cache.hh"
+#include "test_util.hh"
 
 // Tests that need a probe to actually fire cannot run when the
 // probes are compiled down to constant false.
@@ -36,6 +37,8 @@ namespace mfusim
 {
 namespace
 {
+
+using test::expectSameResult;
 
 class PersistCacheTest : public ::testing::Test
 {
@@ -76,34 +79,20 @@ class PersistCacheTest : public ::testing::Test
     std::string dir_;
 };
 
+/** A result with a distinct non-zero value in every stored field. */
 SimResult
 sampleResult(std::uint64_t seed)
 {
     SimResult r;
     r.instructions = 1000 + seed;
     r.cycles = 500 + seed * 3;
-    r.stalls.raw = seed;
-    r.stalls.waw = seed + 1;
-    r.stalls.structural = seed + 2;
-    r.stalls.resultBus = seed + 3;
-    r.stalls.branch = seed + 4;
+    for (unsigned c = 0; c < kNumStallCauses; ++c)
+        r.stalls[c] = 100 * (seed + 1) + c + 1;
     r.hasStalls = true;
-    r.steadyOpsSkipped = seed * 7;
+    r.steadyOpsSkipped = seed * 7 + 1;
+    r.squashes = 2000 + seed;
+    r.wrongPathOps = 3000 + seed;
     return r;
-}
-
-void
-expectSameResult(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.stalls.raw, b.stalls.raw);
-    EXPECT_EQ(a.stalls.waw, b.stalls.waw);
-    EXPECT_EQ(a.stalls.structural, b.stalls.structural);
-    EXPECT_EQ(a.stalls.resultBus, b.stalls.resultBus);
-    EXPECT_EQ(a.stalls.branch, b.stalls.branch);
-    EXPECT_EQ(a.hasStalls, b.hasStalls);
-    EXPECT_EQ(a.steadyOpsSkipped, b.steadyOpsSkipped);
 }
 
 TEST_F(PersistCacheTest, RoundTripIsBitIdentical)
@@ -127,7 +116,7 @@ TEST_F(PersistCacheTest, RoundTripIsBitIdentical)
     ASSERT_EQ(warm.size(), 5u);
     for (std::uint64_t i = 0; i < 5; ++i)
         expectSameResult(warm.at("key" + std::to_string(i)),
-                         sampleResult(i));
+                         sampleResult(i), "key" + std::to_string(i));
 }
 
 TEST_F(PersistCacheTest, TornTailIsTruncatedNotParsed)
@@ -151,7 +140,7 @@ TEST_F(PersistCacheTest, TornTailIsTruncatedNotParsed)
     EXPECT_EQ(load.recovered, 2u);
     EXPECT_EQ(load.truncatedBytes, sizeof(torn));
     EXPECT_EQ(warm.size(), 2u);
-    expectSameResult(warm.at("a"), sampleResult(1));
+    expectSameResult(warm.at("a"), sampleResult(1), "a");
 
     // The tail was physically removed: a second recovery is clean.
     std::unordered_map<std::string, SimResult> again;
@@ -185,7 +174,7 @@ TEST_F(PersistCacheTest, ChecksumFailureDiscardsTheRecord)
     EXPECT_EQ(load.discardedCorrupt, 1u);
     EXPECT_GT(load.truncatedBytes, 0u);
     ASSERT_EQ(warm.size(), 1u);
-    expectSameResult(warm.at("a"), sampleResult(1));
+    expectSameResult(warm.at("a"), sampleResult(1), "a");
 
     // The corrupt record is gone from disk, not skipped over.
     std::unordered_map<std::string, SimResult> again;
@@ -221,7 +210,7 @@ TEST_F(PersistCacheTest, VersionMismatchWipesTheFile)
     }
     std::unordered_map<std::string, SimResult> again;
     EXPECT_EQ(recover("build-B", &again).recovered, 1u);
-    expectSameResult(again.at("b"), sampleResult(2));
+    expectSameResult(again.at("b"), sampleResult(2), "b");
 }
 
 TEST_F(PersistCacheTest, GarbageFileIsWiped)
@@ -268,7 +257,7 @@ TEST_F(PersistCacheTest, InjectedTornWriteIsCountedAndCompactable)
     const PersistLoadStats load = recover("v1", &warm);
     EXPECT_EQ(load.recovered, 3u);
     EXPECT_EQ(load.discardedCorrupt, 0u);
-    expectSameResult(warm.at("b"), sampleResult(2));
+    expectSameResult(warm.at("b"), sampleResult(2), "b");
 }
 
 TEST_F(PersistCacheTest, InjectedFsyncFailureIsAbsorbed)
@@ -358,7 +347,7 @@ TEST_F(PersistCacheTest, RestartWarmIsBitIdenticalToRecompute)
     const SimResult computed = cache.getOrCompute(
         machineKey, "LL3", cfg, false, simulate, &hit);
     EXPECT_FALSE(hit);
-    expectSameResult(computed, fresh);
+    expectSameResult(computed, fresh, "cold");
 
     // "Restart": drop every in-memory entry, then re-attach the
     // journal the first process wrote.
@@ -377,7 +366,7 @@ TEST_F(PersistCacheTest, RestartWarmIsBitIdenticalToRecompute)
         },
         &hit);
     EXPECT_TRUE(hit);
-    expectSameResult(warm, fresh);
+    expectSameResult(warm, fresh, "warm");
 }
 
 TEST_F(PersistCacheTest, InjectedLoadFailureStartsCold)

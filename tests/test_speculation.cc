@@ -48,20 +48,9 @@ namespace
 {
 
 using test::dyn;
+using test::expectSameResult;
+using test::SteadyGuard;
 using test::traceOf;
-
-class SteadyGuard
-{
-  public:
-    explicit SteadyGuard(bool on) : prev_(steadyStateEnabled())
-    {
-        setSteadyStateEnabled(on);
-    }
-    ~SteadyGuard() { setSteadyStateEnabled(prev_); }
-
-  private:
-    bool prev_;
-};
 
 DynOp
 branch(bool taken, bool backward)
@@ -77,18 +66,6 @@ withPredictor(const MachineConfig &base, const std::string &spec)
     MachineConfig cfg = base;
     cfg.predictor = PredictorSpec::parse(spec);
     return cfg;
-}
-
-void
-expectSameResult(const SimResult &got, const SimResult &want,
-                 const std::string &what)
-{
-    EXPECT_EQ(got.instructions, want.instructions) << what;
-    EXPECT_EQ(got.cycles, want.cycles) << what;
-    EXPECT_EQ(got.steadyOpsSkipped, want.steadyOpsSkipped) << what;
-    EXPECT_EQ(got.squashes, want.squashes) << what;
-    EXPECT_EQ(got.wrongPathOps, want.wrongPathOps) << what;
-    EXPECT_EQ(got.hasStalls, want.hasStalls) << what;
 }
 
 // ---- PredictorSpec parsing / keys ------------------------------------
@@ -247,10 +224,7 @@ TEST_P(SpecLoop, AuditedTwoBitRunsPassSquashLegality)
     // The audited (complete-event) path and the plain path agree.
     MultiIssueSim fresh({ 4, true, BusKind::kPerUnit, false }, pred);
     SteadyGuard off(false);
-    const SimResult plain = fresh.run(trace);
-    EXPECT_EQ(a.cycles, plain.cycles);
-    EXPECT_EQ(a.squashes, plain.squashes);
-    EXPECT_EQ(a.wrongPathOps, plain.wrongPathOps);
+    expectSameResult(a, fresh.run(trace), "audited vs plain");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLoops, SpecLoop, ::testing::Range(1, 15));

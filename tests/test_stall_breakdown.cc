@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/obs/run_metrics.hh"
 #include "mfusim/sim/scoreboard_sim.hh"
+#include "mfusim/spec/predictor.hh"
+#include "multi_issue_cells.hh"
+#include "single_issue_cells.hh"
 #include "test_util.hh"
 
 namespace mfusim
@@ -26,6 +32,12 @@ runCray(const DynTrace &trace,
     return sim.run(trace);
 }
 
+std::uint64_t
+stallOf(const SimResult &r, StallCause cause)
+{
+    return r.stalls[unsigned(cause)];
+}
+
 TEST(StallBreakdown, NoHazardsNoStalls)
 {
     const DynTrace trace = traceOf({
@@ -35,7 +47,7 @@ TEST(StallBreakdown, NoHazardsNoStalls)
     });
     const SimResult r = runCray(trace);
     ASSERT_TRUE(r.hasStalls);
-    EXPECT_EQ(r.stalls.total(), 0u);
+    EXPECT_EQ(r.stalls, StallCounts{});
 }
 
 TEST(StallBreakdown, RawWaitAttributed)
@@ -46,9 +58,9 @@ TEST(StallBreakdown, RawWaitAttributed)
     });
     const SimResult r = runCray(trace);
     // fadd waits cycles 1..10 on the load: 10 RAW stall cycles.
-    EXPECT_EQ(r.stalls.raw, 10u);
-    EXPECT_EQ(r.stalls.waw, 0u);
-    EXPECT_EQ(r.stalls.branch, 0u);
+    EXPECT_EQ(stallOf(r, StallCause::kRaw), 10u);
+    EXPECT_EQ(stallOf(r, StallCause::kWaw), 0u);
+    EXPECT_EQ(stallOf(r, StallCause::kBranch), 0u);
 }
 
 TEST(StallBreakdown, WawWaitAttributed)
@@ -58,8 +70,8 @@ TEST(StallBreakdown, WawWaitAttributed)
         dyn(Op::kSConst, S1),
     });
     const SimResult r = runCray(trace);
-    EXPECT_EQ(r.stalls.waw, 10u);
-    EXPECT_EQ(r.stalls.raw, 0u);
+    EXPECT_EQ(stallOf(r, StallCause::kWaw), 10u);
+    EXPECT_EQ(stallOf(r, StallCause::kRaw), 0u);
 }
 
 TEST(StallBreakdown, StructuralWaitAttributed)
@@ -72,7 +84,7 @@ TEST(StallBreakdown, StructuralWaitAttributed)
     ScoreboardSim sim(ScoreboardConfig::serialMemory(),
                       configM11BR5());
     const SimResult r = sim.run(trace);
-    EXPECT_EQ(r.stalls.structural, 10u);
+    EXPECT_EQ(stallOf(r, StallCause::kFuBusy), 10u);
 }
 
 TEST(StallBreakdown, ResultBusConflictAttributed)
@@ -82,7 +94,7 @@ TEST(StallBreakdown, ResultBusConflictAttributed)
         dyn(Op::kFAdd, S2, S6, S7),     // would complete with fmul
     });
     const SimResult r = runCray(trace);
-    EXPECT_EQ(r.stalls.resultBus, 1u);
+    EXPECT_EQ(stallOf(r, StallCause::kBusBusy), 1u);
 }
 
 TEST(StallBreakdown, BranchTimeAttributed)
@@ -95,7 +107,7 @@ TEST(StallBreakdown, BranchTimeAttributed)
     const SimResult r = runCray(trace);
     // Branch: no condition wait (A0 ready at its issue slot 1), 4
     // dead issue slots from the 5-cycle branch time.
-    EXPECT_EQ(r.stalls.branch, 4u);
+    EXPECT_EQ(stallOf(r, StallCause::kBranch), 4u);
 
     // Condition wait also charged to branch:
     const DynTrace wait = traceOf({
@@ -104,7 +116,7 @@ TEST(StallBreakdown, BranchTimeAttributed)
     });
     const SimResult r2 = runCray(wait);
     // Branch slot 1, condition at 11: 10 wait + 4 dead slots.
-    EXPECT_EQ(r2.stalls.branch, 14u);
+    EXPECT_EQ(stallOf(r2, StallCause::kBranch), 14u);
 }
 
 TEST(StallBreakdown, AccountingConsistentOnBenchmarks)
@@ -114,8 +126,8 @@ TEST(StallBreakdown, AccountingConsistentOnBenchmarks)
     for (int id = 1; id <= 14; ++id) {
         const SimResult r =
             runCray(TraceLibrary::instance().trace(id));
-        const std::uint64_t accounted =
-            r.instructions + r.stalls.total();
+        const std::uint64_t accounted = std::accumulate(
+            r.stalls.begin(), r.stalls.end(), r.instructions);
         EXPECT_LE(accounted, r.cycles) << "loop " << id;
         EXPECT_GT(accounted, r.cycles - 30) << "loop " << id;
     }
@@ -124,65 +136,72 @@ TEST(StallBreakdown, AccountingConsistentOnBenchmarks)
 TEST(StallBreakdown, RawDominatesOnRecurrenceLoop)
 {
     const SimResult r = runCray(TraceLibrary::instance().trace(5));
-    EXPECT_GT(r.stalls.raw, r.stalls.waw);
-    EXPECT_GT(r.stalls.raw, r.stalls.structural);
-    EXPECT_GT(r.stalls.raw, r.stalls.resultBus);
+    const std::uint64_t raw = stallOf(r, StallCause::kRaw);
+    EXPECT_GT(raw, stallOf(r, StallCause::kWaw));
+    EXPECT_GT(raw, stallOf(r, StallCause::kFuBusy));
+    EXPECT_GT(raw, stallOf(r, StallCause::kBusBusy));
 }
 
 TEST(StallBreakdown, AddStallBreakdownUsesStandardNames)
 {
-    // The bench table is now rendered from a MetricsRegistry; this
-    // pins the StallBreakdown -> cycles.stall.* name mapping it
-    // relies on, and that repeated adds accumulate.
-    StallBreakdown stalls;
-    stalls.raw = 3;
-    stalls.waw = 5;
-    stalls.structural = 7;
-    stalls.resultBus = 11;
-    stalls.branch = 13;
+    // The bench table is rendered from a MetricsRegistry; this pins
+    // the StallCause -> cycles.stall.* name mapping it relies on, and
+    // that repeated adds accumulate.
+    const StallCounts stalls = { 3, 5, 7, 11, 13, 17, 19, 23, 29, 31 };
     MetricsRegistry reg;
-    addStallBreakdown(reg, stalls);
-    addStallBreakdown(reg, stalls);
-    EXPECT_EQ(reg.counterValue("cycles.stall.raw"), 6u);
-    EXPECT_EQ(reg.counterValue("cycles.stall.waw"), 10u);
-    EXPECT_EQ(reg.counterValue("cycles.stall.fu_busy"), 14u);
-    EXPECT_EQ(reg.counterValue("cycles.stall.bus_busy"), 22u);
-    EXPECT_EQ(reg.counterValue("cycles.stall.branch"), 26u);
+    addStallCounters(reg, stalls);
+    addStallCounters(reg, stalls);
+    const char *const names[kNumStallCauses] = {
+        "raw", "waw", "fu_busy", "bus_busy", "branch",
+        "buffer_drain", "serial", "mispredict", "squash_drain", "other",
+    };
+    for (unsigned c = 0; c < kNumStallCauses; ++c)
+        EXPECT_EQ(reg.counterValue(std::string("cycles.stall.") +
+                                   names[c]),
+                  2 * stalls[c])
+            << names[c];
 }
 
 TEST(StallBreakdown, SampledStallsMatchSummaryCounters)
 {
     // The per-sample stream a PipeTraceRecorder collects must agree
-    // cycle-for-cycle with the SimResult's summary StallBreakdown:
-    // both sides are incremented at the same decision points in the
-    // scoreboard issue loop.
-    for (int id : { 1, 3, 5, 7 }) {
-        const DecodedTrace trace(TraceLibrary::instance().trace(id),
-                                 configM11BR5());
-        ScoreboardSim sim(ScoreboardConfig::crayLike(),
-                          configM11BR5());
-        PipeTraceRecorder recorder;
-        sim.attachAudit(&recorder);
-        const SimResult r = sim.run(trace);
-        sim.attachAudit(nullptr);
+    // cycle-for-cycle, on every cause, with SimResult::stalls: the
+    // scoreboard issue loop adds to both at the same points.  The
+    // uninstrumented run, steady state included, counts the same.
+    const ScoreboardConfig orgs[] = {
+        ScoreboardConfig::serialMemory(),
+        ScoreboardConfig::nonSegmented(),
+        ScoreboardConfig::crayLike(),
+    };
+    for (const char *pred : { "", "btfn:w0" }) {
+        for (MachineConfig cfg : { configM11BR5(), configM5BR2() }) {
+            if (*pred)
+                cfg.predictor = PredictorSpec::parse(pred);
+            for (int id = 1; id <= 14; ++id) {
+                const DecodedTrace &trace =
+                    TraceLibrary::instance().decoded(id, cfg);
+                for (const ScoreboardConfig &org : orgs) {
+                    ScoreboardSim sim(org, cfg);
+                    const SimResult fast = sim.run(trace);
+                    PipeTraceRecorder recorder;
+                    sim.attachAudit(&recorder);
+                    const SimResult r = sim.run(trace);
+                    sim.attachAudit(nullptr);
 
-        MetricsRegistry reg;
-        populateRunMetrics(reg, trace, recorder, r, sim);
-        EXPECT_EQ(reg.counterValue("cycles.stall.raw"),
-                  r.stalls.raw)
-            << "loop " << id;
-        EXPECT_EQ(reg.counterValue("cycles.stall.waw"),
-                  r.stalls.waw)
-            << "loop " << id;
-        EXPECT_EQ(reg.counterValue("cycles.stall.fu_busy"),
-                  r.stalls.structural)
-            << "loop " << id;
-        EXPECT_EQ(reg.counterValue("cycles.stall.bus_busy"),
-                  r.stalls.resultBus)
-            << "loop " << id;
-        EXPECT_EQ(reg.counterValue("cycles.stall.branch"),
-                  r.stalls.branch)
-            << "loop " << id;
+                    MetricsRegistry reg;
+                    populateRunMetrics(reg, trace, recorder, r, sim);
+                    StallCounts sampled{};
+                    for (unsigned c = 0; c < kNumStallCauses; ++c)
+                        sampled[c] = reg.counterValue(
+                            std::string("cycles.stall.") +
+                            stallCauseName(StallCause(c)));
+                    const std::string what = sim.name() + ' ' +
+                        cfg.name() + " loop " + std::to_string(id);
+                    EXPECT_EQ(sampled, r.stalls) << what;
+                    EXPECT_EQ(sampled, fast.stalls) << what;
+                }
+            }
+        }
     }
 }
 
@@ -193,8 +212,40 @@ TEST(StallBreakdown, InterleavingRemovesStructuralStalls)
                          configM11BR5());
     ScoreboardSim inter(ScoreboardConfig::nonSegmented(),
                         configM11BR5());
-    EXPECT_GT(serial.run(trace).stalls.structural,
-              inter.run(trace).stalls.structural * 2);
+    EXPECT_GT(stallOf(serial.run(trace), StallCause::kFuBusy),
+              stallOf(inter.run(trace), StallCause::kFuBusy) * 2);
+}
+
+TEST(StallBreakdown, GoldenCellsChargeOnlyTheFirstFiveCauses)
+{
+    // golden/*_cells.txt print causes kRaw..kBranch only; that is
+    // lossless while no machine's uninstrumented run charges any
+    // later cause.  Every cell of both grids is checked.
+    const auto expectFirstFive = [](const auto &machine,
+                                    const MachineConfig &cfg) {
+        for (int loop = 1; loop <= 14; ++loop) {
+            const SimResult r = machine.make(cfg)->run(
+                TraceLibrary::instance().decoded(loop, cfg));
+            for (unsigned c = unsigned(StallCause::kBranch) + 1;
+                 c < kNumStallCauses; ++c)
+                EXPECT_EQ(r.stalls[c], 0u)
+                    << machine.label << ' ' << cfg.name() << " loop "
+                    << loop << ' ' << stallCauseName(StallCause(c));
+        }
+    };
+    for (const auto &m : test::singleIssueMachines()) {
+        for (const MachineConfig &cfg : standardConfigs())
+            expectFirstFive(m, cfg);
+    }
+    for (const std::string &pred : test::multiIssuePredictors()) {
+        for (const auto &m : test::multiIssueMachines()) {
+            for (MachineConfig cfg : test::multiIssueConfigs(pred)) {
+                if (!pred.empty())
+                    cfg.predictor = PredictorSpec::parse(pred);
+                expectFirstFive(m, cfg);
+            }
+        }
+    }
 }
 
 } // namespace

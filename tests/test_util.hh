@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for mfusim tests: terse construction of hand-built
- * dynamic traces for golden-timing tests.
+ * dynamic traces for golden-timing tests, one SimResult comparator
+ * and a scoped steady-state switch.
  */
 
 #ifndef MFUSIM_TESTS_TEST_UTIL_HH
@@ -14,8 +15,12 @@
 #include <string>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "mfusim/core/trace.hh"
 #include "mfusim/core/trace_io.hh"
+#include "mfusim/sim/simulator.hh"
+#include "mfusim/sim/steady_state.hh"
 
 namespace mfusim
 {
@@ -46,6 +51,37 @@ traceOf(std::initializer_list<DynOp> ops, const char *name = "test")
         trace.append(op);
     return trace;
 }
+
+/**
+ * Expect @p got to equal @p want in every SimResult field, the whole
+ * stall array included; @p what names the run in failure messages.
+ */
+inline void
+expectSameResult(const SimResult &got, const SimResult &want,
+                 const std::string &what)
+{
+    EXPECT_EQ(got.instructions, want.instructions) << what;
+    EXPECT_EQ(got.cycles, want.cycles) << what;
+    EXPECT_EQ(got.stalls, want.stalls) << what;
+    EXPECT_EQ(got.hasStalls, want.hasStalls) << what;
+    EXPECT_EQ(got.steadyOpsSkipped, want.steadyOpsSkipped) << what;
+    EXPECT_EQ(got.squashes, want.squashes) << what;
+    EXPECT_EQ(got.wrongPathOps, want.wrongPathOps) << what;
+}
+
+/** Set the steady-state fast path for one scope, then restore it. */
+class SteadyGuard
+{
+  public:
+    explicit SteadyGuard(bool on) : prev_(steadyStateEnabled())
+    {
+        setSteadyStateEnabled(on);
+    }
+    ~SteadyGuard() { setSteadyStateEnabled(prev_); }
+
+  private:
+    bool prev_;
+};
 
 /** One cell of the pinned legacy branch-policy fixture. */
 struct PinnedCell
