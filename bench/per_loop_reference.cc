@@ -36,8 +36,8 @@ main()
                           "Seq w=4", "OOO w=4", "RUU 1x50",
                           "RUU 4x100", "DF", "Serial", "Buf" });
         for (const KernelSpec &spec : kernelSpecs()) {
-            const DynTrace &trace =
-                TraceLibrary::instance().trace(spec.id);
+            const DecodedTrace &trace =
+                TraceLibrary::instance().decoded(spec.id, cfg);
             SimpleSim simple(cfg);
             ScoreboardSim cray(ScoreboardConfig::crayLike(), cfg);
             MultiIssueSim seq({ 4, false, BusKind::kPerUnit, false },
@@ -46,10 +46,9 @@ main()
                               cfg);
             RuuSim ruu1({ 1, 50, BusKind::kPerUnit }, cfg);
             RuuSim ruu4({ 4, 100, BusKind::kPerUnit }, cfg);
-            const LimitResult pure = computeLimits(trace, cfg);
-            const LimitResult serial =
-                computeLimits(trace, cfg, true);
-            const BufferDemand demand = bufferDemand(trace, cfg);
+            const LimitResult pure = computeLimits(trace);
+            const LimitResult serial = computeLimits(trace, true);
+            const BufferDemand demand = bufferDemand(trace);
             table.addRow({
                 "LL" + std::to_string(spec.id),
                 spec.vectorizable ? "vec" : "scal",

@@ -19,14 +19,15 @@ main(int argc, char **argv)
 {
     const int loop_id = argc > 1 ? std::atoi(argv[1]) : 5;
     const MachineConfig cfg = configM11BR5();
-    const DynTrace &trace = TraceLibrary::instance().trace(loop_id);
+    const DecodedTrace &trace =
+        TraceLibrary::instance().decoded(loop_id, cfg);
 
     std::printf("=== Step 1: what is this code made of? ===\n");
-    std::fputs(analyzeTrace(trace, cfg).c_str(), stdout);
+    std::fputs(analyzeTrace(trace).c_str(), stdout);
 
     std::printf("\n=== Step 2: what could any machine achieve? ===\n");
-    const LimitResult pure = computeLimits(trace, cfg, false);
-    const LimitResult serial = computeLimits(trace, cfg, true);
+    const LimitResult pure = computeLimits(trace, false);
+    const LimitResult serial = computeLimits(trace, true);
     std::printf("  dataflow limit      %.3f instr/cycle\n",
                 pure.actualRate);
     std::printf("  without renaming    %.3f (serial WAW limit)\n",
@@ -63,7 +64,9 @@ main(int argc, char **argv)
     ScoreboardSim cray_fast(ScoreboardConfig::crayLike(), fast_mem);
     const Fix fixes[] = {
         { "faster memory (M5)",
-          cray_fast.run(trace).issueRate() },
+          cray_fast.run(TraceLibrary::instance().decoded(loop_id,
+                                                         fast_mem))
+              .issueRate() },
         { "dependency resolution (RUU 4x64)",
           ruu.run(trace).issueRate() },
         { "RUU + perfect branch prediction",

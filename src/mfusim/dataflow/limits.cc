@@ -5,9 +5,6 @@
 
 #include "mfusim/dataflow/limits.hh"
 
-#include <algorithm>
-#include <array>
-
 namespace mfusim
 {
 
@@ -29,56 +26,8 @@ computeLimits(const DecodedTrace &trace, bool serialWaw,
         return result;
 
     // ---- pseudo-dataflow: critical path with branch gating --------
-    // valueReady: when the current value of each architectural
-    // register exists (registers renamed: each write creates a new
-    // value, so WAW/WAR impose nothing unless serialWaw).
-    std::array<ClockCycle, kNumRegs> value_ready{};
-    // lastDone: completion time of the previous writer of each
-    // architectural register (for the serial constraint).
-    std::array<ClockCycle, kNumRegs> last_done{};
-    ClockCycle ctrl_ready = 0;      // resolve time of last branch
-    ClockCycle critical = 0;
-
-    const std::size_t n_ops = trace.size();
-    for (std::size_t i = 0; i < n_ops; ++i) {
-        const unsigned latency = trace.latency(i);
-        const unsigned elements = trace.occupancy(i);
-        const RegId srcA = trace.srcA(i);
-        const RegId srcB = trace.srcB(i);
-        const RegId dst = trace.dst(i);
-
-        ClockCycle start = ctrl_ready;
-        if (srcA != kNoReg)
-            start = std::max(start, value_ready[srcA]);
-        if (srcB != kNoReg)
-            start = std::max(start, value_ready[srcB]);
-
-        // Pure dataflow is elementwise for vector ops: the first
-        // result element exists after one unit latency (perfect
-        // chaining), the op completes after streaming all elements.
-        ClockCycle done = start + latency + (elements - 1);
-        if (serialWaw && dst != kNoReg) {
-            // No buffering: must finish no earlier than the previous
-            // writer of the same register.
-            done = std::max(done, last_done[dst]);
-        }
-
-        if (trace.isBranch(i)) {
-            // Later instructions (the next loop iteration) are gated
-            // on this branch resolving.
-            ctrl_ready = start + cfg.branchTime;
-            critical = std::max(critical, ctrl_ready);
-        } else {
-            if (dst != kNoReg) {
-                // A chained vector consumer sees the first element
-                // one latency after the producer starts.
-                value_ready[dst] = elements > 1 ?
-                    start + latency + 1 : done;
-                last_done[dst] = done;
-            }
-            critical = std::max(critical, done);
-        }
-    }
+    const ClockCycle critical = walkPseudoDataflow(
+        trace, serialWaw, [](std::size_t, ClockCycle, ClockCycle) {});
 
     // ---- resource limit: busiest functional unit ------------------
     const TraceStats &stats = trace.stats();

@@ -29,6 +29,9 @@
 #ifndef MFUSIM_DATAFLOW_LIMITS_HH
 #define MFUSIM_DATAFLOW_LIMITS_HH
 
+#include <algorithm>
+#include <array>
+
 #include "mfusim/core/decoded_trace.hh"
 #include "mfusim/core/machine_config.hh"
 #include "mfusim/core/trace.hh"
@@ -73,6 +76,81 @@ LimitResult computeLimits(const DecodedTrace &trace,
                           bool serialWaw = false,
                           unsigned fuCopies = 1,
                           unsigned memPorts = 1);
+
+/**
+ * Walk the pseudo-dataflow schedule of @p trace: the one schedule
+ * behind the pseudo-dataflow limit, the width profile and the
+ * buffering demand (trace_analysis.hh).
+ *
+ * Registers are renamed, so an op starts at the max of its operands'
+ * ready times and the resolve time of the last earlier branch; a
+ * branch resolves at its start + branchTime.  Vector ops are
+ * elementwise: an op of occupancy() elements completes at start +
+ * latency + elements - 1, and a chained consumer may start on its
+ * first element, at start + latency + 1.  With @p serialWaw an op
+ * also completes no earlier than the previous writer of its
+ * destination register.
+ *
+ * @p visit(i, start, ready) sees every op in program order: its start
+ * cycle and the cycle later ops see its effect (a branch's resolve
+ * time, a result's ready time, else its completion).  The walk itself
+ * allocates nothing.
+ *
+ * @return the critical path length: the last completion or resolve.
+ */
+template <class Visit>
+ClockCycle
+walkPseudoDataflow(const DecodedTrace &trace, bool serialWaw,
+                   Visit &&visit)
+{
+    // value_ready: when the current value of each architectural
+    // register exists (each write creates a new value, so WAW/WAR
+    // impose nothing unless serialWaw).  last_done: completion time
+    // of the previous writer of each register (serial constraint).
+    std::array<ClockCycle, kNumRegs> value_ready{};
+    std::array<ClockCycle, kNumRegs> last_done{};
+    ClockCycle ctrl_ready = 0;      // resolve time of last branch
+    ClockCycle critical = 0;
+    const unsigned branch_time = trace.config().branchTime;
+
+    const std::size_t n_ops = trace.size();
+    for (std::size_t i = 0; i < n_ops; ++i) {
+        const unsigned latency = trace.latency(i);
+        const unsigned elements = trace.occupancy(i);
+        const RegId srcA = trace.srcA(i);
+        const RegId srcB = trace.srcB(i);
+        const RegId dst = trace.dst(i);
+
+        ClockCycle start = ctrl_ready;
+        if (srcA != kNoReg)
+            start = std::max(start, value_ready[srcA]);
+        if (srcB != kNoReg)
+            start = std::max(start, value_ready[srcB]);
+
+        if (trace.isBranch(i)) {
+            // Later instructions (the next loop iteration) are gated
+            // on this branch resolving.
+            ctrl_ready = start + branch_time;
+            critical = std::max(critical, ctrl_ready);
+            visit(i, start, ctrl_ready);
+            continue;
+        }
+        ClockCycle done = start + latency + (elements - 1);
+        ClockCycle ready = done;
+        if (dst != kNoReg) {
+            // No buffering: finish no earlier than the previous
+            // writer of the same register.
+            if (serialWaw)
+                done = std::max(done, last_done[dst]);
+            ready = elements > 1 ? start + latency + 1 : done;
+            value_ready[dst] = ready;
+            last_done[dst] = done;
+        }
+        critical = std::max(critical, done);
+        visit(i, start, ready);
+    }
+    return critical;
+}
 
 } // namespace mfusim
 

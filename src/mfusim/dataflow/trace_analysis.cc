@@ -11,27 +11,23 @@
 #include <sstream>
 #include <vector>
 
+#include "mfusim/dataflow/limits.hh"
+
 namespace mfusim
 {
 
 DependenceStats
-dependenceDistances(const DynTrace &trace)
+dependenceDistances(const DecodedOps &trace)
 {
     DependenceStats stats;
-    std::vector<std::int64_t> last_writer(kNumRegs, -1);
     std::uint64_t distance_sum = 0;
 
-    const auto &ops = trace.ops();
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const DynOp &op = ops[i];
-        for (const RegId src : { op.srcA, op.srcB }) {
-            if (src == kNoReg)
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        for (const std::uint32_t writer :
+             { trace.prodA(i), trace.prodB(i) }) {
+            if (writer == DecodedOps::kNoProducer)
                 continue;
-            const std::int64_t writer = last_writer[src];
-            if (writer < 0)
-                continue;
-            const std::uint64_t dist = std::uint64_t(
-                std::int64_t(i) - writer);
+            const std::uint64_t dist = i - writer;
             stats.totalDeps++;
             distance_sum += dist;
             if (dist <= DependenceStats::kBuckets)
@@ -39,8 +35,6 @@ dependenceDistances(const DynTrace &trace)
             else
                 stats.longer++;
         }
-        if (op.dst != kNoReg)
-            last_writer[op.dst] = std::int64_t(i);
     }
     if (stats.totalDeps > 0) {
         stats.meanDistance =
@@ -50,13 +44,13 @@ dependenceDistances(const DynTrace &trace)
 }
 
 BasicBlockStats
-basicBlocks(const DynTrace &trace)
+basicBlocks(const DecodedOps &trace)
 {
     BasicBlockStats stats;
     std::uint64_t current = 0;
-    for (const DynOp &op : trace.ops()) {
+    for (std::size_t i = 0; i < trace.size(); ++i) {
         ++current;
-        if (isBranch(op.op)) {
+        if (trace.isBranch(i)) {
             stats.blocks++;
             stats.totalOps += current;
             stats.maxLength = std::max(stats.maxLength, current);
@@ -72,113 +66,60 @@ basicBlocks(const DynTrace &trace)
 }
 
 WidthProfile
-widthProfile(const DynTrace &trace, const MachineConfig &cfg)
+widthProfile(const DecodedTrace &trace)
 {
+    // starts[c]: ops that start in cycle c.
+    std::vector<std::uint64_t> starts;
+    const ClockCycle critical = walkPseudoDataflow(
+        trace, false, [&](std::size_t, ClockCycle start, ClockCycle) {
+            if (start >= starts.size())
+                starts.resize(start + 1);
+            ++starts[start];
+        });
+
     WidthProfile profile;
-    if (trace.empty())
+    if (critical == 0)
         return profile;
-
-    // The pseudo-dataflow schedule: each op starts at the max of its
-    // renamed operand ready times and the last branch resolve time.
-    std::vector<ClockCycle> value_ready(kNumRegs, 0);
-    ClockCycle ctrl_ready = 0;
-    std::map<ClockCycle, std::uint64_t> starts;
-    ClockCycle critical = 0;
-
-    for (const DynOp &op : trace.ops()) {
-        const unsigned latency = latencyOf(op.op, cfg);
-        ClockCycle start = ctrl_ready;
-        if (op.srcA != kNoReg)
-            start = std::max(start, value_ready[op.srcA]);
-        if (op.srcB != kNoReg)
-            start = std::max(start, value_ready[op.srcB]);
-        starts[start]++;
-        const ClockCycle done = start + latency;
-        if (isBranch(op.op)) {
-            ctrl_ready = start + cfg.branchTime;
-            critical = std::max(critical, ctrl_ready);
-        } else {
-            if (op.dst != kNoReg)
-                value_ready[op.dst] = done;
-            critical = std::max(critical, done);
-        }
-    }
-
     profile.levels = critical;
-    profile.meanWidth = critical == 0 ?
-        0.0 : double(trace.size()) / double(critical);
-    for (const auto &[cycle, count] : starts)
-        profile.peakWidth = std::max(profile.peakWidth, count);
-    profile.activeFraction = critical == 0 ?
-        0.0 : double(starts.size()) / double(critical);
+    profile.meanWidth = double(trace.size()) / double(critical);
+    profile.peakWidth = *std::max_element(starts.begin(), starts.end());
+    profile.activeFraction =
+        double(starts.size() -
+               std::count(starts.begin(), starts.end(), 0u)) /
+        double(critical);
     return profile;
 }
 
 BufferDemand
-bufferDemand(const DynTrace &trace, const MachineConfig &cfg)
+bufferDemand(const DecodedTrace &trace)
 {
-    BufferDemand demand;
-    if (trace.empty())
-        return demand;
-
-    const auto &ops = trace.ops();
-    const std::size_t n = ops.size();
-
-    // Pseudo-dataflow schedule: start/done per op (renamed values,
-    // branch gating), as in computeLimits().
-    std::vector<ClockCycle> done(n, 0);
-    std::vector<std::size_t> last_writer(kNumRegs, SIZE_MAX);
-    // Death time of each producing op's value: max start time of a
-    // consumer (at least the production time).
-    std::vector<ClockCycle> death(n, 0);
-    std::vector<ClockCycle> value_ready(kNumRegs, 0);
-    ClockCycle ctrl_ready = 0;
-    ClockCycle critical = 0;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const DynOp &op = ops[i];
-        ClockCycle start = ctrl_ready;
-        for (const RegId src : { op.srcA, op.srcB }) {
-            if (src == kNoReg)
-                continue;
-            start = std::max(start, value_ready[src]);
-        }
-        const ClockCycle finish =
-            start + latencyOf(op.op, cfg);
-        for (const RegId src : { op.srcA, op.srcB }) {
-            if (src == kNoReg)
-                continue;
-            const std::size_t producer = last_writer[src];
-            if (producer != SIZE_MAX)
-                death[producer] = std::max(death[producer], start);
-        }
-        if (isBranch(op.op)) {
-            ctrl_ready = start + cfg.branchTime;
-            critical = std::max(critical, ctrl_ready);
-        } else {
-            if (op.dst != kNoReg) {
-                value_ready[op.dst] = finish;
-                last_writer[op.dst] = i;
-                done[i] = finish;
-                death[i] = finish;      // at least until produced
+    // Each value is buffered from its ready time until the latest
+    // start of a consumer (at least until it is ready).
+    const std::size_t n = trace.size();
+    std::vector<ClockCycle> ready(n);
+    std::vector<ClockCycle> last_use(n);
+    const ClockCycle critical = walkPseudoDataflow(
+        trace, false,
+        [&](std::size_t i, ClockCycle start, ClockCycle when) {
+            for (const std::uint32_t writer :
+                 { trace.prodA(i), trace.prodB(i) }) {
+                if (writer != DecodedOps::kNoProducer)
+                    last_use[writer] = std::max(last_use[writer], start);
             }
-            critical = std::max(critical, finish);
-        }
-    }
+            ready[i] = when;
+            last_use[i] = when;
+        });
 
-    // Sweep: +1 at each value's production, -1 after its death.
+    // Sweep: +1 at each value's ready time, -1 after its last use.
+    BufferDemand demand;
     std::map<ClockCycle, std::int64_t> events;
-    std::uint64_t values = 0;
     double live_integral = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        if (done[i] == 0 && !producesResult(ops[i].op))
+        if (trace.isBranch(i) || trace.dst(i) == kNoReg)
             continue;
-        if (ops[i].dst == kNoReg)
-            continue;
-        events[done[i]] += 1;
-        events[death[i] + 1] -= 1;
-        live_integral += double(death[i] + 1 - done[i]);
-        ++values;
+        events[ready[i]] += 1;
+        events[last_use[i] + 1] -= 1;
+        live_integral += double(last_use[i] + 1 - ready[i]);
     }
     std::int64_t live = 0;
     for (const auto &[cycle, delta] : events) {
@@ -188,21 +129,20 @@ bufferDemand(const DynTrace &trace, const MachineConfig &cfg)
     }
     demand.meanLiveValues =
         critical == 0 ? 0.0 : live_integral / double(critical);
-    (void)values;
     return demand;
 }
 
 std::string
-analyzeTrace(const DynTrace &trace, const MachineConfig &cfg)
+analyzeTrace(const DecodedTrace &trace)
 {
     std::ostringstream os;
-    const TraceStats stats = trace.stats();
+    const TraceStats &stats = trace.stats();
     const DependenceStats deps = dependenceDistances(trace);
     const BasicBlockStats blocks = basicBlocks(trace);
-    const WidthProfile width = widthProfile(trace, cfg);
+    const WidthProfile width = widthProfile(trace);
 
     os << "trace '" << trace.name() << "' (" << trace.size()
-       << " ops, " << cfg.name() << ")\n";
+       << " ops, " << trace.config().name() << ")\n";
 
     os << "  mix:";
     for (unsigned fu = 0; fu < kNumFuClasses; ++fu) {
@@ -228,7 +168,7 @@ analyzeTrace(const DynTrace &trace, const MachineConfig &cfg)
        << " ops, " << 100.0 * deps.adjacentFraction()
        << "% adjacent\n";
 
-    const BufferDemand demand = bufferDemand(trace, cfg);
+    const BufferDemand demand = bufferDemand(trace);
     os << "  dataflow width: mean " << width.meanWidth << ", peak "
        << width.peakWidth << ", active cycles "
        << 100.0 * width.activeFraction << "%\n";

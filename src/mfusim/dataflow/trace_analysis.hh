@@ -9,6 +9,14 @@
  * width of the dataflow graph.  This module measures those
  * properties directly so the issue-rate results can be explained,
  * not just reported.
+ *
+ * Every analyzer reads a decoded trace: the decode's dependence links
+ * and flags (DecodedOps) where no latency is involved, and a
+ * DecodedTrace where the analysis schedules the trace.  The width
+ * profile and the buffering demand both read the pseudo-dataflow
+ * schedule of walkPseudoDataflow() (limits.hh), so they measure the
+ * very schedule whose length is the pseudo-dataflow limit, vector
+ * element streaming and chaining included.
  */
 
 #ifndef MFUSIM_DATAFLOW_TRACE_ANALYSIS_HH
@@ -18,8 +26,7 @@
 #include <cstdint>
 #include <string>
 
-#include "mfusim/core/machine_config.hh"
-#include "mfusim/core/trace.hh"
+#include "mfusim/core/decoded_trace.hh"
 
 namespace mfusim
 {
@@ -52,7 +59,7 @@ struct DependenceStats
 };
 
 /** Compute register (RAW) dependence distances over @p trace. */
-DependenceStats dependenceDistances(const DynTrace &trace);
+DependenceStats dependenceDistances(const DecodedOps &trace);
 
 /** Dynamic basic-block structure (runs between branches). */
 struct BasicBlockStats
@@ -69,12 +76,12 @@ struct BasicBlockStats
 };
 
 /** Measure dynamic basic blocks of @p trace. */
-BasicBlockStats basicBlocks(const DynTrace &trace);
+BasicBlockStats basicBlocks(const DecodedOps &trace);
 
 /**
  * Width profile of the branch-gated dataflow graph: how many
- * instructions become executable at each dataflow level (the same
- * schedule the pseudo-dataflow limit uses).
+ * instructions start in each cycle of the pseudo-dataflow schedule.
+ * levels is the limit's pseudoCycles, so meanWidth is its pseudoRate.
  */
 struct WidthProfile
 {
@@ -85,9 +92,8 @@ struct WidthProfile
     double activeFraction = 0.0;
 };
 
-/** Compute the dataflow width profile of @p trace under @p cfg. */
-WidthProfile widthProfile(const DynTrace &trace,
-                          const MachineConfig &cfg);
+/** Compute the dataflow width profile of @p trace. */
+WidthProfile widthProfile(const DecodedTrace &trace);
 
 /**
  * Buffering the pseudo-dataflow limit implicitly assumes.
@@ -95,7 +101,8 @@ WidthProfile widthProfile(const DynTrace &trace,
  * Table 2's "Pure" limits assume "an unlimited amount of buffer
  * storage is available to store temporary or intermediate results".
  * This measures how much that really is: scheduling the trace at its
- * pseudo-dataflow times, a value is buffered from its production
+ * pseudo-dataflow times, a value is buffered from the cycle its
+ * consumers can first read it (a vector's first chained element)
  * until its last consumer has started; the peak count of
  * simultaneously buffered values approximates the reservation
  * station / RUU capacity needed to reach the limit — directly
@@ -108,12 +115,13 @@ struct BufferDemand
 };
 
 /** Measure the dataflow schedule's buffering demand. */
-BufferDemand bufferDemand(const DynTrace &trace,
-                          const MachineConfig &cfg);
+BufferDemand bufferDemand(const DecodedTrace &trace);
 
-/** Multi-line human-readable analysis of @p trace. */
-std::string analyzeTrace(const DynTrace &trace,
-                         const MachineConfig &cfg);
+/**
+ * Multi-line human-readable analysis of @p trace, under the
+ * configuration it was decoded for.
+ */
+std::string analyzeTrace(const DecodedTrace &trace);
 
 } // namespace mfusim
 

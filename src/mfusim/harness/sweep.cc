@@ -284,14 +284,14 @@ parallelPerLoopMetrics(const SimFactory &factory,
     // interrupted sweep (core/shutdown.hh) the merge below can count
     // how many cells actually completed.
     std::vector<char> done(loops.size(), 0);
+    const bool audit = auditRequested();
     runLoopGrid(loops, cfg, jobs, [&](std::size_t i) {
         const DecodedTrace &trace =
             TraceLibrary::instance().decoded(loops[i], cfg);
         auto sim = factory(cfg);
         PipeTraceRecorder recorder;
-        sim->attachAudit(&recorder);
-        const SimResult result = sim->run(trace);
-        sim->attachAudit(nullptr);
+        const SimResult result =
+            runWithSinks(*sim, trace, &recorder, audit);
         out.rates[i] = result.issueRate();
         populateRunMetrics(cells[i], trace, recorder, result,
                            *sim);

@@ -146,7 +146,9 @@ struct SweepMetrics
  * with a PipeTraceRecorder attached (which disables the steady-state
  * fast path, so cell metrics are cycle-exact) and populates its own
  * MetricsRegistry via populateRunMetrics(); the per-cell registries
- * are merged serially in @p loops order.
+ * are merged serially in @p loops order.  Under auditRequested() an
+ * Auditor sees each cell's events beside the recorder, and a
+ * violation fails the cell with an AuditError.
  */
 SweepMetrics parallelPerLoopMetrics(const SimFactory &factory,
                                     const std::vector<int> &loops,

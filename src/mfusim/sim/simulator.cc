@@ -5,6 +5,8 @@
 
 #include "mfusim/sim/simulator.hh"
 
+#include <optional>
+
 #include "mfusim/core/error.hh"
 
 namespace mfusim
@@ -17,10 +19,22 @@ Simulator::run(const DynTrace &trace)
 }
 
 SimResult
-runAudited(Simulator &sim, const DecodedTrace &trace)
+runWithSinks(Simulator &sim, const DecodedTrace &trace,
+             AuditSink *sink, bool audit)
 {
-    Auditor auditor(trace, sim.auditRules(), sim.name());
-    sim.attachAudit(&auditor);
+    std::optional<Auditor> auditor;
+    FanoutSink fanout;
+    if (audit) {
+        auditor.emplace(trace, sim.auditRules(), sim.name());
+        if (sink) {
+            fanout.add(sink);
+            fanout.add(&*auditor);
+            sink = &fanout;
+        } else {
+            sink = &*auditor;
+        }
+    }
+    sim.attachAudit(sink);
     SimResult result;
     try {
         result = sim.run(trace);
@@ -29,8 +43,15 @@ runAudited(Simulator &sim, const DecodedTrace &trace)
         throw;
     }
     sim.attachAudit(nullptr);
-    auditor.finish();
+    if (auditor)
+        auditor->finish();
     return result;
+}
+
+SimResult
+runAudited(Simulator &sim, const DecodedTrace &trace)
+{
+    return runWithSinks(sim, trace, nullptr, true);
 }
 
 /**

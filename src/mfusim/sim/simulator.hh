@@ -175,11 +175,16 @@ class Simulator
 };
 
 /**
- * Run @p trace on @p sim with a fresh Auditor attached, verify the
- * full schedule against sim.auditRules(), and return the result.
- * Issue rates are bit-identical to a plain run(); a legality
- * violation raises AuditError.
+ * Run @p trace on @p sim with @p sink (may be null) attached and,
+ * when @p audit, a fresh Auditor beside it (behind one FanoutSink if
+ * both are present), which then verifies the full schedule against
+ * sim.auditRules().  Issue rates are bit-identical to a plain run();
+ * a legality violation raises AuditError.
  */
+SimResult runWithSinks(Simulator &sim, const DecodedTrace &trace,
+                       AuditSink *sink, bool audit);
+
+/** runWithSinks() with the Auditor alone. */
 SimResult runAudited(Simulator &sim, const DecodedTrace &trace);
 
 /**

@@ -176,6 +176,55 @@ TEST(Audit, SweepAuditPathMatchesPlainRates)
     EXPECT_EQ(audited, plain);
 }
 
+/**
+ * A CRAY-like machine that claims serial execution, which its own
+ * overlapped schedule breaks.
+ */
+class SerialClaimingSim : public ScoreboardSim
+{
+  public:
+    using ScoreboardSim::ScoreboardSim;
+
+    AuditRules
+    auditRules() const override
+    {
+        AuditRules rules = ScoreboardSim::auditRules();
+        rules.serialExecution = true;
+        return rules;
+    }
+};
+
+TEST(Audit, MetricsSweepAuditsEveryCell)
+{
+    // The instrumented (--metrics-out) sweep must audit under
+    // --audit too, not only the plain rate sweep.
+    const SimFactory factory = [](const MachineConfig &c)
+        -> std::unique_ptr<Simulator> {
+        return std::make_unique<SerialClaimingSim>(
+            ScoreboardConfig::crayLike(), c);
+    };
+    const std::vector<int> loops{ 1, 2 };
+    const MachineConfig cfg = configM11BR5();
+    EXPECT_NO_THROW(parallelPerLoopMetrics(factory, loops, cfg, 2));
+    setAuditRequested(true);
+    std::vector<SweepError::Failure> failures;
+    try {
+        parallelPerLoopMetrics(factory, loops, cfg, 2);
+    } catch (const SweepError &e) {
+        failures = e.failures();
+    } catch (...) {
+        setAuditRequested(false);
+        throw;
+    }
+    setAuditRequested(false);
+    ASSERT_EQ(failures.size(), loops.size());
+    for (const SweepError::Failure &failure : failures) {
+        EXPECT_NE(failure.message.find("serial-overlap violated"),
+                  std::string::npos)
+            << failure.message;
+    }
+}
+
 // ---- crafted violations: each check family must fire ------------------
 
 void

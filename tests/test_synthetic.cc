@@ -23,7 +23,7 @@ TEST(Synthetic, ChainIsWidthOne)
 {
     const DynTrace trace = chain(100);
     const WidthProfile profile =
-        widthProfile(trace, configM11BR5());
+        widthProfile(DecodedTrace(trace, configM11BR5()));
     EXPECT_EQ(profile.peakWidth, 1u);
     // Pseudo-dataflow: 100 fadds x 6 cycles = 600.
     const LimitResult limit = computeLimits(trace, configM11BR5());
@@ -63,7 +63,7 @@ TEST(Synthetic, TreeHasLogDepth)
     const LimitResult limit = computeLimits(trace, configM11BR5());
     EXPECT_EQ(limit.pseudoCycles, 29u);
     const WidthProfile profile =
-        widthProfile(trace, configM11BR5());
+        widthProfile(DecodedTrace(trace, configM11BR5()));
     EXPECT_EQ(profile.peakWidth, 8u);
 }
 

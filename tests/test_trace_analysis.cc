@@ -8,6 +8,7 @@
 
 #include "mfusim/dataflow/limits.hh"
 #include "mfusim/dataflow/trace_analysis.hh"
+#include "mfusim/harness/spec_parse.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "test_util.hh"
 
@@ -19,6 +20,22 @@ namespace
 using test::dyn;
 using test::traceOf;
 
+/** @p trace decoded under M11BR5. */
+DecodedTrace
+decode(const DynTrace &trace)
+{
+    return DecodedTrace(trace, configM11BR5());
+}
+
+/** The hand-built vector op @p op of length @p vl. */
+DynOp
+vop(Op op, RegId dst, RegId srcA, RegId srcB, unsigned vl)
+{
+    DynOp d = dyn(op, dst, srcA, srcB);
+    d.vl = std::uint8_t(vl);
+    return d;
+}
+
 TEST(DependenceDistances, AdjacentChain)
 {
     const DynTrace trace = traceOf({
@@ -26,7 +43,7 @@ TEST(DependenceDistances, AdjacentChain)
         dyn(Op::kSMovS, S2, S1),        // distance 1
         dyn(Op::kSMovS, S3, S2),        // distance 1
     });
-    const DependenceStats deps = dependenceDistances(trace);
+    const DependenceStats deps = dependenceDistances(decode(trace));
     EXPECT_EQ(deps.totalDeps, 2u);
     EXPECT_EQ(deps.histogram[0], 2u);
     EXPECT_DOUBLE_EQ(deps.adjacentFraction(), 1.0);
@@ -40,7 +57,7 @@ TEST(DependenceDistances, FarDependence)
     for (int i = 0; i < 20; ++i)
         trace.append(dyn(Op::kAConst, A1));
     trace.append(dyn(Op::kSMovS, S2, S1));      // distance 21
-    const DependenceStats deps = dependenceDistances(trace);
+    const DependenceStats deps = dependenceDistances(decode(trace));
     EXPECT_EQ(deps.totalDeps, 1u);
     EXPECT_EQ(deps.longer, 1u);
     EXPECT_DOUBLE_EQ(deps.meanDistance, 21.0);
@@ -53,7 +70,7 @@ TEST(DependenceDistances, TwoSourcesCountSeparately)
         dyn(Op::kSConst, S2),
         dyn(Op::kFAdd, S3, S1, S2),     // distances 2 and 1
     });
-    const DependenceStats deps = dependenceDistances(trace);
+    const DependenceStats deps = dependenceDistances(decode(trace));
     EXPECT_EQ(deps.totalDeps, 2u);
     EXPECT_EQ(deps.histogram[0], 1u);
     EXPECT_EQ(deps.histogram[1], 1u);
@@ -66,7 +83,7 @@ TEST(DependenceDistances, ArchitecturalValuesExcluded)
     const DynTrace trace = traceOf({
         dyn(Op::kSMovS, S2, S1),
     });
-    EXPECT_EQ(dependenceDistances(trace).totalDeps, 0u);
+    EXPECT_EQ(dependenceDistances(decode(trace)).totalDeps, 0u);
 }
 
 TEST(BasicBlocks, CountsRunsBetweenBranches)
@@ -79,7 +96,7 @@ TEST(BasicBlocks, CountsRunsBetweenBranches)
         dyn(Op::kBrANZ, kNoReg, A0, kNoReg, false),     // block of 2
         dyn(Op::kSConst, S4),                           // tail block
     });
-    const BasicBlockStats blocks = basicBlocks(trace);
+    const BasicBlockStats blocks = basicBlocks(decode(trace));
     EXPECT_EQ(blocks.blocks, 3u);
     EXPECT_EQ(blocks.totalOps, 6u);
     EXPECT_EQ(blocks.maxLength, 3u);
@@ -93,8 +110,7 @@ TEST(WidthProfile, IndependentOpsAllStartAtOnce)
         dyn(Op::kSConst, S2),
         dyn(Op::kSConst, S3),
     });
-    const WidthProfile profile =
-        widthProfile(trace, configM11BR5());
+    const WidthProfile profile = widthProfile(decode(trace));
     EXPECT_EQ(profile.peakWidth, 3u);
     EXPECT_EQ(profile.levels, 1u);
     EXPECT_DOUBLE_EQ(profile.meanWidth, 3.0);
@@ -107,8 +123,7 @@ TEST(WidthProfile, ChainIsNarrow)
         dyn(Op::kSMovS, S2, S1),
         dyn(Op::kSMovS, S3, S2),
     });
-    const WidthProfile profile =
-        widthProfile(trace, configM11BR5());
+    const WidthProfile profile = widthProfile(decode(trace));
     EXPECT_EQ(profile.peakWidth, 1u);
     EXPECT_EQ(profile.levels, 3u);
     EXPECT_DOUBLE_EQ(profile.meanWidth, 1.0);
@@ -116,14 +131,21 @@ TEST(WidthProfile, ChainIsNarrow)
 
 TEST(WidthProfile, MeanWidthMatchesPseudoDataflowRate)
 {
-    // meanWidth is by construction the pseudo-dataflow issue rate.
-    for (int id : { 1, 5, 7 }) {
-        const DynTrace &trace = TraceLibrary::instance().trace(id);
-        const MachineConfig cfg = configM11BR5();
-        const WidthProfile profile = widthProfile(trace, cfg);
-        const LimitResult limit = computeLimits(trace, cfg);
-        EXPECT_NEAR(profile.meanWidth, limit.pseudoRate, 1e-12)
-            << "loop " << id;
+    // The profile reads the limit's own schedule: levels is its
+    // critical path and meanWidth its pseudo-dataflow issue rate,
+    // vector element streaming and chaining included.
+    for (const char *spec : { "1", "5", "7", "1v", "7v", "12v" }) {
+        const std::shared_ptr<const TraceBody> body =
+            bodyForLoopSpec(spec);
+        for (const MachineConfig &cfg : standardConfigs()) {
+            const DecodedTrace trace(body, cfg);
+            const WidthProfile profile = widthProfile(trace);
+            const LimitResult limit = computeLimits(trace);
+            EXPECT_EQ(profile.levels, limit.pseudoCycles)
+                << "loop " << spec << ", " << cfg.name();
+            EXPECT_NEAR(profile.meanWidth, limit.pseudoRate, 1e-12)
+                << "loop " << spec << ", " << cfg.name();
+        }
     }
 }
 
@@ -140,7 +162,7 @@ TEST(TraceAnalysis, ConsecutiveInstructionsAreRarelyIndependent)
     // Class parallelism shows up in the width profile instead.)
     for (int id = 1; id <= 14; ++id) {
         const DependenceStats deps =
-            dependenceDistances(TraceLibrary::instance().trace(id));
+            dependenceDistances(*TraceLibrary::instance().body(id));
         EXPECT_GT(deps.adjacentFraction(), 0.10) << "loop " << id;
         // Most dependences are short-range (within 15 dynamic ops);
         // the mean is skewed arbitrarily high by loop-invariant
@@ -158,18 +180,17 @@ TEST(TraceAnalysis, VectorLoopsAreWiderThanScalarLoops)
 {
     const MachineConfig cfg = configM11BR5();
     const WidthProfile wide =
-        widthProfile(TraceLibrary::instance().trace(7), cfg);
+        widthProfile(TraceLibrary::instance().decoded(7, cfg));
     const WidthProfile narrow =
-        widthProfile(TraceLibrary::instance().trace(11), cfg);
+        widthProfile(TraceLibrary::instance().decoded(11, cfg));
     EXPECT_GT(wide.meanWidth, narrow.meanWidth);
     EXPECT_GT(wide.peakWidth, narrow.peakWidth);
 }
 
 TEST(TraceAnalysis, ReportMentionsKeyNumbers)
 {
-    const DynTrace &trace = TraceLibrary::instance().trace(1);
-    const std::string report =
-        analyzeTrace(trace, configM11BR5());
+    const std::string report = analyzeTrace(
+        TraceLibrary::instance().decoded(1, configM11BR5()));
     EXPECT_NE(report.find("LL1"), std::string::npos);
     EXPECT_NE(report.find("mix:"), std::string::npos);
     EXPECT_NE(report.find("branches:"), std::string::npos);
@@ -178,11 +199,11 @@ TEST(TraceAnalysis, ReportMentionsKeyNumbers)
 
 TEST(TraceAnalysis, EmptyTraceIsSafe)
 {
-    const DynTrace empty;
+    const DecodedTrace empty = decode(DynTrace());
     EXPECT_EQ(dependenceDistances(empty).totalDeps, 0u);
     EXPECT_EQ(basicBlocks(empty).blocks, 0u);
-    EXPECT_EQ(widthProfile(empty, configM11BR5()).levels, 0u);
-    EXPECT_EQ(bufferDemand(empty, configM11BR5()).peakLiveValues, 0u);
+    EXPECT_EQ(widthProfile(empty).levels, 0u);
+    EXPECT_EQ(bufferDemand(empty).peakLiveValues, 0u);
 }
 
 TEST(BufferDemand, SerialChainNeedsOneBuffer)
@@ -191,8 +212,7 @@ TEST(BufferDemand, SerialChainNeedsOneBuffer)
     DynTrace trace("chain");
     for (int i = 0; i < 50; ++i)
         trace.append(dyn(Op::kFAdd, S1, S1, S2));
-    const BufferDemand demand =
-        bufferDemand(trace, configM11BR5());
+    const BufferDemand demand = bufferDemand(decode(trace));
     EXPECT_EQ(demand.peakLiveValues, 1u);
 }
 
@@ -203,9 +223,29 @@ TEST(BufferDemand, IndependentOpsAllLiveAtOnce)
     for (int i = 0; i < 40; ++i)
         trace.append(dyn(Op::kFAdd, regS(1 + unsigned(i) % 7), S0,
                          S0));
-    const BufferDemand demand =
-        bufferDemand(trace, configM11BR5());
+    const BufferDemand demand = bufferDemand(decode(trace));
     EXPECT_EQ(demand.peakLiveValues, 40u);
+}
+
+TEST(BufferDemand, VectorValuesLiveFromTheirFirstElement)
+{
+    // M11BR5, elementwise: a vector's consumers can read it from its
+    // first element, one cycle after start + latency.  Each comment
+    // is the value's live range: ready time to last consumer start.
+    const BufferDemand demand = bufferDemand(decode(traceOf({
+        dyn(Op::kAConst, A2),                           // [1, 1]
+        dyn(Op::kLoadS, S3, A2),                        // [12, 12]
+        dyn(Op::kLoadS, S1, A1),                        // [11, 12]
+        vop(Op::kVLoad, regV(1), A1, kNoReg, 8),        // [12, 12]
+        vop(Op::kVFMulSV, regV(2), S1, regV(1), 8),     // [20, 20]
+    })));
+    // S3, S1 and V1 are all live in cycle 12.  Were V1 ready at
+    // start + latency, as a scalar, it and S1 would die in cycle 11
+    // and the peak would be 2.
+    EXPECT_EQ(demand.peakLiveValues, 3u);
+    // 6 value-cycles over the critical path: V2 completes at
+    // 12 + 7 + 8 - 1 = 26.
+    EXPECT_DOUBLE_EQ(demand.meanLiveValues, 6.0 / 26.0);
 }
 
 TEST(BufferDemand, PredictsRuuSaturationScale)
@@ -214,12 +254,12 @@ TEST(BufferDemand, PredictsRuuSaturationScale)
     // the dataflow schedule's own buffering demand for the
     // vectorizable loops sits in the same range.
     const BufferDemand ll7 = bufferDemand(
-        TraceLibrary::instance().trace(7), configM11BR5());
+        TraceLibrary::instance().decoded(7, configM11BR5()));
     EXPECT_GE(ll7.peakLiveValues, 15u);
     EXPECT_LE(ll7.peakLiveValues, 120u);
     // A recurrence loop needs far less buffering.
     const BufferDemand ll11 = bufferDemand(
-        TraceLibrary::instance().trace(11), configM11BR5());
+        TraceLibrary::instance().decoded(11, configM11BR5()));
     EXPECT_LT(ll11.peakLiveValues, ll7.peakLiveValues);
 }
 

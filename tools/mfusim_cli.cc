@@ -256,8 +256,8 @@ writeMetricsFile(const MetricsRegistry &metrics,
  * wall-timed into a profile.* gauge — with a PipeTraceRecorder
  * attached (which disables the steady-state fast path, making every
  * output cycle-exact), and the requested artifacts are written
- * afterwards.  --audit composes: the Auditor joins the recorder
- * behind one FanoutSink.
+ * afterwards.  --audit composes: runWithSinks() puts the Auditor
+ * beside the recorder, and the simulate phase includes its check.
  */
 SimResult
 runObserved(Simulator &sim, const DynTrace &dyn,
@@ -284,28 +284,12 @@ runObserved(Simulator &sim, const DynTrace &dyn,
     }
 
     PipeTraceRecorder recorder;
-    FanoutSink fanout;
-    fanout.add(&recorder);
-    std::unique_ptr<Auditor> auditor;
-    if (audit) {
-        auditor = std::make_unique<Auditor>(
-            *decoded, sim.auditRules(), sim.name());
-        fanout.add(auditor.get());
-    }
-
-    sim.attachAudit(&fanout);
     SimResult result;
-    try {
+    {
         ScopedPhaseTimer phase(
             metrics.gauge("profile.simulate_seconds"));
-        result = sim.run(*decoded);
-    } catch (...) {
-        sim.attachAudit(nullptr);
-        throw;
+        result = runWithSinks(sim, *decoded, &recorder, audit);
     }
-    sim.attachAudit(nullptr);
-    if (auditor)
-        auditor->finish();
 
     populateRunMetrics(metrics, *decoded, recorder, result, sim);
 
@@ -358,17 +342,17 @@ cmdDisasm(const std::string &loop)
 int
 cmdAnalyze(const std::string &loop, const MachineConfig &cfg)
 {
-    const DynTrace trace = traceFor(loop);
-    std::fputs(analyzeTrace(trace, cfg).c_str(), stdout);
+    std::fputs(analyzeTrace(DecodedTrace(traceFor(loop), cfg)).c_str(),
+               stdout);
     return 0;
 }
 
 int
 cmdLimits(const std::string &loop, const MachineConfig &cfg)
 {
-    const DynTrace trace = traceFor(loop);
-    const LimitResult pure = computeLimits(trace, cfg, false);
-    const LimitResult serial = computeLimits(trace, cfg, true);
+    const DecodedTrace trace(traceFor(loop), cfg);
+    const LimitResult pure = computeLimits(trace, false);
+    const LimitResult serial = computeLimits(trace, true);
     std::printf("loop %s, %s:\n", loop.c_str(), cfg.name().c_str());
     std::printf("  pseudo-dataflow  %.3f (%llu cycles)\n",
                 pure.pseudoRate,
