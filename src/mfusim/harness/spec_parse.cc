@@ -6,7 +6,6 @@
 #include "mfusim/harness/spec_parse.hh"
 
 #include <charconv>
-#include <sstream>
 #include <system_error>
 #include <vector>
 
@@ -30,6 +29,19 @@ namespace
  * per-run scratch.
  */
 constexpr unsigned kMaxSpecField = 65536;
+
+/** @p text split on @p sep, keeping empty fields, trailing ones too. */
+std::vector<std::string>
+splitKeepingEmpty(const std::string &text, char sep)
+{
+    std::vector<std::string> out;
+    std::size_t from = 0;
+    for (std::size_t at; (at = text.find(sep, from)) != std::string::npos;
+         from = at + 1)
+        out.push_back(text.substr(from, at - from));
+    out.push_back(text.substr(from));
+    return out;
+}
 
 } // namespace
 
@@ -82,16 +94,15 @@ bodyForLoopSpec(const std::string &spec)
 std::unique_ptr<Simulator>
 parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
 {
-    // Split "name,opt,opt" on commas.
-    std::vector<std::string> parts;
-    std::stringstream in(spec);
-    std::string part;
-    while (std::getline(in, part, ','))
-        parts.push_back(part);
-    if (parts.empty())
+    // "name[:field...],opt,opt": each option kind at most once, no
+    // empty option, and no field or option the machine does not read.
+    const std::vector<std::string> parts = splitKeepingEmpty(spec, ',');
+    const std::vector<std::string> fields =
+        splitKeepingEmpty(parts[0], ':');
+    if (fields[0].empty())
         throw ConfigError("empty machine spec");
 
-    BusKind bus = BusKind::kPerUnit;
+    std::string busOption;  // "1bus" or "xbar", if given
     // The branch model: ",pred=<spec>" arms a predictor on this
     // machine's copy of the config; ",btfn" is exactly
     // ",pred=btfn:w0" and ",oracle" exactly ",pred=perfect".  At most
@@ -114,28 +125,29 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
         machineCfg.predictor = PredictorSpec::parse(predictor);
     };
     for (std::size_t i = 1; i < parts.size(); ++i) {
-        if (parts[i] == "1bus")
-            bus = BusKind::kSingle;
-        else if (parts[i] == "xbar")
-            bus = BusKind::kCrossbar;
-        else if (parts[i] == "btfn")
-            setModel(parts[i], "btfn:w0");
-        else if (parts[i] == "oracle")
-            setModel(parts[i], "perfect");
-        else if (parts[i].rfind("pred=", 0) == 0)
-            setModel(parts[i], parts[i].substr(5));
-        else
-            throw ConfigError("unknown machine option '" + parts[i] +
-                              "'");
+        const std::string &option = parts[i];
+        if (option.empty()) {
+            throw ConfigError("machine spec '" + spec +
+                              "' has an empty option");
+        } else if (option == "1bus" || option == "xbar") {
+            if (!busOption.empty())
+                throw ConfigError("machine spec '" + spec +
+                                  "' sets two bus options ('" +
+                                  busOption + "' and '" + option + "')");
+            busOption = option;
+        } else if (option == "btfn") {
+            setModel(option, "btfn:w0");
+        } else if (option == "oracle") {
+            setModel(option, "perfect");
+        } else if (option.rfind("pred=", 0) == 0) {
+            setModel(option, option.substr(5));
+        } else {
+            throw ConfigError("unknown machine option '" + option + "'");
+        }
     }
-
-    // Split the machine name on colons: name[:w[:size]].
-    std::vector<std::string> fields;
-    std::stringstream name_in(parts[0]);
-    while (std::getline(name_in, part, ':'))
-        fields.push_back(part);
-    if (fields.empty())
-        throw ConfigError("empty machine spec");
+    const BusKind bus = busOption == "1bus" ? BusKind::kSingle :
+                        busOption == "xbar" ? BusKind::kCrossbar :
+                                              BusKind::kPerUnit;
 
     const auto arg = [&](std::size_t i) -> unsigned {
         if (i >= fields.size())
@@ -155,8 +167,21 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
                               std::to_string(kMaxSpecField) + ")");
         return value;
     };
+    // What the named machine reads: at most @p maxFields colon
+    // fields, and the bus option only if @p readsBus.
+    const auto takes = [&](std::size_t maxFields, bool readsBus) {
+        if (fields.size() > maxFields)
+            throw ConfigError("machine spec '" + spec +
+                              "' has an extra field '" +
+                              fields[maxFields] + "'");
+        if (!readsBus && !busOption.empty())
+            throw ConfigError("machine '" + fields[0] +
+                              "' has no bus choice; drop '" +
+                              busOption + "'");
+    };
 
     if (fields[0] == "simple") {
+        takes(1, false);
         if (!model.empty())
             throw BranchModelError("the 'simple' machine has no branch"
                                    " overlap to model; drop '" +
@@ -165,6 +190,7 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
     }
     if (fields[0] == "serialmem" || fields[0] == "nonseg" ||
         fields[0] == "cray") {
+        takes(1, false);
         ScoreboardConfig org =
             fields[0] == "serialmem" ?
                 ScoreboardConfig::serialMemory() :
@@ -174,20 +200,24 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
         return std::make_unique<ScoreboardSim>(org, machineCfg);
     }
     if (fields[0] == "seq" || fields[0] == "ooo") {
+        takes(2, true);
         MultiIssueConfig org{ arg(1), fields[0] == "ooo", bus };
         return std::make_unique<MultiIssueSim>(org, machineCfg);
     }
     if (fields[0] == "ruu") {
+        takes(3, true);
         RuuConfig org{ arg(1), arg(2), bus };
         return std::make_unique<RuuSim>(org, machineCfg);
     }
     if (fields[0] == "cdc") {
+        takes(1, true);
         Cdc6600Config org;
         // ",xbar" lifts the single-result-bus completion model.
         org.modelResultBus = bus != BusKind::kCrossbar;
         return std::make_unique<Cdc6600Sim>(org, machineCfg);
     }
     if (fields[0] == "tomasulo") {
+        takes(3, false);
         TomasuloConfig org;
         if (fields.size() > 1)
             org.stationsPerFu = arg(1);

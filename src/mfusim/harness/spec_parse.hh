@@ -9,11 +9,12 @@
  *   machine  simple | serialmem | nonseg | cray | cdc |
  *            tomasulo[:<rs>[:<cdb>]] | seq:<w> | ooo:<w> |
  *            ruu:<w>:<size>
- *            with an optional ",1bus" / ",xbar" suffix and at most
- *            one branch model: ",pred=<predictor>" (see
- *            PredictorSpec::parse) or one of its aliases ",btfn"
- *            (= ",pred=btfn:w0") and ",oracle" (= ",pred=perfect"),
- *            e.g. "ruu:4:50,1bus,oracle"
+ *            with at most one bus option, ",1bus" or ",xbar" (seq,
+ *            ooo, ruu and cdc only), and at most one branch model:
+ *            ",pred=<predictor>" (see PredictorSpec::parse) or one of
+ *            its aliases ",btfn" (= ",pred=btfn:w0") and ",oracle"
+ *            (= ",pred=perfect"), in any order, e.g.
+ *            "ruu:4:50,1bus,oracle"
  *
  * Unlike the original CLI helpers these functions never exit the
  * process — bad input throws ConfigError, so a long-lived daemon can
@@ -83,9 +84,10 @@ std::shared_ptr<const TraceBody> bodyForLoopSpec(const std::string &spec);
  * model in the spec arms a predictor on the simulator's copy of
  * @p cfg.
  * @throws BranchModelError on a branch model the machine may not
- *         carry; ConfigError on an unknown machine / option, or
- *         a numeric field that is not plain decimal digits within
- *         the parser's size bound.
+ *         carry; ConfigError on an unknown machine / option, an
+ *         empty or repeated option, a field or bus option the
+ *         machine does not read, or a numeric field that is not
+ *         plain decimal digits within the parser's size bound.
  */
 std::unique_ptr<Simulator> parseMachineSpec(const std::string &spec,
                                             const MachineConfig &cfg);

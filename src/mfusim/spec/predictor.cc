@@ -118,17 +118,29 @@ PredictorSpec::parse(const std::string &text)
             "' (want perfect|taken|btfn|2bit[:N]|fixed:PCT)");
     }
 
+    // Each option at most once: a second ":wN" or ":sN" is an error
+    // naming both, not a silent override.
+    std::string window, seed;
+    const auto once = [&](std::string &seen, const std::string &part) {
+        if (!seen.empty())
+            throw ConfigError("predictor: '" + text + "' sets '" +
+                              seen + "' and '" + part + "'");
+        seen = part;
+    };
     for (; next < parts.size(); ++next) {
         const std::string &part = parts[next];
-        if (part.size() > 1 && part[0] == 'w')
+        if (part.size() > 1 && part[0] == 'w') {
+            once(window, part);
             spec.wrongPathWindow =
                 parseNumber(part.substr(1), "wrong-path window");
-        else if (part.size() > 1 && part[0] == 's' &&
-                 spec.kind == Kind::kFixed)
+        } else if (part.size() > 1 && part[0] == 's' &&
+                   spec.kind == Kind::kFixed) {
+            once(seed, part);
             spec.seed = parseNumber(part.substr(1), "seed");
-        else
+        } else {
             throw ConfigError("predictor: bad option '" + part +
                               "' in '" + text + "'");
+        }
     }
 
     spec.validate();

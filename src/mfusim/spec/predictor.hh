@@ -130,9 +130,9 @@ struct PredictorSpec
      *   fixed:PCT[:sSEED]       (PCT in [0,100], default seed 1)
      *
      * any form may append ":wN" to set the wrong-path window
-     * (N in [0,4096], default 8).
+     * (N in [0,4096], default 8).  Each option appears at most once.
      *
-     * @throws ConfigError on malformed input.
+     * @throws ConfigError on malformed input or a repeated option.
      */
     static PredictorSpec parse(const std::string &text);
 

@@ -498,6 +498,18 @@ TEST_F(ServeE2E, BadInputsMapToFourHundreds)
         EXPECT_NE(bad.body.find("bad numeric field"), std::string::npos)
             << body << " -> " << bad.body;
     }
+    // A machine spec that repeats an option, leaves one empty, or
+    // names a field or bus the machine does not read.
+    for (const char *body :
+         { R"({"loop": 5, "machine": "seq:4,xbar,1bus"})",
+           R"({"loop": 5, "machine": "seq:4,"})",
+           R"({"loop": 5, "machine": "ruu:4:50:7"})",
+           R"({"loop": 5, "machine": "cray,1bus"})",
+           R"({"loop": 5, "machine": "ooo:4,pred=2bit:512:w8:w4"})" }) {
+        const Response bad =
+            roundTrip(port(), "POST", "/v1/simulate", body);
+        EXPECT_EQ(bad.status, 400) << body << " -> " << bad.body;
+    }
     // Missing fields.
     EXPECT_EQ(roundTrip(port(), "POST", "/v1/simulate",
                         R"({"machine": "cray"})")

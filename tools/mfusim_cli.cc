@@ -93,21 +93,26 @@
  * <machine> simple | serialmem | nonseg | cray | cdc |
  *           tomasulo[:<rs>[:<cdb>]] |
  *           seq:<w> | ooo:<w> | ruu:<w>:<size>
- *           with an optional ",1bus" / ",xbar" suffix and at most one
- *           branch model: ",pred=SPEC" or its aliases ",btfn"
- *           (= ",pred=btfn:w0") and ",oracle" (= ",pred=perfect"),
- *           e.g. "ruu:4:50,1bus,oracle" or "ooo:4,pred=2bit".  A
- *           second branch model exits 3.
+ *           with at most one bus option, ",1bus" or ",xbar" (seq,
+ *           ooo, ruu and cdc only), and at most one branch model:
+ *           ",pred=SPEC" or its aliases ",btfn" (= ",pred=btfn:w0")
+ *           and ",oracle" (= ",pred=perfect"), in any order, e.g.
+ *           "ruu:4:50,1bus,oracle" or "ooo:4,pred=2bit".  A second
+ *           branch model exits 3; a repeated, empty or unread option
+ *           or field exits 2.
  */
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <poll.h>
@@ -178,6 +183,28 @@ usage()
                  "[--no-request-trace]\n"
                  "       mfusim --version\n");
     std::exit(2);
+}
+
+/**
+ * @p value of numeric flag @p flag as a T, or exit 2.  from_chars()
+ * takes no sign, space or prefix and reports a value past T's range,
+ * so "-1", " 0" and a 70000 port are usage errors, never wrapped.
+ */
+template <typename T>
+T
+flagNumber(const std::string &flag, const std::string &value)
+{
+    T n{};
+    const char *const end = value.data() + value.size();
+    const auto [stop, ec] = std::from_chars(value.data(), end, n);
+    if (ec != std::errc() || stop != end) {
+        std::fprintf(stderr, "%s expects a number from 0 to %llu, "
+                     "got '%s'\n", flag.c_str(),
+                     (unsigned long long)std::numeric_limits<T>::max(),
+                     value.c_str());
+        std::exit(2);
+    }
+    return n;
 }
 
 // The shared spec grammar lives in harness/spec_parse.hh (the serve
@@ -455,56 +482,42 @@ cmdServe(const std::vector<std::string> &args)
     std::size_t traceRing = 2048;
     unsigned long slowRequestMs = 0;
     std::string traceDumpPrefix = "mfusim-trace";
-    const auto numeric = [](const std::string &flag,
-                            const std::string &value) -> unsigned long {
-        try {
-            std::size_t used = 0;
-            const unsigned long n = std::stoul(value, &used);
-            if (used != value.size())
-                throw std::invalid_argument(value);
-            return n;
-        } catch (const std::exception &) {
-            std::fprintf(stderr, "%s expects a number, got '%s'\n",
-                         flag.c_str(), value.c_str());
-            std::exit(2);
-        }
-    };
     for (std::size_t i = 0; i < args.size(); ++i) {
         const auto value = [&]() -> std::string {
             if (i + 1 >= args.size())
                 usage();
             return args[++i];
         };
+        // Parse a numeric flag into its destination's own type.
+        const auto numeric = [&](auto &dest) {
+            const std::string &flag = args[i];
+            dest = flagNumber<std::remove_reference_t<decltype(dest)>>(
+                flag, value());
+        };
         if (args[i] == "--port")
-            opts.port = std::uint16_t(numeric("--port", value()));
+            numeric(opts.port);
         else if (args[i] == "--workers")
-            opts.workers = unsigned(numeric("--workers", value()));
+            numeric(opts.workers);
         else if (args[i] == "--queue-depth")
-            opts.queueDepth =
-                unsigned(numeric("--queue-depth", value()));
+            numeric(opts.queueDepth);
         else if (args[i] == "--deadline-ms")
-            opts.deadlineMs =
-                unsigned(numeric("--deadline-ms", value()));
+            numeric(opts.deadlineMs);
         else if (args[i] == "--max-body")
-            opts.maxBodyBytes = numeric("--max-body", value());
+            numeric(opts.maxBodyBytes);
         else if (args[i] == "--header-timeout-ms")
-            opts.headerTimeoutMs =
-                unsigned(numeric("--header-timeout-ms", value()));
+            numeric(opts.headerTimeoutMs);
         else if (args[i] == "--write-timeout-ms")
-            opts.writeTimeoutMs =
-                unsigned(numeric("--write-timeout-ms", value()));
+            numeric(opts.writeTimeoutMs);
         else if (args[i] == "--idle-timeout-ms")
-            opts.idleTimeoutMs =
-                unsigned(numeric("--idle-timeout-ms", value()));
+            numeric(opts.idleTimeoutMs);
         else if (args[i] == "--max-pipeline")
-            opts.maxPipeline =
-                unsigned(numeric("--max-pipeline", value()));
+            numeric(opts.maxPipeline);
         else if (args[i] == "--cache-dir")
             cacheDir = value();
         else if (args[i] == "--slow-request-ms")
-            slowRequestMs = numeric("--slow-request-ms", value());
+            numeric(slowRequestMs);
         else if (args[i] == "--trace-ring")
-            traceRing = numeric("--trace-ring", value());
+            numeric(traceRing);
         else if (args[i] == "--trace-dump")
             traceDumpPrefix = value();
         else if (args[i] == "--no-request-trace")
@@ -741,17 +754,7 @@ main(int argc, char **argv)
 {
     // Strip the global --jobs option before command dispatch.
     const auto parse_jobs = [](const std::string &value) {
-        try {
-            std::size_t used = 0;
-            const unsigned long jobs = std::stoul(value, &used);
-            if (used != value.size())
-                throw std::invalid_argument(value);
-            setDefaultSweepJobs(unsigned(jobs));
-        } catch (const std::exception &) {
-            std::fprintf(stderr, "--jobs expects a number, got '%s'\n",
-                         value.c_str());
-            std::exit(2);
-        }
+        setDefaultSweepJobs(flagNumber<unsigned>("--jobs", value));
     };
     std::vector<std::string> args;
     for (int i = 1; i < argc; ++i) {
