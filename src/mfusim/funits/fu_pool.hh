@@ -8,10 +8,15 @@
  * data paths and never contend for a unit; branches are resolved by
  * the issue stage and likewise bypass the pool.
  *
- * This is the one representation of execution-unit state: every
- * simulator's run() carries a FuPool, and the per-op FuClass paths
- * below and the unit/port transitions they call are all
- * header-inline.
+ * The scoreboard, CDC 6600, multiple-issue and RUU runs carry a
+ * FuPool; the per-op FuClass paths below and the unit/port
+ * transitions they call are all header-inline.  A unit here keeps
+ * only the cycle it next accepts, so each machine must hand it ops
+ * in cycle order (the CDC 6600's one waiting station per unit keeps
+ * that order although it dispatches out of issue order).  Tomasulo's
+ * several stations per unit dispatch out of cycle order, so it keeps
+ * each unit's accept slots in a SparseReservations timeline
+ * (funits/result_bus.hh); the Simple machine has no units.
  */
 
 #ifndef MFUSIM_FUNITS_FU_POOL_HH

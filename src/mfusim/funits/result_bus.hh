@@ -16,15 +16,27 @@
  *
  * Branches and stores produce no register result and use no bus.
  *
- * CycleReservations is the one representation of a bus: every
- * simulator carries these windows, and its per-op methods are
- * header-inline.  ResultBusSet exposes
- * each bus so a caller can slide only the one an op touches.
+ * Two timelines hold single-cycle reservations, both with
+ * header-inline per-op methods:
+ *
+ *  - CycleReservations, a dense 64-cycle window, is the bus of the
+ *    scoreboard, multiple-issue and RUU machines: they reserve in
+ *    cycle order, at most 64 cycles ahead of the window base.
+ *    ResultBusSet groups N of them and exposes each bus so a caller
+ *    can slide only the one an op touches.
+ *  - SparseReservations, an unbounded ordered list, is the CDC 6600
+ *    result bus and Tomasulo's unit (memory port included) and CDB
+ *    slots: both dispatch out of cycle order, so a reservation can
+ *    land before earlier ones, and operand waits at the stations can
+ *    put it more than 64 cycles past the issue cursor.
+ *
+ * The Simple machine has no bus.
  */
 
 #ifndef MFUSIM_FUNITS_RESULT_BUS_HH
 #define MFUSIM_FUNITS_RESULT_BUS_HH
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -116,6 +128,74 @@ class CycleReservations
   private:
     ClockCycle base_ = 0;
     std::uint64_t bits_ = 0;
+};
+
+/**
+ * An unbounded timeline of single-cycle reservations: the reserved
+ * cycles themselves, in order.  Reservations may arrive in any cycle
+ * order and at any distance ahead; only the ones in flight are live,
+ * so the list stays short once advanceTo() forgets the past.
+ */
+class SparseReservations
+{
+  public:
+    /**
+     * Earliest unreserved cycle >= @p from.  Exact: reservations are
+     * never cancelled, so between state changes this is the first
+     * cycle at which reserve(@p from-or-later) can succeed.
+     */
+    ClockCycle
+    nextFreeSlot(ClockCycle from) const
+    {
+        auto it = std::lower_bound(slots_.begin(), slots_.end(), from);
+        while (it != slots_.end() && *it == from) {
+            ++from;
+            ++it;
+        }
+        return from;
+    }
+
+    /** Reserve cycle @p t, which must be free. */
+    void
+    reserve(ClockCycle t)
+    {
+        const auto it = std::lower_bound(slots_.begin(), slots_.end(), t);
+        assert((it == slots_.end() || *it != t) && "slot taken");
+        slots_.insert(it, t);
+    }
+
+    /** Forget reservations before @p now: no later probe reaches them. */
+    void
+    advanceTo(ClockCycle now)
+    {
+        slots_.erase(slots_.begin(),
+                     std::lower_bound(slots_.begin(), slots_.end(), now));
+    }
+
+    /**
+     * Append the live reservations, rebased to @p base, to @p out:
+     * forgets every slot at or before @p base (no later probe
+     * reaches them), then records the count and each slot's offset.
+     */
+    void
+    appendSignature(ClockCycle base, std::vector<std::uint64_t> &out)
+    {
+        advanceTo(base + 1);
+        out.push_back(slots_.size());
+        for (const ClockCycle slot : slots_)
+            out.push_back(slot - base);
+    }
+
+    /** Shift every reservation forward (steady-state extrapolation). */
+    void
+    shiftTime(ClockCycle delta)
+    {
+        for (ClockCycle &slot : slots_)
+            slot += delta;
+    }
+
+  private:
+    std::vector<ClockCycle> slots_;     // reserved cycles, ascending
 };
 
 /** Result-bus interconnect styles from the paper. */

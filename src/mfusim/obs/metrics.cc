@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "mfusim/core/error.hh"
+#include "mfusim/obs/trace_event.hh"
 
 namespace mfusim
 {
@@ -297,30 +298,6 @@ MetricsRegistry::merge(const MetricsRegistry &other)
 
 namespace
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 jsonNumber(double v)

@@ -15,6 +15,9 @@
  * timestamp is taken pre-formatted (the pipeline exporter emits
  * integer cycles, the request exporter fractional microseconds) —
  * formatting is the one thing the two disagree on.
+ *
+ * jsonEscape() is the one JSON string escaper: the emitters below,
+ * the metrics exporter and the serve tier's JSON writer all use it.
  */
 
 #ifndef MFUSIM_OBS_TRACE_EVENT_HH
@@ -27,6 +30,33 @@
 
 namespace mfusim
 {
+
+/** @p s escaped for use inside a JSON string literal. */
+inline std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (const char c : s) {
+        switch (c) {
+          case '"':  out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
 namespace trace_event
 {
 
@@ -43,8 +73,9 @@ event(std::ostream &os, bool &first, const std::string &name,
       const std::string &dur = "", const std::string &args = "",
       const std::string &extra = "")
 {
-    os << (first ? "" : ",") << "\n  {\"name\": \"" << name
-       << "\", \"ph\": \"" << ph << "\", \"pid\": 1, \"tid\": " << tid;
+    os << (first ? "" : ",") << "\n  {\"name\": \""
+       << jsonEscape(name) << "\", \"ph\": \"" << ph
+       << "\", \"pid\": 1, \"tid\": " << tid;
     if (!extra.empty())
         os << ", " << extra;
     os << ", \"ts\": " << ts;
@@ -63,7 +94,8 @@ threadName(std::ostream &os, bool &first, std::int64_t tid,
 {
     os << (first ? "" : ",") << "\n  {\"name\": \"thread_name\", "
        << "\"ph\": \"M\", \"pid\": 1, \"tid\": " << tid
-       << ", \"args\": {\"name\": \"" << name << "\"}},"
+       << ", \"args\": {\"name\": \"" << jsonEscape(name)
+       << "\"}},"
        << "\n  {\"name\": \"thread_sort_index\", \"ph\": \"M\", "
        << "\"pid\": 1, \"tid\": " << tid
        << ", \"args\": {\"sort_index\": " << sortIndex << "}}";
@@ -76,7 +108,8 @@ processName(std::ostream &os, bool &first, const std::string &name)
 {
     os << (first ? "" : ",")
        << "\n  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1"
-       << ", \"args\": {\"name\": \"" << name << "\"}}";
+       << ", \"args\": {\"name\": \"" << jsonEscape(name)
+       << "\"}}";
     first = false;
 }
 

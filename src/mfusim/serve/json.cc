@@ -10,6 +10,7 @@
 #include <cstdlib>
 
 #include "mfusim/core/error.hh"
+#include "mfusim/obs/trace_event.hh"
 
 namespace mfusim
 {
@@ -101,31 +102,6 @@ Json::set(const std::string &key, Json value)
 }
 
 std::string
-jsonEscapeString(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 jsonFormatNumber(double v)
 {
     if (!std::isfinite(v))
@@ -157,7 +133,7 @@ Json::dumpTo(std::string &out) const
         break;
       case Kind::kString:
         out += '"';
-        out += jsonEscapeString(string_);
+        out += jsonEscape(string_);
         out += '"';
         break;
       case Kind::kArray: {
@@ -179,7 +155,7 @@ Json::dumpTo(std::string &out) const
             if (!first)
                 out += ',';
             out += '"';
-            out += jsonEscapeString(key);
+            out += jsonEscape(key);
             out += "\":";
             value.dumpTo(out);
             first = false;

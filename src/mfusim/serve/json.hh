@@ -106,9 +106,6 @@ class Json
  */
 Json parseJson(const std::string &text);
 
-/** JSON string escaping shared with the writer. */
-std::string jsonEscapeString(const std::string &s);
-
 /** Shortest round-trip decimal for a double ("%.17g", finite only). */
 std::string jsonFormatNumber(double v);
 

@@ -69,12 +69,18 @@ namespace mfusim
 class RequestTracer;
 struct RequestSpan;
 
+/** Largest ServeOptions::workers `mfusim serve` accepts. */
+constexpr unsigned kMaxServeWorkers = 1024;
+
 /** Server capacity and protocol knobs. */
 struct ServeOptions
 {
     /** TCP port; 0 binds an ephemeral port (see HttpServer::port()). */
     std::uint16_t port = 8100;
-    /** Worker threads running handler compute. */
+    /**
+     * Worker threads running handler compute, all started by
+     * HttpServer::start(); the CLI caps it at kMaxServeWorkers.
+     */
     unsigned workers = 4;
     /** Bounded compute-queue depth; beyond it requests get 429. */
     unsigned queueDepth = 64;

@@ -95,21 +95,52 @@ requireMember(const Json &body, const std::string &key)
 }
 
 /**
- * Optional "predictor" request field: a spec string (see
- * PredictorSpec::parse) that arms speculative execution on the
- * machine config.  Parse errors surface as ConfigError -> 400.
+ * The machine config a request names: the optional "config" field
+ * (default M11BR5) with the optional "predictor" spec string (see
+ * PredictorSpec::parse) armed on it.  The predictor is part of the
+ * cache key, so speculative and non-speculative requests never
+ * alias.  Parse errors surface as ConfigError -> 400.
  */
-void
-applyPredictorField(const Json &body, MachineConfig *cfg)
+MachineConfig
+requestConfig(const Json &body)
 {
+    const Json *cfgField = body.find("config");
+    MachineConfig cfg = parseConfigSpec(
+        cfgField != nullptr ? cfgField->asString() : "M11BR5");
     const Json *field = body.find("predictor");
     if (field == nullptr || field->isNull())
-        return;
+        return cfg;
     if (!field->isString())
         throw ServeError(400, "'predictor' must be a spec string "
                               "like \"2bit\" or \"fixed:90\"");
-    cfg->predictor = PredictorSpec::parse(field->asString());
-    cfg->predictor.validate();
+    cfg.predictor = PredictorSpec::parse(field->asString());
+    cfg.predictor.validate();
+    return cfg;
+}
+
+/** The fields of one /v1/simulate request body. */
+struct SimulateRequest
+{
+    std::string loopSpec;
+    std::string machineSpec;
+    MachineConfig cfg;
+    bool audit = false;     //!< the body's own "audit" field
+};
+
+/** Parse a /v1/simulate body; errors throw (ServeError/ConfigError). */
+SimulateRequest
+parseSimulateRequest(const std::string &body)
+{
+    const Json request = parseJson(body);
+    if (!request.isObject())
+        throw ServeError(400, "request body must be a JSON object");
+    SimulateRequest out;
+    out.loopSpec = loopSpecOf(requireMember(request, "loop"));
+    out.machineSpec = requireMember(request, "machine").asString();
+    out.cfg = requestConfig(request);
+    const Json *auditField = request.find("audit");
+    out.audit = auditField != nullptr && auditField->asBool();
+    return out;
 }
 
 /** One timed cell, shared by /v1/simulate and /v1/sweep rows. */
@@ -144,24 +175,21 @@ runCell(const std::string &loopSpec, const std::string &machineSpec,
     };
 
     const std::string machineKey = sim->cacheKey();
+    const bool traced = reqTraceArmed();
     if (machineKey.empty()) {
         out.result = simulate();
-    } else if (reqTraceArmed()) {
-        const std::uint64_t before = monoNanos();
+    } else {
+        const std::uint64_t before = traced ? monoNanos() : 0;
         out.result = ResultCache::instance().getOrCompute(
             machineKey, "LL" + loopSpec, cfg, out.audited, simulate,
             &out.cached);
         // A hit's getOrCompute IS the probe; a miss's is dominated
         // by the simulation, so only the hit time is attributable to
         // the cache.
-        if (out.cached)
+        if (traced && out.cached)
             spanAnnotations().cacheNs = monoNanos() - before;
-    } else {
-        out.result = ResultCache::instance().getOrCompute(
-            machineKey, "LL" + loopSpec, cfg, out.audited, simulate,
-            &out.cached);
     }
-    if (reqTraceArmed()) {
+    if (traced) {
         SpanAnnotations &notes = spanAnnotations();
         notes.cacheHit = notes.cacheHit || out.cached;
         notes.audited = notes.audited || out.audited;
@@ -242,29 +270,18 @@ SimService::findFastCell(const std::string &body)
 
     FastCell cell;
     try {
-        const Json request = parseJson(body);
-        if (request.isObject()) {
-            cell.loopSpec = loopSpecOf(requireMember(request, "loop"));
-            cell.traceKey = "LL" + cell.loopSpec;
-            cell.machineSpec =
-                requireMember(request, "machine").asString();
-            const Json *cfgField = request.find("config");
-            cell.cfg = parseConfigSpec(
-                cfgField != nullptr ? cfgField->asString() : "M11BR5");
-            // Without this the fast path would alias speculative and
-            // non-speculative requests onto the same cache key.
-            applyPredictorField(request, &cell.cfg);
-            const Json *auditField = request.find("audit");
-            cell.audited =
-                (auditField != nullptr && auditField->asBool()) ||
-                auditRequested();
-            auto sim = parseMachineSpec(cell.machineSpec, cell.cfg);
-            cell.simName = sim->name();
-            cell.machineKey = sim->cacheKey();
-            // An empty cacheKey means the cell is never cached, so
-            // the fast path can never serve it.
-            cell.usable = !cell.machineKey.empty();
-        }
+        SimulateRequest request = parseSimulateRequest(body);
+        cell.loopSpec = std::move(request.loopSpec);
+        cell.traceKey = "LL" + cell.loopSpec;
+        cell.machineSpec = std::move(request.machineSpec);
+        cell.cfg = std::move(request.cfg);
+        cell.audited = request.audit || auditRequested();
+        auto sim = parseMachineSpec(cell.machineSpec, cell.cfg);
+        cell.simName = sim->name();
+        cell.machineKey = sim->cacheKey();
+        // An empty cacheKey means the cell is never cached, so the
+        // fast path can never serve it.
+        cell.usable = !cell.machineKey.empty();
     } catch (...) {
         // Unparseable body / bad spec: a negative entry — the worker
         // path owns the canonical error response.
@@ -368,27 +385,12 @@ SimService::dispatch(const HttpRequest &request, unsigned budgetMs)
 HttpResponse
 SimService::handleSimulate(const std::string &body)
 {
-    const Json request = parseJson(body);
-    if (!request.isObject())
-        throw ServeError(400, "request body must be a JSON object");
-
-    const std::string loopSpec =
-        loopSpecOf(requireMember(request, "loop"));
-    const std::string machineSpec =
-        requireMember(request, "machine").asString();
-    const Json *cfgField = request.find("config");
-    MachineConfig cfg = parseConfigSpec(
-        cfgField != nullptr ? cfgField->asString() : "M11BR5");
-    applyPredictorField(request, &cfg);
-    const Json *auditField = request.find("audit");
-    const bool audit =
-        auditField != nullptr && auditField->asBool();
-
+    const SimulateRequest req = parseSimulateRequest(body);
     const CellOutcome cell =
-        runCell(loopSpec, machineSpec, cfg, audit);
+        runCell(req.loopSpec, req.machineSpec, req.cfg, req.audit);
     return HttpResponse(
         200, "application/json",
-        cellJson(loopSpec, machineSpec, cfg, cell).dump() + "\n");
+        cellJson(req.loopSpec, req.machineSpec, req.cfg, cell).dump() + "\n");
 }
 
 HttpResponse
@@ -422,10 +424,7 @@ SimService::handleSweep(const std::string &body)
                              " machines exceeds the cap of " +
                              std::to_string(
                                  options_.maxSweepMachines));
-    const Json *cfgField = request.find("config");
-    MachineConfig cfg = parseConfigSpec(
-        cfgField != nullptr ? cfgField->asString() : "M11BR5");
-    applyPredictorField(request, &cfg);
+    const MachineConfig cfg = requestConfig(request);
 
     // Validate every machine spec once, up front, so a bad spec is a
     // clean 400 instead of a SweepError from every cell.

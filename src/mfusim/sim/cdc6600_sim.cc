@@ -7,12 +7,11 @@
 
 #include <algorithm>
 #include <array>
-
-#include <set>
 #include <vector>
 
 #include "mfusim/core/error.hh"
 #include "mfusim/funits/fu_pool.hh"
+#include "mfusim/funits/result_bus.hh"
 #include "mfusim/sim/steady_state.hh"
 
 namespace mfusim
@@ -46,31 +45,21 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
                   MemDiscipline::kInterleaved },
                 cfg_);
     // Completion times can regress between successive instructions
-    // (dispatch waits at the units), so the single result bus uses
-    // an unbounded reservation set rather than a sliding window.
-    std::set<ClockCycle> bus_reserved;
+    // (dispatch waits at the units), so the single result bus is a
+    // sparse timeline rather than a sliding window.
+    SparseReservations bus;
 
     ClockCycle issue_cursor = 0;
     ClockCycle end = 0;
 
     const std::size_t n = trace.size();
+    const std::vector<std::uint8_t> predOk = predictionBytes(trace);
 
-    // Armed predictor (zero window): correctly predicted branches are
-    // free; mispredicted ones block like the paper's.
-    const bool spec = cfg_.predictor.armed();
-    std::vector<std::uint8_t> predOk;
-    if (spec)
-        predOk = precomputePredictions(trace, cfg_.predictor);
-
-    // Steady-state fast path (see sim/steady_state.hh; off under
-    // audit).  Boundary state: live register ready times, waiting
-    // stations, the pool, and the outstanding bus reservations, all
-    // rebased to the issue cursor.  Predictors with history
-    // mispredict aperiodically and keep the plain path.
-    const bool steady = steadyStateEnabled() && !kObs &&
-        cfg_.predictor.isStatic();
-    SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
-                               n);
+    // Steady-state fast path (see sim/steady_state.hh).  Boundary
+    // state: live register ready times, waiting stations, the pool,
+    // and the outstanding bus reservations, all rebased to the issue
+    // cursor.
+    SteadyStateTracker tracker(steadyPeriods(trace), n);
     std::size_t boundary = tracker.nextBoundary();
     const std::vector<RegId> &written = trace.writtenRegs();
 
@@ -78,11 +67,6 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
         if (i == boundary) {
             if (tracker.beginObserve(i)) {
                 const ClockCycle base = issue_cursor;
-                // Reservations at or before the cursor can never
-                // conflict again (future probes are later): prune,
-                // which also bounds the set's growth.
-                bus_reserved.erase(bus_reserved.begin(),
-                                   bus_reserved.upper_bound(base));
                 auto &sig = tracker.sigBuffer();
                 for (const RegId r : written) {
                     if (regReady[r] > base) {
@@ -94,8 +78,7 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
                 for (const ClockCycle free : stationFree)
                     sig.push_back(free > base ? free - base : 0);
                 pool.appendSignature(base, sig);
-                for (const ClockCycle slot : bus_reserved)
-                    sig.push_back(slot - base);
+                bus.appendSignature(base, sig);
                 sig.push_back(end - base);  // end >= cursor: exact
                 if (const auto skip =
                         tracker.finishObserve(base, nullptr, 0)) {
@@ -107,11 +90,7 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
                     for (ClockCycle &s : stationFree)
                         s += skip->delta;
                     pool.shiftTime(skip->delta);
-                    std::set<ClockCycle> shifted;
-                    for (const ClockCycle slot : bus_reserved)
-                        shifted.insert(shifted.end(),
-                                       slot + skip->delta);
-                    bus_reserved.swap(shifted);
+                    bus.shiftTime(skip->delta);
                 }
             }
             boundary = tracker.nextBoundary();
@@ -122,32 +101,12 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
         const RegId dst = trace.dst(i);
 
         if (trace.isBranch(i)) {
-            const ClockCycle cond_ready =
-                srcA != kNoReg ? regReady[srcA] : 0;
-            if (spec && predOk[i]) {
-                const ClockCycle t = issue_cursor;
-                if constexpr (kObs)
-                    emitAudit(AuditPhase::kIssue, t, i);
-                issue_cursor = t + 1;
-                end = std::max(end, t + 1);
-            } else {
-                // The 6600 resolves branches in the unified exchange
-                // pipeline; we keep the paper's uniform rule: wait
-                // for the condition, then block for the branch time.
-                const ClockCycle t =
-                    std::max(issue_cursor, cond_ready);
-                if constexpr (kObs) {
-                    emitAudit(AuditPhase::kIssue, t, i);
-                    if (spec)
-                        emitAudit(AuditPhase::kSquash, t, i);
-                    emitStall(StallCause::kBranch, issue_cursor,
-                              t - issue_cursor, i);
-                    emitStall(StallCause::kBranch, t + 1,
-                              cfg_.branchTime - 1, i);
-                }
-                issue_cursor = t + cfg_.branchTime;
-                end = std::max(end, t + cfg_.branchTime);
-            }
+            // The 6600 resolves branches in the unified exchange
+            // pipeline; we keep the paper's uniform rule.
+            singleIssueBranch<kObs>(i,
+                                    srcA != kNoReg ? regReady[srcA] : 0,
+                                    predOk, cfg_.branchTime,
+                                    issue_cursor, end);
             continue;
         }
 
@@ -179,19 +138,15 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
 
         const bool needs_bus =
             org_.modelResultBus && trace.producesResult(i);
+        if (needs_bus)
+            bus.advanceTo(t);   // every later probe is past t
         while (true) {
             dispatch = pool.earliestAccept(fu_class, dispatch);
             if (needs_bus) {
-                // Walk the ordered reservations to the first free
-                // completion cycle (exact next-event skip: nothing
-                // is ever removed from the set, so the scan finds
-                // the same cycle one-by-one probing would).
-                ClockCycle slot = dispatch + latency;
-                auto it = bus_reserved.lower_bound(slot);
-                while (it != bus_reserved.end() && *it == slot) {
-                    ++slot;
-                    ++it;
-                }
+                // Jump to the first free completion cycle: the exact
+                // next-event skip, as no reservation is cancelled.
+                const ClockCycle slot =
+                    bus.nextFreeSlot(dispatch + latency);
                 if (slot != dispatch + latency) {
                     dispatch = slot - latency;
                     continue;   // recheck the unit at the later cycle
@@ -209,7 +164,7 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
                       needs_bus ? 0 : -1);
         }
         if (needs_bus)
-            bus_reserved.insert(ready);
+            bus.reserve(ready);
         if (dst != kNoReg)
             regReady[dst] = ready;
         if (!is_transfer)

@@ -248,23 +248,11 @@ MultiIssueSim::runWindows(const DecodedTrace &trace) const
     FuPool &pool = lane.pool;
     ResultBusSet &bus = lane.bus;
     // Armed predictor: the front end speculates down the predicted
-    // path.  Prediction outcomes are precomputed once in trace order
-    // (they are timing-independent; wrong-path ops never update the
-    // predictor).  Without one every branch blocks (the paper).
-    const std::vector<std::uint8_t> predictions =
-        cfg_.predictor.armed()
-            ? precomputePredictions(trace, cfg_.predictor)
-            : std::vector<std::uint8_t>();
+    // path.  Without one every branch blocks (the paper).
+    const std::vector<std::uint8_t> predictions = predictionBytes(trace);
     const bool spec = !predictions.empty();
     const std::uint8_t *const predOk = predictions.data();
-    // Steady state is tracked unless it is disabled, a sink is
-    // attached or the predictor has history.
-    SteadyStateTracker tracker(steadyStateEnabled() &&
-                                       auditSink() == nullptr &&
-                                       cfg_.predictor.isStatic()
-                                   ? &trace.periodicity()
-                                   : nullptr,
-                               n);
+    SteadyStateTracker tracker(steadyPeriods(trace), n);
     const unsigned width = org_.width;
     const ClockCycle branch_time = cfg_.branchTime;
     const bool crossbar = bus.kind() == BusKind::kCrossbar;

@@ -106,13 +106,10 @@ RuuSim::runImpl(const DecodedTrace &trace)
     // Per-cycle commit capacity (RUU head -> register file).
     const unsigned commit_cap = dispatch_cap;
 
-    // Armed predictor: prediction outcomes precomputed in trace
-    // order (timing-independent; wrong-path ops never update the
-    // predictor).  Without one every branch blocks (the paper).
-    const bool spec = cfg_.predictor.armed();
-    std::vector<std::uint8_t> predOk;
-    if (spec)
-        predOk = precomputePredictions(trace, cfg_.predictor);
+    // Armed predictor: the front end speculates down the predicted
+    // path.  Without one every branch blocks (the paper).
+    const std::vector<std::uint8_t> predOk = predictionBytes(trace);
+    const bool spec = !predOk.empty();
 
     struct Entry
     {
@@ -256,19 +253,14 @@ RuuSim::runImpl(const DecodedTrace &trace)
             std::to_string(next) + "): " + why);
     };
 
-    // Steady-state fast path (see sim/steady_state.hh; audit runs
-    // use the plain path).  Boundary state: the watchdog gap, the
-    // branch block, the end watermark, the round-robin bank phase,
-    // the live RUU entries (index relative to the insert cursor),
-    // and the result times the segment can still read — producers of
-    // both future inserts (link lookback) and of the live entries.
-    // Predictors with history (2-bit, fixed accuracy) mispredict
-    // aperiodically, so the fast path stays off for them; boundaries
-    // met while a mispredict is in flight are not observed.
-    const bool steady = !kObs && steadyStateEnabled() &&
-        cfg_.predictor.isStatic();
-    SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
-                               n);
+    // Steady-state fast path (see sim/steady_state.hh).  Boundary
+    // state: the watchdog gap, the branch block, the end watermark,
+    // the round-robin bank phase, the live RUU entries (index
+    // relative to the insert cursor), and the result times the
+    // segment can still read — producers of both future inserts
+    // (link lookback) and of the live entries.  Boundaries met while
+    // a mispredict is in flight are not observed.
+    SteadyStateTracker tracker(steadyPeriods(trace), n);
     std::size_t boundary = tracker.nextBoundary();
 
     while (next_insert < n || ruu_head < ruu.size()) {

@@ -15,7 +15,6 @@
 #include "mfusim/core/registers.hh"
 #include "mfusim/funits/result_bus.hh"
 #include "mfusim/sim/steady_state.hh"
-#include "mfusim/spec/predictor.hh"
 
 namespace mfusim
 {
@@ -111,23 +110,8 @@ ScoreboardSim::runImpl(const DecodedTrace &trace) const
                   org_.memPorts },
                 cfg_);
     CycleReservations bus;      // the single result bus
-    // Armed predictor (zero window): a correctly predicted branch is
-    // free; a mispredicted one waits and blocks like the paper's.
-    const std::vector<std::uint8_t> predictions =
-        cfg_.predictor.armed()
-            ? precomputePredictions(trace, cfg_.predictor)
-            : std::vector<std::uint8_t>();
-    const bool spec = !predictions.empty();
-    const std::uint8_t *const predOk = predictions.data();
-    // Steady state is tracked unless it is disabled, a sink is
-    // attached (the event stream must be complete) or the predictor
-    // has history (it mispredicts aperiodically).
-    SteadyStateTracker tracker(steadyStateEnabled() &&
-                                       auditSink() == nullptr &&
-                                       cfg_.predictor.isStatic()
-                                   ? &trace.periodicity()
-                                   : nullptr,
-                               n);
+    const std::vector<std::uint8_t> predOk = predictionBytes(trace);
+    SteadyStateTracker tracker(steadyPeriods(trace), n);
     // Only registers the trace writes can ever hold a live ready
     // time, so signatures scan this cached list instead of all
     // kNumRegs (or all ops) per run.
@@ -204,34 +188,10 @@ ScoreboardSim::runImpl(const DecodedTrace &trace) const
         const RegId dst = trace.dst(i);
 
         if (trace.isBranch(i)) {
-            const ClockCycle cond_ready =
-                srcA != kNoReg ? regReady[srcA] : 0;
-            if (spec && predOk[i]) {
-                // Correctly predicted: the branch spends one issue
-                // slot and never gates the stream.
-                const ClockCycle t = issue_cursor;
-                if constexpr (kObs)
-                    emitAudit(AuditPhase::kIssue, t, i);
-                issue_cursor = t + 1;
-                end = std::max(end, t + 1);
-            } else {
-                // Blocking (and mispredicted, which redirects once
-                // the outcome is known): wait for the condition,
-                // then hold the issue stage for the branch time.
-                const ClockCycle t =
-                    std::max(issue_cursor, cond_ready);
-                if constexpr (kObs) {
-                    emitAudit(AuditPhase::kIssue, t, i);
-                    if (spec)
-                        emitAudit(AuditPhase::kSquash, t, i);
-                }
-                stall(StallCause::kBranch, issue_cursor,
-                      t - issue_cursor, i);
-                stall(StallCause::kBranch, t + 1, cfg_.branchTime - 1,
-                      i);
-                issue_cursor = t + cfg_.branchTime;
-                end = std::max(end, t + cfg_.branchTime);
-            }
+            stalls[unsigned(StallCause::kBranch)] +=
+                singleIssueBranch<kObs>(
+                    i, srcA != kNoReg ? regReady[srcA] : 0, predOk,
+                    cfg_.branchTime, issue_cursor, end);
             continue;
         }
 

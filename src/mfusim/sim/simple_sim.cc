@@ -28,11 +28,7 @@ SimpleSim::runImpl(const DecodedTrace &trace) const
     // latency is at least 1 cycle, so the issue stage never starves
     // the execute stage).
     const std::size_t n = trace.size();
-    SteadyStateTracker tracker(
-        steadyStateEnabled() && auditSink() == nullptr
-            ? &trace.periodicity()
-            : nullptr,
-        n);
+    SteadyStateTracker tracker(steadyPeriods(trace), n);
     std::size_t boundary = tracker.nextBoundary();
     ClockCycle end = 0;     // the execute stage frees
 

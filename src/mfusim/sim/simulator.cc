@@ -8,6 +8,8 @@
 #include <optional>
 
 #include "mfusim/core/error.hh"
+#include "mfusim/sim/steady_state.hh"
+#include "mfusim/spec/predictor.hh"
 
 namespace mfusim
 {
@@ -16,6 +18,23 @@ SimResult
 Simulator::run(const DynTrace &trace)
 {
     return run(DecodedTrace(trace, config()));
+}
+
+std::vector<std::uint8_t>
+Simulator::predictionBytes(const DecodedTrace &trace) const
+{
+    const PredictorSpec &predictor = config().predictor;
+    return predictor.armed() ? precomputePredictions(trace, predictor)
+                             : std::vector<std::uint8_t>();
+}
+
+const TracePeriodicity *
+Simulator::steadyPeriods(const DecodedTrace &trace) const
+{
+    return steadyStateEnabled() && audit_ == nullptr &&
+            config().predictor.isStatic()
+        ? &trace.periodicity()
+        : nullptr;
 }
 
 SimResult

@@ -11,8 +11,10 @@
 #ifndef MFUSIM_SIM_SIMULATOR_HH
 #define MFUSIM_SIM_SIMULATOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "mfusim/core/decoded_trace.hh"
 #include "mfusim/core/machine_config.hh"
@@ -167,6 +169,61 @@ class Simulator
     {
         if (obs_ && cycles)
             obs_->onStall(StallSample{ from, cycles, op, cause });
+    }
+
+    /**
+     * Prediction bytes of config()'s predictor over @p trace (see
+     * precomputePredictions), or an empty vector when none is armed.
+     */
+    std::vector<std::uint8_t>
+    predictionBytes(const DecodedTrace &trace) const;
+
+    /**
+     * The periodicity this run's SteadyStateTracker follows, or null
+     * when the fast path may not engage: it is disabled, a sink is
+     * attached (the event stream must be complete), or the predictor
+     * carries history across iterations (it mispredicts
+     * aperiodically).  The one eligibility rule of every machine.
+     */
+    const TracePeriodicity *steadyPeriods(const DecodedTrace &trace) const;
+
+    /**
+     * One branch at the single-issue front end of the scoreboard,
+     * CDC 6600 and Tomasulo machines.  A branch the armed predictor
+     * gets right (@p predOk from predictionBytes()) spends one issue
+     * slot at @p cursor.  Any other waits for its condition
+     * (@p condReady), issues, squashes when a predictor is armed, and
+     * holds the issue stage for @p branchTime.  Advances @p cursor
+     * and @p end; returns the issue cycles lost, all of them kBranch
+     * stalls (also reported as samples under kObs).
+     */
+    template <bool kObs>
+    ClockCycle
+    singleIssueBranch(std::size_t op, ClockCycle condReady,
+                      const std::vector<std::uint8_t> &predOk,
+                      unsigned branchTime, ClockCycle &cursor,
+                      ClockCycle &end) const
+    {
+        if (!predOk.empty() && predOk[op]) {
+            if constexpr (kObs)
+                emitAudit(AuditPhase::kIssue, cursor, op);
+            ++cursor;
+            end = std::max(end, cursor);
+            return 0;
+        }
+        const ClockCycle t = std::max(cursor, condReady);
+        const unsigned held = branchTime - 1;   // issue cycles after t
+        if constexpr (kObs) {
+            emitAudit(AuditPhase::kIssue, t, op);
+            if (!predOk.empty())
+                emitAudit(AuditPhase::kSquash, t, op);
+            emitStall(StallCause::kBranch, cursor, t - cursor, op);
+            emitStall(StallCause::kBranch, t + 1, held, op);
+        }
+        const ClockCycle lost = (t - cursor) + held;
+        cursor = t + branchTime;
+        end = std::max(end, cursor);
+        return lost;
     }
 
   private:

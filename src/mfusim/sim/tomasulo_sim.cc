@@ -5,7 +5,7 @@
  * The simulation is event driven (no cycle loop): instructions are
  * processed in program order, and every timing constraint resolves
  * to a max() over previously computed completion times plus
- * first-free-slot searches in small reservation sets.
+ * first-free-slot searches in sparse reservation timelines.
  */
 
 #include "mfusim/sim/tomasulo_sim.hh"
@@ -13,10 +13,10 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <set>
 #include <vector>
 
 #include "mfusim/core/error.hh"
+#include "mfusim/funits/result_bus.hh"
 #include "mfusim/sim/steady_state.hh"
 
 namespace mfusim
@@ -78,63 +78,25 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
     // time is exactly tag semantics).
     std::array<ClockCycle, kNumRegs> value_ready{};
 
-    // Station occupancy per FU class: completion (broadcast) times
-    // of the live stations.  A multiset (not a priority queue) so
-    // the steady-state snapshot can enumerate and shift it.
-    std::array<std::multiset<ClockCycle>, kNumFuClasses> stations;
+    // Station occupancy per FU class: the broadcast (completion)
+    // times of the live stations, ascending.
+    std::array<std::vector<ClockCycle>, kNumFuClasses> stations;
 
-    // Per-FU pipeline accept slots and CDB slots (out-of-order
-    // arrivals -> reservation sets).
-    std::array<std::set<ClockCycle>, kNumFuClasses> fu_slots;
-    std::set<ClockCycle> mem_slots;
-    std::vector<std::set<ClockCycle>> cdb(org_.cdbCount);
-
-    // First cycle at or after @p from with no reservation in @p s.
-    // A no-progress scan adds nothing to the set, so the walk finds
-    // exactly the cycle one-by-one probing would.
-    const auto nextFree = [](const std::set<ClockCycle> &s,
-                             ClockCycle from) {
-        auto it = s.lower_bound(from);
-        while (it != s.end() && *it == from) {
-            ++from;
-            ++it;
-        }
-        return from;
-    };
+    // Per-FU pipeline accept slots (the memory port's included) and
+    // CDB slots (out-of-order arrivals -> sparse timelines).
+    std::array<SparseReservations, kNumFuClasses> fu_slots;
+    std::vector<SparseReservations> cdb(org_.cdbCount);
 
     ClockCycle issue_cursor = 0;
     ClockCycle end = 0;
+    const std::vector<std::uint8_t> predOk = predictionBytes(trace);
 
-    // Armed predictor (zero window): correctly predicted branches are
-    // free; mispredicted ones block like the paper's.
-    const bool spec = cfg_.predictor.armed();
-    std::vector<std::uint8_t> predOk;
-    if (spec)
-        predOk = precomputePredictions(trace, cfg_.predictor);
-
-    // Steady-state fast path (off under audit).  Boundary state:
-    // live register values, station broadcast times, and the accept /
-    // CDB reservation sets pruned to the future, rebased to the
-    // issue cursor.  Predictors with history mispredict
-    // aperiodically and keep the plain path.
-    const bool steady = steadyStateEnabled() && !kObs &&
-        cfg_.predictor.isStatic();
-    SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
-                               n);
+    // Steady-state fast path.  Boundary state: live register values,
+    // station broadcast times, and the accept / CDB reservations
+    // pruned to the future, rebased to the issue cursor.
+    SteadyStateTracker tracker(steadyPeriods(trace), n);
     std::size_t boundary = tracker.nextBoundary();
     const std::vector<RegId> &written = trace.writtenRegs();
-
-    // Reservations at or before @p base can never be probed again
-    // (future probes start after the issue cursor): drop them.
-    const auto prune = [](auto &s, ClockCycle base) {
-        s.erase(s.begin(), s.upper_bound(base));
-    };
-    const auto appendSet = [](const auto &s, ClockCycle base,
-                              std::vector<std::uint64_t> &sig) {
-        sig.push_back(s.size());
-        for (const ClockCycle v : s)
-            sig.push_back(v - base);
-    };
 
     for (std::size_t i = 0; i < n; ++i) {
         if (i == boundary) {
@@ -148,20 +110,18 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
                     }
                 }
                 sig.push_back(sig.size());  // section delimiter
-                for (auto &pool : stations) {
-                    prune(pool, base);      // past broadcasts are
-                    appendSet(pool, base, sig); // popped lazily anyway
+                for (const auto &pool : stations) {
+                    // Past broadcasts are popped lazily at issue.
+                    const auto live = std::upper_bound(
+                        pool.begin(), pool.end(), base);
+                    sig.push_back(pool.end() - live);
+                    for (auto it = live; it != pool.end(); ++it)
+                        sig.push_back(*it - base);
                 }
-                for (auto &unit : fu_slots) {
-                    prune(unit, base);
-                    appendSet(unit, base, sig);
-                }
-                prune(mem_slots, base);
-                appendSet(mem_slots, base, sig);
-                for (auto &bus : cdb) {
-                    prune(bus, base);
-                    appendSet(bus, base, sig);
-                }
+                for (auto &unit : fu_slots)
+                    unit.appendSignature(base, sig);
+                for (auto &bus : cdb)
+                    bus.appendSignature(base, sig);
                 sig.push_back(end - base);  // end >= cursor: exact
                 if (const auto skip =
                         tracker.finishObserve(base, nullptr, 0)) {
@@ -170,20 +130,14 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
                     end += skip->delta;
                     for (ClockCycle &r : value_ready)
                         r += skip->delta;
-                    const auto shiftSet = [&](auto &s) {
-                        std::decay_t<decltype(s)> shifted;
-                        for (const ClockCycle v : s)
-                            shifted.insert(shifted.end(),
-                                           v + skip->delta);
-                        s.swap(shifted);
-                    };
-                    for (auto &pool : stations)
-                        shiftSet(pool);
+                    for (auto &pool : stations) {
+                        for (ClockCycle &v : pool)
+                            v += skip->delta;
+                    }
                     for (auto &unit : fu_slots)
-                        shiftSet(unit);
-                    shiftSet(mem_slots);
+                        unit.shiftTime(skip->delta);
                     for (auto &bus : cdb)
-                        shiftSet(bus);
+                        bus.shiftTime(skip->delta);
                 }
             }
             boundary = tracker.nextBoundary();
@@ -194,29 +148,9 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
         const RegId dst = trace.dst(i);
 
         if (trace.isBranch(i)) {
-            const ClockCycle cond_ready =
-                srcA != kNoReg ? value_ready[srcA] : 0;
-            if (spec && predOk[i]) {
-                const ClockCycle t = issue_cursor;
-                if constexpr (kObs)
-                    emitAudit(AuditPhase::kIssue, t, i);
-                issue_cursor = t + 1;
-                end = std::max(end, t + 1);
-            } else {
-                const ClockCycle t =
-                    std::max(issue_cursor, cond_ready);
-                if constexpr (kObs) {
-                    emitAudit(AuditPhase::kIssue, t, i);
-                    if (spec)
-                        emitAudit(AuditPhase::kSquash, t, i);
-                    emitStall(StallCause::kBranch, issue_cursor,
-                              t - issue_cursor, i);
-                    emitStall(StallCause::kBranch, t + 1,
-                              cfg_.branchTime - 1, i);
-                }
-                issue_cursor = t + cfg_.branchTime;
-                end = std::max(end, t + cfg_.branchTime);
-            }
+            singleIssueBranch<kObs>(
+                i, srcA != kNoReg ? value_ready[srcA] : 0, predOk,
+                cfg_.branchTime, issue_cursor, end);
             continue;
         }
 
@@ -226,15 +160,14 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
         // ---- issue: in order, blocks only on a full station pool.
         ClockCycle t = issue_cursor;
         if (!is_transfer) {
+            // With every station busy, wait until enough broadcasts
+            // free one: the stationsPerFu-th latest frees the last
+            // one needed.  Then free every station already past.
             auto &pool = stations[fu];
-            // Free every station whose broadcast is already past.
-            while (!pool.empty() && *pool.begin() <= t)
-                pool.erase(pool.begin());
-            while (pool.size() >= org_.stationsPerFu) {
-                t = std::max(t, *pool.begin());
-                while (!pool.empty() && *pool.begin() <= t)
-                    pool.erase(pool.begin());
-            }
+            if (pool.size() >= org_.stationsPerFu)
+                t = std::max(t, pool[pool.size() - org_.stationsPerFu]);
+            pool.erase(pool.begin(),
+                       std::upper_bound(pool.begin(), pool.end(), t));
         }
         // The only in-order issue blocker is a full station pool;
         // operand and CDB waits happen out at the stations.
@@ -259,20 +192,25 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
             // the earliest free CDB slot across the buses: every
             // cycle before it has all buses taken, so the jump lands
             // exactly where one-by-one retrying would.
-            std::set<ClockCycle> &unit = trace.isMemory(i) ?
-                mem_slots : fu_slots[fu];
+            SparseReservations &unit = fu_slots[fu];
             const bool produces = trace.producesResult(i);
+            // Every later probe is past the issue cycle t.
+            unit.advanceTo(t);
+            if (produces) {
+                for (auto &bus : cdb)
+                    bus.advanceTo(t);
+            }
             while (true) {
-                const ClockCycle probe = nextFree(unit, dispatch);
+                const ClockCycle probe = unit.nextFreeSlot(dispatch);
                 if (produces) {
                     bool got_cdb = false;
                     ClockCycle earliest =
                         std::numeric_limits<ClockCycle>::max();
                     for (std::size_t b = 0; b < cdb.size(); ++b) {
                         const ClockCycle slot =
-                            nextFree(cdb[b], probe + latency);
+                            cdb[b].nextFreeSlot(probe + latency);
                         if (slot == probe + latency) {
-                            cdb[b].insert(slot);
+                            cdb[b].reserve(slot);
                             claimed_cdb = std::int32_t(b);
                             got_cdb = true;
                             break;
@@ -284,12 +222,15 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
                         continue;
                     }
                 }
-                unit.insert(probe);
+                unit.reserve(probe);
                 dispatch = probe;
                 break;
             }
             completion = dispatch + latency;
-            stations[fu].insert(completion);
+            auto &pool = stations[fu];
+            pool.insert(std::upper_bound(pool.begin(), pool.end(),
+                                         completion),
+                        completion);
         }
 
         if constexpr (kObs) {

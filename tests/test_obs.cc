@@ -26,6 +26,7 @@
 #include "mfusim/obs/metrics.hh"
 #include "mfusim/obs/pipe_trace.hh"
 #include "mfusim/obs/run_metrics.hh"
+#include "mfusim/serve/json.hh"
 #include "mfusim/sim/cdc6600_sim.hh"
 #include "mfusim/sim/multi_issue_sim.hh"
 #include "mfusim/sim/ruu_sim.hh"
@@ -592,6 +593,24 @@ TEST(ObsExport, ChromeTraceIsValidJson)
         EXPECT_NE(out.str().find("process_name"), std::string::npos)
             << entry.name;
     }
+}
+
+TEST(ObsExport, ChromeTraceEscapesNames)
+{
+    const MachineConfig cfg = configM11BR5();
+    const DecodedTrace trace(TraceLibrary::instance().trace(5), cfg);
+    ScoreboardSim sim(ScoreboardConfig::crayLike(), cfg);
+    PipeTraceRecorder rec;
+    sim.attachAudit(&rec);
+    sim.run(trace);
+    sim.attachAudit(nullptr);
+    const std::string label = "LL5 \"quoted\" \\path\nline 2";
+    std::ostringstream out;
+    writeChromeTrace(out, rec, trace, label);
+    const Json doc = parseJson(out.str());
+    const Json &process = doc.find("traceEvents")->items().front();
+    EXPECT_EQ(process.find("name")->asString(), "process_name");
+    EXPECT_EQ(process.find("args")->find("name")->asString(), label);
 }
 
 TEST(ObsExport, PipeviewShowsSchedule)

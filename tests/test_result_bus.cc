@@ -3,6 +3,8 @@
  * Result-bus reservation tests.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mfusim/funits/result_bus.hh"
@@ -113,6 +115,64 @@ TEST(ResultBusSet, Names)
     EXPECT_STREQ(busKindName(BusKind::kPerUnit), "N-Bus");
     EXPECT_STREQ(busKindName(BusKind::kSingle), "1-Bus");
     EXPECT_STREQ(busKindName(BusKind::kCrossbar), "X-Bar");
+}
+
+TEST(SparseReservations, ReservationsOutOfCycleOrder)
+{
+    SparseReservations res;
+    res.reserve(100);       // far beyond any 64-cycle window
+    res.reserve(5);         // before an earlier reservation
+    res.reserve(7);
+    EXPECT_EQ(res.nextFreeSlot(4), 4u);
+    EXPECT_EQ(res.nextFreeSlot(5), 6u);
+    EXPECT_EQ(res.nextFreeSlot(7), 8u);
+    EXPECT_EQ(res.nextFreeSlot(100), 101u);
+    res.reserve(6);         // fills the gap between 5 and 7
+    EXPECT_EQ(res.nextFreeSlot(5), 8u);
+}
+
+TEST(SparseReservations, NextFreeSlotSkipsTakenRun)
+{
+    SparseReservations res;
+    for (const ClockCycle t : { 24, 20, 22, 29, 21, 23, 26, 25, 28, 27 })
+        res.reserve(t);     // 20..29, shuffled
+    EXPECT_EQ(res.nextFreeSlot(19), 19u);
+    EXPECT_EQ(res.nextFreeSlot(20), 30u);
+    EXPECT_EQ(res.nextFreeSlot(25), 30u);
+    EXPECT_EQ(res.nextFreeSlot(30), 30u);
+    res.advanceTo(25);      // forgets 20..24 only
+    EXPECT_EQ(res.nextFreeSlot(20), 20u);
+    EXPECT_EQ(res.nextFreeSlot(25), 30u);
+}
+
+TEST(SparseReservations, ShiftedSignaturesMatchAndDropStaleSlots)
+{
+    SparseReservations a, b;
+    for (const ClockCycle t : { 3, 10, 12, 13, 15 })
+        a.reserve(t);
+    for (const ClockCycle t : { 113, 110, 115, 112 })
+        b.reserve(t);       // a shifted by 100, without stale slot 3
+    std::vector<std::uint64_t> sigA, sigB;
+    a.appendSignature(10, sigA);    // drops 3 and 10 (at the base)
+    b.appendSignature(110, sigB);
+    const std::vector<std::uint64_t> want = { 3, 2, 3, 5 };
+    EXPECT_EQ(sigA, want);
+    EXPECT_EQ(sigB, want);
+    EXPECT_EQ(a.nextFreeSlot(3), 3u);   // pruned for good
+    EXPECT_EQ(a.nextFreeSlot(12), 14u);
+}
+
+TEST(SparseReservations, ShiftTimeMovesEverySlot)
+{
+    SparseReservations res;
+    for (const ClockCycle t : { 9, 5, 6 })
+        res.reserve(t);
+    res.shiftTime(100);
+    EXPECT_EQ(res.nextFreeSlot(5), 5u);
+    EXPECT_EQ(res.nextFreeSlot(9), 9u);
+    EXPECT_EQ(res.nextFreeSlot(105), 107u);
+    EXPECT_EQ(res.nextFreeSlot(108), 108u);
+    EXPECT_EQ(res.nextFreeSlot(109), 110u);
 }
 
 } // namespace

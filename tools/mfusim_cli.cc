@@ -63,7 +63,8 @@
  *
  * serve: a batching simulation-as-a-service HTTP daemon — see
  * docs/SERVING.md.  --port P (default 8100, 0 = ephemeral),
- * --workers K request workers (default 4), --queue-depth D bounded
+ * --workers K request workers (default 4, at most 1024: each is a
+ * thread), --queue-depth D bounded
  * admission queue (default 64, overflow answers 429), --deadline-ms
  * M per-request deadline (default 30000), --max-body B largest
  * accepted body in bytes (default 1 MiB), --cache-dir P persist the
@@ -181,27 +182,29 @@ usage()
                  "[--trace-ring N]\n"
                  "             [--trace-dump PREFIX] "
                  "[--no-request-trace]\n"
+                 "             (--workers K at most 1024)\n"
                  "       mfusim --version\n");
     std::exit(2);
 }
 
 /**
- * @p value of numeric flag @p flag as a T, or exit 2.  from_chars()
- * takes no sign, space or prefix and reports a value past T's range,
- * so "-1", " 0" and a 70000 port are usage errors, never wrapped.
+ * @p value of numeric flag @p flag as a T no larger than @p max, or
+ * exit 2.  from_chars() takes no sign, space or prefix and reports a
+ * value past T's range, so "-1", " 0" and a 70000 port are usage
+ * errors, never wrapped.
  */
 template <typename T>
 T
-flagNumber(const std::string &flag, const std::string &value)
+flagNumber(const std::string &flag, const std::string &value,
+           std::uint64_t max = std::numeric_limits<T>::max())
 {
     T n{};
     const char *const end = value.data() + value.size();
     const auto [stop, ec] = std::from_chars(value.data(), end, n);
-    if (ec != std::errc() || stop != end) {
+    if (ec != std::errc() || stop != end || n > max) {
         std::fprintf(stderr, "%s expects a number from 0 to %llu, "
                      "got '%s'\n", flag.c_str(),
-                     (unsigned long long)std::numeric_limits<T>::max(),
-                     value.c_str());
+                     (unsigned long long)max, value.c_str());
         std::exit(2);
     }
     return n;
@@ -480,7 +483,10 @@ cmdServe(const std::vector<std::string> &args)
     std::string cacheDir;
     bool traceEnabled = true;
     std::size_t traceRing = 2048;
-    unsigned long slowRequestMs = 0;
+    std::uint64_t slowRequestMs = 0;
+    // The tracer keeps the slow-request threshold in nanoseconds.
+    constexpr std::uint64_t kMaxSlowRequestMs =
+        std::numeric_limits<std::uint64_t>::max() / 1000000u;
     std::string traceDumpPrefix = "mfusim-trace";
     for (std::size_t i = 0; i < args.size(); ++i) {
         const auto value = [&]() -> std::string {
@@ -497,7 +503,8 @@ cmdServe(const std::vector<std::string> &args)
         if (args[i] == "--port")
             numeric(opts.port);
         else if (args[i] == "--workers")
-            numeric(opts.workers);
+            opts.workers = flagNumber<unsigned>("--workers", value(),
+                                                kMaxServeWorkers);
         else if (args[i] == "--queue-depth")
             numeric(opts.queueDepth);
         else if (args[i] == "--deadline-ms")
@@ -515,7 +522,8 @@ cmdServe(const std::vector<std::string> &args)
         else if (args[i] == "--cache-dir")
             cacheDir = value();
         else if (args[i] == "--slow-request-ms")
-            numeric(slowRequestMs);
+            slowRequestMs = flagNumber<std::uint64_t>(
+                "--slow-request-ms", value(), kMaxSlowRequestMs);
         else if (args[i] == "--trace-ring")
             numeric(traceRing);
         else if (args[i] == "--trace-dump")
@@ -592,8 +600,7 @@ cmdServe(const std::vector<std::string> &args)
         ReqTraceOptions traceOpts;
         traceOpts.ringCapacity = traceRing;
         traceOpts.workers = opts.workers == 0 ? 1 : opts.workers;
-        traceOpts.slowRequestNs =
-            std::uint64_t(slowRequestMs) * 1000000u;
+        traceOpts.slowRequestNs = slowRequestMs * 1000000u;
         tracer = std::make_unique<RequestTracer>(traceOpts);
         // Fault fires become instant events on the trace timeline.
         RequestTracer *raw = tracer.get();
