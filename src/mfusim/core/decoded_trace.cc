@@ -5,6 +5,7 @@
 
 #include "mfusim/core/decoded_trace.hh"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cassert>
@@ -21,7 +22,7 @@ namespace
 {
 
 /** The static traits the decode needs, per opcode. */
-struct OpRow
+struct OpFacts
 {
     std::uint8_t fu;
     std::uint8_t flags;     //!< the opcode-determined DecodedOps bits
@@ -31,45 +32,198 @@ struct OpRow
     bool isStore;
 };
 
-const std::array<OpRow, kNumOps> &
-opRows()
+const std::array<OpFacts, kNumOps> &
+opFacts()
 {
-    static const std::array<OpRow, kNumOps> rows = [] {
-        std::array<OpRow, kNumOps> out{};
+    static const std::array<OpFacts, kNumOps> facts = [] {
+        std::array<OpFacts, kNumOps> out{};
         for (unsigned o = 0; o < kNumOps; ++o) {
             const Op op = Op(o);
             const OpTraits &traits = traitsOf(op);
-            OpRow &row = out[o];
-            row.fu = std::uint8_t(traits.fu);
-            row.parcels = traits.parcels;
+            OpFacts &facts = out[o];
+            facts.fu = std::uint8_t(traits.fu);
+            facts.parcels = traits.parcels;
             if (isBranch(op))
-                row.flags |= DecodedOps::kIsBranch;
+                facts.flags |= DecodedOps::kIsBranch;
             if (isVector(op))
-                row.flags |= DecodedOps::kIsVector;
+                facts.flags |= DecodedOps::kIsVector;
             if (traits.fu == FuClass::kMemory)
-                row.flags |= DecodedOps::kIsMemory;
+                facts.flags |= DecodedOps::kIsMemory;
             if (traits.fu == FuClass::kTransfer)
-                row.flags |= DecodedOps::kIsTransfer;
+                facts.flags |= DecodedOps::kIsTransfer;
             if (producesResult(op))
-                row.flags |= DecodedOps::kProducesResult;
-            row.usesVl = isVector(op) && op != Op::kVSetLen;
-            row.isLoad = isLoad(op);
-            row.isStore = isStore(op);
+                facts.flags |= DecodedOps::kProducesResult;
+            facts.usesVl = isVector(op) && op != Op::kVSetLen;
+            facts.isLoad = isLoad(op);
+            facts.isStore = isStore(op);
         }
         return out;
     }();
-    return rows;
+    return facts;
 }
 
-/** The next @p n-element column of a block, advancing @p next. */
-template <class T>
-T *
-carve(std::byte *&next, std::size_t n)
+/**
+ * A row but its signature id, packed into two integers: a memo check
+ * is two register compares, with no row assembled in memory, and the
+ * key with its static index cleared is the row's signature.  regs is
+ * never 0 (occupancy is at least 1), so a zeroed key matches no op.
+ */
+struct RowKey
 {
-    T *const column = reinterpret_cast<T *>(next);
-    next += n * sizeof(T);
-    return column;
-}
+    std::uint64_t regs;     //!< occupancy, dst, srcA, srcB (16 b each)
+    std::uint64_t code;     //!< op, fu, flags (8 b each), staticIdx << 32
+
+    bool operator==(const RowKey &) const = default;
+
+    static RowKey
+    pack(Op op, std::uint8_t fu, std::uint8_t flags,
+         std::uint16_t occupancy, RegId dst, RegId srcA, RegId srcB,
+         std::uint32_t staticIdx)
+    {
+        return { std::uint64_t(occupancy) | std::uint64_t(dst) << 16 |
+                     std::uint64_t(srcA) << 32 | std::uint64_t(srcB) << 48,
+                 std::uint64_t(op) | std::uint64_t(fu) << 8 |
+                     std::uint64_t(flags) << 16 |
+                     std::uint64_t(staticIdx) << 32 };
+    }
+
+    /** The key of the row's signature: the static index cleared. */
+    RowKey signature() const { return { regs, code & 0xffffffffu }; }
+
+    DecodedRow
+    row(std::uint32_t sig) const
+    {
+        DecodedRow row;
+        row.staticIdx = std::uint32_t(code >> 32);
+        row.sig = sig;
+        row.occupancy = std::uint16_t(regs);
+        row.dst = RegId(regs >> 16);
+        row.srcA = RegId(regs >> 32);
+        row.srcB = RegId(regs >> 48);
+        row.op = Op(code & 0xff);
+        row.fu = std::uint8_t(code >> 8);
+        row.flags = std::uint8_t(code >> 16);
+        return row;
+    }
+};
+
+/**
+ * Dense ids for distinct RowKeys, in first-insertion order: open
+ * addressing over a flat slot array, so a body's interning costs a
+ * few vector growths rather than one allocation per row.
+ */
+class KeyIds
+{
+  public:
+    /** The id of @p key, and whether it was new. */
+    std::pair<std::uint32_t, bool>
+    insert(const RowKey &key)
+    {
+        if (2 * (keys_.size() + 1) > slots_.size())
+            grow();
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t s = hash(key) & mask;; s = (s + 1) & mask) {
+            std::uint32_t &slot = slots_[s];
+            if (slot == kNone) {
+                slot = std::uint32_t(keys_.size());
+                keys_.push_back(key);
+                return { slot, true };
+            }
+            if (keys_[slot] == key)
+                return { slot, false };
+        }
+    }
+
+    /** The key of id @p id. */
+    const RowKey &key(std::uint32_t id) const { return keys_[id]; }
+    std::size_t size() const { return keys_.size(); }
+
+  private:
+    static constexpr std::uint32_t kNone = 0xffffffffu;
+
+    static std::size_t
+    hash(const RowKey &key)
+    {
+        std::uint64_t h = key.regs ^ key.code * 0x9e3779b97f4a7c15ull;
+        h = (h ^ h >> 31) * 0xbf58476d1ce4e5b9ull;
+        return std::size_t(h ^ h >> 29);
+    }
+
+    void
+    grow()
+    {
+        std::vector<std::uint32_t> slots(
+            std::max<std::size_t>(64, 2 * slots_.size()), kNone);
+        const std::size_t mask = slots.size() - 1;
+        for (std::uint32_t id = 0; id < keys_.size(); ++id) {
+            std::size_t s = hash(keys_[id]) & mask;
+            while (slots[s] != kNone)
+                s = (s + 1) & mask;
+            slots[s] = id;
+        }
+        slots_.swap(slots);
+    }
+
+    std::vector<RowKey> keys_;
+    std::vector<std::uint32_t> slots_;
+};
+
+/**
+ * The row table of one body under construction.  intern() memoizes
+ * the last row of each static index (direct-mapped) and verifies it
+ * before any hash lookup, so an op whose instruction repeats its
+ * previous row costs one compare.
+ */
+class RowInterner
+{
+  public:
+    /** The row id of @p key, adding its row if new. */
+    std::uint32_t
+    intern(const RowKey &key)
+    {
+        Memo &memo = memo_[(key.code >> 32) & (kMemoSlots - 1)];
+        if (!(memo.key == key))
+            memo = { key, lookup(key) };
+        return memo.id;
+    }
+
+    /** The distinct rows, in id order. */
+    std::vector<DecodedRow>
+    rows() const
+    {
+        std::vector<DecodedRow> rows;
+        rows.reserve(rowIds_.size());
+        for (std::uint32_t id = 0; id < rowIds_.size(); ++id)
+            rows.push_back(rowIds_.key(id).row(rowSigs_[id]));
+        return rows;
+    }
+
+  private:
+    // Covers every static index of the library's programs (at most
+    // 111 instructions); a larger program only shares slots.
+    static constexpr std::size_t kMemoSlots = 256;
+
+    struct Memo
+    {
+        RowKey key{};
+        std::uint32_t id = 0;
+    };
+
+    /** The memo missed: find or add the row of @p key. */
+    [[gnu::noinline]] std::uint32_t
+    lookup(const RowKey &key)
+    {
+        const auto [id, added] = rowIds_.insert(key);
+        if (added)
+            rowSigs_.push_back(sigIds_.insert(key.signature()).first);
+        return id;
+    }
+
+    std::array<Memo, kMemoSlots> memo_{};
+    KeyIds rowIds_;
+    KeyIds sigIds_;
+    std::vector<std::uint32_t> rowSigs_;    //!< signature id per row
+};
 
 std::atomic<std::uint64_t> g_bodies_built{ 0 };
 
@@ -86,42 +240,21 @@ TraceBody::decode(std::size_t n, OpAt opAt)
             std::to_string(kNoProducer - 1) + ")");
     }
 
-    // Carve every column out of one block, widest element type first
-    // so each column starts aligned, and fill them through raw
-    // pointers: the pass below is one row-table lookup and a dozen
-    // stores per op.
-    constexpr std::size_t kBytesPerOp = 4 * sizeof(std::uint32_t) +
-        sizeof(std::uint16_t) + 3 * sizeof(RegId) + sizeof(Op) +
-        2 * sizeof(std::uint8_t);
-    columns_ = std::make_unique_for_overwrite<std::byte[]>(
-        n * kBytesPerOp);
-    std::byte *next = columns_.get();
-    std::uint32_t *const staticIdx = carve<std::uint32_t>(next, n);
-    std::uint32_t *const prodA = carve<std::uint32_t>(next, n);
-    std::uint32_t *const prodB = carve<std::uint32_t>(next, n);
-    std::uint32_t *const prevWriter = carve<std::uint32_t>(next, n);
-    std::uint16_t *const occupancy = carve<std::uint16_t>(next, n);
-    RegId *const dst = carve<RegId>(next, n);
-    RegId *const srcA = carve<RegId>(next, n);
-    RegId *const srcB = carve<RegId>(next, n);
-    Op *const opArr = carve<Op>(next, n);
-    std::uint8_t *const fu = carve<std::uint8_t>(next, n);
-    std::uint8_t *const flags = carve<std::uint8_t>(next, n);
-    assert(next == columns_.get() + n * kBytesPerOp);
+    // The four per-op columns share one block of its final size; the
+    // pass below is one memo compare and four stores per op.
+    columns_ = std::make_unique_for_overwrite<std::uint32_t[]>(4 * n);
+    std::uint32_t *const rowIds = columns_.get();
+    std::uint32_t *const prodA = rowIds + n;
+    std::uint32_t *const prodB = prodA + n;
+    std::uint32_t *const prevWriter = prodB + n;
     size_ = n;
-    op_ = opArr;
-    fu_ = fu;
-    flags_ = flags;
-    occupancy_ = occupancy;
-    dst_ = dst;
-    srcA_ = srcA;
-    srcB_ = srcB;
-    staticIdx_ = staticIdx;
+    rowIds_ = rowIds;
     prodA_ = prodA;
     prodB_ = prodB;
     prevWriter_ = prevWriter;
 
-    const std::array<OpRow, kNumOps> &rows = opRows();
+    const std::array<OpFacts, kNumOps> &factsOf = opFacts();
+    RowInterner interner;
     std::array<std::uint32_t, kNumRegs> lastWriter;
     lastWriter.fill(kNoProducer);
 
@@ -134,22 +267,19 @@ TraceBody::decode(std::size_t n, OpAt opAt)
     for (std::size_t i = 0; i < n; ++i) {
         const DynOp &dyn = opAt(i);
         assert(unsigned(dyn.op) < kNumOps);
-        const OpRow &row = rows[unsigned(dyn.op)];
+        const OpFacts &facts = factsOf[unsigned(dyn.op)];
 
-        std::uint8_t f = row.flags;
+        std::uint8_t f = facts.flags;
         if (dyn.taken)
             f |= kTaken;
         if (dyn.btfnCorrect())
             f |= kBtfnCorrect;
 
-        opArr[i] = dyn.op;
-        fu[i] = row.fu;
-        flags[i] = f;
-        occupancy[i] = row.usesVl && dyn.vl > 0 ? dyn.vl : 1;
-        dst[i] = dyn.dst;
-        srcA[i] = dyn.srcA;
-        srcB[i] = dyn.srcB;
-        staticIdx[i] = std::uint32_t(dyn.staticIdx);
+        const std::uint16_t occupancy =
+            facts.usesVl && dyn.vl > 0 ? dyn.vl : 1;
+        rowIds[i] = interner.intern(
+            RowKey::pack(dyn.op, facts.fu, f, occupancy, dyn.dst,
+                         dyn.srcA, dyn.srcB, dyn.staticIdx));
 
         prodA[i] = dyn.srcA == kNoReg ? kNoProducer : lastWriter[dyn.srcA];
         prodB[i] = dyn.srcB == kNoReg ? kNoProducer : lastWriter[dyn.srcB];
@@ -165,6 +295,9 @@ TraceBody::decode(std::size_t n, OpAt opAt)
             btfnCorrect += (f & kBtfnCorrect) != 0;
         }
     }
+    rowTable_ = interner.rows();
+    rows_ = rowTable_.data();
+    numRows_ = rowTable_.size();
 
     // Composition statistics: field-for-field the same accounting as
     // DynTrace::stats(), gathered per opcode.
@@ -175,21 +308,21 @@ TraceBody::decode(std::size_t n, OpAt opAt)
         const std::uint64_t count = opCount[o];
         if (count == 0)
             continue;
-        const OpRow &row = rows[o];
-        stats_.perFu[row.fu] += count;
-        stats_.parcels += count * row.parcels;
-        if (row.flags & kIsVector) {
+        const OpFacts &facts = factsOf[o];
+        stats_.perFu[facts.fu] += count;
+        stats_.parcels += count * facts.parcels;
+        if (facts.flags & kIsVector) {
             hasVector_ = true;
             stats_.vectorOps += count;
             stats_.vectorElements += vlSum[o];
-            stats_.vectorElementsPerFu[row.fu] += vlSum[o];
-            stats_.vectorOpsPerFu[row.fu] += count;
+            stats_.vectorElementsPerFu[facts.fu] += vlSum[o];
+            stats_.vectorOpsPerFu[facts.fu] += count;
         }
-        if (row.flags & kIsBranch)
+        if (facts.flags & kIsBranch)
             stats_.branches += count;
-        else if (row.isLoad)
+        else if (facts.isLoad)
             stats_.loads += count;
-        else if (row.isStore)
+        else if (facts.isStore)
             stats_.stores += count;
     }
     g_bodies_built.fetch_add(1, std::memory_order_relaxed);
@@ -222,7 +355,7 @@ TraceBody::writtenRegs() const
     std::call_once(writtenOnce_, [&] {
         std::array<bool, kNumRegs> seen{};
         for (std::size_t i = 0; i < size_; ++i) {
-            const RegId d = dst_[i];
+            const RegId d = dst(i);
             if (d != kNoReg && !seen[d]) {
                 seen[d] = true;
                 written_.push_back(d);
@@ -246,11 +379,16 @@ DecodedTrace::DecodedTrace(std::shared_ptr<const TraceBody> body,
     cfg_.memLatency = cfg.memLatency;
     cfg_.branchTime = cfg.branchTime;
 
+    std::array<std::uint16_t, kNumOps> latencyOfOp;
     for (unsigned o = 0; o < kNumOps; ++o) {
         const unsigned latency = latencyOf(Op(o), cfg_);
         assert(latency <= std::numeric_limits<std::uint16_t>::max());
-        latencyOfOp_[o] = std::uint16_t(latency);
+        latencyOfOp[o] = std::uint16_t(latency);
     }
+    latencyOfRow_ =
+        std::make_unique_for_overwrite<std::uint16_t[]>(numRows_);
+    for (std::size_t r = 0; r < numRows_; ++r)
+        latencyOfRow_[r] = latencyOfOp[unsigned(rows_[r].op)];
 }
 
 } // namespace mfusim

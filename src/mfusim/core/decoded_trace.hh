@@ -1,33 +1,37 @@
 /**
  * @file
- * Pre-decoded dynamic traces: structure-of-arrays opcode traits.
+ * Pre-decoded dynamic traces: interned static rows, per-op links.
  *
  * Every timing simulator walks its trace many times per experiment
  * (cycle loops revisit unissued instructions), and every visit used
  * to re-resolve the same static facts through traitsOf()/latencyOf():
  * functional-unit class, effective latency under the machine
  * configuration, vector occupancy, branch/store/result flags.  The
- * decode resolves all of that once and stores it in tightly packed
- * parallel arrays, so the simulators' hot loops reduce to integer
- * loads.
+ * decode resolves all of that once and stores it in a small table of
+ * distinct rows plus tightly packed per-op columns, so the
+ * simulators' hot loops reduce to integer loads.
  *
- * The decode is split in two, because only one array depends on the
- * machine configuration:
+ * The decode is split in two, because only the latencies depend on
+ * the machine configuration:
  *
  *  - A TraceBody holds everything that is a function of the trace
- *    alone: opcode, unit class, flags, occupancy, registers, static
- *    index, the program-order dependence links (last earlier writer
- *    of each operand and of the destination) that MultiIssueSim and
- *    RuuSim previously rebuilt on every run, the whole-trace
- *    composition statistics the dataflow resource limit needs, and
- *    the lazily cached periodicity analysis.  It is built once per
- *    trace, with every column in one block of its final size
- *    (27 B/op).
+ *    alone.  Each dynamic op repeats one of a few static loop-body
+ *    instructions, so the static facts (opcode, unit class, flags
+ *    including the branch outcome, occupancy, registers, static
+ *    index) live once per distinct combination in a small row table
+ *    (DecodedRow), and each op stores only its row id and its three
+ *    program-order dependence links (last earlier writer of each
+ *    operand and of the destination): four uint32_t columns, 16 B/op
+ *    in one block of its final size.  The library's 14 bodies have
+ *    12-113 rows each against thousands of ops; a replayed or fuzzed
+ *    trace may have up to one row per op, which the 32-bit row id
+ *    allows.  The body also holds the whole-trace composition
+ *    statistics the dataflow resource limit needs, and the lazily
+ *    cached periodicity analysis.
  *  - A DecodedTrace is a per-configuration view of a shared body: the
- *    body's arrays plus a per-opcode latency table (kNumOps entries),
- *    which embeds memLatency and branchTime.  latency(i) is the table
- *    entry of op(i), so a view costs O(1) to build and holds no per-op
- *    array of its own.
+ *    body's columns plus a per-row latency table, which embeds
+ *    memLatency and branchTime.  latency(i) is the table entry of
+ *    op i's row, so a view holds no per-op array of its own.
  *
  * A body has two sources, decoded by one per-op pass.  The trace
  * library's come straight from the interpreter: (program, ExecLog)
@@ -37,6 +41,10 @@
  * hand-built traces are DynTraces and decode through
  * TraceBody(const DynTrace &).  The two give the same body for the
  * same run (the DecodedTrace.LogDecodeMatchesTraceDecode test).
+ * Rows are interned as the pass meets them: a memo of the last row
+ * per static index answers almost every op with one compare, and a
+ * hash lookup runs only when an instruction's row changes (a new
+ * branch outcome, vector length or first visit).
  *
  * Contract: decode once, run many.  Bodies and views are immutable
  * after construction and therefore safe to share across concurrent
@@ -50,7 +58,6 @@
 #ifndef MFUSIM_CORE_DECODED_TRACE_HH
 #define MFUSIM_CORE_DECODED_TRACE_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -69,10 +76,31 @@ namespace mfusim
 struct TracePeriodicity;
 
 /**
- * Read access to the configuration-independent per-op arrays of a
- * decoded trace, indexed by trace position.  Both TraceBody (which
- * owns the arrays) and DecodedTrace (which views a body's) derive
- * from it, so each accessor is one indexed load either way.
+ * One distinct decoded instruction of a trace: every per-op property
+ * but the dependence links.  Rows that differ only in staticIdx share
+ * a signature id, so "same opcode, unit, flags, occupancy and
+ * registers" is one integer compare (the period detector's per-op
+ * test).
+ */
+struct DecodedRow
+{
+    std::uint32_t staticIdx;    //!< static instruction index
+    std::uint32_t sig;          //!< signature id, dense per body
+    std::uint16_t occupancy;    //!< unit-holding cycles
+    RegId dst;
+    RegId srcA;
+    RegId srcB;
+    Op op;
+    std::uint8_t fu;            //!< FuClass
+    std::uint8_t flags;         //!< DecodedOps::kIs* / kTaken / ...
+};
+
+/**
+ * Read access to the configuration-independent per-op properties of
+ * a decoded trace, indexed by trace position.  Both TraceBody (which
+ * owns the columns and the row table) and DecodedTrace (which views
+ * a body's) derive from it, so each accessor is a row-id load and a
+ * row-table load either way.
  */
 class DecodedOps
 {
@@ -92,44 +120,57 @@ class DecodedOps
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    Op op(std::size_t i) const { return op_[i]; }
-    FuClass fu(std::size_t i) const { return FuClass(fu_[i]); }
+    /** Number of distinct rows (at most size()). */
+    std::size_t numRows() const { return numRows_; }
+    /** Row id of op @p i: an index below numRows(). */
+    std::uint32_t rowId(std::size_t i) const { return rowIds_[i]; }
+    /** The row of op @p i. */
+    const DecodedRow &row(std::size_t i) const { return rows_[rowIds_[i]]; }
+
+    Op op(std::size_t i) const { return row(i).op; }
+    FuClass fu(std::size_t i) const { return FuClass(row(i).fu); }
 
     /** vectorOccupancy(): unit-holding cycles (1 for scalar ops). */
-    unsigned occupancy(std::size_t i) const { return occupancy_[i]; }
+    unsigned occupancy(std::size_t i) const { return row(i).occupancy; }
 
-    std::uint8_t flags(std::size_t i) const { return flags_[i]; }
-    bool isBranch(std::size_t i) const { return flags_[i] & kIsBranch; }
-    bool isVector(std::size_t i) const { return flags_[i] & kIsVector; }
-    bool isMemory(std::size_t i) const { return flags_[i] & kIsMemory; }
+    std::uint8_t flags(std::size_t i) const { return row(i).flags; }
+    bool isBranch(std::size_t i) const { return flags(i) & kIsBranch; }
+    bool isVector(std::size_t i) const { return flags(i) & kIsVector; }
+    bool isMemory(std::size_t i) const { return flags(i) & kIsMemory; }
     bool
     isTransfer(std::size_t i) const
     {
-        return flags_[i] & kIsTransfer;
+        return flags(i) & kIsTransfer;
     }
     bool
     producesResult(std::size_t i) const
     {
-        return flags_[i] & kProducesResult;
+        return flags(i) & kProducesResult;
     }
-    bool taken(std::size_t i) const { return flags_[i] & kTaken; }
+    bool taken(std::size_t i) const { return flags(i) & kTaken; }
     /** The static BTFN predictor gets this branch right. */
     bool
     btfnCorrect(std::size_t i) const
     {
-        return flags_[i] & kBtfnCorrect;
+        return flags(i) & kBtfnCorrect;
     }
 
-    RegId dst(std::size_t i) const { return dst_[i]; }
-    RegId srcA(std::size_t i) const { return srcA_[i]; }
-    RegId srcB(std::size_t i) const { return srcB_[i]; }
+    RegId dst(std::size_t i) const { return row(i).dst; }
+    RegId srcA(std::size_t i) const { return row(i).srcA; }
+    RegId srcB(std::size_t i) const { return row(i).srcB; }
 
     /** Static instruction index (branch-predictor table hashing). */
     std::uint32_t
     staticIdx(std::size_t i) const
     {
-        return staticIdx_[i];
+        return row(i).staticIdx;
     }
+
+    /**
+     * Signature id of op @p i: equal for two ops of one trace iff
+     * their opcode, unit, flags, occupancy and registers are.
+     */
+    std::uint32_t signature(std::size_t i) const { return row(i).sig; }
 
     // ---- program-order dependence links --------------------------
 
@@ -150,14 +191,9 @@ class DecodedOps
     DecodedOps &operator=(const DecodedOps &) = default;
 
     std::size_t size_ = 0;
-    const Op *op_ = nullptr;
-    const std::uint8_t *fu_ = nullptr;
-    const std::uint8_t *flags_ = nullptr;
-    const std::uint16_t *occupancy_ = nullptr;
-    const RegId *dst_ = nullptr;
-    const RegId *srcA_ = nullptr;
-    const RegId *srcB_ = nullptr;
-    const std::uint32_t *staticIdx_ = nullptr;
+    std::size_t numRows_ = 0;
+    const std::uint32_t *rowIds_ = nullptr;
+    const DecodedRow *rows_ = nullptr;
     const std::uint32_t *prodA_ = nullptr;
     const std::uint32_t *prodB_ = nullptr;
     const std::uint32_t *prevWriter_ = nullptr;
@@ -165,7 +201,7 @@ class DecodedOps
 
 /**
  * The configuration-independent decode of one dynamic trace.
- * Non-copyable: views hold raw pointers into its arrays.
+ * Non-copyable: views hold raw pointers into its columns and rows.
  */
 class TraceBody : public DecodedOps
 {
@@ -177,7 +213,7 @@ class TraceBody : public DecodedOps
      * Decode the run @p log recorded from @p code, named @p name.
      * The same per-op pass as decoding DynTrace(name, code, log),
      * with each op rebuilt from the log as it is read, so the
-     * 16 B/op trace is never built.
+     * DynTrace is never built.
      */
     TraceBody(std::string name, std::span<const Instruction> code,
               const ExecLog &log);
@@ -226,9 +262,10 @@ class TraceBody : public DecodedOps
     template <class OpAt>
     void decode(std::size_t n, OpAt opAt);
 
-    // Every column the DecodedOps pointers name, in one block of its
-    // final size (27 B/op), widest element type first.
-    std::unique_ptr<std::byte[]> columns_;
+    // The four per-op columns (row id, prodA, prodB, prevWriter) in
+    // one block of its final size (16 B/op), and the distinct rows.
+    std::unique_ptr<std::uint32_t[]> columns_;
+    std::vector<DecodedRow> rowTable_;
 
     // Lazy periodicity cache (built in period_detector.cc, where
     // TracePeriodicity is complete; shared_ptr type-erases the
@@ -243,7 +280,7 @@ class TraceBody : public DecodedOps
 /**
  * One dynamic trace with all per-op static properties resolved for
  * one machine configuration: a shared TraceBody plus the latency of
- * each opcode under that configuration.
+ * each of its rows under that configuration.
  */
 class DecodedTrace : public DecodedOps
 {
@@ -251,7 +288,7 @@ class DecodedTrace : public DecodedOps
     /** Decode @p trace under @p cfg, into a body of its own. */
     DecodedTrace(const DynTrace &trace, const MachineConfig &cfg);
 
-    /** View @p body under @p cfg (fills the per-opcode table). */
+    /** View @p body under @p cfg (fills the per-row table). */
     DecodedTrace(std::shared_ptr<const TraceBody> body,
                  const MachineConfig &cfg);
 
@@ -286,13 +323,13 @@ class DecodedTrace : public DecodedOps
     unsigned
     latency(std::size_t i) const
     {
-        return latencyOfOp_[unsigned(op_[i])];
+        return latencyOfRow_[rowIds_[i]];
     }
 
   private:
     std::shared_ptr<const TraceBody> body_;
     MachineConfig cfg_;
-    std::array<std::uint16_t, kNumOps> latencyOfOp_{};
+    std::unique_ptr<std::uint16_t[]> latencyOfRow_;
 };
 
 } // namespace mfusim

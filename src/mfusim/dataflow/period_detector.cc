@@ -25,22 +25,6 @@ std::atomic<std::uint64_t> g_period_analyses{ 0 };
 constexpr std::size_t kMinPeriods = 2;
 
 /**
- * Static per-op signature equality (everything but the links).
- * Latency is left out: under any one configuration it is a function
- * of the opcode alone, so equal opcodes already imply equal
- * latencies, and the segments come out the same for every
- * configuration.
- */
-bool
-sigEqual(const TraceBody &t, std::size_t a, std::size_t b)
-{
-    return t.op(a) == t.op(b) && t.fu(a) == t.fu(b) &&
-        t.flags(a) == t.flags(b) && t.occupancy(a) == t.occupancy(b) &&
-        t.dst(a) == t.dst(b) && t.srcA(a) == t.srcA(b) &&
-        t.srcB(a) == t.srcB(b);
-}
-
-/**
  * Are the links of op @p i and its image one period earlier
  * compatible with exact periodicity?  Either both absent, or the
  * later one is the earlier one shifted by a period, or both name the
@@ -74,17 +58,11 @@ familyKey(const TraceBody &t, std::size_t base, std::size_t period,
 {
     constexpr std::uint64_t kAncient = ~std::uint64_t(0);
     std::vector<std::uint64_t> key;
-    key.reserve(1 + period * 10);
+    key.reserve(1 + period * 4);
     key.push_back(period);
     const std::size_t start = base + (count - 1) * period;
     for (std::size_t i = start; i < start + period; ++i) {
-        key.push_back(std::uint64_t(t.op(i)));
-        key.push_back(std::uint64_t(t.fu(i)));
-        key.push_back(t.flags(i));
-        key.push_back(t.occupancy(i));
-        key.push_back(t.dst(i));
-        key.push_back(t.srcA(i));
-        key.push_back(t.srcB(i));
+        key.push_back(t.signature(i));
         for (const std::uint32_t link :
              { t.prodA(i), t.prodB(i), t.prevWriter(i) }) {
             if (link == kNoProd)
@@ -104,7 +82,11 @@ periodMatches(const TraceBody &t, std::size_t start,
               std::size_t period, std::size_t segBase)
 {
     for (std::size_t i = start; i < start + period; ++i) {
-        if (!sigEqual(t, i, i - period))
+        // Signature ids leave out the static index and latency:
+        // under any one configuration latency is a function of the
+        // opcode, so the segments are the same for every
+        // configuration.
+        if (t.signature(i) != t.signature(i - period))
             return false;
         if (!linkOk(t.prodA(i), t.prodA(i - period), period, segBase))
             return false;

@@ -14,8 +14,8 @@
  * A segment is anchored at taken branches (the loop back-edges): a
  * maximal run of equally spaced taken branches whose between-branch
  * op sequences are identical — same per-op signature (opcode, unit
- * class, flags, occupancy, registers) and compatible dependence
- * links.  Two corresponding links are compatible when both are
+ * class, flags, occupancy, registers: one compare of the body's
+ * interned signature ids) and compatible dependence links.  Two corresponding links are compatible when both are
  * absent, both shift by exactly one period, or both name the same
  * fixed pre-segment producer (a loop-invariant value).  Latency is
  * not part of the signature: under one machine configuration it

@@ -71,7 +71,7 @@ TraceLibrary::decoded(int loopId, const MachineConfig &cfg)
     ViewShard &shard = viewShards_[std::size_t(loopId)];
     const std::uint64_t key =
         (std::uint64_t(cfg.memLatency) << 32) | cfg.branchTime;
-    // A view costs one per-opcode table, so it is built under the
+    // A view costs one per-row table, so it is built under the
     // shard lock: configurations of one loop briefly serialize, and
     // no duplicate is ever built.
     std::lock_guard<std::mutex> lock(shard.mutex);

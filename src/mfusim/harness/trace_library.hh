@@ -8,7 +8,7 @@
  * generated once per process and shared as its configuration-
  * independent TraceBody (decode, dependence links, statistics,
  * periodicity analysis).  The DecodedTrace of a (loop, machine
- * configuration) pair is a thin view of that body — a per-opcode
+ * configuration) pair is a thin view of that body — a per-row
  * latency table — built once per pair and reused by every simulator
  * timing it.
  *

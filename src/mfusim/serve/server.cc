@@ -180,6 +180,11 @@ struct HttpServer::Conn
 HttpServer::HttpServer(ServeOptions options, HttpHandler handler)
     : options_(options), handler_(std::move(handler))
 {
+    if (options_.workers > kMaxServeWorkers) {
+        throw ConfigError("serve: " + std::to_string(options_.workers) +
+                          " workers is above the cap of " +
+                          std::to_string(kMaxServeWorkers));
+    }
     if (options_.workers == 0)
         options_.workers = 1;
     if (options_.queueDepth == 0)

@@ -69,7 +69,10 @@ namespace mfusim
 class RequestTracer;
 struct RequestSpan;
 
-/** Largest ServeOptions::workers `mfusim serve` accepts. */
+/**
+ * Largest ServeOptions::workers: HttpServer's constructor throws
+ * ConfigError above it, and `mfusim serve --workers` exits 2.
+ */
 constexpr unsigned kMaxServeWorkers = 1024;
 
 /** Server capacity and protocol knobs. */
@@ -79,7 +82,7 @@ struct ServeOptions
     std::uint16_t port = 8100;
     /**
      * Worker threads running handler compute, all started by
-     * HttpServer::start(); the CLI caps it at kMaxServeWorkers.
+     * HttpServer::start(); at most kMaxServeWorkers.
      */
     unsigned workers = 4;
     /** Bounded compute-queue depth; beyond it requests get 429. */
@@ -161,6 +164,10 @@ HttpResponse jsonErrorResponse(int status, const std::string &message);
 class HttpServer
 {
   public:
+    /**
+     * Configure a server; no socket or thread exists until start().
+     * @throws ConfigError if options.workers exceeds kMaxServeWorkers.
+     */
     HttpServer(ServeOptions options, HttpHandler handler);
     ~HttpServer();
 

@@ -76,7 +76,7 @@ struct SimResult
  * A trace-driven timing simulator for one machine organization.
  *
  * The hot path is run(const DecodedTrace &): every simulator's cycle
- * loop consumes the pre-decoded parallel arrays instead of looking
+ * loop consumes the pre-decoded rows and links instead of looking
  * opcode traits up per op per visit.  run(const DynTrace &) is a
  * convenience that decodes under the simulator's own configuration
  * and delegates; sweeps should pass a cached DecodedTrace (see

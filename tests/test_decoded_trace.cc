@@ -9,14 +9,17 @@
  * shared by every configuration, also under concurrent first use,
  * and keeps no DynTrace unless trace() is asked for one.  A body
  * decoded straight from the interpreter's execution log equals the
- * decode of the DynTrace expanded from it, column for column.
+ * decode of the DynTrace expanded from it, op for op, and a trace
+ * with more distinct rows than 16 bits can count decodes exactly.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 
 #include "mfusim/core/decoded_trace.hh"
 #include "mfusim/dataflow/period_detector.hh"
@@ -312,6 +315,7 @@ TEST(DecodedTrace, LogDecodeMatchesTraceDecode)
         specs.push_back(std::to_string(loop));
     specs.push_back("1x4");
     specs.push_back("7v");
+    specs.push_back("12v");
     for (const std::string &spec : specs) {
         SCOPED_TRACE("LL" + spec);
         const bool inLibrary =
@@ -326,7 +330,10 @@ TEST(DecodedTrace, LogDecodeMatchesTraceDecode)
         EXPECT_EQ(a.name(), b.name());
         EXPECT_EQ(a.hasVector(), b.hasVector());
         ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(a.numRows(), b.numRows());
         for (std::size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a.rowId(i), b.rowId(i)) << "op " << i;
+            ASSERT_EQ(a.signature(i), b.signature(i)) << "op " << i;
             ASSERT_EQ(a.op(i), b.op(i)) << "op " << i;
             ASSERT_EQ(a.fu(i), b.fu(i)) << "op " << i;
             ASSERT_EQ(a.flags(i), b.flags(i)) << "op " << i;
@@ -355,6 +362,84 @@ TEST(DecodedTrace, LogDecodeMatchesTraceDecode)
             EXPECT_EQ(sa.inserts, sb.inserts) << "segment " << k;
             EXPECT_EQ(sa.family, sb.family) << "segment " << k;
             EXPECT_EQ(sa.ancients, sb.ancients) << "segment " << k;
+        }
+    }
+}
+
+TEST(DecodedTrace, WideRowTableKeepsEveryOp)
+{
+    // More distinct rows than a 16-bit row id could name: a distinct
+    // static index on every op, cycling opcodes, registers, vector
+    // lengths and branch outcomes.  Every accessor must return the
+    // op's own field, the links must match a recount, and two ops
+    // must share a signature exactly when all but their static
+    // indices agree.
+    constexpr std::size_t kOps = 70000;
+    DynTrace trace("wide");
+    trace.reserve(kOps);
+    for (std::size_t i = 0; i < kOps; ++i) {
+        DynOp op;
+        op.op = Op(i % kNumOps);
+        op.dst = i % 11 == 0 ? kNoReg : RegId(i % kNumRegs);
+        op.srcA = i % 5 == 0 ? kNoReg : RegId((i * 7 + 3) % kNumRegs);
+        op.srcB = i % 3 == 0 ? kNoReg : RegId((i * 13 + 1) % kNumRegs);
+        op.staticIdx = StaticIndex(i);
+        op.taken = isBranch(op.op) && (i / kNumOps) % 2 == 0;
+        op.backward = isBranch(op.op) && (i / kNumOps) % 3 == 0;
+        op.vl = isVector(op.op) ? std::uint8_t(1 + i % 64) : 0;
+        trace.append(op);
+    }
+    const MachineConfig &cfg = standardConfigs()[1];
+    const DecodedTrace decoded(trace, cfg);
+    const TraceBody &body = decoded.body();
+    ASSERT_EQ(body.size(), kOps);
+    EXPECT_EQ(body.numRows(), kOps);
+    EXPECT_GT(body.numRows(), std::size_t(1) << 16);
+
+    std::array<std::uint32_t, kNumRegs> lastWriter;
+    lastWriter.fill(DecodedOps::kNoProducer);
+    const auto writerOf = [&](RegId r) {
+        return r == kNoReg ? DecodedOps::kNoProducer : lastWriter[r];
+    };
+    std::map<std::tuple<Op, RegId, RegId, RegId, unsigned, bool, bool>,
+             std::uint32_t>
+        sigOf;
+    for (std::size_t i = 0; i < kOps; ++i) {
+        const DynOp &op = trace[i];
+        ASSERT_EQ(body.op(i), op.op) << "op " << i;
+        ASSERT_EQ(body.fu(i), traitsOf(op.op).fu) << "op " << i;
+        ASSERT_EQ(body.occupancy(i), vectorOccupancy(op)) << "op " << i;
+        ASSERT_EQ(body.isBranch(i), isBranch(op.op)) << "op " << i;
+        ASSERT_EQ(body.isVector(i), isVector(op.op)) << "op " << i;
+        ASSERT_EQ(body.isMemory(i), traitsOf(op.op).fu == FuClass::kMemory)
+            << "op " << i;
+        ASSERT_EQ(body.isTransfer(i),
+                  traitsOf(op.op).fu == FuClass::kTransfer)
+            << "op " << i;
+        ASSERT_EQ(body.producesResult(i), producesResult(op.op))
+            << "op " << i;
+        ASSERT_EQ(body.taken(i), op.taken) << "op " << i;
+        ASSERT_EQ(body.btfnCorrect(i), op.btfnCorrect()) << "op " << i;
+        ASSERT_EQ(body.dst(i), op.dst) << "op " << i;
+        ASSERT_EQ(body.srcA(i), op.srcA) << "op " << i;
+        ASSERT_EQ(body.srcB(i), op.srcB) << "op " << i;
+        ASSERT_EQ(body.staticIdx(i), op.staticIdx) << "op " << i;
+        ASSERT_EQ(body.rowId(i), i) << "op " << i;
+        ASSERT_EQ(decoded.latency(i), latencyOf(op.op, cfg)) << "op " << i;
+
+        ASSERT_EQ(body.prodA(i), writerOf(op.srcA)) << "op " << i;
+        ASSERT_EQ(body.prodB(i), writerOf(op.srcB)) << "op " << i;
+        ASSERT_EQ(body.prevWriter(i), writerOf(op.dst)) << "op " << i;
+        if (op.dst != kNoReg)
+            lastWriter[op.dst] = std::uint32_t(i);
+
+        const auto [at, added] = sigOf.try_emplace(
+            std::tuple(op.op, op.dst, op.srcA, op.srcB,
+                       vectorOccupancy(op), op.taken, op.btfnCorrect()),
+            body.signature(i));
+        ASSERT_EQ(body.signature(i), at->second) << "op " << i;
+        if (added) {
+            ASSERT_EQ(body.signature(i), sigOf.size() - 1) << "op " << i;
         }
     }
 }

@@ -10,6 +10,10 @@
  * with one that notes the usable size of each freed block while a
  * watch is armed.  Sanitizer runtimes own operator new/delete, so
  * the check skips under them.
+ *
+ * The same watch also nets the usable sizes of the blocks operator
+ * new hands out against those freed, which pins the bodies'
+ * footprint: 16 B/op plus a small row table each.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +21,7 @@
 #include <malloc.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -27,12 +32,26 @@ namespace
 
 std::atomic<bool> g_watching{ false };
 std::atomic<std::size_t> g_largestFree{ 0 };
+std::atomic<std::int64_t> g_liveBytes{ 0 };
 
-void
+// Unused under the sanitizers, whose runtimes keep operator new/delete.
+[[maybe_unused]] void *
+acquire(std::size_t size)
+{
+    void *const p = std::malloc(size == 0 ? 1 : size);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    if (g_watching.load(std::memory_order_relaxed))
+        g_liveBytes += std::int64_t(malloc_usable_size(p));
+    return p;
+}
+
+[[maybe_unused]] void
 release(void *p) noexcept
 {
     if (p != nullptr && g_watching.load(std::memory_order_relaxed)) {
         const std::size_t size = malloc_usable_size(p);
+        g_liveBytes -= std::int64_t(size);
         std::size_t seen = g_largestFree.load(std::memory_order_relaxed);
         while (size > seen &&
                !g_largestFree.compare_exchange_weak(seen, size)) {
@@ -44,6 +63,8 @@ release(void *p) noexcept
 } // namespace
 
 #if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+void *operator new(std::size_t size) { return acquire(size); }
+void *operator new[](std::size_t size) { return acquire(size); }
 void operator delete(void *p) noexcept { release(p); }
 void operator delete[](void *p) noexcept { release(p); }
 void operator delete(void *p, std::size_t) noexcept { release(p); }
@@ -73,6 +94,28 @@ TEST(TraceLibraryMemory, SetUpFreesNoBlockOf128KiB)
     g_watching = false;
     EXPECT_EQ(lib.tracesHeld(), 0u);
     EXPECT_LT(g_largestFree.load(), std::size_t(128) * 1024);
+}
+
+TEST(TraceLibraryMemory, BodiesHoldSixteenBytesPerOp)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "the sanitizer runtime owns operator new/delete";
+#endif
+    // What building the 14 bodies leaves allocated: the four per-op
+    // columns (row id and three links) plus, per body, its row table
+    // (12-113 rows of 20 B in the library), object and name.
+    constexpr std::size_t kPerBody = 4096;
+    TraceLibrary lib;
+    g_liveBytes = 0;
+    g_watching = true;
+    std::size_t ops = 0;
+    for (int loop = 1; loop <= 14; ++loop)
+        ops += lib.body(loop)->size();
+    g_watching = false;
+    const std::int64_t live = g_liveBytes.load();
+    EXPECT_GT(live, std::int64_t(16 * ops));
+    EXPECT_LE(live, std::int64_t(16 * ops + 14 * kPerBody))
+        << ops << " ops";
 }
 
 } // namespace

@@ -14,8 +14,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -734,6 +736,39 @@ TEST(HttpFastPath, FastHandlerAnswersWhileWorkersAreWedged)
     const Response s = parseResponse(slow.readResponse());
     EXPECT_EQ(s.status, 200);
     server.stop();
+}
+
+/** The "Threads:" count of this process, from /proc/self/status. */
+int
+processThreads()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("Threads:", 0) == 0)
+            return std::stoi(line.substr(8));
+    }
+    return -1;
+}
+
+TEST(HttpServerAdmission, WorkersAboveCapThrowConfigError)
+{
+    // The cap holds for library callers too, not only for `mfusim
+    // serve --workers`: the constructor refuses before any socket or
+    // thread exists.
+    const int threadsBefore = processThreads();
+    ServeOptions opts;
+    opts.port = 0;
+    opts.workers = kMaxServeWorkers + 1;
+    const auto handler = [](const HttpRequest &, unsigned) {
+        return HttpResponse(200, "text/plain", "unreachable");
+    };
+    EXPECT_THROW(HttpServer(opts, handler), ConfigError);
+    EXPECT_EQ(processThreads(), threadsBefore);
+
+    opts.workers = kMaxServeWorkers;
+    EXPECT_NO_THROW(HttpServer(opts, handler));
+    EXPECT_EQ(processThreads(), threadsBefore);
 }
 
 TEST(HttpServerAdmission, QueueOverflowAnswers429)
