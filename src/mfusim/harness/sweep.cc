@@ -289,7 +289,7 @@ parallelPerLoopMetrics(const SimFactory &factory,
         const DecodedTrace &trace =
             TraceLibrary::instance().decoded(loops[i], cfg);
         auto sim = factory(cfg);
-        PipeTraceRecorder recorder;
+        PipeTraceRecorder recorder(trace.size());
         const SimResult result =
             runWithSinks(*sim, trace, &recorder, audit);
         out.rates[i] = result.issueRate();

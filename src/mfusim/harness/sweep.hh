@@ -147,8 +147,8 @@ struct SweepMetrics
  * fast path, so cell metrics are cycle-exact) and populates its own
  * MetricsRegistry via populateRunMetrics(); the per-cell registries
  * are merged serially in @p loops order.  Under auditRequested() an
- * Auditor sees each cell's events beside the recorder, and a
- * violation fails the cell with an AuditError.
+ * Auditor checks each cell's recorded schedule, and a violation
+ * fails the cell with an AuditError.
  */
 SweepMetrics parallelPerLoopMetrics(const SimFactory &factory,
                                     const std::vector<int> &loops,

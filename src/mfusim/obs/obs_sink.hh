@@ -1,15 +1,16 @@
 /**
  * @file
- * Observability extension of the SimAudit event stream.
+ * The stall taxonomy: why an issue stage lost cycles.
  *
- * The AuditSink protocol carries the *schedule* — one cycle-stamped
- * event per pipeline phase per op.  That is enough to re-derive
- * legality (sim/audit.hh) but not to explain a rate: when the issue
- * stage sat idle, only the simulator knows which hazard was binding
- * at that moment.  An ObsSink therefore extends AuditSink with
- * StallSample callbacks: every simulator, at the exact points where
- * it resolves a wait, reports the cycles lost and the cause (the
- * binding hazard in check order).
+ * The event stream of AuditSink (sim/audit.hh) carries the
+ * *schedule* — one cycle-stamped event per pipeline phase per op.
+ * That is enough to re-derive legality but not to explain a rate:
+ * when the issue stage sat idle, only the simulator knows which
+ * hazard was binding at that moment.  So every simulator, at the
+ * exact points where it resolves a wait, also hands the attached
+ * sink a StallSample (AuditSink::onStall): the cycles lost and the
+ * cause (the binding hazard in check order).  A sink that does not
+ * explain rates ignores them; PipeTraceRecorder keeps them.
  *
  * StallCause is mfusim's one stall taxonomy.  SimResult::stalls is a
  * StallCounts indexed by it; the scoreboard family adds to the same
@@ -29,10 +30,13 @@
  *   | kSerial      | Simple machine's one-op-at-a-time execution   |
  *
  * Emission cost matches emitAudit: one predictable null test per
- * sample when no ObsSink is attached.  Attaching any sink disables
+ * sample when no sink is attached.  Attaching any sink disables
  * the steady-state fast path, so an instrumented run is always
  * cycle-exact (and its scalar counters are bit-identical to the
  * extrapolated fast-path run — asserted in tests).
+ *
+ * This header includes nothing from sim/, so sim/audit.hh can
+ * include it.
  */
 
 #ifndef MFUSIM_OBS_OBS_SINK_HH
@@ -40,10 +44,8 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "mfusim/core/types.hh"
-#include "mfusim/sim/audit.hh"
 
 namespace mfusim
 {
@@ -101,51 +103,6 @@ struct StallSample
     ClockCycle cycles;      //!< consecutive cycles lost (>= 1)
     std::uint64_t op;       //!< trace index of the blocked op
     StallCause cause;
-};
-
-/** An AuditSink that also receives stall attribution samples. */
-class ObsSink : public AuditSink
-{
-  public:
-    virtual void onStall(const StallSample &sample) { (void)sample; }
-};
-
-/**
- * Fan a simulator's event stream out to several sinks (e.g. an
- * Auditor and a PipeTraceRecorder in the same run).  Stall samples
- * reach only the children that are ObsSinks.  The caller owns the
- * children and must keep them alive across the run.
- */
-class FanoutSink : public ObsSink
-{
-  public:
-    void
-    add(AuditSink *sink)
-    {
-        if (!sink)
-            return;
-        sinks_.push_back(sink);
-        if (auto *obs = dynamic_cast<ObsSink *>(sink))
-            obsSinks_.push_back(obs);
-    }
-
-    void
-    onEvent(const AuditEvent &event) override
-    {
-        for (AuditSink *sink : sinks_)
-            sink->onEvent(event);
-    }
-
-    void
-    onStall(const StallSample &sample) override
-    {
-        for (ObsSink *sink : obsSinks_)
-            sink->onStall(sample);
-    }
-
-  private:
-    std::vector<AuditSink *> sinks_;
-    std::vector<ObsSink *> obsSinks_;
 };
 
 } // namespace mfusim

@@ -18,51 +18,6 @@ namespace mfusim
 // ----------------------------------------------------------------- recorder
 
 void
-PipeTraceRecorder::ensure(std::size_t op)
-{
-    if (op < issue_.size())
-        return;
-    const std::size_t n = op + 1;
-    issue_.resize(n, kNoCycle);
-    dispatch_.resize(n, kNoCycle);
-    complete_.resize(n, kNoCycle);
-    insert_.resize(n, kNoCycle);
-    commit_.resize(n, kNoCycle);
-    issueUnit_.resize(n, -1);
-    completeUnit_.resize(n, -1);
-}
-
-void
-PipeTraceRecorder::onEvent(const AuditEvent &event)
-{
-    ensure(event.op);
-    switch (event.phase) {
-      case AuditPhase::kIssue:
-        issue_[event.op] = event.cycle;
-        issueUnit_[event.op] = event.unit;
-        break;
-      case AuditPhase::kDispatch:
-        dispatch_[event.op] = event.cycle;
-        break;
-      case AuditPhase::kComplete:
-        complete_[event.op] = event.cycle;
-        completeUnit_[event.op] = event.unit;
-        break;
-      case AuditPhase::kInsert:
-        insert_[event.op] = event.cycle;
-        break;
-      case AuditPhase::kCommit:
-        commit_[event.op] = event.cycle;
-        break;
-      case AuditPhase::kWrongPath:
-      case AuditPhase::kSquash:
-        // Speculation events have no per-op lane in the pipeline
-        // view; the attributed mispredict/squash stalls cover them.
-        break;
-    }
-}
-
-void
 PipeTraceRecorder::onStall(const StallSample &sample)
 {
     stalls_.push_back(sample);
@@ -71,13 +26,13 @@ PipeTraceRecorder::onStall(const StallSample &sample)
 ClockCycle
 PipeTraceRecorder::front(std::size_t i) const
 {
-    return insert_[i] != kNoCycle ? insert_[i] : issue_[i];
+    return insert(i) != kNoCycle ? insert(i) : issue(i);
 }
 
 ClockCycle
 PipeTraceRecorder::exec(std::size_t i) const
 {
-    return dispatch_[i] != kNoCycle ? dispatch_[i] : front(i);
+    return dispatch(i) != kNoCycle ? dispatch(i) : front(i);
 }
 
 // ------------------------------------------------------------- chrome trace

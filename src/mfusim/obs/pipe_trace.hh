@@ -1,13 +1,15 @@
 /**
  * @file
- * PipeTraceRecorder: per-op pipeline schedules from the audit event
- * stream, exported as Chrome/Perfetto trace-event JSON or an ASCII
- * pipeview.
+ * PipeTraceRecorder: one run's per-op pipeline schedule and its
+ * stall samples, exported as Chrome/Perfetto trace-event JSON or an
+ * ASCII pipeview.
  *
- * The recorder is a passive ObsSink: it stores each op's phase
- * cycles (issue / dispatch / complete, plus insert / commit for the
- * RUU) and every attributed stall sample, nothing else.  Exporters
- * then lay the schedule out on tracks:
+ * The recorder is the OpSchedule the Auditor checks (sim/audit.hh):
+ * each op's phase cycles (issue / dispatch / complete, plus insert /
+ * commit for the RUU, squash for mispredicted branches) and unit ids,
+ * and the wrong-path events.  It adds every attributed stall sample,
+ * nothing else, so an audited recorded run (runWithSinks()) stores
+ * its schedule once.  Exporters then lay the schedule out on tracks:
  *
  *   - one track per issue slot (multi-issue machines tag issue
  *     events with their slot; single-issue machines use slot 0),
@@ -32,35 +34,18 @@
 #include "mfusim/core/decoded_trace.hh"
 #include "mfusim/core/types.hh"
 #include "mfusim/obs/obs_sink.hh"
+#include "mfusim/sim/audit.hh"
 
 namespace mfusim
 {
 
-/** Records a full per-op pipeline schedule from the event stream. */
-class PipeTraceRecorder : public ObsSink
+/** A recorded per-op schedule plus its attributed stall samples. */
+class PipeTraceRecorder : public OpSchedule
 {
   public:
-    /** Phase not reached by this op (e.g. dispatch on SimpleSim). */
-    static constexpr ClockCycle kNoCycle = ~ClockCycle(0);
+    using OpSchedule::OpSchedule;
 
-    void onEvent(const AuditEvent &event) override;
     void onStall(const StallSample &sample) override;
-
-    /** Ops seen so far (grows with the largest op index observed). */
-    std::size_t opCount() const { return issue_.size(); }
-
-    ClockCycle issue(std::size_t i) const { return issue_[i]; }
-    ClockCycle dispatch(std::size_t i) const { return dispatch_[i]; }
-    ClockCycle complete(std::size_t i) const { return complete_[i]; }
-    ClockCycle insert(std::size_t i) const { return insert_[i]; }
-    ClockCycle commit(std::size_t i) const { return commit_[i]; }
-
-    std::int32_t issueUnit(std::size_t i) const { return issueUnit_[i]; }
-    std::int32_t
-    completeUnit(std::size_t i) const
-    {
-        return completeUnit_[i];
-    }
 
     /**
      * The op's front-event cycle: insert for windowed machines,
@@ -77,11 +62,6 @@ class PipeTraceRecorder : public ObsSink
     const std::vector<StallSample> &stalls() const { return stalls_; }
 
   private:
-    void ensure(std::size_t op);
-
-    std::vector<ClockCycle> issue_, dispatch_, complete_, insert_,
-        commit_;
-    std::vector<std::int32_t> issueUnit_, completeUnit_;
     std::vector<StallSample> stalls_;
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * SimAudit reference checker implementation.
+ * SimAudit: the recorded schedule and its reference checker.
  *
  * The Auditor deliberately re-derives hazards and resource intervals
  * from the decoded trace instead of reusing FuPool / ResultBusSet:
@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -25,19 +26,49 @@
 namespace mfusim
 {
 
-Auditor::Auditor(const DecodedTrace &trace, const AuditRules &rules,
-                 std::string label)
-    : trace_(trace), rules_(rules), label_(std::move(label)),
-      issue_(trace.size(), kNoCycle),
-      dispatch_(trace.size(), kNoCycle),
-      complete_(trace.size(), kNoCycle),
-      insert_(trace.size(), kNoCycle),
-      commit_(trace.size(), kNoCycle),
-      completeUnit_(trace.size(), -1),
-      dispatchUnit_(trace.size(), -1),
-      insertUnit_(trace.size(), -1),
-      squash_(trace.size(), kNoCycle)
+OpSchedule::OpSchedule(std::size_t ops)
 {
+    Row empty;
+    empty.cycle.fill(kNoCycle);
+    empty.unit.fill(-1);
+    rows_.assign(ops, empty);
+}
+
+void
+OpSchedule::onEvent(const AuditEvent &event)
+{
+    if (event.op >= rows_.size()) {
+        if (!bad_)
+            bad_ = event;
+        return;
+    }
+    if (event.phase == AuditPhase::kWrongPath) {
+        // Many per branch; validated wholesale in checkSpeculation.
+        wrongPath_.push_back(event);
+        return;
+    }
+    const Slot slot = slotOf(event.phase);
+    Row &row = rows_[event.op];
+    if (row.cycle[slot] != kNoCycle) {
+        if (!bad_)
+            bad_ = event;
+        return;
+    }
+    row.cycle[slot] = event.cycle;
+    if (slot < kUnitSlots)
+        row.unit[slot] = event.unit;
+}
+
+Auditor::Auditor(const DecodedTrace &trace, const OpSchedule &schedule,
+                 const AuditRules &rules, std::string label)
+    : trace_(trace), schedule_(schedule), rules_(rules),
+      label_(std::move(label))
+{
+    if (schedule_.opCount() != trace_.size())
+        throw Error("audit: a schedule of " +
+                    std::to_string(schedule_.opCount()) +
+                    " ops cannot check a trace of " +
+                    std::to_string(trace_.size()));
     if (rules_.predictor.armed())
         predOk_ = precomputePredictions(trace_, rules_.predictor);
 }
@@ -70,11 +101,11 @@ Auditor::describeOp(std::uint64_t i) const
                              : " " + std::string(tag) +
                                    std::to_string(c);
     };
-    text += stamp("issue@", issue_[i]);
-    text += stamp("insert@", insert_[i]);
-    text += stamp("dispatch@", dispatch_[i]);
-    text += stamp("complete@", complete_[i]);
-    text += stamp("commit@", commit_[i]);
+    text += stamp("issue@", schedule_.issue(i));
+    text += stamp("insert@", schedule_.insert(i));
+    text += stamp("dispatch@", schedule_.dispatch(i));
+    text += stamp("complete@", schedule_.complete(i));
+    text += stamp("commit@", schedule_.commit(i));
     return text;
 }
 
@@ -93,8 +124,8 @@ Auditor::resolveCycle(std::uint64_t i) const
     // the front end if the window fetched anything in between.
     const std::uint32_t prod = trace_.prodA(i);
     const ClockCycle cond = prod != DecodedTrace::kNoProducer &&
-            complete_[prod] != kNoCycle
-        ? complete_[prod]
+            schedule_.complete(prod) != kNoCycle
+        ? schedule_.complete(prod)
         : 0;
     return rules_.predictor.resolveCycle(front(i), cond);
 }
@@ -103,7 +134,7 @@ ClockCycle
 Auditor::availableAt(std::uint64_t i, RegId src,
                      std::uint32_t prod) const
 {
-    const ClockCycle done = complete_[prod];
+    const ClockCycle done = schedule_.complete(prod);
     // Chaining: a vector consumer of a vector source may start once
     // the producer's first element exists, one latency after its
     // dispatch: complete - occupancy + 2.
@@ -115,71 +146,10 @@ Auditor::availableAt(std::uint64_t i, RegId src,
     return done;
 }
 
-ClockCycle
-Auditor::front(std::uint64_t i) const
-{
-    return rules_.frontPhase == AuditPhase::kInsert ? insert_[i]
-                                                    : issue_[i];
-}
-
-ClockCycle
-Auditor::exec(std::uint64_t i) const
-{
-    return rules_.execPhase == AuditPhase::kDispatch ? dispatch_[i]
-                                                     : issue_[i];
-}
-
 void
-Auditor::onEvent(const AuditEvent &event)
+Auditor::check() const
 {
-    if (event.op >= trace_.size()) {
-        throw AuditError(label_.empty() ? "event-range"
-                                        : label_ + ": event-range",
-                         event.cycle, event.op,
-                         "event references an op outside the trace (" +
-                             std::to_string(trace_.size()) + " ops)");
-    }
-    std::vector<ClockCycle> *slot = nullptr;
-    switch (event.phase) {
-      case AuditPhase::kWrongPath:
-        // Many per branch; validated wholesale in checkSpeculation.
-        wrongPath_.push_back(event);
-        ++eventCount_;
-        return;
-      case AuditPhase::kSquash:
-        slot = &squash_;
-        break;
-      case AuditPhase::kIssue:
-        slot = &issue_;
-        break;
-      case AuditPhase::kDispatch:
-        slot = &dispatch_;
-        dispatchUnit_[event.op] = event.unit;
-        break;
-      case AuditPhase::kComplete:
-        slot = &complete_;
-        completeUnit_[event.op] = event.unit;
-        break;
-      case AuditPhase::kInsert:
-        slot = &insert_;
-        insertUnit_[event.op] = event.unit;
-        break;
-      case AuditPhase::kCommit:
-        slot = &commit_;
-        break;
-    }
-    if ((*slot)[event.op] != kNoCycle) {
-        fail("duplicate-event", event.cycle, event.op,
-             "op already has an event of this phase at cycle " +
-                 std::to_string((*slot)[event.op]));
-    }
-    (*slot)[event.op] = event.cycle;
-    ++eventCount_;
-}
-
-void
-Auditor::finish()
-{
+    checkEvents();
     checkCompleteness();
     checkFrontOrder();
     checkRaw();
@@ -192,7 +162,25 @@ Auditor::finish()
 }
 
 void
-Auditor::checkCompleteness()
+Auditor::checkEvents() const
+{
+    const std::optional<AuditEvent> &bad = schedule_.badEvent();
+    if (!bad)
+        return;
+    if (bad->op >= trace_.size()) {
+        throw AuditError(label_.empty() ? "event-range"
+                                        : label_ + ": event-range",
+                         bad->cycle, bad->op,
+                         "event references an op outside the trace (" +
+                             std::to_string(trace_.size()) + " ops)");
+    }
+    fail("duplicate-event", bad->cycle, bad->op,
+         "op already has an event of this phase at cycle " +
+             std::to_string(schedule_.cycle(bad->phase, bad->op)));
+}
+
+void
+Auditor::checkCompleteness() const
 {
     const std::size_t n = trace_.size();
     for (std::size_t i = 0; i < n; ++i) {
@@ -200,14 +188,14 @@ Auditor::checkCompleteness()
             fail("missing-event", 0, i, "op was never issued");
         if (trace_.isBranch(i))
             continue;       // branches may produce no completion
-        if (complete_[i] == kNoCycle)
+        if (schedule_.complete(i) == kNoCycle)
             fail("missing-event", 0, i, "op never completed");
         if (rules_.execPhase == AuditPhase::kDispatch &&
-            dispatch_[i] == kNoCycle) {
+            schedule_.dispatch(i) == kNoCycle) {
             fail("missing-event", 0, i, "op was never dispatched");
         }
         if (rules_.windowCapacity > 0 &&
-            (insert_[i] == kNoCycle || commit_[i] == kNoCycle)) {
+            (schedule_.insert(i) == kNoCycle || schedule_.commit(i) == kNoCycle)) {
             fail("missing-event", 0, i,
                  "op never passed through the RUU window");
         }
@@ -215,7 +203,7 @@ Auditor::checkCompleteness()
 }
 
 void
-Auditor::checkFrontOrder()
+Auditor::checkFrontOrder() const
 {
     const std::size_t n = trace_.size();
     ClockCycle prev = 0;
@@ -244,11 +232,11 @@ Auditor::checkFrontOrder()
                      " ops issued in one cycle");
         }
         if (rules_.serialExecution && i > 0 &&
-            complete_[i - 1] != kNoCycle && f < complete_[i - 1]) {
+            schedule_.complete(i - 1) != kNoCycle && f < schedule_.complete(i - 1)) {
             fail("serial-overlap", f, i,
                  "enters execution before op #" +
                      std::to_string(i - 1) + " leaves (cycle " +
-                     std::to_string(complete_[i - 1]) + ")");
+                     std::to_string(schedule_.complete(i - 1)) + ")");
         }
         if (rules_.checkBranchFloor && f < floor) {
             fail("branch-floor", f, i,
@@ -276,8 +264,8 @@ Auditor::checkFrontOrder()
             if (rules_.rawAt != AuditRules::RawAt::kNone) {
                 const std::uint32_t prod = trace_.prodA(i);
                 if (prod != DecodedTrace::kNoProducer &&
-                    complete_[prod] != kNoCycle &&
-                    f < complete_[prod]) {
+                    schedule_.complete(prod) != kNoCycle &&
+                    f < schedule_.complete(prod)) {
                     fail("branch-condition-raw", f, i,
                          "blocking branch issues before its condition"
                          " exists (producer: " +
@@ -297,7 +285,7 @@ Auditor::checkFrontOrder()
 }
 
 void
-Auditor::checkRaw()
+Auditor::checkRaw() const
 {
     if (rules_.rawAt == AuditRules::RawAt::kNone)
         return;
@@ -313,7 +301,7 @@ Auditor::checkRaw()
         for (const auto &[src, prod] : sources) {
             if (prod == DecodedTrace::kNoProducer)
                 continue;
-            if (complete_[prod] == kNoCycle)
+            if (schedule_.complete(prod) == kNoCycle)
                 continue;   // producer legality caught elsewhere
             const ClockCycle avail = availableAt(i, src, prod);
             if (e < avail) {
@@ -329,7 +317,7 @@ Auditor::checkRaw()
 }
 
 void
-Auditor::checkWawAndCompletion()
+Auditor::checkWawAndCompletion() const
 {
     const std::size_t n = trace_.size();
     for (std::size_t i = 0; i < n; ++i) {
@@ -339,10 +327,10 @@ Auditor::checkWawAndCompletion()
             const ClockCycle e = exec(i);
             const ClockCycle expect = e + trace_.latency(i) +
                 trace_.occupancy(i) - 1;
-            if (complete_[i] != expect) {
-                fail("completion-latency", complete_[i], i,
+            if (schedule_.complete(i) != expect) {
+                fail("completion-latency", schedule_.complete(i), i,
                      "completes at cycle " +
-                         std::to_string(complete_[i]) +
+                         std::to_string(schedule_.complete(i)) +
                          " instead of exec + latency + occupancy - 1"
                          " = " +
                          std::to_string(expect));
@@ -351,9 +339,9 @@ Auditor::checkWawAndCompletion()
         if (rules_.wawOrdered) {
             const std::uint32_t p = trace_.prevWriter(i);
             if (p != DecodedTrace::kNoProducer &&
-                complete_[p] != kNoCycle &&
-                complete_[i] < complete_[p]) {
-                fail("waw-order", complete_[i], i,
+                schedule_.complete(p) != kNoCycle &&
+                schedule_.complete(i) < schedule_.complete(p)) {
+                fail("waw-order", schedule_.complete(i), i,
                      "writes " + regName(trace_.dst(i)) +
                          " before the program-order earlier writer"
                          " (op: " +
@@ -364,7 +352,7 @@ Auditor::checkWawAndCompletion()
 }
 
 void
-Auditor::checkBusses()
+Auditor::checkBusses() const
 {
     if (rules_.busCount == 0)
         return;
@@ -376,8 +364,8 @@ Auditor::checkBusses()
     std::map<ClockCycle, std::pair<unsigned, std::uint64_t>> per_cycle;
 
     for (std::size_t i = 0; i < n; ++i) {
-        const ClockCycle c = complete_[i];
-        const std::int32_t unit = completeUnit_[i];
+        const ClockCycle c = schedule_.complete(i);
+        const std::int32_t unit = schedule_.completeUnit(i);
         if (c == kNoCycle || unit < 0)
             continue;       // result uses no bus (vector / no result)
         if (rules_.busKind == BusKind::kPerUnit) {
@@ -413,7 +401,7 @@ Auditor::checkBusses()
 }
 
 void
-Auditor::checkFuOccupancy()
+Auditor::checkFuOccupancy() const
 {
     if (!rules_.checkFuCaps)
         return;
@@ -479,7 +467,7 @@ Auditor::checkFuOccupancy()
 }
 
 void
-Auditor::checkWindows()
+Auditor::checkWindows() const
 {
     struct Interval
     {
@@ -516,9 +504,9 @@ Auditor::checkWindows()
         for (std::size_t i = 0; i < n; ++i) {
             if (trace_.isBranch(i))
                 continue;   // branches never occupy the RUU
-            if (insert_[i] == kNoCycle || commit_[i] == kNoCycle)
+            if (schedule_.insert(i) == kNoCycle || schedule_.commit(i) == kNoCycle)
                 continue;
-            window.push_back({ insert_[i], commit_[i], i });
+            window.push_back({ schedule_.insert(i), schedule_.commit(i), i });
         }
         sweep(window, rules_.windowCapacity, "ruu-capacity",
               "the RUU (" + std::to_string(rules_.windowCapacity) +
@@ -533,17 +521,17 @@ Auditor::checkWindows()
             if (rules_.waitingStations) {
                 // CDC 6600: the single station is held from issue
                 // until the cycle after dispatch.
-                if (issue_[i] == kNoCycle || dispatch_[i] == kNoCycle)
+                if (schedule_.issue(i) == kNoCycle || schedule_.dispatch(i) == kNoCycle)
                     continue;
                 stations[unsigned(trace_.fu(i))].push_back(
-                    { issue_[i], dispatch_[i] + 1, i });
+                    { schedule_.issue(i), schedule_.dispatch(i) + 1, i });
             } else {
                 // Tomasulo: a station is held from issue until the
                 // result broadcast.
-                if (issue_[i] == kNoCycle || complete_[i] == kNoCycle)
+                if (schedule_.issue(i) == kNoCycle || schedule_.complete(i) == kNoCycle)
                     continue;
                 stations[unsigned(trace_.fu(i))].push_back(
-                    { issue_[i], complete_[i], i });
+                    { schedule_.issue(i), schedule_.complete(i), i });
             }
         }
         const unsigned cap =
@@ -561,7 +549,7 @@ Auditor::checkWindows()
 }
 
 void
-Auditor::checkDispatchCommit()
+Auditor::checkDispatchCommit() const
 {
     const std::size_t n = trace_.size();
     if (rules_.dispatchWidth > 0 || rules_.bankedDispatch) {
@@ -569,7 +557,7 @@ Auditor::checkDispatchCommit()
         std::map<std::pair<std::int32_t, ClockCycle>, std::uint64_t>
             per_bank;
         for (std::size_t i = 0; i < n; ++i) {
-            const ClockCycle d = dispatch_[i];
+            const ClockCycle d = schedule_.dispatch(i);
             if (d == kNoCycle)
                 continue;
             if (rules_.dispatchWidth > 0 &&
@@ -581,11 +569,11 @@ Auditor::checkDispatchCommit()
             }
             if (rules_.bankedDispatch) {
                 const auto [it, fresh] = per_bank.emplace(
-                    std::make_pair(dispatchUnit_[i], d), i);
+                    std::make_pair(schedule_.dispatchUnit(i), d), i);
                 if (!fresh) {
                     fail("dispatch-bank", d, i,
                          "bank " +
-                             std::to_string(dispatchUnit_[i]) +
+                             std::to_string(schedule_.dispatchUnit(i)) +
                              " already dispatched this cycle (op: " +
                              describeOp(it->second) + ")");
                 }
@@ -597,7 +585,7 @@ Auditor::checkDispatchCommit()
         ClockCycle prev = 0;
         bool have_prev = false;
         for (std::size_t i = 0; i < n; ++i) {
-            const ClockCycle c = commit_[i];
+            const ClockCycle c = schedule_.commit(i);
             if (c == kNoCycle)
                 continue;
             if (rules_.commitWidth > 0 &&
@@ -620,19 +608,19 @@ Auditor::checkDispatchCommit()
 }
 
 void
-Auditor::checkSpeculation()
+Auditor::checkSpeculation() const
 {
     const std::size_t n = trace_.size();
     if (!rules_.predictor.armed()) {
         // A disarmed organization must not emit speculation events.
-        if (!wrongPath_.empty()) {
-            const AuditEvent &ev = wrongPath_.front();
+        if (!schedule_.wrongPath().empty()) {
+            const AuditEvent &ev = schedule_.wrongPath().front();
             fail("unexpected-wrong-path", ev.cycle, ev.op,
                  "wrong-path event without an armed predictor");
         }
         for (std::size_t i = 0; i < n; ++i) {
-            if (squash_[i] != kNoCycle)
-                fail("unexpected-squash", squash_[i], i,
+            if (schedule_.squash(i) != kNoCycle)
+                fail("unexpected-squash", schedule_.squash(i), i,
                      "squash event without an armed predictor");
         }
         return;
@@ -644,19 +632,19 @@ Auditor::checkSpeculation()
         const bool mispredicted =
             trace_.isBranch(i) && predOk_[i] == 0;
         if (!mispredicted) {
-            if (squash_[i] != kNoCycle)
-                fail("squash-legality", squash_[i], i,
+            if (schedule_.squash(i) != kNoCycle)
+                fail("squash-legality", schedule_.squash(i), i,
                      "squash on an op that is not a mispredicted"
                      " branch");
             continue;
         }
         const ClockCycle resolve = resolveCycle(i);
-        if (squash_[i] == kNoCycle)
+        if (schedule_.squash(i) == kNoCycle)
             fail("squash-legality", resolve, i,
                  "mispredicted branch never squashed");
-        if (squash_[i] != resolve) {
-            fail("squash-legality", squash_[i], i,
-                 "squashes at cycle " + std::to_string(squash_[i]) +
+        if (schedule_.squash(i) != resolve) {
+            fail("squash-legality", schedule_.squash(i), i,
+                 "squashes at cycle " + std::to_string(schedule_.squash(i)) +
                      " instead of its resolve cycle " +
                      std::to_string(resolve));
         }
@@ -669,17 +657,17 @@ Auditor::checkSpeculation()
     // so they structurally cannot commit — kCommit events are
     // range-checked against the trace.)
     std::vector<unsigned> per_branch(n, 0);
-    for (const AuditEvent &ev : wrongPath_) {
+    for (const AuditEvent &ev : schedule_.wrongPath()) {
         const std::uint64_t b = ev.op;
         if (!trace_.isBranch(b) || predOk_[b] != 0)
             fail("wrong-path-legality", ev.cycle, b,
                  "wrong-path op charged to an op that is not a"
                  " mispredicted branch");
         const ClockCycle f = front(b);
-        if (ev.cycle <= f || ev.cycle >= squash_[b]) {
+        if (ev.cycle <= f || ev.cycle >= schedule_.squash(b)) {
             fail("wrong-path-legality", ev.cycle, b,
                  "wrong-path op outside (" + std::to_string(f) +
-                     ", " + std::to_string(squash_[b]) +
+                     ", " + std::to_string(schedule_.squash(b)) +
                      "), the branch's fetch..squash span");
         }
         if (++per_branch[b] > rules_.predictor.wrongPathWindow) {

@@ -6,9 +6,10 @@
  * cycles per op — under its organization's issue rules.  A bug in the
  * hazard logic does not crash; it silently shifts an issue rate.
  * SimAudit closes that gap: with an AuditSink attached, a simulator
- * emits one AuditEvent per pipeline event, and an Auditor re-checks
- * the *complete* schedule against an independent statement of the
- * organization's invariants (AuditRules):
+ * emits one AuditEvent per pipeline event, an OpSchedule records
+ * them, and an Auditor re-checks the *complete* recorded schedule
+ * against an independent statement of the organization's invariants
+ * (AuditRules):
  *
  *  - RAW: no op executes before its program-order producers' results
  *    are available (vector chaining adjusts availability to the
@@ -36,12 +37,20 @@
  * Cost model: emission is one predictable null-pointer test per
  * event when no sink is attached (audit-off runs are unchanged);
  * checking happens once, after the run.
+ *
+ * AuditSink is the simulators' one event sink.  It also receives
+ * stall samples (obs/obs_sink.hh), which OpSchedule ignores and its
+ * subclass PipeTraceRecorder (obs/pipe_trace.hh) keeps: a run that
+ * is both audited and recorded stores its schedule once, in the
+ * recorder, and the Auditor checks that recording.
  */
 
 #ifndef MFUSIM_SIM_AUDIT_HH
 #define MFUSIM_SIM_AUDIT_HH
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,6 +60,7 @@
 #include "mfusim/funits/functional_unit.hh"
 #include "mfusim/funits/memory_port.hh"
 #include "mfusim/funits/result_bus.hh"
+#include "mfusim/obs/obs_sink.hh"
 
 namespace mfusim
 {
@@ -78,13 +88,130 @@ struct AuditEvent
     AuditPhase phase;
 };
 
-/** Receiver of a simulator's audit event stream. */
+/** Receiver of a simulator's event stream. */
 class AuditSink
 {
   public:
     virtual ~AuditSink() = default;
 
     virtual void onEvent(const AuditEvent &event) = 0;
+
+    /** One attributed front-end stall; ignored unless overridden. */
+    virtual void onStall(const StallSample &sample) { (void)sample; }
+};
+
+/**
+ * One run's recorded per-op schedule: the cycles of each op's issue,
+ * dispatch, complete, insert, commit and squash events, the unit ids
+ * (slot / bank / bus) of the first four, and every wrong-path event.
+ * The Auditor checks this recording; PipeTraceRecorder extends it
+ * with stall samples to explain the same schedule.
+ *
+ * Recording never throws.  The first event that names an op past
+ * the schedule, or repeats a phase already recorded for its op, is
+ * kept aside (badEvent()) and not stored; the Auditor reports it
+ * before any other check.
+ */
+class OpSchedule : public AuditSink
+{
+  public:
+    /** Phase not reached by an op (e.g. dispatch on SimpleSim). */
+    static constexpr ClockCycle kNoCycle = ~ClockCycle(0);
+
+    /** An empty schedule for a trace of @p ops ops. */
+    explicit OpSchedule(std::size_t ops);
+
+    void onEvent(const AuditEvent &event) override;
+
+    std::size_t opCount() const { return rows_.size(); }
+
+    /** Op @p i's @p phase cycle, or kNoCycle (not for kWrongPath). */
+    ClockCycle
+    cycle(AuditPhase phase, std::size_t i) const
+    {
+        return at(i, slotOf(phase));
+    }
+
+    ClockCycle issue(std::size_t i) const { return at(i, kIssueSlot); }
+    ClockCycle dispatch(std::size_t i) const { return at(i, kDispatchSlot); }
+    ClockCycle complete(std::size_t i) const { return at(i, kCompleteSlot); }
+    ClockCycle insert(std::size_t i) const { return at(i, kInsertSlot); }
+    ClockCycle commit(std::size_t i) const { return at(i, kCommitSlot); }
+    ClockCycle squash(std::size_t i) const { return at(i, kSquashSlot); }
+
+    /** Issue slot, dispatch bank, result bus and window slot of op
+     *  @p i's events; -1 if the event carried none. */
+    std::int32_t issueUnit(std::size_t i) const { return unit(i, kIssueSlot); }
+    std::int32_t
+    dispatchUnit(std::size_t i) const
+    {
+        return unit(i, kDispatchSlot);
+    }
+    std::int32_t
+    completeUnit(std::size_t i) const
+    {
+        return unit(i, kCompleteSlot);
+    }
+    std::int32_t
+    insertUnit(std::size_t i) const
+    {
+        return unit(i, kInsertSlot);
+    }
+
+    /** Every kWrongPath event, in arrival order. */
+    const std::vector<AuditEvent> &wrongPath() const { return wrongPath_; }
+
+    /** The first out-of-range or repeated event, if any. */
+    const std::optional<AuditEvent> &badEvent() const { return bad_; }
+
+  private:
+    /** A Row's per-op slots; the first kUnitSlots carry a unit id. */
+    enum Slot : std::size_t
+    {
+        kIssueSlot,
+        kDispatchSlot,
+        kCompleteSlot,
+        kInsertSlot,
+        kCommitSlot,
+        kSquashSlot,
+        kNumSlots,
+        kUnitSlots = kCommitSlot,
+    };
+
+    /** The slot of each phase but kWrongPath, which has none. */
+    static constexpr Slot
+    slotOf(AuditPhase phase)
+    {
+        switch (phase) {
+          case AuditPhase::kIssue:    return kIssueSlot;
+          case AuditPhase::kDispatch: return kDispatchSlot;
+          case AuditPhase::kComplete: return kCompleteSlot;
+          case AuditPhase::kInsert:   return kInsertSlot;
+          case AuditPhase::kCommit:   return kCommitSlot;
+          default:                    return kSquashSlot;  // kSquash
+        }
+    }
+
+    ClockCycle
+    at(std::size_t i, Slot slot) const
+    {
+        return rows_[i].cycle[slot];
+    }
+    std::int32_t
+    unit(std::size_t i, Slot slot) const
+    {
+        return rows_[i].unit[slot];
+    }
+
+    struct Row
+    {
+        std::array<ClockCycle, kNumSlots> cycle;
+        std::array<std::int32_t, kUnitSlots> unit;
+    };
+
+    std::vector<Row> rows_;
+    std::vector<AuditEvent> wrongPath_;
+    std::optional<AuditEvent> bad_;
 };
 
 /**
@@ -171,23 +298,19 @@ struct AuditRules
 };
 
 /**
- * The reference checker: buffers a simulator's event stream into
- * per-op schedules and, in finish(), verifies every AuditRules
- * invariant against the decoded trace, throwing AuditError on the
- * first violation.  Single-use: one Auditor per run.
+ * The reference checker: verifies every AuditRules invariant of one
+ * recorded schedule against the decoded trace, throwing AuditError
+ * on the first violation.
  */
-class Auditor : public AuditSink
+class Auditor
 {
   public:
-    Auditor(const DecodedTrace &trace, const AuditRules &rules,
-            std::string label = {});
+    /** @p schedule must have been recorded over @p trace. */
+    Auditor(const DecodedTrace &trace, const OpSchedule &schedule,
+            const AuditRules &rules, std::string label = {});
 
-    void onEvent(const AuditEvent &event) override;
-
-    /** Run all checks over the recorded schedule. @throws AuditError */
-    void finish();
-
-    std::uint64_t eventCount() const { return eventCount_; }
+    /** Run all checks over the schedule. @throws AuditError */
+    void check() const;
 
   private:
     [[noreturn]] void fail(const std::string &check, ClockCycle cycle,
@@ -200,40 +323,41 @@ class Auditor : public AuditSink
     ClockCycle availableAt(std::uint64_t i, RegId src,
                            std::uint32_t prod) const;
 
-    void checkCompleteness();
-    void checkFrontOrder();
-    void checkRaw();
-    void checkWawAndCompletion();
-    void checkBusses();
-    void checkFuOccupancy();
-    void checkWindows();
-    void checkDispatchCommit();
-    void checkSpeculation();
+    void checkEvents() const;
+    void checkCompleteness() const;
+    void checkFrontOrder() const;
+    void checkRaw() const;
+    void checkWawAndCompletion() const;
+    void checkBusses() const;
+    void checkFuOccupancy() const;
+    void checkWindows() const;
+    void checkDispatchCommit() const;
+    void checkSpeculation() const;
 
     /** Resolve cycle of mispredicted branch @p i (front + preds). */
     ClockCycle resolveCycle(std::uint64_t i) const;
 
+    static constexpr ClockCycle kNoCycle = OpSchedule::kNoCycle;
+
     const DecodedTrace &trace_;
+    const OpSchedule &schedule_;
     AuditRules rules_;
     std::string label_;
-    std::uint64_t eventCount_ = 0;
 
-    // Per-op event cycles (kNoCycle = not seen) and unit ids.
-    static constexpr ClockCycle kNoCycle = ~ClockCycle(0);
-    std::vector<ClockCycle> issue_, dispatch_, complete_, insert_,
-        commit_;
-    std::vector<std::int32_t> completeUnit_, dispatchUnit_,
-        insertUnit_;
-
-    // Speculation stream: replayed predictions (empty unless the
-    // rules arm a predictor), per-op squash cycles, and the raw
-    // wrong-path events for checkSpeculation().
+    // Replayed predictions (empty unless the rules arm a predictor).
     std::vector<std::uint8_t> predOk_;
-    std::vector<ClockCycle> squash_;
-    std::vector<AuditEvent> wrongPath_;
 
-    ClockCycle front(std::uint64_t i) const;
-    ClockCycle exec(std::uint64_t i) const;
+    /** The cycles AuditRules names as front and execution stages. */
+    ClockCycle
+    front(std::uint64_t i) const
+    {
+        return schedule_.cycle(rules_.frontPhase, i);
+    }
+    ClockCycle
+    exec(std::uint64_t i) const
+    {
+        return schedule_.cycle(rules_.execPhase, i);
+    }
 };
 
 /**

@@ -31,7 +31,7 @@ Simulator::predictionBytes(const DecodedTrace &trace) const
 const TracePeriodicity *
 Simulator::steadyPeriods(const DecodedTrace &trace) const
 {
-    return steadyStateEnabled() && audit_ == nullptr &&
+    return steadyStateEnabled() && sink_ == nullptr &&
             config().predictor.isStatic()
         ? &trace.periodicity()
         : nullptr;
@@ -39,21 +39,12 @@ Simulator::steadyPeriods(const DecodedTrace &trace) const
 
 SimResult
 runWithSinks(Simulator &sim, const DecodedTrace &trace,
-             AuditSink *sink, bool audit)
+             OpSchedule *schedule, bool audit)
 {
-    std::optional<Auditor> auditor;
-    FanoutSink fanout;
-    if (audit) {
-        auditor.emplace(trace, sim.auditRules(), sim.name());
-        if (sink) {
-            fanout.add(sink);
-            fanout.add(&*auditor);
-            sink = &fanout;
-        } else {
-            sink = &*auditor;
-        }
-    }
-    sim.attachAudit(sink);
+    std::optional<OpSchedule> own;
+    if (audit && !schedule)
+        schedule = &own.emplace(trace.size());
+    sim.attachAudit(schedule);
     SimResult result;
     try {
         result = sim.run(trace);
@@ -62,8 +53,8 @@ runWithSinks(Simulator &sim, const DecodedTrace &trace,
         throw;
     }
     sim.attachAudit(nullptr);
-    if (auditor)
-        auditor->finish();
+    if (audit)
+        Auditor(trace, *schedule, sim.auditRules(), sim.name()).check();
     return result;
 }
 

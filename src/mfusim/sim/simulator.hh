@@ -6,6 +6,12 @@
  * a DynTrace and reports how many clock cycles the trace would take,
  * from which the paper's figure of merit — the instruction issue rate
  * (instructions per clock cycle) — follows.
+ *
+ * A simulator reports how it got there through one optional event
+ * sink (AuditSink, sim/audit.hh): cycle-stamped pipeline events and
+ * attributed stall samples.  runWithSinks() records them once, into
+ * an OpSchedule or the PipeTraceRecorder that extends it, and can
+ * audit that recording.
  */
 
 #ifndef MFUSIM_SIM_SIMULATOR_HH
@@ -118,27 +124,15 @@ class Simulator
     virtual const MachineConfig &config() const = 0;
 
     /**
-     * Attach (nullptr: detach) a SimAudit event sink.  With a sink
-     * attached, run() emits one AuditEvent per pipeline event; with
-     * none, emission is a single predicted-not-taken branch per
-     * event.  The caller owns the sink and must keep it alive across
-     * the run (see runAudited() for the packaged form).
+     * Attach (nullptr: detach) the event sink.  With a sink
+     * attached, run() emits one AuditEvent per pipeline event and
+     * one StallSample per attributed front-end wait; with none,
+     * emission is a single predicted-not-taken branch per event.
+     * The caller owns the sink and must keep it alive across the run
+     * (see runWithSinks() for the packaged form).
      */
-    void
-    attachAudit(AuditSink *sink)
-    {
-        audit_ = sink;
-        obs_ = dynamic_cast<ObsSink *>(sink);
-    }
-    AuditSink *auditSink() const { return audit_; }
-
-    /**
-     * The attached sink's observability interface, or nullptr when
-     * no sink is attached or the sink is a plain AuditSink.  Stall
-     * samples (emitStall) reach only ObsSinks; plain auditors see
-     * the unchanged event stream.
-     */
-    ObsSink *obsSink() const { return obs_; }
+    void attachAudit(AuditSink *sink) { sink_ = sink; }
+    AuditSink *auditSink() const { return sink_; }
 
     /**
      * The legality invariants an Auditor should enforce for this
@@ -153,13 +147,13 @@ class Simulator
     emitAudit(AuditPhase phase, ClockCycle cycle, std::uint64_t op,
               std::int32_t unit = -1) const
     {
-        if (audit_)
-            audit_->onEvent(AuditEvent{ cycle, op, unit, phase });
+        if (sink_)
+            sink_->onEvent(AuditEvent{ cycle, op, unit, phase });
     }
 
     /**
      * Report @p cycles consecutive lost issue cycles starting at
-     * @p from, attributed to @p cause, if an ObsSink is attached.
+     * @p from, attributed to @p cause, if a sink is attached.
      * Zero-length waits are swallowed here so call sites can report
      * every resolved max() unconditionally.
      */
@@ -167,8 +161,8 @@ class Simulator
     emitStall(StallCause cause, ClockCycle from, ClockCycle cycles,
               std::uint64_t op) const
     {
-        if (obs_ && cycles)
-            obs_->onStall(StallSample{ from, cycles, op, cause });
+        if (sink_ && cycles)
+            sink_->onStall(StallSample{ from, cycles, op, cause });
     }
 
     /**
@@ -227,21 +221,22 @@ class Simulator
     }
 
   private:
-    AuditSink *audit_ = nullptr;
-    ObsSink *obs_ = nullptr;
+    AuditSink *sink_ = nullptr;
 };
 
 /**
- * Run @p trace on @p sim with @p sink (may be null) attached and,
- * when @p audit, a fresh Auditor beside it (behind one FanoutSink if
- * both are present), which then verifies the full schedule against
- * sim.auditRules().  Issue rates are bit-identical to a plain run();
- * a legality violation raises AuditError.
+ * Run @p trace on @p sim with @p schedule (may be null) attached and,
+ * when @p audit, check the recorded schedule against
+ * sim.auditRules() after the run (into a schedule of its own when
+ * @p schedule is null).  Each event is recorded once, so an audited
+ * PipeTraceRecorder run stores one schedule.  Issue rates are
+ * bit-identical to a plain run(); a legality violation raises
+ * AuditError.
  */
 SimResult runWithSinks(Simulator &sim, const DecodedTrace &trace,
-                       AuditSink *sink, bool audit);
+                       OpSchedule *schedule, bool audit);
 
-/** runWithSinks() with the Auditor alone. */
+/** runWithSinks() with the audit alone. */
 SimResult runAudited(Simulator &sim, const DecodedTrace &trace);
 
 /**

@@ -160,6 +160,8 @@ multiIssueCellLine(const std::string &machine, const std::string &pred,
 class DigestingRecorder : public PipeTraceRecorder
 {
   public:
+    using PipeTraceRecorder::PipeTraceRecorder;
+
     void
     onEvent(const AuditEvent &event) override
     {
@@ -209,7 +211,7 @@ inline std::string
 multiIssueObsLine(const std::string &machine, const std::string &pred,
                   int loop, Simulator &sim, const DecodedTrace &trace)
 {
-    DigestingRecorder rec;
+    DigestingRecorder rec(trace.size());
     sim.attachAudit(&rec);
     const SimResult r = sim.run(trace);
     sim.attachAudit(nullptr);

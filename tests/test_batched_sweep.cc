@@ -229,15 +229,17 @@ TEST(BatchedSweep, AuditedLaneFallsBackScalarWithCleanAudit)
     ScoreboardSim audited(ScoreboardConfig::crayLike(), cfg);
     ScoreboardSim plain1(ScoreboardConfig::crayLike(), cfg);
     ScoreboardSim plain2(ScoreboardConfig::serialMemory(), cfg);
-    Auditor auditor(trace, audited.auditRules(), audited.name());
-    audited.attachAudit(&auditor);
+    OpSchedule schedule(trace.size());
+    audited.attachAudit(&schedule);
 
     const BatchOutcome out = runBatch({ { &audited, &trace },
                                         { &plain1, &trace },
                                         { &plain2, &trace } });
     audited.attachAudit(nullptr);
     ASSERT_EQ(out.results.size(), 3u);
-    EXPECT_NO_THROW(auditor.finish());
+    EXPECT_NO_THROW(Auditor(trace, schedule, audited.auditRules(),
+                            audited.name())
+                        .check());
     EXPECT_EQ(out.results.at(0).steadyOpsSkipped, 0u);
 
     ScoreboardSim fresh(ScoreboardConfig::crayLike(), cfg);

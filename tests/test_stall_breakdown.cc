@@ -183,7 +183,7 @@ TEST(StallBreakdown, SampledStallsMatchSummaryCounters)
                 for (const ScoreboardConfig &org : orgs) {
                     ScoreboardSim sim(org, cfg);
                     const SimResult fast = sim.run(trace);
-                    PipeTraceRecorder recorder;
+                    PipeTraceRecorder recorder(trace.size());
                     sim.attachAudit(&recorder);
                     const SimResult r = sim.run(trace);
                     sim.attachAudit(nullptr);

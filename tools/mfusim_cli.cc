@@ -286,8 +286,8 @@ writeMetricsFile(const MetricsRegistry &metrics,
  * wall-timed into a profile.* gauge — with a PipeTraceRecorder
  * attached (which disables the steady-state fast path, making every
  * output cycle-exact), and the requested artifacts are written
- * afterwards.  --audit composes: runWithSinks() puts the Auditor
- * beside the recorder, and the simulate phase includes its check.
+ * afterwards.  --audit composes: runWithSinks() audits the
+ * recorder's schedule, and the simulate phase includes the check.
  */
 SimResult
 runObserved(Simulator &sim, const DynTrace &dyn,
@@ -313,7 +313,7 @@ runObserved(Simulator &sim, const DynTrace &dyn,
         (void)decoded->periodicity();
     }
 
-    PipeTraceRecorder recorder;
+    PipeTraceRecorder recorder(decoded->size());
     SimResult result;
     {
         ScopedPhaseTimer phase(
