@@ -36,6 +36,9 @@ monoNanos()
         std::uint64_t(ts.tv_nsec);
 }
 
+/** monoNanos() ticks per millisecond. */
+constexpr std::uint64_t kNanosPerMilli = 1000000;
+
 /**
  * monoNanos() captured when the process (strictly: this translation
  * unit's static initializers) started.  Stable for the process

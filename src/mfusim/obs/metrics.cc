@@ -6,11 +6,11 @@
 #include "mfusim/obs/metrics.hh"
 
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <set>
 #include <sstream>
 
+#include "mfusim/core/clock.hh"
 #include "mfusim/core/error.hh"
 #include "mfusim/obs/trace_event.hh"
 
@@ -645,28 +645,14 @@ renderPrometheus(const MetricsRegistry &metrics)
 
 // ------------------------------------------------------------- phase timer
 
-namespace
-{
-
-std::uint64_t
-nowNs()
-{
-    return std::uint64_t(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-} // namespace
-
 ScopedPhaseTimer::ScopedPhaseTimer(Gauge &gauge)
-    : gauge_(gauge), startNs_(nowNs())
+    : gauge_(gauge), startNs_(monoNanos())
 {
 }
 
 ScopedPhaseTimer::~ScopedPhaseTimer()
 {
-    gauge_.add(double(nowNs() - startNs_) * 1e-9);
+    gauge_.add(double(monoNanos() - startNs_) * 1e-9);
 }
 
 } // namespace mfusim

@@ -27,7 +27,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace mfusim
 {
@@ -132,6 +134,14 @@ ExtractStatus extractRequest(const std::string &buffer,
  */
 bool writeAll(int fd, const std::string &data,
               unsigned timeoutMs = 0);
+
+/**
+ * @p text as a decimal count: digits only — no sign, space or
+ * prefix — within std::uint64_t, else nullopt.  The daemon reads its
+ * numeric network inputs (Content-Length, X-Deadline-Ms,
+ * /v1/trace?last=) through it, so "-1" never wraps.
+ */
+std::optional<std::uint64_t> parseDecimal(std::string_view text);
 
 } // namespace mfusim
 

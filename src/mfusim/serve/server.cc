@@ -16,7 +16,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <arpa/inet.h>
@@ -63,15 +62,6 @@ constexpr std::uint64_t kAcceptBackoffMs = 100;
  * must be the last response of their burst (see beginResponse).
  */
 constexpr std::size_t kInlineBodyBytes = 16u << 10;
-
-std::uint64_t
-nowMs()
-{
-    return std::uint64_t(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 } // namespace
 
@@ -371,7 +361,7 @@ void
 HttpServer::reactorLoop()
 {
     bool draining = false;
-    lastClockScanMs_ = nowMs();
+    lastClockScanMs_ = monoNanos() / kNanosPerMilli;
     struct epoll_event events[64];
 
     for (;;) {
@@ -434,7 +424,7 @@ HttpServer::reactorLoop()
 
         applyCompletions();
 
-        const std::uint64_t now = nowMs();
+        const std::uint64_t now = monoNanos() / kNanosPerMilli;
         if (now - lastClockScanMs_ >= kClockScanMs) {
             lastClockScanMs_ = now;
             scanClocks();
@@ -470,7 +460,7 @@ HttpServer::acceptReady()
         conn->fd = fd;
         conn->gen = nextGen_++;
         conn->events = EPOLLIN;
-        conn->idleSinceMs = nowMs();
+        conn->idleSinceMs = monoNanos() / kNanosPerMilli;
         struct epoll_event ev;
         std::memset(&ev, 0, sizeof(ev));
         ev.events = EPOLLIN;
@@ -521,7 +511,7 @@ HttpServer::connReadable(Conn &conn)
         if (got > 0) {
             if (conn.in.empty() && conn.inOff == 0 &&
                 conn.firstByteMs == 0)
-                conn.firstByteMs = nowMs();
+                conn.firstByteMs = monoNanos() / kNanosPerMilli;
             // One receive stamp per buffered stretch: every request
             // parsed out of these bytes anchors its span here.
             if (tracer_ != nullptr && conn.recvNs == 0)
@@ -606,7 +596,7 @@ HttpServer::parseAndDispatch(Conn &conn)
         }
         if (st == ExtractStatus::kNeedMore) {
             if (conn.firstByteMs == 0)
-                conn.firstByteMs = nowMs();
+                conn.firstByteMs = monoNanos() / kNanosPerMilli;
             conn.headDone = headDone;
             break;
         }
@@ -669,7 +659,7 @@ HttpServer::parseAndDispatch(Conn &conn)
     }
     if (!conn.busy() && conn.parsed.empty() &&
         conn.pendingErrorStatus == 0 && conn.in.empty())
-        conn.idleSinceMs = nowMs();
+        conn.idleSinceMs = monoNanos() / kNanosPerMilli;
 }
 
 void
@@ -683,15 +673,10 @@ HttpServer::dispatch(Conn &conn, PendingReq pending)
     // Per-request deadline: the default, lowered (never raised) by
     // an X-Deadline-Ms header.
     unsigned budgetMs = options_.deadlineMs;
-    const std::string deadlineHeader =
-        request.header("x-deadline-ms");
-    if (!deadlineHeader.empty()) {
-        char *end = nullptr;
-        const unsigned long parsed =
-            std::strtoul(deadlineHeader.c_str(), &end, 10);
-        if (end != nullptr && *end == '\0' && parsed < budgetMs)
-            budgetMs = unsigned(parsed);
-    }
+    const std::optional<std::uint64_t> deadline =
+        parseDecimal(request.header("x-deadline-ms"));
+    if (deadline && *deadline < budgetMs)
+        budgetMs = unsigned(*deadline);
 
     // Reactor fast path: no-compute answers (cache hits, liveness)
     // skip the worker pool entirely.  Tried before admission — a
@@ -777,7 +762,7 @@ HttpServer::beginResponse(Conn &conn, const HttpResponse &response,
         conn.head.clear();
         conn.headSent = 0;
         conn.writing = true;
-        conn.writeStartMs = nowMs();
+        conn.writeStartMs = monoNanos() / kNanosPerMilli;
     }
     // Burst offsets for write attribution: a span's response spans
     // [startOffset, endOffset) of the burst's byte stream (head +
@@ -951,7 +936,7 @@ HttpServer::applyCompletions()
 void
 HttpServer::scanClocks()
 {
-    const std::uint64_t now = nowMs();
+    const std::uint64_t now = monoNanos() / kNanosPerMilli;
 
     if (!listenArmed_ && listenFd_ >= 0 && !stopping_.load()) {
         struct epoll_event ev;

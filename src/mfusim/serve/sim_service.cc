@@ -5,10 +5,8 @@
 
 #include "mfusim/serve/sim_service.hh"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "mfusim/codegen/livermore.hh"
@@ -33,6 +31,10 @@ namespace mfusim
 namespace
 {
 
+/** Upper bounds on one /v1/sweep request (400 beyond them). */
+constexpr std::size_t kMaxSweepLoops = 256;
+constexpr std::size_t kMaxSweepMachines = 64;
+
 /** "%.4f" — the CLI's table precision, replicated for diffability. */
 std::string
 rateString(double rate)
@@ -40,14 +42,6 @@ rateString(double rate)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.4f", rate);
     return buf;
-}
-
-double
-nowMsF()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
 }
 
 /** The "loop" request field: a JSON number or spec string. */
@@ -235,7 +229,7 @@ SimService::SimService(SimServiceOptions options)
 HttpResponse
 SimService::handle(const HttpRequest &request, unsigned budgetMs)
 {
-    const double start = nowMsF();
+    const std::uint64_t start = monoNanos();
     HttpResponse response;
     try {
         response = dispatch(request, budgetMs);
@@ -249,7 +243,7 @@ SimService::handle(const HttpRequest &request, unsigned budgetMs)
     } catch (const Error &e) {
         response = jsonErrorResponse(500, e.what());
     }
-    record(request.path, response.status, nowMsF() - start);
+    record(request.path, response.status, start);
     return response;
 }
 
@@ -300,12 +294,12 @@ SimService::tryFastAnswer(const HttpRequest &request,
     // behavior; keep every request on it while faults are armed.
     if (FaultRegistry::instance().armed())
         return false;
-    const double start = nowMsF();
+    const std::uint64_t start = monoNanos();
     if (request.path == "/healthz") {
         if (request.method != "GET" && request.method != "HEAD")
             return false;
         *response = handleHealthz();
-        record("/healthz", response->status, nowMsF() - start);
+        record("/healthz", response->status, start);
         return true;
     }
     if (request.path != "/v1/simulate" || request.method != "POST")
@@ -345,7 +339,7 @@ SimService::tryFastAnswer(const HttpRequest &request,
     }
     *response =
         HttpResponse(200, "application/json", cell->rendered);
-    record("/v1/simulate", 200, nowMsF() - start);
+    record("/v1/simulate", 200, start);
     return true;
 }
 
@@ -417,13 +411,12 @@ SimService::handleSweep(const std::string &body)
     }
     if (machineSpecs.empty())
         throw ServeError(400, "'machine' must not be empty");
-    if (machineSpecs.size() > options_.maxSweepMachines)
+    if (machineSpecs.size() > kMaxSweepMachines)
         throw ServeError(400,
                          "sweep of " +
                              std::to_string(machineSpecs.size()) +
                              " machines exceeds the cap of " +
-                             std::to_string(
-                                 options_.maxSweepMachines));
+                             std::to_string(kMaxSweepMachines));
     const MachineConfig cfg = requestConfig(request);
 
     // Validate every machine spec once, up front, so a bad spec is a
@@ -448,12 +441,11 @@ SimService::handleSweep(const std::string &body)
     }
     if (loops.empty())
         throw ServeError(400, "'loops' must not be empty");
-    if (loops.size() > options_.maxSweepLoops)
+    if (loops.size() > kMaxSweepLoops)
         throw ServeError(400, "sweep of " +
                                   std::to_string(loops.size()) +
                                   " loops exceeds the cap of " +
-                                  std::to_string(
-                                      options_.maxSweepLoops));
+                                  std::to_string(kMaxSweepLoops));
 
     // Optional 'jobs' caps the intra-sweep parallelism; 0/absent
     // means the process default.  Bounded so one request cannot
@@ -561,12 +553,11 @@ SimService::handleTrace(const std::string &target) const
         if (query.rfind("last=", 0) != 0)
             throw ServeError(400,
                              "unrecognized query (use ?last=N)");
-        char *end = nullptr;
-        const unsigned long parsed =
-            std::strtoul(query.c_str() + 5, &end, 10);
-        if (end == nullptr || *end != '\0')
-            throw ServeError(400, "'last' must be an integer");
-        lastN = std::size_t(parsed);
+        const std::optional<std::uint64_t> parsed =
+            parseDecimal(std::string_view(query).substr(5));
+        if (!parsed)
+            throw ServeError(400, "'last' must be decimal digits");
+        lastN = std::size_t(*parsed);
     }
     std::ostringstream os;
     options_.tracer->writeServeTrace(os, lastN);
@@ -649,9 +640,11 @@ SimService::handleMetrics()
 }
 
 void
-SimService::record(const std::string &endpoint, int status,
-                   double elapsedMs)
+SimService::record(const std::string &path, int status,
+                   std::uint64_t startNs)
 {
+    const std::uint64_t elapsedMs =
+        (monoNanos() - startNs) / kNanosPerMilli;
     std::lock_guard<std::mutex> lock(metricsMutex_);
     http_.counter("http.requests").increment();
     const std::string statusClass =
@@ -661,22 +654,12 @@ SimService::record(const std::string &endpoint, int status,
     // Per-endpoint counter + latency histogram for the routed
     // endpoints (unknown paths aggregate under "other" so a path
     // scanner cannot inflate the registry without bound).
-    std::string name = "other";
-    if (endpoint == "/v1/simulate")
-        name = "simulate";
-    else if (endpoint == "/v1/sweep")
-        name = "sweep";
-    else if (endpoint == "/healthz")
-        name = "healthz";
-    else if (endpoint == "/metrics")
-        name = "metrics";
-    else if (endpoint == "/v1/trace")
-        name = "trace";
+    const std::string name(endpointForPath(path));
     http_.counter("http." + name + ".requests").increment();
     // 2 ms buckets x 50 = 100 ms span; slower requests land in the
     // overflow bucket, which Prometheus renders under +Inf anyway.
     http_.histogram("http." + name + ".latency_ms", 2, 50)
-        .record(std::uint64_t(elapsedMs < 0 ? 0 : elapsedMs));
+        .record(elapsedMs);
 }
 
 } // namespace mfusim

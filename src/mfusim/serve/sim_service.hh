@@ -43,10 +43,6 @@ struct SimServiceOptions
 {
     /** Build identity reported by /healthz and /metrics. */
     std::string version = "unknown";
-    /** Upper bound on loops per /v1/sweep request (400 beyond it). */
-    std::size_t maxSweepLoops = 256;
-    /** Upper bound on machine variants per /v1/sweep request. */
-    std::size_t maxSweepMachines = 64;
     /** Git revision baked into the binary (build_info, /healthz). */
     std::string gitSha = "unknown";
     /** CMake build type baked into the binary (build_info). */
@@ -106,9 +102,12 @@ class SimService
     HttpResponse handleMetrics();
     HttpResponse handleTrace(const std::string &target) const;
 
-    /** Count one finished request into the service registry. */
-    void record(const std::string &endpoint, int status,
-                double elapsedMs);
+    /**
+     * Count one finished request, begun at monoNanos() @p startNs,
+     * into the service registry.
+     */
+    void record(const std::string &path, int status,
+                std::uint64_t startNs);
 
     /**
      * Parsed-request memo for the reactor fast path, keyed by the
