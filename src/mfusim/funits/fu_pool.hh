@@ -57,31 +57,15 @@ struct FuPoolConfig
 /**
  * Accept-availability of every execution resource of the machine.
  *
- * The FuClass overloads are the pre-decoded fast path: callers that
- * already resolved an op's unit class and latency (DecodedTrace)
- * skip the traitsOf()/latencyOf() lookups entirely.  The Op
- * overloads delegate to them.
+ * Callers pass an op's pre-decoded unit class and latency
+ * (DecodedTrace), so the pool never looks opcode traits up.
  */
 class FuPool
 {
   public:
     FuPool(const FuPoolConfig &poolCfg, const MachineConfig &machineCfg);
 
-    /** True if @p op's execution resource can accept it at @p when. */
-    bool canAccept(Op op, ClockCycle when) const;
-
-    /** Earliest cycle >= @p when at which @p op can be accepted. */
-    ClockCycle earliestAccept(Op op, ClockCycle when) const;
-
-    /**
-     * Accept @p op at cycle @p when; returns the cycle at which its
-     * result is usable by dependents (when + latency; for a vector
-     * op with @p occupancy elements, when + latency + occupancy - 1,
-     * the last element).
-     */
-    ClockCycle accept(Op op, ClockCycle when, unsigned occupancy = 1);
-
-    /** Fast path of canAccept(Op): unit class already resolved. */
+    /** True if a @p fu resource can accept an op at @p when. */
     bool
     canAccept(FuClass fu, ClockCycle when) const
     {
@@ -92,7 +76,7 @@ class FuPool
         return bestUnit(fu).canAccept(when);
     }
 
-    /** Fast path of earliestAccept(Op). */
+    /** Earliest cycle >= @p when at which a @p fu op is accepted. */
     ClockCycle
     earliestAccept(FuClass fu, ClockCycle when) const
     {
@@ -105,8 +89,12 @@ class FuPool
     }
 
     /**
-     * Fast path of accept(Op): @p latency must equal
-     * latencyOf(op, machineCfg) of the accepted op.
+     * Accept an op of class @p fu and latency @p latency (as
+     * latencyOf() gives it under the machine's configuration) at
+     * cycle @p when; returns the cycle at which its result is usable
+     * by dependents (when + latency; for a vector op with
+     * @p occupancy elements, when + latency + occupancy - 1, the
+     * last element).
      */
     ClockCycle
     accept(FuClass fu, ClockCycle when, unsigned latency,
@@ -119,8 +107,6 @@ class FuPool
         bestUnit(fu).accept(when, latency, occupancy);
         return when + latency + occupancy - 1;
     }
-
-    void reset();
 
     /**
      * Shift every unit's and port's timeline forward by @p delta
@@ -201,7 +187,6 @@ class FuPool
             const_cast<const FuPool *>(this)->bestPort());
     }
 
-    MachineConfig machineCfg_;
     // units_[copy * kNumFuClasses + class]: copy 0 of a class sits
     // at its class index, so the paper's one-of-each machine finds
     // its unit without scanning.

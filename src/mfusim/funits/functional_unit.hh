@@ -78,9 +78,6 @@ class FunctionalUnit
 
     FuDiscipline discipline() const { return discipline_; }
 
-    /** Forget all reservations (start a new simulation). */
-    void reset() { nextFree_ = 0; }
-
     /**
      * Shift the timeline forward by @p delta cycles (steady-state
      * extrapolation): behavior relative to the equally shifted

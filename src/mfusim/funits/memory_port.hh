@@ -71,8 +71,6 @@ class MemoryPort
     unsigned latency() const { return latency_; }
     MemDiscipline discipline() const { return discipline_; }
 
-    void reset() { nextFree_ = 0; }
-
     /** Shift the timeline forward (steady-state extrapolation). */
     void shiftTime(ClockCycle delta) { nextFree_ += delta; }
 

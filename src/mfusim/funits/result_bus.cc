@@ -125,11 +125,4 @@ ResultBusSet::advanceTo(ClockCycle now)
         bus.advanceTo(now);
 }
 
-void
-ResultBusSet::reset()
-{
-    for (CycleReservations &bus : busses_)
-        bus.reset();
-}
-
 } // namespace mfusim

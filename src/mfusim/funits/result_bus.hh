@@ -118,13 +118,6 @@ class CycleReservations
     std::uint64_t bits() const { return bits_; }
     ClockCycle base() const { return base_; }
 
-    void
-    reset()
-    {
-        base_ = 0;
-        bits_ = 0;
-    }
-
   private:
     ClockCycle base_ = 0;
     std::uint64_t bits_ = 0;
@@ -248,8 +241,6 @@ class ResultBusSet
      */
     void appendSignature(ClockCycle base,
                          std::vector<std::uint64_t> &out);
-
-    void reset();
 
     BusKind kind() const { return kind_; }
     unsigned numBusses() const { return unsigned(busses_.size()); }

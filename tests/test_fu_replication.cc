@@ -26,14 +26,14 @@ TEST(FuReplication, TwoCopiesAcceptTwoPerCycle)
     FuPool pool({ FuDiscipline::kNonSegmented,
                   MemDiscipline::kInterleaved, 2, 1 },
                 configM11BR5());
-    // Two non-segmented fadds at cycle 0: both accepted.
-    EXPECT_TRUE(pool.canAccept(Op::kFAdd, 0));
-    pool.accept(Op::kFAdd, 0);
-    EXPECT_TRUE(pool.canAccept(Op::kFAdd, 0));
-    pool.accept(Op::kFAdd, 0);
-    // Third must wait for a unit to free (latency 6).
-    EXPECT_FALSE(pool.canAccept(Op::kFAdd, 0));
-    EXPECT_EQ(pool.earliestAccept(Op::kFAdd, 0), 6u);
+    // Two non-segmented fadds (latency 6) at cycle 0: both accepted.
+    EXPECT_TRUE(pool.canAccept(FuClass::kFpAdd, 0));
+    pool.accept(FuClass::kFpAdd, 0, 6);
+    EXPECT_TRUE(pool.canAccept(FuClass::kFpAdd, 0));
+    pool.accept(FuClass::kFpAdd, 0, 6);
+    // Third must wait for a unit to free.
+    EXPECT_FALSE(pool.canAccept(FuClass::kFpAdd, 0));
+    EXPECT_EQ(pool.earliestAccept(FuClass::kFpAdd, 0), 6u);
 }
 
 TEST(FuReplication, TwoMemoryPortsDoubleStreamRate)
@@ -41,11 +41,11 @@ TEST(FuReplication, TwoMemoryPortsDoubleStreamRate)
     FuPool pool({ FuDiscipline::kSegmented,
                   MemDiscipline::kInterleaved, 1, 2 },
                 configM11BR5());
-    pool.accept(Op::kLoadS, 0);
-    EXPECT_TRUE(pool.canAccept(Op::kLoadS, 0));    // second port
-    pool.accept(Op::kLoadS, 0);
-    EXPECT_FALSE(pool.canAccept(Op::kLoadS, 0));
-    EXPECT_TRUE(pool.canAccept(Op::kLoadS, 1));
+    pool.accept(FuClass::kMemory, 0, 11);
+    EXPECT_TRUE(pool.canAccept(FuClass::kMemory, 0));   // second port
+    pool.accept(FuClass::kMemory, 0, 11);
+    EXPECT_FALSE(pool.canAccept(FuClass::kMemory, 0));
+    EXPECT_TRUE(pool.canAccept(FuClass::kMemory, 1));
 }
 
 TEST(FuReplication, ResourceLimitScalesWithCopies)

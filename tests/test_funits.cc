@@ -12,6 +12,21 @@ namespace mfusim
 namespace
 {
 
+/** @p op's unit class, as decode resolves it. */
+FuClass
+fuOf(Op op)
+{
+    return traitsOf(op).fu;
+}
+
+/** Accept @p op at @p when with its latency under @p cfg. */
+ClockCycle
+acceptOp(FuPool &pool, Op op, ClockCycle when,
+         const MachineConfig &cfg = configM11BR5())
+{
+    return pool.accept(fuOf(op), when, latencyOf(op, cfg));
+}
+
 TEST(FunctionalUnit, SegmentedAcceptsEveryCycle)
 {
     FunctionalUnit fu(FuDiscipline::kSegmented);
@@ -31,14 +46,6 @@ TEST(FunctionalUnit, NonSegmentedBusyForFullLatency)
     EXPECT_TRUE(fu.canAccept(7));
     fu.accept(7, 2);
     EXPECT_EQ(fu.nextFree(), 9u);
-}
-
-TEST(FunctionalUnit, ResetClearsState)
-{
-    FunctionalUnit fu(FuDiscipline::kNonSegmented);
-    fu.accept(0, 14);
-    fu.reset();
-    EXPECT_TRUE(fu.canAccept(0));
 }
 
 TEST(MemoryPort, SerialOccupiesFullLatency)
@@ -72,10 +79,10 @@ TEST(FuPool, RoutesOpsToDistinctUnits)
                   MemDiscipline::kInterleaved },
                 configM11BR5());
     // An fadd makes the FP add unit busy but not the multiplier.
-    pool.accept(Op::kFAdd, 0);
-    EXPECT_FALSE(pool.canAccept(Op::kFSub, 3));     // same unit
-    EXPECT_TRUE(pool.canAccept(Op::kFMul, 3));      // different unit
-    EXPECT_TRUE(pool.canAccept(Op::kAAdd, 0));
+    acceptOp(pool, Op::kFAdd, 0);
+    EXPECT_FALSE(pool.canAccept(fuOf(Op::kFSub), 3));     // same unit
+    EXPECT_TRUE(pool.canAccept(fuOf(Op::kFMul), 3));      // different unit
+    EXPECT_TRUE(pool.canAccept(fuOf(Op::kAAdd), 0));
 }
 
 TEST(FuPool, AcceptReturnsResultTime)
@@ -83,10 +90,10 @@ TEST(FuPool, AcceptReturnsResultTime)
     FuPool pool({ FuDiscipline::kSegmented,
                   MemDiscipline::kInterleaved },
                 configM11BR5());
-    EXPECT_EQ(pool.accept(Op::kFAdd, 10), 16u);
-    EXPECT_EQ(pool.accept(Op::kFMul, 10), 17u);
-    EXPECT_EQ(pool.accept(Op::kLoadS, 10), 21u);
-    EXPECT_EQ(pool.accept(Op::kFRecip, 10), 24u);
+    EXPECT_EQ(acceptOp(pool, Op::kFAdd, 10), 16u);
+    EXPECT_EQ(acceptOp(pool, Op::kFMul, 10), 17u);
+    EXPECT_EQ(acceptOp(pool, Op::kLoadS, 10), 21u);
+    EXPECT_EQ(acceptOp(pool, Op::kFRecip, 10), 24u);
 }
 
 TEST(FuPool, TransfersNeverContend)
@@ -94,23 +101,23 @@ TEST(FuPool, TransfersNeverContend)
     FuPool pool({ FuDiscipline::kNonSegmented,
                   MemDiscipline::kSerial },
                 configM11BR5());
-    EXPECT_EQ(pool.accept(Op::kSMovA, 0), 1u);
-    EXPECT_TRUE(pool.canAccept(Op::kSConst, 0));
-    EXPECT_EQ(pool.accept(Op::kSConst, 0), 1u);
+    EXPECT_EQ(acceptOp(pool, Op::kSMovA, 0), 1u);
+    EXPECT_TRUE(pool.canAccept(fuOf(Op::kSConst), 0));
+    EXPECT_EQ(acceptOp(pool, Op::kSConst, 0), 1u);
 }
 
 TEST(FuPool, MemoryDisciplineHonored)
 {
     FuPool serial({ FuDiscipline::kSegmented, MemDiscipline::kSerial },
                   configM11BR5());
-    serial.accept(Op::kLoadS, 0);
-    EXPECT_EQ(serial.earliestAccept(Op::kStoreS, 0), 11u);
+    acceptOp(serial, Op::kLoadS, 0);
+    EXPECT_EQ(serial.earliestAccept(fuOf(Op::kStoreS), 0), 11u);
 
     FuPool inter({ FuDiscipline::kSegmented,
                    MemDiscipline::kInterleaved },
                  configM11BR5());
-    inter.accept(Op::kLoadS, 0);
-    EXPECT_EQ(inter.earliestAccept(Op::kStoreS, 0), 1u);
+    acceptOp(inter, Op::kLoadS, 0);
+    EXPECT_EQ(inter.earliestAccept(fuOf(Op::kStoreS), 0), 1u);
 }
 
 TEST(FuPool, SfixSharesFpAddUnit)
@@ -118,20 +125,8 @@ TEST(FuPool, SfixSharesFpAddUnit)
     FuPool pool({ FuDiscipline::kNonSegmented,
                   MemDiscipline::kInterleaved },
                 configM11BR5());
-    pool.accept(Op::kSFix, 0);
-    EXPECT_EQ(pool.earliestAccept(Op::kFAdd, 0), 6u);
-}
-
-TEST(FuPool, ResetClearsAllUnits)
-{
-    FuPool pool({ FuDiscipline::kNonSegmented,
-                  MemDiscipline::kSerial },
-                configM11BR5());
-    pool.accept(Op::kFAdd, 0);
-    pool.accept(Op::kLoadS, 0);
-    pool.reset();
-    EXPECT_TRUE(pool.canAccept(Op::kFAdd, 0));
-    EXPECT_TRUE(pool.canAccept(Op::kLoadS, 0));
+    acceptOp(pool, Op::kSFix, 0);
+    EXPECT_EQ(pool.earliestAccept(fuOf(Op::kFAdd), 0), 6u);
 }
 
 TEST(FuPool, MemoryLatencyFromConfig)
@@ -139,7 +134,7 @@ TEST(FuPool, MemoryLatencyFromConfig)
     FuPool pool({ FuDiscipline::kSegmented,
                   MemDiscipline::kInterleaved },
                 configM5BR5());
-    EXPECT_EQ(pool.accept(Op::kLoadS, 0), 5u);
+    EXPECT_EQ(acceptOp(pool, Op::kLoadS, 0, configM5BR5()), 5u);
 }
 
 } // namespace

@@ -53,16 +53,6 @@ TEST(CycleReservations, WindowEdge)
     EXPECT_TRUE(res.isReserved(163));
 }
 
-TEST(CycleReservations, Reset)
-{
-    CycleReservations res;
-    res.advanceTo(50);
-    res.tryReserve(55);
-    res.reset();
-    EXPECT_FALSE(res.isReserved(55));
-    EXPECT_TRUE(res.tryReserve(5));
-}
-
 TEST(ResultBusSet, SingleBusConflicts)
 {
     ResultBusSet bus(BusKind::kSingle, 4);
