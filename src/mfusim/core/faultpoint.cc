@@ -10,6 +10,7 @@
 #include <unordered_map>
 
 #include "mfusim/core/error.hh"
+#include "mfusim/core/lexical.hh"
 
 namespace mfusim
 {
@@ -104,31 +105,10 @@ isKnownPoint(const std::string &name)
 std::uint64_t
 parseCount(const std::string &entry, const std::string &value)
 {
-    if (value.empty())
-        throw ConfigError("fault spec '" + entry +
-                          "': missing number");
-    std::uint64_t n = 0;
-    for (const char c : value) {
-        if (c < '0' || c > '9')
-            throw ConfigError("fault spec '" + entry + "': '" +
-                              value + "' is not a number");
-        n = n * 10 + std::uint64_t(c - '0');
-    }
-    return n;
-}
-
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t begin = 0;
-    for (;;) {
-        const std::size_t end = s.find(sep, begin);
-        out.push_back(s.substr(begin, end - begin));
-        if (end == std::string::npos)
-            return out;
-        begin = end + 1;
-    }
+    if (const auto n = parseDecimal(value))
+        return *n;
+    throw ConfigError("fault spec '" + entry + "': '" + value +
+                      "' is not a count (decimal digits within 64 bits)");
 }
 
 } // namespace
@@ -140,14 +120,14 @@ FaultRegistry::configure(const std::string &spec)
     std::uint64_t seed = 1;
     std::size_t order = 0;
 
-    for (const std::string &entry : split(spec, ',')) {
+    for (const std::string &entry : splitFields(spec, ',')) {
         if (entry.empty())
             continue;
         if (entry.rfind("seed=", 0) == 0) {
             seed = parseCount(entry, entry.substr(5));
             continue;
         }
-        const std::vector<std::string> parts = split(entry, ':');
+        const std::vector<std::string> parts = splitFields(entry, ':');
         const std::string &point = parts[0];
         if (!isKnownPoint(point)) {
             std::string known;
@@ -176,8 +156,9 @@ FaultRegistry::configure(const std::string &spec)
                 char *end = nullptr;
                 rule.prob =
                     std::strtod(arg.c_str() + 5, &end);
+                // Written so that NaN, which never fires, fails too.
                 if (end == nullptr || *end != '\0' ||
-                    rule.prob < 0.0 || rule.prob > 1.0)
+                    !(rule.prob >= 0.0 && rule.prob <= 1.0))
                     throw ConfigError("fault spec '" + entry +
                                       "': prob must be in [0, 1]");
             } else if (!arg.empty() &&

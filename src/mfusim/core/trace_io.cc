@@ -3,11 +3,10 @@
  * Trace serialization implementation.
  *
  * loadTrace() treats its input as hostile: every numeric field is
- * parsed with explicit range checks (never bare std::stoul, whose
- * exceptions would escape untyped and whose silent wraparound on
- * out-of-range values would corrupt the trace), the header op count
- * is bounded before any allocation, and every failure path throws
- * TraceError.
+ * read by parseDecimal() against its own bound (digits only, never
+ * wrapped, so no out-of-range value corrupts the trace), the header
+ * op count is bounded before any allocation, and every failure path
+ * throws TraceError.
  */
 
 #include "mfusim/core/trace_io.hh"
@@ -20,6 +19,7 @@
 #include <unordered_map>
 
 #include "mfusim/core/error.hh"
+#include "mfusim/core/lexical.hh"
 #include "mfusim/core/registers.hh"
 
 namespace mfusim
@@ -41,28 +41,16 @@ fmtReg(RegId r)
     return regName(r);
 }
 
-/** Strict all-digits decimal parse; throws TraceError on anything
- *  else (including overflow past @p max). */
+/** @p text as a count up to @p max, else a TraceError naming it. */
 std::uint64_t
 parseCount(const std::string &text, std::uint64_t max,
            const char *what)
 {
-    if (text.empty())
-        throw TraceError(std::string("empty ") + what);
-    std::uint64_t value = 0;
-    for (const char c : text) {
-        if (c < '0' || c > '9') {
-            throw TraceError(std::string("bad ") + what + " '" +
-                             text + "'");
-        }
-        value = value * 10 + std::uint64_t(c - '0');
-        if (value > max) {
-            throw TraceError(std::string(what) + " " + text +
-                             " exceeds the maximum of " +
-                             std::to_string(max));
-        }
-    }
-    return value;
+    if (const auto value = parseDecimal(text, max))
+        return *value;
+    throw TraceError(std::string("bad ") + what + " '" + text +
+                     "' (want decimal digits, at most " +
+                     std::to_string(max) + ")");
 }
 
 RegId

@@ -5,11 +5,11 @@
 
 #include "mfusim/harness/spec_parse.hh"
 
-#include <charconv>
-#include <system_error>
+#include <algorithm>
 #include <vector>
 
 #include "mfusim/core/error.hh"
+#include "mfusim/core/lexical.hh"
 #include "mfusim/sim/cdc6600_sim.hh"
 #include "mfusim/sim/multi_issue_sim.hh"
 #include "mfusim/sim/ruu_sim.hh"
@@ -30,19 +30,6 @@ namespace
  */
 constexpr unsigned kMaxSpecField = 65536;
 
-/** @p text split on @p sep, keeping empty fields, trailing ones too. */
-std::vector<std::string>
-splitKeepingEmpty(const std::string &text, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t from = 0;
-    for (std::size_t at; (at = text.find(sep, from)) != std::string::npos;
-         from = at + 1)
-        out.push_back(text.substr(from, at - from));
-    out.push_back(text.substr(from));
-    return out;
-}
-
 } // namespace
 
 MachineConfig
@@ -55,40 +42,65 @@ parseConfigSpec(const std::string &name)
     throw ConfigError("unknown config '" + name + "'");
 }
 
-Kernel
-parseKernelSpec(const std::string &spec)
+LoopSpec
+parseLoopSpec(std::string_view text)
 {
-    try {
-        if (!spec.empty() && spec.back() == 'v') {
-            return buildVectorizedKernel(
-                std::stoi(spec.substr(0, spec.size() - 1)));
-        }
-        const auto x = spec.find('x');
-        if (x == std::string::npos)
-            return buildKernel(std::stoi(spec));
-        return buildUnrolledKernel(std::stoi(spec.substr(0, x)),
-                                   std::stoi(spec.substr(x + 1)));
-    } catch (const Error &) {
-        throw;
-    } catch (const std::exception &e) {
-        throw ConfigError("bad loop '" + spec + "': " + e.what());
+    const auto bad = [&](const char *why) {
+        return ConfigError("bad loop '" + std::string(text) + "' (" +
+                           why + ")");
+    };
+    LoopSpec loop;
+    loop.vectorized = !text.empty() && text.back() == 'v';
+    // The id ends at the 'v' or the 'x', if there is one.
+    const std::size_t idEnd = loop.vectorized ?
+        text.size() - 1 : std::min(text.find('x'), text.size());
+    const auto id = parseDecimal<unsigned>(text.substr(0, idEnd), 14);
+    if (!id || *id == 0)
+        throw bad("want <id>, <id>x<factor> or <id>v with <id> 1..14, "
+                  "e.g. 5, 1x4, 7v");
+    loop.id = int(*id);
+    loop.name = std::to_string(loop.id);
+    if (loop.vectorized) {
+        if (std::ranges::count(vectorizedLoopIds(), loop.id) == 0)
+            throw bad("no vectorized variant; use 1, 7 or 12");
+        loop.name += 'v';
+    } else if (idEnd < text.size()) {
+        const auto factor = parseDecimal<unsigned>(text.substr(idEnd + 1), 8);
+        if (!factor || *factor == 0 || (*factor & (*factor - 1)) != 0)
+            throw bad("unroll factor must be 1, 2, 4 or 8");
+        if (std::ranges::count(unrollableLoopIds(), loop.id) == 0)
+            throw bad("no unrolled variant; use 1, 5, 11 or 12");
+        loop.unroll = int(*factor);
+        loop.name += 'x' + std::to_string(loop.unroll);
     }
+    return loop;
+}
+
+Kernel
+buildLoopKernel(const LoopSpec &loop)
+{
+    if (loop.vectorized)
+        return buildVectorizedKernel(loop.id);
+    if (loop.unroll != 0)
+        return buildUnrolledKernel(loop.id, loop.unroll);
+    return buildKernel(loop.id);
 }
 
 DynTrace
-traceForLoopSpec(const std::string &spec)
+traceForLoopSpec(const LoopSpec &loop)
 {
-    const Kernel kernel = parseKernelSpec(spec);
-    return DynTrace("LL" + spec, kernel.program.code,
-                    validatedLog(kernel, spec));
+    const Kernel kernel = buildLoopKernel(loop);
+    return DynTrace("LL" + loop.name, kernel.program.code,
+                    validatedLog(kernel, loop.name));
 }
 
 std::shared_ptr<const TraceBody>
-bodyForLoopSpec(const std::string &spec)
+bodyForLoopSpec(const LoopSpec &loop)
 {
-    const Kernel kernel = parseKernelSpec(spec);
+    const Kernel kernel = buildLoopKernel(loop);
     return std::make_shared<const TraceBody>(
-        "LL" + spec, kernel.program.code, validatedLog(kernel, spec));
+        "LL" + loop.name, kernel.program.code,
+        validatedLog(kernel, loop.name));
 }
 
 std::unique_ptr<Simulator>
@@ -96,9 +108,9 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
 {
     // "name[:field...],opt,opt": each option kind at most once, no
     // empty option, and no field or option the machine does not read.
-    const std::vector<std::string> parts = splitKeepingEmpty(spec, ',');
+    const std::vector<std::string> parts = splitFields(spec, ',');
     const std::vector<std::string> fields =
-        splitKeepingEmpty(parts[0], ':');
+        splitFields(parts[0], ':');
     if (fields[0].empty())
         throw ConfigError("empty machine spec");
 
@@ -153,19 +165,13 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
         if (i >= fields.size())
             throw ConfigError("machine spec '" + spec +
                               "' needs more fields");
-        // from_chars() into an unsigned takes no sign, space or
-        // prefix, and reports overflow.
         const std::string &field = fields[i];
-        const char *const end = field.data() + field.size();
-        unsigned value = 0;
-        const auto [stop, ec] =
-            std::from_chars(field.data(), end, value);
-        if (ec != std::errc() || stop != end || value > kMaxSpecField)
-            throw ConfigError("bad numeric field '" + field +
-                              "' in machine spec '" + spec +
-                              "' (want decimal digits, at most " +
-                              std::to_string(kMaxSpecField) + ")");
-        return value;
+        if (const auto value = parseDecimal<unsigned>(field, kMaxSpecField))
+            return *value;
+        throw ConfigError("bad numeric field '" + field +
+                          "' in machine spec '" + spec +
+                          "' (want decimal digits, at most " +
+                          std::to_string(kMaxSpecField) + ")");
     };
     // What the named machine reads: at most @p maxFields colon
     // fields, and the bus option only if @p readsBus.

@@ -6,6 +6,7 @@
  *
  *   config   M11BR5 | M11BR2 | M5BR5 | M5BR2
  *   loop     <id> | <id>x<factor> | <id>v        (e.g. 5, 1x4, 7v)
+ *            digits only; "05" is canonically "5", "01x04" "1x4"
  *   machine  simple | serialmem | nonseg | cray | cdc |
  *            tomasulo[:<rs>[:<cdb>]] | seq:<w> | ooo:<w> |
  *            ruu:<w>:<size>
@@ -27,6 +28,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "mfusim/codegen/livermore.hh"
 #include "mfusim/core/decoded_trace.hh"
@@ -55,29 +57,45 @@ class BranchModelError : public ConfigError
  */
 MachineConfig parseConfigSpec(const std::string &name);
 
+/** A Livermore loop, plain, unrolled or vectorized. */
+struct LoopSpec
+{
+    int id = 0;             //!< Livermore loop, 1..14
+    int unroll = 0;         //!< factor of "<id>x<factor>", else 0
+    bool vectorized = false;    //!< "<id>v"
+    std::string name;       //!< canonical spelling: "5", "1x4", "7v"
+
+    /** A plain loop, whose body the TraceLibrary holds. */
+    bool isLibrary() const { return unroll == 0 && !vectorized; }
+};
+
 /**
- * "5" -> canonical loop 5; "1x4" -> loop 1 unrolled by 4; "7v" ->
- * loop 7 compiled for the vector unit.
- * @throws ConfigError on unparseable input or an unknown loop.
+ * "5" -> loop 5; "1x4" -> loop 1 unrolled by 4; "7v" -> loop 7
+ * compiled for the vector unit.  Trace names ("LL" + name) and cache
+ * keys use the canonical name.
+ * @throws ConfigError on anything else, or a variant the loop lacks.
  */
-Kernel parseKernelSpec(const std::string &spec);
+LoopSpec parseLoopSpec(std::string_view text);
+
+/** The loop's kernel, assembled with its reference expectations. */
+Kernel buildLoopKernel(const LoopSpec &loop);
 
 /**
  * Build the loop's kernel, execute it against the reference model
- * and return its validated dynamic trace.
- * @throws ConfigError on a bad spec; Error if the kernel's results
- *         disagree with the reference model.
+ * and return its validated dynamic trace, named "LL" + loop.name.
+ * @throws Error if the kernel's results disagree with the reference
+ *         model.
  */
-DynTrace traceForLoopSpec(const std::string &spec);
+DynTrace traceForLoopSpec(const LoopSpec &loop);
 
 /**
  * The decode of the loop's trace, straight from its validated
- * execution log: equal to TraceBody(traceForLoopSpec(spec)), without
+ * execution log: equal to TraceBody(traceForLoopSpec(loop)), without
  * building the trace.  TraceLibrary::body() builds the 14 loops'
  * bodies this way.
  * @throws as traceForLoopSpec().
  */
-std::shared_ptr<const TraceBody> bodyForLoopSpec(const std::string &spec);
+std::shared_ptr<const TraceBody> bodyForLoopSpec(const LoopSpec &loop);
 
 /**
  * Instantiate a simulator from a machine spec string.  A branch

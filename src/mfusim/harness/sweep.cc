@@ -11,9 +11,11 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "mfusim/core/error.hh"
+#include "mfusim/core/lexical.hh"
 #include "mfusim/core/shutdown.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/obs/pipe_trace.hh"
@@ -41,9 +43,13 @@ unsigned
 jobsFromEnvironment()
 {
     if (const char *env = std::getenv("MFUSIM_JOBS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0)
-            return unsigned(parsed);
+        const std::optional<unsigned> jobs = parseDecimal<unsigned>(env);
+        if (!jobs)
+            throw ConfigError("MFUSIM_JOBS='" + std::string(env) +
+                              "' is not a worker count (decimal digits"
+                              " within 32 bits; 0 = one per CPU)");
+        if (*jobs > 0)
+            return *jobs;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

@@ -36,6 +36,8 @@ namespace mfusim
  * The worker count runGrid() uses when none is given: the last
  * setDefaultSweepJobs() value, else the MFUSIM_JOBS environment
  * variable, else std::thread::hardware_concurrency() (at least 1).
+ * @throws ConfigError naming MFUSIM_JOBS if it is set to anything
+ *         but decimal digits within 32 bits.
  */
 unsigned defaultSweepJobs();
 

@@ -59,7 +59,7 @@ TraceLibrary::body(int loopId)
     // decoded straight from its execution log, so a library that
     // only simulates never builds a DynTrace.
     std::call_once(bodyOnce_[std::size_t(loopId)], [&] {
-        slot = bodyForLoopSpec(std::to_string(loopId));
+        slot = bodyForLoopSpec(parseLoopSpec(std::to_string(loopId)));
     });
     return slot;
 }

@@ -27,6 +27,7 @@
 #include "mfusim/core/error.hh"
 #include "mfusim/core/faultpoint.hh"
 #include "mfusim/core/instruction.hh"
+#include "mfusim/core/lexical.hh"
 #include "mfusim/core/machine_config.hh"
 #include "mfusim/core/opcode.hh"
 #include "mfusim/core/registers.hh"

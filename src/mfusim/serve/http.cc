@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -17,6 +16,7 @@
 
 #include "mfusim/core/clock.hh"
 #include "mfusim/core/faultpoint.hh"
+#include "mfusim/core/lexical.hh"
 
 namespace mfusim
 {
@@ -183,6 +183,11 @@ parseRequestHead(const std::string &head, HttpRequest *out,
             *error = "whitespace in header name '" + name + "'";
             return false;
         }
+        if (name == "content-length" && out->headers.count(name) != 0) {
+            // Two lengths frame the body two ways: never guess.
+            *error = "repeated Content-Length";
+            return false;
+        }
         out->headers[name] = trim(line.substr(colon + 1));
     }
     return true;
@@ -305,17 +310,6 @@ writeAll(int fd, const std::string &data, unsigned timeoutMs)
         return false;
     }
     return true;
-}
-
-std::optional<std::uint64_t>
-parseDecimal(std::string_view text)
-{
-    std::uint64_t value = 0;
-    const char *const end = text.data() + text.size();
-    const auto [stop, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc() || stop != end)
-        return std::nullopt;
-    return value;
 }
 
 } // namespace mfusim

@@ -27,9 +27,7 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace mfusim
 {
@@ -40,7 +38,8 @@ struct HttpRequest
     std::string method;     //!< "GET", "POST", ...
     std::string target;     //!< path incl. query, e.g. "/v1/simulate"
     std::string path;       //!< target up to '?'
-    /** Header fields, names lowercased; later duplicates win. */
+    /** Header fields, names lowercased; later duplicates win (a
+     *  second Content-Length is malformed, RFC 9112 6.3). */
     std::map<std::string, std::string> headers;
     std::string body;
 
@@ -87,7 +86,8 @@ struct HttpResponse
  * before the blank line, CRLF or bare-LF separated).
  *
  * @returns true on success; false with @p error set on malformed
- *          input (the caller answers 400).
+ *          input, a repeated Content-Length included (the caller
+ *          answers 400).
  */
 bool parseRequestHead(const std::string &head, HttpRequest *out,
                       std::string *error);
@@ -134,14 +134,6 @@ ExtractStatus extractRequest(const std::string &buffer,
  */
 bool writeAll(int fd, const std::string &data,
               unsigned timeoutMs = 0);
-
-/**
- * @p text as a decimal count: digits only — no sign, space or
- * prefix — within std::uint64_t, else nullopt.  The daemon reads its
- * numeric network inputs (Content-Length, X-Deadline-Ms,
- * /v1/trace?last=) through it, so "-1" never wraps.
- */
-std::optional<std::uint64_t> parseDecimal(std::string_view text);
 
 } // namespace mfusim
 

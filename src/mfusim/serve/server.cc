@@ -30,6 +30,7 @@
 #include "mfusim/core/clock.hh"
 #include "mfusim/core/error.hh"
 #include "mfusim/core/faultpoint.hh"
+#include "mfusim/core/lexical.hh"
 #include "mfusim/obs/req_trace.hh"
 #include "mfusim/serve/json.hh"
 

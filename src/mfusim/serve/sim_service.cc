@@ -5,7 +5,6 @@
 
 #include "mfusim/serve/sim_service.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -14,6 +13,7 @@
 #include "mfusim/core/decoded_trace.hh"
 #include "mfusim/core/error.hh"
 #include "mfusim/core/faultpoint.hh"
+#include "mfusim/core/lexical.hh"
 #include "mfusim/core/stats.hh"
 #include "mfusim/obs/req_trace.hh"
 #include "mfusim/harness/spec_parse.hh"
@@ -44,39 +44,18 @@ rateString(double rate)
     return buf;
 }
 
-/** The "loop" request field: a JSON number or spec string. */
-std::string
+/**
+ * The "loop" request field: a spec string, or a JSON number read
+ * through its decimal spelling (5 is "5"; 5.5 and -5 are bad loops).
+ */
+LoopSpec
 loopSpecOf(const Json &value)
 {
     if (value.isString())
-        return value.asString();
-    if (value.isNumber()) {
-        const double n = value.asNumber();
-        if (n != std::floor(n) || n < 1 || n > 1e6)
-            throw ServeError(400, "'loop' must be an integer or a "
-                                  "spec string like \"1x4\"");
-        return std::to_string(std::int64_t(n));
-    }
+        return parseLoopSpec(value.asString());
+    if (value.isNumber())
+        return parseLoopSpec(value.dump());
     throw ServeError(400, "'loop' must be a number or string");
-}
-
-/** True when @p spec is a canonical library loop id ("1".."14"). */
-bool
-isLibraryLoop(const std::string &spec, int *id)
-{
-    if (spec.empty() || spec.size() > 2)
-        return false;
-    for (const char c : spec)
-        if (c < '0' || c > '9')
-            return false;
-    const int n = std::stoi(spec);
-    for (const KernelSpec &k : kernelSpecs()) {
-        if (k.id == n) {
-            *id = n;
-            return true;
-        }
-    }
-    return false;
 }
 
 const Json &
@@ -115,7 +94,7 @@ requestConfig(const Json &body)
 /** The fields of one /v1/simulate request body. */
 struct SimulateRequest
 {
-    std::string loopSpec;
+    LoopSpec loop;
     std::string machineSpec;
     MachineConfig cfg;
     bool audit = false;     //!< the body's own "audit" field
@@ -129,7 +108,7 @@ parseSimulateRequest(const std::string &body)
     if (!request.isObject())
         throw ServeError(400, "request body must be a JSON object");
     SimulateRequest out;
-    out.loopSpec = loopSpecOf(requireMember(request, "loop"));
+    out.loop = loopSpecOf(requireMember(request, "loop"));
     out.machineSpec = requireMember(request, "machine").asString();
     out.cfg = requestConfig(request);
     const Json *auditField = request.find("audit");
@@ -147,7 +126,7 @@ struct CellOutcome
 };
 
 CellOutcome
-runCell(const std::string &loopSpec, const std::string &machineSpec,
+runCell(const LoopSpec &loop, const std::string &machineSpec,
         const MachineConfig &cfg, bool auditFlag)
 {
     auto sim = parseMachineSpec(machineSpec, cfg);
@@ -156,14 +135,13 @@ runCell(const std::string &loopSpec, const std::string &machineSpec,
     out.audited = auditFlag || auditRequested();
 
     const auto simulate = [&]() -> SimResult {
-        int id = 0;
-        if (isLibraryLoop(loopSpec, &id)) {
+        if (loop.isLibrary()) {
             const DecodedTrace &decoded =
-                TraceLibrary::instance().decoded(id, cfg);
+                TraceLibrary::instance().decoded(loop.id, cfg);
             return out.audited ? runAudited(*sim, decoded)
                                : sim->run(decoded);
         }
-        const DecodedTrace decoded(bodyForLoopSpec(loopSpec), cfg);
+        const DecodedTrace decoded(bodyForLoopSpec(loop), cfg);
         return out.audited ? runAudited(*sim, decoded)
                            : sim->run(decoded);
     };
@@ -175,7 +153,7 @@ runCell(const std::string &loopSpec, const std::string &machineSpec,
     } else {
         const std::uint64_t before = traced ? monoNanos() : 0;
         out.result = ResultCache::instance().getOrCompute(
-            machineKey, "LL" + loopSpec, cfg, out.audited, simulate,
+            machineKey, "LL" + loop.name, cfg, out.audited, simulate,
             &out.cached);
         // A hit's getOrCompute IS the probe; a miss's is dominated
         // by the simulation, so only the hit time is attributable to
@@ -192,12 +170,12 @@ runCell(const std::string &loopSpec, const std::string &machineSpec,
 }
 
 Json
-cellJson(const std::string &loopSpec, const std::string &machineSpec,
+cellJson(const std::string &traceKey, const std::string &machineSpec,
          const MachineConfig &cfg, const CellOutcome &cell)
 {
     Json out = Json::object();
     out.set("schema", Json("mfusim-serve-v1"));
-    out.set("loop", Json("LL" + loopSpec));
+    out.set("loop", Json(traceKey));
     out.set("machine", Json(cell.simName));
     out.set("machine_spec", Json(machineSpec));
     out.set("config", Json(cfg.name()));
@@ -265,8 +243,7 @@ SimService::findFastCell(const std::string &body)
     FastCell cell;
     try {
         SimulateRequest request = parseSimulateRequest(body);
-        cell.loopSpec = std::move(request.loopSpec);
-        cell.traceKey = "LL" + cell.loopSpec;
+        cell.traceKey = "LL" + request.loop.name;
         cell.machineSpec = std::move(request.machineSpec);
         cell.cfg = std::move(request.cfg);
         cell.audited = request.audit || auditRequested();
@@ -332,7 +309,7 @@ SimService::tryFastAnswer(const HttpRequest &request,
         out.simName = cell->simName;
         out.cached = true;
         out.audited = cell->audited;
-        cell->rendered = cellJson(cell->loopSpec, cell->machineSpec,
+        cell->rendered = cellJson(cell->traceKey, cell->machineSpec,
                                   cell->cfg, out)
                              .dump() +
             "\n";
@@ -381,10 +358,10 @@ SimService::handleSimulate(const std::string &body)
 {
     const SimulateRequest req = parseSimulateRequest(body);
     const CellOutcome cell =
-        runCell(req.loopSpec, req.machineSpec, req.cfg, req.audit);
-    return HttpResponse(
-        200, "application/json",
-        cellJson(req.loopSpec, req.machineSpec, req.cfg, cell).dump() + "\n");
+        runCell(req.loop, req.machineSpec, req.cfg, req.audit);
+    const Json out =
+        cellJson("LL" + req.loop.name, req.machineSpec, req.cfg, cell);
+    return HttpResponse(200, "application/json", out.dump() + "\n");
 }
 
 HttpResponse
@@ -432,11 +409,11 @@ SimService::handleSweep(const std::string &body)
             loops.push_back(spec.id);
     } else {
         for (const Json &item : loopsField->items()) {
-            int id = 0;
-            if (!isLibraryLoop(loopSpecOf(item), &id))
+            const LoopSpec loop = loopSpecOf(item);
+            if (!loop.isLibrary())
                 throw ServeError(400, "'loops' entries must be "
                                       "library loop ids (1..14)");
-            loops.push_back(id);
+            loops.push_back(loop.id);
         }
     }
     if (loops.empty())
@@ -453,13 +430,11 @@ SimService::handleSweep(const std::string &body)
     unsigned jobs = 0;
     if (const Json *jobsField = request.find("jobs");
         jobsField != nullptr && !jobsField->isNull()) {
-        const double raw = jobsField->asNumber();
-        if (raw < 0 || raw > 256 ||
-            raw != static_cast<double>(
-                       static_cast<unsigned>(raw)))
-            throw ServeError(400,
-                             "'jobs' must be an integer in [0, 256]");
-        jobs = static_cast<unsigned>(raw);
+        const std::optional<unsigned> parsed =
+            parseDecimal<unsigned>(jobsField->dump(), 256);
+        if (!parsed)
+            throw ServeError(400, "'jobs' must be an integer in [0, 256]");
+        jobs = *parsed;
     }
 
     std::vector<SimFactory> variants;
@@ -478,10 +453,8 @@ SimService::handleSweep(const std::string &body)
         Json results = Json::array();
         std::vector<double> scalarRates, vectorRates;
         for (std::size_t i = 0; i < loops.size(); ++i) {
-            bool vectorizable = false;
-            for (const KernelSpec &spec : kernelSpecs())
-                if (spec.id == loops[i])
-                    vectorizable = spec.vectorizable;
+            const bool vectorizable =
+                kernelSpecs()[std::size_t(loops[i] - 1)].vectorizable;
             (vectorizable ? vectorRates : scalarRates)
                 .push_back(rates[v][i]);
             Json row = Json::object();

@@ -122,8 +122,7 @@ class SimService
     struct FastCell
     {
         bool usable = false;
-        std::string loopSpec;
-        std::string traceKey;   //!< "LL" + loopSpec, composed once
+        std::string traceKey;   //!< "LL" + canonical loop name
         std::string machineSpec;
         std::string machineKey;
         std::string simName;

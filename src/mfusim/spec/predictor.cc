@@ -7,6 +7,7 @@
 
 #include "mfusim/core/decoded_trace.hh"
 #include "mfusim/core/error.hh"
+#include "mfusim/core/lexical.hh"
 
 #include <atomic>
 
@@ -32,22 +33,17 @@ splitmix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** Largest numeric predictor field (table size, window, seed). */
+constexpr unsigned kMaxPredictorField = 100000000;
+
 unsigned
 parseNumber(const std::string &text, const std::string &field)
 {
-    if (text.empty())
-        throw ConfigError("predictor: empty " + field);
-    unsigned long v = 0;
-    for (const char c : text) {
-        if (c < '0' || c > '9')
-            throw ConfigError("predictor: bad " + field + " '" +
-                              text + "'");
-        v = v * 10 + unsigned(c - '0');
-        if (v > 100000000ul)
-            throw ConfigError("predictor: " + field +
-                              " out of range '" + text + "'");
-    }
-    return unsigned(v);
+    if (const auto v = parseDecimal<unsigned>(text, kMaxPredictorField))
+        return *v;
+    throw ConfigError("predictor: bad " + field + " '" + text +
+                      "' (want decimal digits, at most " +
+                      std::to_string(kMaxPredictorField) + ")");
 }
 
 } // namespace
@@ -78,18 +74,7 @@ PredictorSpec::parse(const std::string &text)
     if (text.empty())
         throw ConfigError("predictor: empty spec");
 
-    // Split on ':'.
-    std::vector<std::string> parts;
-    std::size_t from = 0;
-    while (true) {
-        const std::size_t colon = text.find(':', from);
-        if (colon == std::string::npos) {
-            parts.push_back(text.substr(from));
-            break;
-        }
-        parts.push_back(text.substr(from, colon - from));
-        from = colon + 1;
-    }
+    const std::vector<std::string> parts = splitFields(text, ':');
 
     PredictorSpec spec;
     const std::string &head = parts[0];

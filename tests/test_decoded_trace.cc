@@ -318,12 +318,11 @@ TEST(DecodedTrace, LogDecodeMatchesTraceDecode)
     specs.push_back("12v");
     for (const std::string &spec : specs) {
         SCOPED_TRACE("LL" + spec);
-        const bool inLibrary =
-            spec.find_first_not_of("0123456789") == std::string::npos;
-        const std::shared_ptr<const TraceBody> fromLog = inLibrary ?
-            TraceLibrary::instance().body(std::stoi(spec)) :
-            bodyForLoopSpec(spec);
-        const TraceBody fromTrace(traceForLoopSpec(spec));
+        const LoopSpec loop = parseLoopSpec(spec);
+        const std::shared_ptr<const TraceBody> fromLog =
+            loop.isLibrary() ? TraceLibrary::instance().body(loop.id)
+                             : bodyForLoopSpec(loop);
+        const TraceBody fromTrace(traceForLoopSpec(loop));
         const TraceBody &a = *fromLog;
         const TraceBody &b = fromTrace;
 

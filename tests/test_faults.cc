@@ -170,6 +170,16 @@ TEST_F(FaultTest, GrammarErrorsAreConfigErrors)
     EXPECT_THROW(reg.configure("persist.write:every=0"), ConfigError);
     EXPECT_THROW(reg.configure("persist.write:every=x"), ConfigError);
     EXPECT_THROW(reg.configure("persist.write:prob=1.5"), ConfigError);
+    EXPECT_THROW(reg.configure("persist.write:prob=nan"), ConfigError);
+    // Counts are decimal digits within 64 bits: 2^64 + 3 once wrapped
+    // to every=3.
+    for (const char *spec :
+         { "worker.die:every=18446744073709551619",
+           "worker.die:after=18446744073709551616",
+           "seed=18446744073709551616,worker.die:once",
+           "worker.die:times=+3", "worker.die:every= 3",
+           "worker.die:every=3z" })
+        EXPECT_THROW(reg.configure(spec), ConfigError) << spec;
     EXPECT_THROW(reg.configure("persist.write:bogus=1"), ConfigError);
     EXPECT_THROW(
         reg.configure("persist.write:once,persist.write:once"),

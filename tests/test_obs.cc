@@ -482,13 +482,15 @@ TEST(ObsAllSims, ScheduleCompleteAndMonotonic)
                 EXPECT_LE(rec.front(i), rec.exec(i)) << where;
                 // ...and completes after starting, where completion
                 // is modeled (branches produce no result).
-                if (rec.complete(i) != PipeTraceRecorder::kNoCycle)
+                if (rec.complete(i) != PipeTraceRecorder::kNoCycle) {
                     EXPECT_LT(rec.exec(i), rec.complete(i) + 1)
                         << where;
+                }
                 if (rec.commit(i) != PipeTraceRecorder::kNoCycle &&
-                    rec.complete(i) != PipeTraceRecorder::kNoCycle)
+                    rec.complete(i) != PipeTraceRecorder::kNoCycle) {
                     EXPECT_LE(rec.complete(i), rec.commit(i))
                         << where;
+                }
                 if (entry.inOrderFront) {
                     EXPECT_LE(prevFront, rec.front(i)) << where;
                     prevFront = rec.front(i);

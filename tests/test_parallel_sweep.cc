@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -178,6 +179,47 @@ TEST(RunGrid, DefaultJobsOverride)
     EXPECT_EQ(defaultSweepJobs(), 3u);
     setDefaultSweepJobs(0);
     EXPECT_GE(defaultSweepJobs(), 1u);
+}
+
+TEST(RunGrid, JobsEnvironmentTakesDigitsOnly)
+{
+    // Restores MFUSIM_JOBS as the test found it.
+    struct JobsEnv
+    {
+        const char *saved = std::getenv("MFUSIM_JOBS");
+        std::string value = saved != nullptr ? saved : "";
+        ~JobsEnv()
+        {
+            if (saved != nullptr)
+                setenv("MFUSIM_JOBS", value.c_str(), 1);
+            else
+                unsetenv("MFUSIM_JOBS");
+        }
+    } restore;
+    setDefaultSweepJobs(0);
+    unsetenv("MFUSIM_JOBS");
+    const unsigned hardware = defaultSweepJobs();
+    EXPECT_GE(hardware, 1u);
+    setenv("MFUSIM_JOBS", "0", 1);
+    EXPECT_EQ(defaultSweepJobs(), hardware);
+    setenv("MFUSIM_JOBS", "3", 1);
+    EXPECT_EQ(defaultSweepJobs(), 3u);
+    for (const char *bad : { "3junk", "4294967296", "-1", "+3", " 3",
+                             "" }) {
+        setenv("MFUSIM_JOBS", bad, 1);
+        try {
+            defaultSweepJobs();
+            ADD_FAILURE() << "MFUSIM_JOBS='" << bad << "' was read";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("MFUSIM_JOBS"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // An explicit override never reads the environment.
+    setDefaultSweepJobs(2);
+    EXPECT_EQ(defaultSweepJobs(), 2u);
+    setDefaultSweepJobs(0);
 }
 
 /** Serial reference: fresh simulator per loop, DynTrace path. */

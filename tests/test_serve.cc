@@ -28,6 +28,7 @@
 
 #include "mfusim/core/error.hh"
 #include "mfusim/core/faultpoint.hh"
+#include "mfusim/core/lexical.hh"
 #include "mfusim/harness/spec_parse.hh"
 #include "mfusim/obs/req_trace.hh"
 #include "mfusim/harness/sweep.hh"
@@ -169,6 +170,15 @@ TEST(HttpParse, ContentLengthTakesDigitsOnly)
     for (const char *bad : { "", "+5", "-1", "5x", "0x5",
                              "99999999999999999999999" })
         EXPECT_EQ(status(bad), ExtractStatus::kMalformed) << bad;
+    // Two lengths frame the body two ways: a repeated Content-Length
+    // is malformed, never "the last one wins".
+    const std::string repeated = "POST /x HTTP/1.1\r\nContent-Length: 5"
+                                 "\r\nContent-Length: 2\r\n\r\nhello";
+    HttpRequest req;
+    std::size_t consumed = 0;
+    std::string error;
+    EXPECT_EQ(extractRequest(repeated, 0, 1024, &req, &consumed, &error),
+              ExtractStatus::kMalformed);
 }
 
 TEST(HttpSerialize, ResponseWireFormat)
@@ -413,6 +423,40 @@ TEST_F(ServeE2E, RepeatedRequestServedFromCacheAndCounted)
     EXPECT_EQ(line.substr(line.rfind(' ') + 1), "1") << line;
 }
 
+TEST_F(ServeE2E, LoopSpellingsShareOneCacheCell)
+{
+    const auto entries = [&] {
+        const Response metrics = roundTrip(port(), "GET", "/metrics");
+        const std::size_t at =
+            metrics.body.find("mfusim_result_cache_entries{");
+        if (at == std::string::npos)
+            return std::string("absent");
+        const std::string line = metrics.body.substr(
+            at, metrics.body.find('\n', at) - at);
+        return line.substr(line.rfind(' ') + 1);
+    };
+    const std::string before = entries();
+    const Response warm = roundTrip(port(), "POST", "/v1/simulate",
+                                    R"({"loop": 5, "machine": "cray"})");
+    ASSERT_EQ(warm.status, 200) << warm.body;
+    EXPECT_EQ(parseJson(warm.body).find("loop")->asString(), "LL5");
+    // Every spelling of loop 5 is the one cell the first request
+    // filled: same body, cached, and no new entry.
+    std::vector<std::string> bodies;
+    for (const char *loop : { "5", R"("5")", R"("05")" }) {
+        const Response r = roundTrip(
+            port(), "POST", "/v1/simulate",
+            std::string(R"({"loop": )") + loop + R"(, "machine": "cray"})");
+        ASSERT_EQ(r.status, 200) << loop << " -> " << r.body;
+        EXPECT_TRUE(parseJson(r.body).find("cached")->asBool()) << loop;
+        bodies.push_back(r.body);
+    }
+    EXPECT_EQ(bodies[0], bodies[1]);
+    EXPECT_EQ(bodies[0], bodies[2]);
+    EXPECT_EQ(std::stoul(entries()), std::stoul(before) + 1)
+        << before << " -> " << entries();
+}
+
 TEST_F(ServeE2E, UnrolledAndVectorLoopSpecsWork)
 {
     for (const char *spec : { "\"1x4\"", "\"7v\"" }) {
@@ -537,6 +581,17 @@ TEST_F(ServeE2E, BadInputsMapToFourHundreds)
            R"({"loop": 5, "machine": "ruu:4:50:7"})",
            R"({"loop": 5, "machine": "cray,1bus"})",
            R"({"loop": 5, "machine": "ooo:4,pred=2bit:512:w8:w4"})" }) {
+        const Response bad =
+            roundTrip(port(), "POST", "/v1/simulate", body);
+        EXPECT_EQ(bad.status, 400) << body << " -> " << bad.body;
+    }
+    // A loop spec is exactly <id>, <id>x<factor> or <id>v: junk, a
+    // sign, a space or a variant the loop lacks is a 400, never a
+    // run of the loop it starts with.
+    for (const char *loop : { "5zz", "+5", " 5", "1x4junk", "1x+4",
+                              "7vv", "1x3" }) {
+        const std::string body = std::string(R"({"loop": ")") + loop +
+            R"(", "machine": "cray"})";
         const Response bad =
             roundTrip(port(), "POST", "/v1/simulate", body);
         EXPECT_EQ(bad.status, 400) << body << " -> " << bad.body;

@@ -136,7 +136,7 @@ TEST(WidthProfile, MeanWidthMatchesPseudoDataflowRate)
     // vector element streaming and chaining included.
     for (const char *spec : { "1", "5", "7", "1v", "7v", "12v" }) {
         const std::shared_ptr<const TraceBody> body =
-            bodyForLoopSpec(spec);
+            bodyForLoopSpec(parseLoopSpec(spec));
         for (const MachineConfig &cfg : standardConfigs()) {
             const DecodedTrace trace(body, cfg);
             const WidthProfile profile = widthProfile(trace);

@@ -87,7 +87,8 @@ TEST(TraceDigestGolden, ExpandedTracesMatchFixture)
             std::to_string(loop), TraceLibrary::instance().trace(loop)));
     }
     for (const char *spec : { "1x4", "7v" })
-        got.push_back(test::traceDigestLine(spec, traceForLoopSpec(spec)));
+        got.push_back(test::traceDigestLine(
+            spec, traceForLoopSpec(parseLoopSpec(spec))));
     EXPECT_EQ(got, pinned);
 }
 

@@ -64,8 +64,9 @@ TEST(VectorInterpreter, LoadComputeStore)
                          11.0 * i);
     // vl recorded on every vector op.
     for (const DynOp &op : trace.ops()) {
-        if (isVector(op.op))
+        if (isVector(op.op)) {
             EXPECT_EQ(op.vl, 8u);
+        }
     }
 }
 

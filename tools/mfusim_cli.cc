@@ -89,7 +89,9 @@
  * <loop>    1..14 (optionally "<id>x<factor>" for an unrolled
  *           variant, e.g. "1x4", or "<id>v" for a vector-unit
  *           compilation, e.g. "7v"), or "all" (rate only): every
- *           library loop, timed on the sweep worker pool
+ *           library loop, timed on the sweep worker pool.  Numbers
+ *           are decimal digits ("05" is loop 5); anything else, e.g.
+ *           "5zz", "+5" or "7vv", exits 2.
  * <config>  M11BR5 (default) | M11BR2 | M5BR5 | M5BR2
  * <machine> simple | serialmem | nonseg | cray | cdc |
  *           tomasulo[:<rs>[:<cdb>]] |
@@ -104,13 +106,13 @@
  */
 
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -189,71 +191,34 @@ usage()
 
 /**
  * @p value of numeric flag @p flag as a T no larger than @p max, or
- * exit 2.  from_chars() takes no sign, space or prefix and reports a
- * value past T's range, so "-1", " 0" and a 70000 port are usage
- * errors, never wrapped.
+ * exit 2.  parseDecimal() takes digits only, so "-1", " 0" and a
+ * 70000 port are usage errors, never wrapped.
  */
 template <typename T>
 T
 flagNumber(const std::string &flag, const std::string &value,
-           std::uint64_t max = std::numeric_limits<T>::max())
+           T max = std::numeric_limits<T>::max())
 {
-    T n{};
-    const char *const end = value.data() + value.size();
-    const auto [stop, ec] = std::from_chars(value.data(), end, n);
-    if (ec != std::errc() || stop != end || n > max) {
-        std::fprintf(stderr, "%s expects a number from 0 to %llu, "
-                     "got '%s'\n", flag.c_str(),
-                     (unsigned long long)max, value.c_str());
-        std::exit(2);
-    }
-    return n;
+    if (const std::optional<T> n = parseDecimal<T>(value, max))
+        return *n;
+    std::fprintf(stderr, "%s expects a number from 0 to %llu, got '%s'\n",
+                 flag.c_str(), (unsigned long long)max, value.c_str());
+    std::exit(2);
 }
 
-// The shared spec grammar lives in harness/spec_parse.hh (the serve
-// daemon uses it too).  These wrappers keep the CLI's historical
-// behaviour: a bad spec prints to stderr and exits with the usage
-// code (2) instead of the ConfigError code (3).  A well-formed spec
-// whose branch model conflicts (BranchModelError) keeps code 3.
-
-MachineConfig
-parseConfig(const std::string &name)
+/**
+ * @p parse(@p args...), a spec parser of harness/spec_parse.hh (the
+ * serve daemon uses it too), with the CLI's historical behaviour: a
+ * bad spec prints to stderr and exits with the usage code (2)
+ * instead of the ConfigError code (3).  A well-formed spec whose
+ * branch model conflicts (BranchModelError) keeps code 3.
+ */
+template <typename Parse, typename... Args>
+auto
+specOrExit(const Parse &parse, const Args &...args)
 {
     try {
-        return parseConfigSpec(name);
-    } catch (const ConfigError &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-    }
-}
-
-Kernel
-parseKernel(const std::string &spec)
-{
-    try {
-        return parseKernelSpec(spec);
-    } catch (const ConfigError &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-    }
-}
-
-DynTrace
-traceFor(const std::string &spec)
-{
-    try {
-        return traceForLoopSpec(spec);
-    } catch (const ConfigError &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-    }
-}
-
-std::unique_ptr<Simulator>
-parseMachine(const std::string &spec, const MachineConfig &cfg)
-{
-    try {
-        return parseMachineSpec(spec, cfg);
+        return parse(args...);
     } catch (const BranchModelError &) {
         throw;
     } catch (const ConfigError &e) {
@@ -364,7 +329,7 @@ cmdList()
 int
 cmdDisasm(const std::string &loop)
 {
-    const Kernel kernel = parseKernel(loop);
+    const Kernel kernel = buildLoopKernel(specOrExit(parseLoopSpec, loop));
     std::fputs(kernel.program.disassemble().c_str(), stdout);
     return 0;
 }
@@ -372,18 +337,20 @@ cmdDisasm(const std::string &loop)
 int
 cmdAnalyze(const std::string &loop, const MachineConfig &cfg)
 {
-    std::fputs(analyzeTrace(DecodedTrace(traceFor(loop), cfg)).c_str(),
-               stdout);
+    const LoopSpec spec = specOrExit(parseLoopSpec, loop);
+    const DecodedTrace trace(traceForLoopSpec(spec), cfg);
+    std::fputs(analyzeTrace(trace).c_str(), stdout);
     return 0;
 }
 
 int
 cmdLimits(const std::string &loop, const MachineConfig &cfg)
 {
-    const DecodedTrace trace(traceFor(loop), cfg);
+    const LoopSpec spec = specOrExit(parseLoopSpec, loop);
+    const DecodedTrace trace(traceForLoopSpec(spec), cfg);
     const LimitResult pure = computeLimits(trace, false);
     const LimitResult serial = computeLimits(trace, true);
-    std::printf("loop %s, %s:\n", loop.c_str(), cfg.name().c_str());
+    std::printf("loop %s, %s:\n", spec.name.c_str(), cfg.name().c_str());
     std::printf("  pseudo-dataflow  %.3f (%llu cycles)\n",
                 pure.pseudoRate,
                 (unsigned long long)pure.pseudoCycles);
@@ -404,9 +371,10 @@ cmdRateAll(const std::string &machine, const MachineConfig &cfg)
     // file are still flushed before exiting 128+signo.
     installShutdownHandler();
     // Parse once up front: a bad spec fails here, not in every cell.
-    const std::string sim_name = parseMachine(machine, cfg)->name();
+    const std::string sim_name =
+        specOrExit(parseMachineSpec, machine, cfg)->name();
     const SimFactory factory = [&machine](const MachineConfig &c) {
-        return parseMachine(machine, c);
+        return specOrExit(parseMachineSpec, machine, c);
     };
     if (!g_obs.traceOut.empty() || g_obs.pipeview) {
         std::fprintf(stderr, "--trace-out/--pipeview need a single "
@@ -549,6 +517,9 @@ cmdServe(const std::vector<std::string> &args)
     if (FaultRegistry::instance().armed())
         std::printf("mfusim serve: fault injection armed: %s\n",
                     FaultRegistry::instance().spec().c_str());
+    // A malformed MFUSIM_JOBS aborts startup (exit 3) instead of
+    // failing every /v1/sweep.
+    (void)defaultSweepJobs();
 
     // Install the drain handler BEFORE the server threads start so
     // every thread inherits the disposition.
@@ -706,8 +677,8 @@ cmdRate(const std::string &loop, const std::string &machine,
 {
     if (loop == "all")
         return cmdRateAll(machine, cfg);
-    const DynTrace trace = traceFor(loop);
-    auto sim = parseMachine(machine, cfg);
+    const DynTrace trace = traceForLoopSpec(specOrExit(parseLoopSpec, loop));
+    auto sim = specOrExit(parseMachineSpec, machine, cfg);
     const SimResult result = runObserved(*sim, trace, cfg);
     // The simulator's own config may carry a ",pred=" predictor the
     // outer cfg does not; print the name the run actually used.
@@ -724,7 +695,7 @@ cmdRate(const std::string &loop, const std::string &machine,
 int
 cmdSave(const std::string &loop, const std::string &path)
 {
-    const DynTrace trace = traceFor(loop);
+    const DynTrace trace = traceForLoopSpec(specOrExit(parseLoopSpec, loop));
     std::ofstream out(path);
     if (!out) {
         std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
@@ -745,7 +716,7 @@ cmdReplay(const std::string &path, const std::string &machine,
         return 1;
     }
     const DynTrace trace = loadTrace(in);
-    auto sim = parseMachine(machine, cfg);
+    auto sim = specOrExit(parseMachineSpec, machine, cfg);
     const SimResult result = runObserved(*sim, trace, cfg);
     std::printf("%s on %s, %s: %.4f instr/cycle%s\n",
                 trace.name().c_str(), sim->name().c_str(),
@@ -813,8 +784,8 @@ main(int argc, char **argv)
         usage();
     const std::string cmd = argv[1];
     const auto cfg_arg = [&](int index) {
-        MachineConfig cfg = index < argc ? parseConfig(argv[index])
-                                         : configM11BR5();
+        MachineConfig cfg = index < argc ?
+            specOrExit(parseConfigSpec, argv[index]) : configM11BR5();
         if (!g_predictor.empty()) {
             try {
                 cfg.predictor = PredictorSpec::parse(g_predictor);
