@@ -9,15 +9,22 @@
  * (mfusim's hand-compiled kernels are not CFT's output); the shape
  * -- orderings, saturation points, sensitivities -- is the
  * reproduction target.  See EXPERIMENTS.md.
+ *
+ * A typed mfusim error that escapes a bench's main() (a malformed
+ * MFUSIM_JOBS, say) ends the process the way the CLI ends it: the
+ * message on stderr and Error::exitCode(), 3 for a ConfigError.
  */
 
 #ifndef MFUSIM_BENCH_BENCH_UTIL_HH
 #define MFUSIM_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
+#include "mfusim/core/error.hh"
 #include "mfusim/core/table.hh"
 
 namespace mfusim
@@ -66,6 +73,35 @@ class RatioTracker
     double sum_ = 0.0;
     std::size_t count_ = 0;
 };
+
+/**
+ * The terminate handler of every bench binary: exit with an uncaught
+ * mfusim::Error's code instead of aborting (exit 134), after flushing
+ * the rows already printed.  Any other exception is left to the
+ * handler it replaced.
+ */
+[[noreturn]] void exitOnUncaughtError();
+
+/** The handler exitOnUncaughtError() replaced, set before main(). */
+inline const std::terminate_handler previousTerminate =
+    std::set_terminate(exitOnUncaughtError);
+
+inline void
+exitOnUncaughtError()
+{
+    try {
+        if (const std::exception_ptr error = std::current_exception())
+            std::rethrow_exception(error);
+    } catch (const Error &e) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "%s\n", e.what());
+        std::_Exit(e.exitCode());
+    } catch (...) {
+    }
+    if (previousTerminate != nullptr)
+        previousTerminate();
+    std::abort();
+}
 
 } // namespace bench
 } // namespace mfusim

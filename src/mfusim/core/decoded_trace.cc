@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "mfusim/core/error.hh"
@@ -108,16 +110,22 @@ struct RowKey
 };
 
 /**
- * Dense ids for distinct RowKeys, in first-insertion order: open
- * addressing over a flat slot array, so a body's interning costs a
- * few vector growths rather than one allocation per row.
+ * Dense ids for distinct keys (RowKeys, DecodedShapes), in
+ * first-insertion order: open addressing over a flat slot array, so
+ * a body's interning costs a few vector growths rather than one
+ * allocation per key.
  */
+template <class Key>
 class KeyIds
 {
+    static_assert(sizeof(Key) == 16 &&
+                      std::has_unique_object_representations_v<Key>,
+                  "a key hashes as its two 64-bit words");
+
   public:
     /** The id of @p key, and whether it was new. */
     std::pair<std::uint32_t, bool>
-    insert(const RowKey &key)
+    insert(const Key &key)
     {
         if (2 * (keys_.size() + 1) > slots_.size())
             grow();
@@ -134,17 +142,17 @@ class KeyIds
         }
     }
 
-    /** The key of id @p id. */
-    const RowKey &key(std::uint32_t id) const { return keys_[id]; }
-    std::size_t size() const { return keys_.size(); }
+    /** The distinct keys, in id order. */
+    const std::vector<Key> &keys() const { return keys_; }
 
   private:
     static constexpr std::uint32_t kNone = 0xffffffffu;
 
     static std::size_t
-    hash(const RowKey &key)
+    hash(const Key &key)
     {
-        std::uint64_t h = key.regs ^ key.code * 0x9e3779b97f4a7c15ull;
+        const auto words = std::bit_cast<std::array<std::uint64_t, 2>>(key);
+        std::uint64_t h = words[0] ^ words[1] * 0x9e3779b97f4a7c15ull;
         h = (h ^ h >> 31) * 0xbf58476d1ce4e5b9ull;
         return std::size_t(h ^ h >> 29);
     }
@@ -164,38 +172,56 @@ class KeyIds
         slots_.swap(slots);
     }
 
-    std::vector<RowKey> keys_;
+    std::vector<Key> keys_;
     std::vector<std::uint32_t> slots_;
 };
 
 /**
- * The row table of one body under construction.  intern() memoizes
- * the last row of each static index (direct-mapped) and verifies it
- * before any hash lookup, so an op whose instruction repeats its
- * previous row costs one compare.
+ * The row and shape tables of one body under construction.  intern()
+ * memoizes the last row and shape of each static index (direct-
+ * mapped) and verifies them before any hash lookup, so an op whose
+ * instruction repeats its previous row and links costs one compare.
  */
-class RowInterner
+class ShapeInterner
 {
   public:
-    /** The row id of @p key, adding its row if new. */
+    using Links = std::array<std::uint32_t, 3>;
+
+    /**
+     * The shape id of row @p key with the stored links @p prodA,
+     * @p prodB and @p prevWriter, adding the row and shape if new.
+     * The links come in as scalars: compared as an array built on the
+     * stack, they would be reloaded wider than they were stored,
+     * which stalls store forwarding on every op.
+     */
     std::uint32_t
-    intern(const RowKey &key)
+    intern(const RowKey &key, std::uint32_t prodA, std::uint32_t prodB,
+           std::uint32_t prevWriter)
     {
         Memo &memo = memo_[(key.code >> 32) & (kMemoSlots - 1)];
-        if (!(memo.key == key))
-            memo = { key, lookup(key) };
-        return memo.id;
+        if (!(memo.key == key && memo.links[0] == prodA &&
+              memo.links[1] == prodB && memo.links[2] == prevWriter))
+            miss(memo, key, { prodA, prodB, prevWriter });
+        return memo.shape;
     }
 
     /** The distinct rows, in id order. */
     std::vector<DecodedRow>
     rows() const
     {
+        const std::vector<RowKey> &keys = rowIds_.keys();
         std::vector<DecodedRow> rows;
-        rows.reserve(rowIds_.size());
-        for (std::uint32_t id = 0; id < rowIds_.size(); ++id)
-            rows.push_back(rowIds_.key(id).row(rowSigs_[id]));
+        rows.reserve(keys.size());
+        for (std::uint32_t id = 0; id < keys.size(); ++id)
+            rows.push_back(keys[id].row(rowSigs_[id]));
         return rows;
+    }
+
+    /** The distinct shapes, in id order. */
+    std::vector<DecodedShape>
+    shapes() const
+    {
+        return shapeIds_.keys();
     }
 
   private:
@@ -206,22 +232,30 @@ class RowInterner
     struct Memo
     {
         RowKey key{};
-        std::uint32_t id = 0;
+        Links links{};
+        std::uint32_t row = 0;
+        std::uint32_t shape = 0;
     };
 
-    /** The memo missed: find or add the row of @p key. */
-    [[gnu::noinline]] std::uint32_t
-    lookup(const RowKey &key)
+    /** The memo missed: find or add the row and shape, and keep them. */
+    [[gnu::noinline]] void
+    miss(Memo &memo, const RowKey &key, const Links &links)
     {
-        const auto [id, added] = rowIds_.insert(key);
-        if (added)
-            rowSigs_.push_back(sigIds_.insert(key.signature()).first);
-        return id;
+        if (!(memo.key == key)) {
+            const auto [row, added] = rowIds_.insert(key);
+            if (added)
+                rowSigs_.push_back(sigIds_.insert(key.signature()).first);
+            memo.key = key;
+            memo.row = row;
+        }
+        memo.links = links;
+        memo.shape = shapeIds_.insert(DecodedShape{ memo.row, links }).first;
     }
 
     std::array<Memo, kMemoSlots> memo_{};
-    KeyIds rowIds_;
-    KeyIds sigIds_;
+    KeyIds<RowKey> rowIds_;
+    KeyIds<RowKey> sigIds_;
+    KeyIds<DecodedShape> shapeIds_;
     std::vector<std::uint32_t> rowSigs_;    //!< signature id per row
 };
 
@@ -233,28 +267,22 @@ template <class OpAt>
 void
 TraceBody::decode(std::size_t n, OpAt opAt)
 {
-    if (n >= kNoProducer) {
+    if (n > kMaxOps) {
         throw TraceError(
             "trace \"" + name_ + "\" has " + std::to_string(n) +
-            " ops, too long for 32-bit producer links (max " +
-            std::to_string(kNoProducer - 1) + ")");
+            " ops, too long for 31-bit producer links (max " +
+            std::to_string(kMaxOps) + ")");
     }
 
-    // The four per-op columns share one block of its final size; the
-    // pass below is one memo compare and four stores per op.
-    columns_ = std::make_unique_for_overwrite<std::uint32_t[]>(4 * n);
-    std::uint32_t *const rowIds = columns_.get();
-    std::uint32_t *const prodA = rowIds + n;
-    std::uint32_t *const prodB = prodA + n;
-    std::uint32_t *const prevWriter = prodB + n;
+    // The shape-id column is allocated at its final size; the pass
+    // below is one memo compare and one store per op.
+    shapeIdColumn_ = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+    std::uint32_t *const shapeIds = shapeIdColumn_.get();
     size_ = n;
-    rowIds_ = rowIds;
-    prodA_ = prodA;
-    prodB_ = prodB;
-    prevWriter_ = prevWriter;
+    shapeIds_ = shapeIds;
 
     const std::array<OpFacts, kNumOps> &factsOf = opFacts();
-    RowInterner interner;
+    ShapeInterner interner;
     std::array<std::uint32_t, kNumRegs> lastWriter;
     lastWriter.fill(kNoProducer);
 
@@ -277,14 +305,15 @@ TraceBody::decode(std::size_t n, OpAt opAt)
 
         const std::uint16_t occupancy =
             facts.usesVl && dyn.vl > 0 ? dyn.vl : 1;
-        rowIds[i] = interner.intern(
+        const auto writerOf = [&](RegId reg) {
+            return storedLink(
+                reg == kNoReg ? kNoProducer : lastWriter[reg],
+                std::uint32_t(i));
+        };
+        shapeIds[i] = interner.intern(
             RowKey::pack(dyn.op, facts.fu, f, occupancy, dyn.dst,
-                         dyn.srcA, dyn.srcB, dyn.staticIdx));
-
-        prodA[i] = dyn.srcA == kNoReg ? kNoProducer : lastWriter[dyn.srcA];
-        prodB[i] = dyn.srcB == kNoReg ? kNoProducer : lastWriter[dyn.srcB];
-        prevWriter[i] =
-            dyn.dst == kNoReg ? kNoProducer : lastWriter[dyn.dst];
+                         dyn.srcA, dyn.srcB, dyn.staticIdx),
+            writerOf(dyn.srcA), writerOf(dyn.srcB), writerOf(dyn.dst));
         if (dyn.dst != kNoReg)
             lastWriter[dyn.dst] = std::uint32_t(i);
 
@@ -298,6 +327,9 @@ TraceBody::decode(std::size_t n, OpAt opAt)
     rowTable_ = interner.rows();
     rows_ = rowTable_.data();
     numRows_ = rowTable_.size();
+    shapeTable_ = interner.shapes();
+    shapes_ = shapeTable_.data();
+    numShapes_ = shapeTable_.size();
 
     // Composition statistics: field-for-field the same accounting as
     // DynTrace::stats(), gathered per opcode.

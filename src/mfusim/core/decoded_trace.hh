@@ -1,35 +1,43 @@
 /**
  * @file
- * Pre-decoded dynamic traces: interned static rows, per-op links.
+ * Pre-decoded dynamic traces: interned static rows and link shapes.
  *
  * Every timing simulator walks its trace many times per experiment
  * (cycle loops revisit unissued instructions), and every visit used
  * to re-resolve the same static facts through traitsOf()/latencyOf():
  * functional-unit class, effective latency under the machine
  * configuration, vector occupancy, branch/store/result flags.  The
- * decode resolves all of that once and stores it in a small table of
- * distinct rows plus tightly packed per-op columns, so the
+ * decode resolves all of that once and stores it in small tables of
+ * distinct rows and shapes plus one per-op column, so the
  * simulators' hot loops reduce to integer loads.
  *
  * The decode is split in two, because only the latencies depend on
  * the machine configuration:
  *
  *  - A TraceBody holds everything that is a function of the trace
- *    alone.  Each dynamic op repeats one of a few static loop-body
- *    instructions, so the static facts (opcode, unit class, flags
- *    including the branch outcome, occupancy, registers, static
- *    index) live once per distinct combination in a small row table
- *    (DecodedRow), and each op stores only its row id and its three
- *    program-order dependence links (last earlier writer of each
- *    operand and of the destination): four uint32_t columns, 16 B/op
- *    in one block of its final size.  The library's 14 bodies have
- *    12-113 rows each against thousands of ops; a replayed or fuzzed
- *    trace may have up to one row per op, which the 32-bit row id
- *    allows.  The body also holds the whole-trace composition
- *    statistics the dataflow resource limit needs, and the lazily
- *    cached periodicity analysis.
+ *    alone, in two interned tables and one per-op column.  Each
+ *    dynamic op repeats one of a few static loop-body instructions,
+ *    so the static facts (opcode, unit class, flags including the
+ *    branch outcome, occupancy, registers, static index) live once
+ *    per distinct combination in a row table (DecodedRow).  Each
+ *    iteration of a loop also repeats the previous one's dependence
+ *    structure, so an op's row and its three program-order links
+ *    (last earlier writer of each operand and of the destination)
+ *    are interned again as a shape (DecodedShape, 16 B): a link at
+ *    most kLinkHorizon ops back is kept as its distance, which
+ *    repeats every iteration, and a farther one as the producer's
+ *    absolute index, which a loop invariant repeats too.  Per op the
+ *    body keeps only its shape id: one uint32_t column, 4 B/op, in
+ *    one block of its final size.  The library's 14 bodies have
+ *    12-113 rows and 1,380 shapes in all against 81,980 ops; a
+ *    replayed or fuzzed trace may have up to one row and one shape
+ *    per op, which the 32-bit ids allow (a random trace costs about
+ *    19 B/op that way).  The body also
+ *    holds the whole-trace composition statistics the dataflow
+ *    resource limit needs, and the lazily cached periodicity
+ *    analysis.
  *  - A DecodedTrace is a per-configuration view of a shared body: the
- *    body's columns plus a per-row latency table, which embeds
+ *    body's tables plus a per-row latency table, which embeds
  *    memLatency and branchTime.  latency(i) is the table entry of
  *    op i's row, so a view holds no per-op array of its own.
  *
@@ -41,10 +49,11 @@
  * hand-built traces are DynTraces and decode through
  * TraceBody(const DynTrace &).  The two give the same body for the
  * same run (the DecodedTrace.LogDecodeMatchesTraceDecode test).
- * Rows are interned as the pass meets them: a memo of the last row
- * per static index answers almost every op with one compare, and a
- * hash lookup runs only when an instruction's row changes (a new
- * branch outcome, vector length or first visit).
+ * Rows and shapes are interned as the pass meets them: a memo of the
+ * last row and shape per static index answers almost every op with
+ * one compare, and a hash lookup runs only when an instruction's row
+ * or links change (a new branch outcome, vector length, producer
+ * distance or first visit).
  *
  * Contract: decode once, run many.  Bodies and views are immutable
  * after construction and therefore safe to share across concurrent
@@ -58,6 +67,7 @@
 #ifndef MFUSIM_CORE_DECODED_TRACE_HH
 #define MFUSIM_CORE_DECODED_TRACE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -96,17 +106,47 @@ struct DecodedRow
 };
 
 /**
+ * One distinct (row, dependence links) combination of a trace.  Each
+ * link is stored as DecodedOps::storedLink() encodes it: a distance
+ * back from the op, an absolute index, or kNoProducer.
+ */
+struct DecodedShape
+{
+    std::uint32_t row;                      //!< row id
+    std::array<std::uint32_t, 3> links;     //!< prodA, prodB, prevWriter
+
+    bool operator==(const DecodedShape &) const = default;
+};
+
+/**
  * Read access to the configuration-independent per-op properties of
  * a decoded trace, indexed by trace position.  Both TraceBody (which
- * owns the columns and the row table) and DecodedTrace (which views
- * a body's) derive from it, so each accessor is a row-id load and a
- * row-table load either way.
+ * owns the shape-id column and the shape and row tables) and
+ * DecodedTrace (which views a body's) derive from it, so each
+ * accessor is a shape-id load, a shape load and, for the static
+ * facts, a row load either way.
  */
 class DecodedOps
 {
   public:
     /** No earlier writer of the operand (or unused operand slot). */
     static constexpr std::uint32_t kNoProducer = 0xffffffffu;
+
+    /**
+     * Links at most this many ops back are interned as distances,
+     * farther ones as absolute indices.  A loop-carried producer sits
+     * a fixed distance back every iteration, so the horizon must
+     * reach past whole iterations: LL8's are 83 ops between back
+     * edges, and 256 reaches three of them.  A value written once
+     * before the loop (a base address, a constant) is instead a
+     * distance that grows every iteration, a new shape each time,
+     * but one absolute index.  Measured on the library's 14 loops
+     * (81,980 ops, 557 rows): a horizon of 64 gives 1,733 shapes,
+     * 128 gives 1,217, 256 gives 1,380, 1,024 gives 2,362 and 4,096
+     * gives 6,091.  128 would save 2.6 KiB but reach less than two
+     * of LL8's iterations.
+     */
+    static constexpr std::uint32_t kLinkHorizon = 256;
 
     // Per-op property bits returned by flags().
     static constexpr std::uint8_t kIsBranch = 1u << 0;
@@ -122,10 +162,14 @@ class DecodedOps
 
     /** Number of distinct rows (at most size()). */
     std::size_t numRows() const { return numRows_; }
+    /** Number of distinct shapes (at most size(), at least numRows()). */
+    std::size_t numShapes() const { return numShapes_; }
+    /** Shape id of op @p i: an index below numShapes(). */
+    std::uint32_t shapeId(std::size_t i) const { return shapeIds_[i]; }
     /** Row id of op @p i: an index below numRows(). */
-    std::uint32_t rowId(std::size_t i) const { return rowIds_[i]; }
+    std::uint32_t rowId(std::size_t i) const { return shape(i).row; }
     /** The row of op @p i. */
-    const DecodedRow &row(std::size_t i) const { return rows_[rowIds_[i]]; }
+    const DecodedRow &row(std::size_t i) const { return rows_[rowId(i)]; }
 
     Op op(std::size_t i) const { return row(i).op; }
     FuClass fu(std::size_t i) const { return FuClass(row(i).fu); }
@@ -175,33 +219,66 @@ class DecodedOps
     // ---- program-order dependence links --------------------------
 
     /** Index of the last earlier writer of srcA, or kNoProducer. */
-    std::uint32_t prodA(std::size_t i) const { return prodA_[i]; }
+    std::uint32_t prodA(std::size_t i) const { return link(i, 0); }
     /** Index of the last earlier writer of srcB, or kNoProducer. */
-    std::uint32_t prodB(std::size_t i) const { return prodB_[i]; }
+    std::uint32_t prodB(std::size_t i) const { return link(i, 1); }
     /** Index of the last earlier writer of dst, or kNoProducer. */
-    std::uint32_t
-    prevWriter(std::size_t i) const
-    {
-        return prevWriter_[i];
-    }
+    std::uint32_t prevWriter(std::size_t i) const { return link(i, 2); }
 
   protected:
     DecodedOps() = default;
     DecodedOps(const DecodedOps &) = default;
     DecodedOps &operator=(const DecodedOps &) = default;
 
+    /**
+     * The flag of a distance link.  Absolute indices stay below it,
+     * so a body holds at most kMaxOps ops.
+     */
+    static constexpr std::uint32_t kRelativeLink = 0x80000000u;
+    static constexpr std::size_t kMaxOps = kRelativeLink - 1;
+
+    /**
+     * Producer @p producer of op @p i as a shape stores it: a distance
+     * d, 1 <= d <= kLinkHorizon, as kRelativeLink + d; an absolute
+     * index or kNoProducer as itself.
+     */
+    static std::uint32_t
+    storedLink(std::uint32_t producer, std::uint32_t i)
+    {
+        if (producer == kNoProducer)
+            return producer;
+        const std::uint32_t distance = i - producer;
+        return distance <= kLinkHorizon ? kRelativeLink + distance
+                                        : producer;
+    }
+
+    const DecodedShape &
+    shape(std::size_t i) const
+    {
+        return shapes_[shapeIds_[i]];
+    }
+
+    /** Link @p k of op @p i as a producer index (or kNoProducer). */
+    std::uint32_t
+    link(std::size_t i, unsigned k) const
+    {
+        const std::uint32_t stored = shape(i).links[k];
+        const std::uint32_t distance = stored - kRelativeLink;
+        return distance - 1 < kLinkHorizon
+            ? std::uint32_t(i) - distance : stored;
+    }
+
     std::size_t size_ = 0;
     std::size_t numRows_ = 0;
-    const std::uint32_t *rowIds_ = nullptr;
+    std::size_t numShapes_ = 0;
+    const std::uint32_t *shapeIds_ = nullptr;
+    const DecodedShape *shapes_ = nullptr;
     const DecodedRow *rows_ = nullptr;
-    const std::uint32_t *prodA_ = nullptr;
-    const std::uint32_t *prodB_ = nullptr;
-    const std::uint32_t *prevWriter_ = nullptr;
 };
 
 /**
  * The configuration-independent decode of one dynamic trace.
- * Non-copyable: views hold raw pointers into its columns and rows.
+ * Non-copyable: views hold raw pointers into its column and tables.
  */
 class TraceBody : public DecodedOps
 {
@@ -262,9 +339,11 @@ class TraceBody : public DecodedOps
     template <class OpAt>
     void decode(std::size_t n, OpAt opAt);
 
-    // The four per-op columns (row id, prodA, prodB, prevWriter) in
-    // one block of its final size (16 B/op), and the distinct rows.
-    std::unique_ptr<std::uint32_t[]> columns_;
+    // The one per-op column, the shape id (4 B/op), in one block of
+    // its final size; the distinct shapes (16 B each) and rows (20 B
+    // each), each in a vector of its exact size.
+    std::unique_ptr<std::uint32_t[]> shapeIdColumn_;
+    std::vector<DecodedShape> shapeTable_;
     std::vector<DecodedRow> rowTable_;
 
     // Lazy periodicity cache (built in period_detector.cc, where
@@ -323,7 +402,7 @@ class DecodedTrace : public DecodedOps
     unsigned
     latency(std::size_t i) const
     {
-        return latencyOfRow_[rowIds_[i]];
+        return latencyOfRow_[rowId(i)];
     }
 
   private:

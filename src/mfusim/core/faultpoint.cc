@@ -5,8 +5,10 @@
 
 #include "mfusim/core/faultpoint.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 
 #include "mfusim/core/error.hh"
@@ -111,6 +113,30 @@ parseCount(const std::string &entry, const std::string &value)
                       "' is not a count (decimal digits within 64 bits)");
 }
 
+/**
+ * A probability spelled digits[.digits] and within [0, 1]: no sign,
+ * space, exponent or hex form, which strtod alone would take.
+ */
+double
+parseProbability(const std::string &entry, const std::string &value)
+{
+    const auto isDigits = [](std::string_view text) {
+        return !text.empty() &&
+            std::all_of(text.begin(), text.end(),
+                        [](char c) { return c >= '0' && c <= '9'; });
+    };
+    const std::size_t dot = value.find('.');
+    const bool spelled = isDigits(std::string_view(value).substr(0, dot)) &&
+        (dot == std::string::npos ||
+         isDigits(std::string_view(value).substr(dot + 1)));
+    const double prob =
+        spelled ? std::strtod(value.c_str(), nullptr) : -1.0;
+    if (!(prob >= 0.0 && prob <= 1.0))
+        throw ConfigError("fault spec '" + entry + "': prob '" + value +
+                          "' is not a decimal in [0, 1]");
+    return prob;
+}
+
 } // namespace
 
 void
@@ -153,14 +179,7 @@ FaultRegistry::configure(const std::string &spec)
             } else if (arg.rfind("times=", 0) == 0) {
                 rule.times = parseCount(entry, arg.substr(6));
             } else if (arg.rfind("prob=", 0) == 0) {
-                char *end = nullptr;
-                rule.prob =
-                    std::strtod(arg.c_str() + 5, &end);
-                // Written so that NaN, which never fires, fails too.
-                if (end == nullptr || *end != '\0' ||
-                    !(rule.prob >= 0.0 && rule.prob <= 1.0))
-                    throw ConfigError("fault spec '" + entry +
-                                      "': prob must be in [0, 1]");
+                rule.prob = parseProbability(entry, arg.substr(5));
             } else if (!arg.empty() &&
                        arg.find('=') == std::string::npos) {
                 rule.mode = arg;

@@ -30,7 +30,8 @@
  * The rule holds by construction, with no mallopt() call: the log
  * grows in 16 KiB chunks (LL6, the longest loop, logs 66 KiB),
  * LL6's kernel reserves its 4097 initial memory cells exactly, each
- * body's columns live in one block as long as the library does, and
+ * body's shape-id column (4 B/op; the shape and row tables beside it
+ * are a few KiB) lives in one block as long as the library does, and
  * no DynTrace (16 B/op, grown by doubling) is built on the way.  The
  * TraceLibraryMemory test checks it.
  *

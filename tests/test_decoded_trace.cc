@@ -11,6 +11,8 @@
  * decoded straight from the interpreter's execution log equals the
  * decode of the DynTrace expanded from it, op for op, and a trace
  * with more distinct rows than 16 bits can count decodes exactly.
+ * Links interned as distances (up to kLinkHorizon) and as absolute
+ * indices (farther) decode to the same producers.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +32,7 @@
 #include "mfusim/sim/ruu_sim.hh"
 #include "mfusim/sim/scoreboard_sim.hh"
 #include "mfusim/sim/simple_sim.hh"
+#include "test_util.hh"
 
 namespace mfusim
 {
@@ -330,7 +333,9 @@ TEST(DecodedTrace, LogDecodeMatchesTraceDecode)
         EXPECT_EQ(a.hasVector(), b.hasVector());
         ASSERT_EQ(a.size(), b.size());
         EXPECT_EQ(a.numRows(), b.numRows());
+        EXPECT_EQ(a.numShapes(), b.numShapes());
         for (std::size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a.shapeId(i), b.shapeId(i)) << "op " << i;
             ASSERT_EQ(a.rowId(i), b.rowId(i)) << "op " << i;
             ASSERT_EQ(a.signature(i), b.signature(i)) << "op " << i;
             ASSERT_EQ(a.op(i), b.op(i)) << "op " << i;
@@ -441,6 +446,76 @@ TEST(DecodedTrace, WideRowTableKeepsEveryOp)
             ASSERT_EQ(body.signature(i), sigOf.size() - 1) << "op " << i;
         }
     }
+}
+
+TEST(DecodedTrace, LinksAcrossTheHorizonDecodeExactly)
+{
+    // Producers 1, kLinkHorizon - 1, kLinkHorizon, kLinkHorizon + 1
+    // and 70,000 ops before their readers, among stores that all read
+    // one loop invariant, S7, written by op 0.  A link at most
+    // kLinkHorizon back is interned as a distance and a farther one as
+    // an absolute index; both must decode to the last writer.
+    constexpr std::uint32_t kHorizon = DecodedOps::kLinkHorizon;
+    static_assert(kHorizon == 256);
+    constexpr std::size_t kOps = 70100;
+    const std::vector<std::tuple<RegId, std::size_t, std::size_t>>
+        pairs = { { S1, 1000, 1 },
+                  { S2, 2000, kHorizon - 1 },
+                  { S3, 3000, kHorizon },
+                  { S4, 4000, kHorizon + 1 },
+                  { S5, 1, 70000 } };
+
+    // The loop body: a store of the invariant (A1 is never written).
+    DynOp store = test::dyn(Op::kStoreS, kNoReg, A1, S7);
+    store.staticIdx = 1;
+    std::vector<DynOp> ops(kOps, store);
+    ops[0] = test::dyn(Op::kSConst, S7);
+    std::set<std::size_t> special = { 0 };
+    for (const auto &[reg, producer, distance] : pairs) {
+        ops[producer] = test::dyn(Op::kSConst, reg);
+        ops[producer].staticIdx = StaticIndex(2 + reg);
+        ops[producer + distance] = test::dyn(Op::kFAdd, S6, reg, S7);
+        ops[producer + distance].staticIdx = StaticIndex(20 + reg);
+        special.insert(producer);
+        special.insert(producer + distance);
+    }
+    ASSERT_EQ(special.size(), 1 + 2 * pairs.size());
+    DynTrace trace("horizon");
+    trace.reserve(kOps);
+    for (const DynOp &op : ops)
+        trace.append(op);
+
+    const TraceBody body(trace);
+    ASSERT_EQ(body.size(), kOps);
+    std::array<std::uint32_t, kNumRegs> lastWriter;
+    lastWriter.fill(DecodedOps::kNoProducer);
+    const auto writerOf = [&](RegId r) {
+        return r == kNoReg ? DecodedOps::kNoProducer : lastWriter[r];
+    };
+    for (std::size_t i = 0; i < kOps; ++i) {
+        const DynOp &op = trace[i];
+        ASSERT_EQ(body.prodA(i), writerOf(op.srcA)) << "op " << i;
+        ASSERT_EQ(body.prodB(i), writerOf(op.srcB)) << "op " << i;
+        ASSERT_EQ(body.prevWriter(i), writerOf(op.dst)) << "op " << i;
+        if (op.dst != kNoReg)
+            lastWriter[op.dst] = std::uint32_t(i);
+    }
+    for (const auto &[reg, producer, distance] : pairs)
+        EXPECT_EQ(body.prodA(producer + distance), producer)
+            << "distance " << distance;
+
+    // Every store past the horizon reads S7 from op 0 and interns to
+    // one shape; nearer ones each see their own distance.
+    std::set<std::uint32_t> far;
+    std::set<std::uint32_t> near;
+    for (std::size_t i = 1; i < kOps; ++i) {
+        if (special.count(i) == 0)
+            (i > kHorizon ? far : near).insert(body.shapeId(i));
+    }
+    EXPECT_EQ(far.size(), 1u);
+    EXPECT_EQ(near.size(), kHorizon - 1);   // op 1 writes S5
+    EXPECT_EQ(far.count(*near.begin()), 0u);
+    EXPECT_LE(body.numShapes(), kHorizon + 2 * special.size());
 }
 
 TEST(DecodedTrace, ConcurrentFirstUseBuildsOneBody)

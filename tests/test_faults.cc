@@ -171,6 +171,11 @@ TEST_F(FaultTest, GrammarErrorsAreConfigErrors)
     EXPECT_THROW(reg.configure("persist.write:every=x"), ConfigError);
     EXPECT_THROW(reg.configure("persist.write:prob=1.5"), ConfigError);
     EXPECT_THROW(reg.configure("persist.write:prob=nan"), ConfigError);
+    // A probability is digits[.digits]: strtod alone once armed these.
+    for (const char *spec :
+         { "persist.write:prob= 0.5", "persist.write:prob=+0.5",
+           "persist.write:prob=0x1p-1" })
+        EXPECT_THROW(reg.configure(spec), ConfigError) << spec;
     // Counts are decimal digits within 64 bits: 2^64 + 3 once wrapped
     // to every=3.
     for (const char *spec :

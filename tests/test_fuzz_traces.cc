@@ -29,105 +29,18 @@
 #include "mfusim/sim/scoreboard_sim.hh"
 #include "mfusim/sim/simple_sim.hh"
 #include "mfusim/sim/tomasulo_sim.hh"
+#include "test_util.hh"
 
 namespace mfusim
 {
 namespace
 {
 
-/** Small deterministic PRNG (xorshift64*). */
-class Rng
-{
-  public:
-    explicit Rng(std::uint64_t seed) : state_(seed | 1) {}
-
-    std::uint64_t
-    next()
-    {
-        state_ ^= state_ >> 12;
-        state_ ^= state_ << 25;
-        state_ ^= state_ >> 27;
-        return state_ * 0x2545f4914f6cdd1dull;
-    }
-
-    /** Uniform in [0, bound). */
-    std::uint64_t
-    below(std::uint64_t bound)
-    {
-        return next() % bound;
-    }
-
-    bool
-    chance(unsigned percent)
-    {
-        return below(100) < percent;
-    }
-
-  private:
-    std::uint64_t state_;
-};
-
-/**
- * A random but *well-formed* trace: operand classes respect the
- * ISA, branches carry outcomes, and the stream is a plausible
- * single path (no wrong-path ops).
- */
-DynTrace
-randomTrace(std::uint64_t seed, std::size_t length)
-{
-    Rng rng(seed);
-    DynTrace trace("fuzz" + std::to_string(seed));
-
-    const auto rand_s = [&rng] { return regS(unsigned(rng.below(8))); };
-    const auto rand_a = [&rng] { return regA(unsigned(rng.below(8))); };
-
-    for (std::size_t i = 0; i < length; ++i) {
-        DynOp op;
-        const unsigned kind = unsigned(rng.below(100));
-        if (kind < 25) {                        // memory
-            if (rng.chance(70))
-                op = { Op::kLoadS, rand_s(), rand_a(), kNoReg, 0,
-                       false, false };
-            else
-                op = { Op::kStoreS, kNoReg, rand_a(), rand_s(), 0,
-                       false, false };
-        } else if (kind < 40) {                 // fp add path
-            op = { rng.chance(50) ? Op::kFAdd : Op::kFSub, rand_s(),
-                   rand_s(), rand_s(), 0, false, false };
-        } else if (kind < 50) {                 // fp multiply
-            op = { Op::kFMul, rand_s(), rand_s(), rand_s(), 0, false,
-                   false };
-        } else if (kind < 54) {                 // reciprocal
-            op = { Op::kFRecip, rand_s(), rand_s(), kNoReg, 0, false,
-                   false };
-        } else if (kind < 70) {                 // address arithmetic
-            op = { rng.chance(50) ? Op::kAAdd : Op::kASub, rand_a(),
-                   rand_a(), rand_a(), 0, false, false };
-        } else if (kind < 80) {                 // logical / shift
-            op = { rng.chance(50) ? Op::kSAnd : Op::kSXor, rand_s(),
-                   rand_s(), rand_s(), 0, false, false };
-        } else if (kind < 90) {                 // transfers
-            op = { rng.chance(50) ? Op::kSConst : Op::kSMovA,
-                   rand_s(),
-                   rng.chance(50) ? kNoReg : rand_a(), kNoReg, 0,
-                   false, false };
-            if (op.op == Op::kSConst)
-                op.srcA = kNoReg;
-        } else {                                // branch
-            op = { Op::kBrANZ, kNoReg, A0, kNoReg,
-                   StaticIndex(rng.below(64)), rng.chance(60),
-                   rng.chance(70) };
-        }
-        trace.append(op);
-    }
-    return trace;
-}
-
 class FuzzTrace : public ::testing::TestWithParam<int>
 {
   protected:
-    DynTrace trace_ = randomTrace(0xabcd0000u + unsigned(GetParam()),
-                                  400 + 37 * unsigned(GetParam()));
+    DynTrace trace_ = test::randomTrace(
+        0xabcd0000u + unsigned(GetParam()), 400 + 37 * unsigned(GetParam()));
 };
 
 TEST_P(FuzzTrace, AllSimulatorsTerminateWithSaneRates)
@@ -266,7 +179,7 @@ loadSurvives(const std::string &text)
 TEST(CorruptTraces, TruncationsAlwaysRejectOrParse)
 {
     std::stringstream buffer;
-    saveTrace(buffer, randomTrace(0xfeed, 120));
+    saveTrace(buffer, test::randomTrace(0xfeed, 120));
     const std::string whole = buffer.str();
     for (std::size_t len = 0; len < whole.size();
          len += 1 + len / 8) {
@@ -281,9 +194,9 @@ TEST(CorruptTraces, TruncationsAlwaysRejectOrParse)
 TEST(CorruptTraces, ByteFlipsNeverEscapeTraceError)
 {
     std::stringstream buffer;
-    saveTrace(buffer, randomTrace(0xbeef, 80));
+    saveTrace(buffer, test::randomTrace(0xbeef, 80));
     const std::string whole = buffer.str();
-    Rng rng(0x51ab);
+    test::Rng rng(0x51ab);
     for (int trial = 0; trial < 400; ++trial) {
         std::string mutated = whole;
         const std::size_t pos = rng.below(mutated.size());

@@ -11,9 +11,9 @@
  * Every mutant must do one of two things:
  *
  *  - parse, and then its canonical spelling (every digit run without
- *    leading zeros) parses to the same key: cacheKey(), loop name,
- *    predictor key, armed fault points, worker count, trace ops or
- *    request body;
+ *    leading zeros, but for a fraction's) parses to the same key:
+ *    cacheKey(), loop name, predictor key, the armed fault points'
+ *    firing schedules, worker count, trace ops or request body;
  *  - or throw the grammar's own typed error (ConfigError,
  *    TraceError; an HTTP head answers a status, never throws).
  *
@@ -107,7 +107,10 @@ digitRuns(const std::string &text)
     return runs;
 }
 
-/** @p text with every digit run's leading zeros dropped ("007" -> "7"). */
+/**
+ * @p text with every digit run's leading zeros dropped ("007" -> "7"),
+ * but for a run after a '.', whose zeros count ("0.05" is not "0.5").
+ */
 std::string
 canonical(const std::string &text)
 {
@@ -116,7 +119,8 @@ canonical(const std::string &text)
     for (const auto &[begin, end] : digitRuns(text)) {
         out += text.substr(from, begin - from);
         std::size_t first = begin;
-        while (first + 1 < end && text[first] == '0')
+        while (first + 1 < end && text[first] == '0' &&
+               (begin == 0 || text[begin - 1] != '.'))
             ++first;
         out += text.substr(first, end - first);
         from = end;
@@ -291,16 +295,22 @@ TEST(GrammarMutation, FaultSpecs)
     checkGrammar<ConfigError>(
         4,
         { "worker.die:every=7", "persist.write:after=10:every=3:times=2",
-          "seed=42,http.read:short:prob=0.5", "worker.overrun:once" },
+          "seed=42,http.read:short:prob=0.5", "worker.overrun:once",
+          "http.write:prob=0.05:after=3" },
         ",:",
         [](const std::string &text) {
-            FaultRegistry::instance().configure(text);
-            // Counts are not observable before a fault fires, and a
-            // mode is a free word; the key is the set of armed points.
+            // The key is each armed point's firing schedule over 64
+            // evaluations, which every count, the seed and the
+            // probability shape; a mode is a free word and is left out.
+            FaultRegistry &registry = FaultRegistry::instance();
+            registry.configure(text);
             std::string key;
-            for (const FaultPointStats &s :
-                 FaultRegistry::instance().stats())
-                key += s.point + ";";
+            for (const FaultPointStats &s : registry.stats()) {
+                key += s.point + ":";
+                for (int i = 0; i < 64; ++i)
+                    key += registry.shouldFire(s.point) ? '1' : '0';
+                key += ";";
+            }
             return key;
         });
 }
