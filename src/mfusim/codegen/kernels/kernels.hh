@@ -1,6 +1,8 @@
 /**
  * @file
  * Internal interface between livermore.cc and the per-loop builders.
+ * Loops 1, 5, 11 and 12 have no builder here: their canonical kernel
+ * is buildUnrolledKernel(id, 1) (unrolled.cc).
  *
  * Not installed as public API; include livermore.hh instead.
  */
@@ -15,18 +17,14 @@ namespace mfusim
 namespace kernels
 {
 
-Kernel buildLoop01();
 Kernel buildLoop02();
 Kernel buildLoop03();
 Kernel buildLoop04();
-Kernel buildLoop05();
 Kernel buildLoop06();
 Kernel buildLoop07();
 Kernel buildLoop08();
 Kernel buildLoop09();
 Kernel buildLoop10();
-Kernel buildLoop11();
-Kernel buildLoop12();
 Kernel buildLoop13();
 Kernel buildLoop14();
 

@@ -56,18 +56,18 @@ buildKernel(int id)
 {
     using namespace kernels;
     switch (id) {
-      case 1: return buildLoop01();
+      case 1: return buildUnrolledKernel(1, 1);
       case 2: return buildLoop02();
       case 3: return buildLoop03();
       case 4: return buildLoop04();
-      case 5: return buildLoop05();
+      case 5: return buildUnrolledKernel(5, 1);
       case 6: return buildLoop06();
       case 7: return buildLoop07();
       case 8: return buildLoop08();
       case 9: return buildLoop09();
       case 10: return buildLoop10();
-      case 11: return buildLoop11();
-      case 12: return buildLoop12();
+      case 11: return buildUnrolledKernel(11, 1);
+      case 12: return buildUnrolledKernel(12, 1);
       case 13: return buildLoop13();
       case 14: return buildLoop14();
       default:

@@ -99,7 +99,10 @@ const std::vector<int> &scalarLoopIds();
 /** The paper's vectorizable loop ids: {1, 2, 3, 4, 7, 8, 9, 10, 12}. */
 const std::vector<int> &vectorizableLoopIds();
 
-/** Build (assemble + compute reference expectations for) loop @p id. */
+/**
+ * Build (assemble + compute reference expectations for) loop @p id.
+ * Loops 1, 5, 11 and 12 are buildUnrolledKernel(id, 1).
+ */
 Kernel buildKernel(int id);
 
 /**
@@ -117,7 +120,8 @@ const std::vector<int> &unrollableLoopIds();
  * program's branches are removed".  These variants quantify that:
  * identical element-wise computation and FP evaluation order (so the
  * same reference validates them), with @p factor bodies per
- * loop-closing branch.  factor == 1 reproduces the canonical kernel.
+ * loop-closing branch.  Factor 1 is the canonical kernel: buildKernel()
+ * returns it for these loops, so "5x1" and "5" time one trace.
  */
 Kernel buildUnrolledKernel(int id, int factor);
 

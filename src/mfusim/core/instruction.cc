@@ -52,7 +52,8 @@ Instruction::disassemble() const
         break;
       case OperandShape::kBranchUncond:
         pad();
-        text += "@" + std::to_string(imm);
+        text += '@';
+        text += std::to_string(imm);
         break;
     }
     return text;

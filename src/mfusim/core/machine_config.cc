@@ -13,10 +13,14 @@ namespace mfusim
 std::string
 MachineConfig::name() const
 {
-    std::string base = "M" + std::to_string(memLatency) +
-        "BR" + std::to_string(branchTime);
-    if (predictor.armed())
-        base += "+" + predictor.key();
+    std::string base = "M";
+    base += std::to_string(memLatency);
+    base += "BR";
+    base += std::to_string(branchTime);
+    if (predictor.armed()) {
+        base += '+';
+        base += predictor.key();
+    }
     return base;
 }
 

@@ -20,7 +20,9 @@ regName(RegId r)
         return "VL";
     static const char prefixes[] = { 'A', 'S', 'B', 'T', 'V' };
     const char prefix = prefixes[static_cast<unsigned>(classOf(r))];
-    return std::string(1, prefix) + std::to_string(indexOf(r));
+    std::string name(1, prefix);
+    name += std::to_string(indexOf(r));
+    return name;
 }
 
 } // namespace mfusim

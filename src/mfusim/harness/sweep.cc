@@ -211,6 +211,55 @@ parallelPerLoopRates(const SimFactory &factory,
         .front();
 }
 
+std::vector<CachedCellResult>
+runCachedCell(const std::vector<std::unique_ptr<Simulator>> &sims,
+              const LoopSpec &loop, const MachineConfig &cfg,
+              bool audited)
+{
+    ResultCache &cache = ResultCache::instance();
+    const std::string traceKey = "LL" + loop.name;
+    std::vector<CachedCellResult> out(sims.size());
+    std::vector<std::string> keys(sims.size());
+    std::vector<std::size_t> missed;
+    for (std::size_t v = 0; v < sims.size(); ++v) {
+        keys[v] = sims[v]->cacheKey();
+        out[v].cached = !keys[v].empty() &&
+            cache.probe(keys[v], traceKey, cfg, audited,
+                        &out[v].result);
+        if (!out[v].cached)
+            missed.push_back(v);
+    }
+    if (missed.empty())
+        return out;
+
+    // Only a miss needs the trace: a library loop's view is shared
+    // process-wide, any other loop decodes its own body here.
+    std::optional<DecodedTrace> own;
+    const DecodedTrace &trace = loop.isLibrary()
+        ? TraceLibrary::instance().decoded(loop.id, cfg)
+        : own.emplace(bodyForLoopSpec(loop), cfg);
+    std::vector<SimResult> results;
+    if (audited) {
+        // Audited cells need the complete per-op event stream.
+        for (const std::size_t v : missed)
+            results.push_back(runAudited(*sims[v], trace));
+    } else {
+        std::vector<BatchLane> lanes;
+        for (const std::size_t v : missed)
+            lanes.push_back({ sims[v].get(), &trace });
+        results = runBatch(lanes).results;
+    }
+    // Stored only once every simulation has returned: a cell that
+    // throws stores (and counts) nothing.
+    for (std::size_t m = 0; m < missed.size(); ++m) {
+        const std::size_t v = missed[m];
+        if (!keys[v].empty())
+            cache.store(keys[v], traceKey, cfg, audited, results[m]);
+        out[v].result = results[m];
+    }
+    return out;
+}
+
 std::vector<std::vector<double>>
 batchedPerLoopRates(const std::vector<SimFactory> &variants,
                     const std::vector<int> &loops,
@@ -220,60 +269,15 @@ batchedPerLoopRates(const std::vector<SimFactory> &variants,
         variants.size(), std::vector<double>(loops.size()));
     const bool audit = auditRequested();
     runLoopGrid(loops, cfg, jobs, [&](std::size_t i) {
-        const DecodedTrace &trace =
-            TraceLibrary::instance().decoded(loops[i], cfg);
-        const std::string traceKey =
-            "LL" + std::to_string(loops[i]);
-        ResultCache &cache = ResultCache::instance();
-
-        // Cells whose simulator states a complete cache identity
-        // are memoized process-wide (serve/result_cache.hh):
-        // re-sweeping the same (machine, loop, config) cell — a
-        // table bench revisiting a column, `rate all` re-run by
-        // the serve daemon — skips the simulation entirely.
-        // The remaining variants run over the trace in one batch,
-        // then every computed cell is stored back.
-        std::vector<std::unique_ptr<Simulator>> sims(
-            variants.size());
-        std::vector<std::string> keys(variants.size());
-        std::vector<std::size_t> missed;
-        for (std::size_t v = 0; v < variants.size(); ++v) {
-            sims[v] = variants[v](cfg);
-            keys[v] = sims[v]->cacheKey();
-            SimResult cached;
-            if (!keys[v].empty() &&
-                cache.probe(keys[v], traceKey, cfg, audit,
-                            &cached)) {
-                rates[v][i] = cached.issueRate();
-                continue;
-            }
-            missed.push_back(v);
-        }
-        if (audit) {
-            // Audited cells need the complete per-op event
-            // stream: scalar path, as before.
-            for (const std::size_t v : missed) {
-                const SimResult result =
-                    runAudited(*sims[v], trace);
-                if (!keys[v].empty())
-                    cache.store(keys[v], traceKey, cfg, audit,
-                                result);
-                rates[v][i] = result.issueRate();
-            }
-            return;
-        }
-        std::vector<BatchLane> lanes;
-        lanes.reserve(missed.size());
-        for (const std::size_t v : missed)
-            lanes.push_back({ sims[v].get(), &trace });
-        const BatchOutcome out = runBatch(lanes);
-        for (std::size_t m = 0; m < missed.size(); ++m) {
-            const std::size_t v = missed[m];
-            if (!keys[v].empty())
-                cache.store(keys[v], traceKey, cfg, audit,
-                            out.results[m]);
-            rates[v][i] = out.results[m].issueRate();
-        }
+        std::vector<std::unique_ptr<Simulator>> sims;
+        for (const SimFactory &variant : variants)
+            sims.push_back(variant(cfg));
+        const LoopSpec loop{ loops[i], 0, false,
+                             std::to_string(loops[i]) };
+        const std::vector<CachedCellResult> cell =
+            runCachedCell(sims, loop, cfg, audit);
+        for (std::size_t v = 0; v < variants.size(); ++v)
+            rates[v][i] = cell[v].result.issueRate();
     });
     return rates;
 }

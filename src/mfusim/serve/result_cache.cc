@@ -47,80 +47,11 @@ ResultCache::composeKey(const std::string &machineKey,
         (steadyStateEnabled() ? "steady" : "exact") + "\n" + version_;
 }
 
-SimResult
-ResultCache::getOrCompute(const std::string &machineKey,
-                          const std::string &traceKey,
-                          const MachineConfig &cfg, bool audited,
-                          const std::function<SimResult()> &compute,
-                          bool *wasHit)
-{
-    const std::string key =
-        composeKey(machineKey, traceKey, cfg, audited);
-    Shard &shard = shardFor(key);
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.entries.find(key);
-        if (it != shard.entries.end()) {
-            shard.hits.fetch_add(1, std::memory_order_relaxed);
-            if (wasHit)
-                *wasHit = true;
-            return it->second;
-        }
-    }
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    if (wasHit)
-        *wasHit = false;
-    const SimResult result = compute();
-    insertAndPersist(key, result);
-    return result;
-}
-
-bool
-ResultCache::lookup(const std::string &machineKey,
-                    const std::string &traceKey,
-                    const MachineConfig &cfg, bool audited,
-                    SimResult *out) const
-{
-    const std::string key =
-        composeKey(machineKey, traceKey, cfg, audited);
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(key);
-    if (it == shard.entries.end())
-        return false;
-    if (out)
-        *out = it->second;
-    return true;
-}
-
 bool
 ResultCache::probe(const std::string &machineKey,
                    const std::string &traceKey,
                    const MachineConfig &cfg, bool audited,
                    SimResult *out)
-{
-    const std::string key =
-        composeKey(machineKey, traceKey, cfg, audited);
-    Shard &shard = shardFor(key);
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.entries.find(key);
-        if (it != shard.entries.end()) {
-            shard.hits.fetch_add(1, std::memory_order_relaxed);
-            if (out)
-                *out = it->second;
-            return true;
-        }
-    }
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    return false;
-}
-
-bool
-ResultCache::probeHit(const std::string &machineKey,
-                      const std::string &traceKey,
-                      const MachineConfig &cfg, bool audited,
-                      SimResult *out)
 {
     const std::string key =
         composeKey(machineKey, traceKey, cfg, audited);
@@ -141,17 +72,12 @@ ResultCache::store(const std::string &machineKey,
                    const MachineConfig &cfg, bool audited,
                    const SimResult &result)
 {
-    insertAndPersist(composeKey(machineKey, traceKey, cfg, audited),
-                     result);
-}
-
-void
-ResultCache::insertAndPersist(const std::string &key,
-                              const SimResult &result)
-{
+    const std::string key =
+        composeKey(machineKey, traceKey, cfg, audited);
     bool inserted = false;
     {
         Shard &shard = shardFor(key);
+        shard.misses.fetch_add(1, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(shard.mutex);
         inserted = shard.entries.emplace(key, result).second;
     }

@@ -21,14 +21,23 @@
  * instructions, cycles, per-cause stall counters and steady-state
  * telemetry bit-identically.
  *
+ * Two calls make up the whole lookup protocol, and one harness
+ * function, runCachedCell() (harness/sweep.hh), makes them for every
+ * simulated cell: probe() serves a present cell and counts a hit,
+ * store() inserts a simulated one and counts a miss.  So hits are
+ * cells served and misses are cells simulated and stored; a probe
+ * that finds nothing counts nothing (the serve reactor's fast path
+ * probes, and a worker then simulates and stores the same cell), and
+ * a cell whose simulation throws is neither stored nor counted.
+ *
  * Thread safety: the map is sharded 16 ways by key hash — each shard
  * has its own mutex and hit/miss counters (cache-line separated), so
  * concurrent cache-hit requests on different keys never contend on a
- * single lock even at full worker-pool parallelism.  getOrCompute()
- * drops the shard lock around the compute so concurrent misses
- * simulate in parallel.  Two racing misses on the same key both
- * simulate — results are identical by construction, the second
- * store is a no-op.
+ * single lock even at full worker-pool parallelism.  No lock is held
+ * between a probe() and its store(), so concurrent misses simulate
+ * in parallel.  Two racing misses on the same key both simulate —
+ * results are identical by construction, the second store keeps the
+ * first value.
  *
  * Persistence: attachPersist() puts a crash-safe on-disk journal
  * (persist_cache.hh) behind the map.  Every newly inserted entry is
@@ -45,7 +54,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -79,55 +87,21 @@ class ResultCache
     ResultCache &operator=(const ResultCache &) = delete;
 
     /**
-     * Return the cached result for the composed key, or run
-     * @p compute, store its result, and return it.  @p machineKey
-     * must be a Simulator::cacheKey() (callers skip the cache when
-     * that is empty); @p traceKey identifies the trace (canonical
-     * loops use "LL<spec>", replayed files their trace name).
-     * Counts one hit or one miss.  If @p compute throws, nothing is
-     * stored and the exception propagates (a failed cell is
-     * recomputed — and re-diagnosed — on every request).
-     *
-     * @param wasHit optional out-param: true iff served from cache.
-     */
-    SimResult getOrCompute(const std::string &machineKey,
-                           const std::string &traceKey,
-                           const MachineConfig &cfg, bool audited,
-                           const std::function<SimResult()> &compute,
-                           bool *wasHit = nullptr);
-
-    /** Peek without computing; does not count a hit or miss. */
-    bool lookup(const std::string &machineKey,
-                const std::string &traceKey,
-                const MachineConfig &cfg, bool audited,
-                SimResult *out) const;
-
-    /**
-     * lookup() that counts one hit or one miss.  A batched sweep
-     * decouples the lookup from the store — one runBatch() computes
-     * many cells at once — so it cannot use getOrCompute()'s
-     * single-cell compute callback.
+     * Copy the cached result of the composed key into @p out (if not
+     * null) and count one hit, or return false and count nothing.
+     * @p machineKey must be a Simulator::cacheKey() (callers skip the
+     * cache when that is empty); @p traceKey identifies the trace
+     * (canonical loops use "LL<spec>", replayed files their trace
+     * name).
      */
     bool probe(const std::string &machineKey,
                const std::string &traceKey, const MachineConfig &cfg,
                bool audited, SimResult *out);
 
     /**
-     * lookup() that counts a hit when the cell is present and counts
-     * NOTHING when it is not.  The serve reactor's fast path probes
-     * with it: a hit is served (and counted) inline, while a miss
-     * falls through to a worker whose getOrCompute() records the one
-     * authoritative miss — probe() here would double-count it.
-     */
-    bool probeHit(const std::string &machineKey,
-                  const std::string &traceKey,
-                  const MachineConfig &cfg, bool audited,
-                  SimResult *out);
-
-    /**
-     * Insert one completed cell (one batched simulate, many fills).
-     * Counts neither a hit nor a miss; racing stores of the same key
-     * keep the first value (identical by construction).
+     * Insert one simulated cell and count one miss: the cell was not
+     * served by probe().  Racing stores of the same key keep the
+     * first value (identical by construction) and count a miss each.
      */
     void store(const std::string &machineKey,
                const std::string &traceKey, const MachineConfig &cfg,
@@ -191,8 +165,7 @@ class ResultCache
     {
         mutable std::mutex mutex;
         std::unordered_map<std::string, SimResult> entries;
-        // Atomics, not mutex-guarded fields: getOrCompute() counts a
-        // miss after dropping the shard lock.
+        // Atomics, so stats() reads them without the shard lock.
         mutable std::atomic<std::uint64_t> hits{ 0 };
         mutable std::atomic<std::uint64_t> misses{ 0 };
     };
@@ -203,10 +176,6 @@ class ResultCache
                            bool audited) const;
 
     Shard &shardFor(const std::string &key) const;
-
-    /** Insert under the shard mutex; journal the entry if new. */
-    void insertAndPersist(const std::string &key,
-                          const SimResult &result);
 
     mutable Shard shards_[kShardCount];
     /** Guards version_ and persistLoad_ (never on the hit path). */

@@ -10,7 +10,6 @@
 
 #include "mfusim/codegen/livermore.hh"
 #include "mfusim/core/clock.hh"
-#include "mfusim/core/decoded_trace.hh"
 #include "mfusim/core/error.hh"
 #include "mfusim/core/faultpoint.hh"
 #include "mfusim/core/lexical.hh"
@@ -18,7 +17,6 @@
 #include "mfusim/obs/req_trace.hh"
 #include "mfusim/harness/spec_parse.hh"
 #include "mfusim/harness/sweep.hh"
-#include "mfusim/harness/trace_library.hh"
 #include "mfusim/serve/json.hh"
 #include "mfusim/serve/result_cache.hh"
 #include "mfusim/sim/audit.hh"
@@ -116,84 +114,31 @@ parseSimulateRequest(const std::string &body)
     return out;
 }
 
-/** One timed cell, shared by /v1/simulate and /v1/sweep rows. */
-struct CellOutcome
-{
-    SimResult result;
-    std::string simName;
-    bool cached = false;
-    bool audited = false;
-};
-
-CellOutcome
-runCell(const LoopSpec &loop, const std::string &machineSpec,
-        const MachineConfig &cfg, bool auditFlag)
-{
-    auto sim = parseMachineSpec(machineSpec, cfg);
-    CellOutcome out;
-    out.simName = sim->name();
-    out.audited = auditFlag || auditRequested();
-
-    const auto simulate = [&]() -> SimResult {
-        if (loop.isLibrary()) {
-            const DecodedTrace &decoded =
-                TraceLibrary::instance().decoded(loop.id, cfg);
-            return out.audited ? runAudited(*sim, decoded)
-                               : sim->run(decoded);
-        }
-        const DecodedTrace decoded(bodyForLoopSpec(loop), cfg);
-        return out.audited ? runAudited(*sim, decoded)
-                           : sim->run(decoded);
-    };
-
-    const std::string machineKey = sim->cacheKey();
-    const bool traced = reqTraceArmed();
-    if (machineKey.empty()) {
-        out.result = simulate();
-    } else {
-        const std::uint64_t before = traced ? monoNanos() : 0;
-        out.result = ResultCache::instance().getOrCompute(
-            machineKey, "LL" + loop.name, cfg, out.audited, simulate,
-            &out.cached);
-        // A hit's getOrCompute IS the probe; a miss's is dominated
-        // by the simulation, so only the hit time is attributable to
-        // the cache.
-        if (traced && out.cached)
-            spanAnnotations().cacheNs = monoNanos() - before;
-    }
-    if (traced) {
-        SpanAnnotations &notes = spanAnnotations();
-        notes.cacheHit = notes.cacheHit || out.cached;
-        notes.audited = notes.audited || out.audited;
-    }
-    return out;
-}
-
+/** The /v1/simulate response body of one cell. */
 Json
 cellJson(const std::string &traceKey, const std::string &machineSpec,
-         const MachineConfig &cfg, const CellOutcome &cell)
+         const std::string &simName, const MachineConfig &cfg,
+         const SimResult &result, bool cached, bool audited)
 {
     Json out = Json::object();
     out.set("schema", Json("mfusim-serve-v1"));
     out.set("loop", Json(traceKey));
-    out.set("machine", Json(cell.simName));
+    out.set("machine", Json(simName));
     out.set("machine_spec", Json(machineSpec));
     out.set("config", Json(cfg.name()));
-    out.set("instructions",
-            Json(std::uint64_t(cell.result.instructions)));
-    out.set("cycles", Json(std::uint64_t(cell.result.cycles)));
-    out.set("rate", Json(cell.result.issueRate()));
-    out.set("rate_str", Json(rateString(cell.result.issueRate())));
-    out.set("cached", Json(cell.cached));
-    out.set("audited", Json(cell.audited));
+    out.set("instructions", Json(std::uint64_t(result.instructions)));
+    out.set("cycles", Json(std::uint64_t(result.cycles)));
+    out.set("rate", Json(result.issueRate()));
+    out.set("rate_str", Json(rateString(result.issueRate())));
+    out.set("cached", Json(cached));
+    out.set("audited", Json(audited));
     out.set("steady_ops_skipped",
-            Json(std::uint64_t(cell.result.steadyOpsSkipped)));
+            Json(std::uint64_t(result.steadyOpsSkipped)));
     if (cfg.predictor.armed()) {
         out.set("predictor", Json(cfg.predictor.key()));
-        out.set("squashes",
-                Json(std::uint64_t(cell.result.squashes)));
+        out.set("squashes", Json(std::uint64_t(result.squashes)));
         out.set("wrong_path_ops",
-                Json(std::uint64_t(cell.result.wrongPathOps)));
+                Json(std::uint64_t(result.wrongPathOps)));
     }
     return out;
 }
@@ -291,7 +236,7 @@ SimService::tryFastAnswer(const HttpRequest &request,
     const bool needResult = cell->rendered.empty();
     const bool traced = reqTraceArmed();
     const std::uint64_t probeStart = traced ? monoNanos() : 0;
-    if (!ResultCache::instance().probeHit(
+    if (!ResultCache::instance().probe(
             cell->machineKey, cell->traceKey, cell->cfg,
             cell->audited, needResult ? &result : nullptr))
         return false;   // miss: a worker computes (and counts) it
@@ -304,13 +249,9 @@ SimService::tryFastAnswer(const HttpRequest &request,
     if (needResult) {
         // First hit for this body: render once, reuse forever.  The
         // cached SimResult is deterministic, so the rendering is too.
-        CellOutcome out;
-        out.result = result;
-        out.simName = cell->simName;
-        out.cached = true;
-        out.audited = cell->audited;
         cell->rendered = cellJson(cell->traceKey, cell->machineSpec,
-                                  cell->cfg, out)
+                                  cell->simName, cell->cfg, result,
+                                  true, cell->audited)
                              .dump() +
             "\n";
     }
@@ -357,10 +298,25 @@ HttpResponse
 SimService::handleSimulate(const std::string &body)
 {
     const SimulateRequest req = parseSimulateRequest(body);
-    const CellOutcome cell =
-        runCell(req.loop, req.machineSpec, req.cfg, req.audit);
+    std::vector<std::unique_ptr<Simulator>> sims;
+    sims.push_back(parseMachineSpec(req.machineSpec, req.cfg));
+    const bool audited = req.audit || auditRequested();
+    const bool traced = reqTraceArmed();
+    const std::uint64_t before = traced ? monoNanos() : 0;
+    const CachedCellResult cell =
+        runCachedCell(sims, req.loop, req.cfg, audited).front();
+    if (traced) {
+        SpanAnnotations &notes = spanAnnotations();
+        // A hit is only the probe; a miss is dominated by the
+        // simulation, so only a hit's time is the cache's.
+        if (cell.cached)
+            notes.cacheNs = monoNanos() - before;
+        notes.cacheHit = notes.cacheHit || cell.cached;
+        notes.audited = notes.audited || audited;
+    }
     const Json out =
-        cellJson("LL" + req.loop.name, req.machineSpec, req.cfg, cell);
+        cellJson("LL" + req.loop.name, req.machineSpec, sims[0]->name(),
+                 req.cfg, cell.result, cell.cached, audited);
     return HttpResponse(200, "application/json", out.dump() + "\n");
 }
 

@@ -89,17 +89,24 @@ Auditor::describeOp(std::uint64_t i) const
     if (i >= trace_.size())
         return "op #" + std::to_string(i) + " (out of trace)";
     std::string text = mnemonicOf(trace_.op(i));
-    text += " " + regName(trace_.dst(i));
-    text += "," + regName(trace_.srcA(i));
-    text += "," + regName(trace_.srcB(i));
+    text += ' ';
+    text += regName(trace_.dst(i));
+    text += ',';
+    text += regName(trace_.srcA(i));
+    text += ',';
+    text += regName(trace_.srcB(i));
     text += " fu=";
     text += fuClassName(trace_.fu(i));
     text += " lat=" + std::to_string(trace_.latency(i));
     text += " occ=" + std::to_string(trace_.occupancy(i));
     const auto stamp = [](const char *tag, ClockCycle c) {
-        return c == kNoCycle ? std::string()
-                             : " " + std::string(tag) +
-                                   std::to_string(c);
+        std::string out;
+        if (c != kNoCycle) {
+            out = ' ';
+            out += tag;
+            out += std::to_string(c);
+        }
+        return out;
     };
     text += stamp("issue@", schedule_.issue(i));
     text += stamp("insert@", schedule_.insert(i));

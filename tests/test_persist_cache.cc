@@ -19,6 +19,7 @@
 
 #include "mfusim/core/faultpoint.hh"
 #include "mfusim/harness/spec_parse.hh"
+#include "mfusim/harness/sweep.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/serve/persist_cache.hh"
 #include "mfusim/serve/result_cache.hh"
@@ -330,24 +331,20 @@ TEST_F(PersistCacheTest, RestartWarmIsBitIdenticalToRecompute)
     // daemon restart must answer warm with the exact bits a cold
     // recompute would produce.
     const MachineConfig cfg = configM11BR5();
-    auto sim = parseMachineSpec("ruu:4:50", cfg);
-    const std::string machineKey = sim->cacheKey();
-    ASSERT_FALSE(machineKey.empty());
-    const auto simulate = [&] {
-        return parseMachineSpec("ruu:4:50", cfg)->run(
-            TraceLibrary::instance().decoded(3, cfg));
-    };
-    const SimResult fresh = simulate();
+    std::vector<std::unique_ptr<Simulator>> sims;
+    sims.push_back(parseMachineSpec("ruu:4:50", cfg));
+    ASSERT_FALSE(sims[0]->cacheKey().empty());
+    const SimResult fresh = parseMachineSpec("ruu:4:50", cfg)->run(
+        TraceLibrary::instance().decoded(3, cfg));
 
     ResultCache &cache = ResultCache::instance();
     cache.clear();
     cache.setVersion("test-build");
     cache.attachPersist(std::make_unique<PersistentCache>(dir_));
-    bool hit = true;
-    const SimResult computed = cache.getOrCompute(
-        machineKey, "LL3", cfg, false, simulate, &hit);
-    EXPECT_FALSE(hit);
-    expectSameResult(computed, fresh, "cold");
+    const CachedCellResult computed =
+        runCachedCell(sims, parseLoopSpec("3"), cfg, false).front();
+    EXPECT_FALSE(computed.cached);
+    expectSameResult(computed.result, fresh, "cold");
 
     // "Restart": drop every in-memory entry, then re-attach the
     // journal the first process wrote.
@@ -357,16 +354,12 @@ TEST_F(PersistCacheTest, RestartWarmIsBitIdenticalToRecompute)
         std::make_unique<PersistentCache>(dir_));
     EXPECT_EQ(load.recovered, 1u);
 
-    hit = false;
-    const SimResult warm = cache.getOrCompute(
-        machineKey, "LL3", cfg, false,
-        [&]() -> SimResult {
-            ADD_FAILURE() << "warm restart must not recompute";
-            return simulate();
-        },
-        &hit);
-    EXPECT_TRUE(hit);
-    expectSameResult(warm, fresh, "warm");
+    // A warm restart must not recompute: the cell is a hit.
+    const CachedCellResult warm =
+        runCachedCell(sims, parseLoopSpec("3"), cfg, false).front();
+    EXPECT_TRUE(warm.cached);
+    EXPECT_EQ(cache.stats().misses, 0u);
+    expectSameResult(warm.result, fresh, "warm");
 }
 
 TEST_F(PersistCacheTest, InjectedLoadFailureStartsCold)

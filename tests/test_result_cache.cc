@@ -1,8 +1,9 @@
 /**
  * @file
  * ResultCache: correctness of the memo keys (no aliasing between
- * organization variants), hit/miss accounting, concurrency, the
- * sweep-runner integration, and cooperative shutdown of runGrid.
+ * organization variants), hit/miss accounting, concurrency, the one
+ * cached-cell path (runCachedCell) under the sweep runner and the
+ * serve endpoints, and cooperative shutdown of runGrid.
  */
 
 #include <gtest/gtest.h>
@@ -12,11 +13,14 @@
 #include <thread>
 #include <vector>
 
+#include "mfusim/core/decoded_trace.hh"
 #include "mfusim/core/shutdown.hh"
 #include "mfusim/harness/spec_parse.hh"
 #include "mfusim/harness/sweep.hh"
 #include "mfusim/harness/trace_library.hh"
+#include "mfusim/serve/json.hh"
 #include "mfusim/serve/result_cache.hh"
+#include "mfusim/serve/sim_service.hh"
 #include "mfusim/sim/cdc6600_sim.hh"
 #include "mfusim/sim/ruu_sim.hh"
 #include "mfusim/sim/scoreboard_sim.hh"
@@ -45,28 +49,62 @@ fakeResult(std::uint64_t instructions, ClockCycle cycles)
     return r;
 }
 
+/** A cacheable simulator that counts its runs, or always throws. */
+class CountingSim : public Simulator
+{
+  public:
+    CountingSim(std::string key, int *runs, bool fails = false)
+        : key_(std::move(key)), runs_(runs), fails_(fails)
+    {}
+    using Simulator::run;
+    SimResult
+    run(const DecodedTrace &trace) override
+    {
+        ++*runs_;
+        if (fails_)
+            throw SimError("cell failed");
+        return fakeResult(trace.size(), ClockCycle(trace.size()) * 2);
+    }
+    std::string name() const override { return "Counting"; }
+    std::string cacheKey() const override { return key_; }
+    const MachineConfig &config() const override { return cfg_; }
+
+  private:
+    std::string key_;
+    int *runs_;
+    bool fails_;
+    MachineConfig cfg_ = configM11BR5();
+};
+
+std::vector<std::unique_ptr<Simulator>>
+countingSims(int *runs, std::vector<bool> fails)
+{
+    std::vector<std::unique_ptr<Simulator>> sims;
+    for (std::size_t i = 0; i < fails.size(); ++i)
+        sims.push_back(std::make_unique<CountingSim>(
+            "counting" + std::to_string(i), runs, fails[i]));
+    return sims;
+}
+
 TEST_F(ResultCacheTest, MissThenHit)
 {
     ResultCache &cache = ResultCache::instance();
-    int computes = 0;
-    const auto compute = [&] {
-        ++computes;
-        return fakeResult(100, 50);
-    };
+    int runs = 0;
+    const auto sims = countingSims(&runs, { false });
+    const LoopSpec loop = parseLoopSpec("1");
 
-    bool hit = true;
-    const SimResult first = cache.getOrCompute(
-        "simple", "LL1", configM11BR5(), false, compute, &hit);
-    EXPECT_FALSE(hit);
-    EXPECT_EQ(first.instructions, 100u);
-    EXPECT_EQ(computes, 1);
+    const CachedCellResult first =
+        runCachedCell(sims, loop, configM11BR5(), false).front();
+    EXPECT_FALSE(first.cached);
+    EXPECT_GT(first.result.instructions, 0u);
+    EXPECT_EQ(runs, 1);
 
-    const SimResult second = cache.getOrCompute(
-        "simple", "LL1", configM11BR5(), false, compute, &hit);
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(second.instructions, 100u);
-    EXPECT_EQ(second.cycles, first.cycles);
-    EXPECT_EQ(computes, 1) << "hit must not recompute";
+    const CachedCellResult second =
+        runCachedCell(sims, loop, configM11BR5(), false).front();
+    EXPECT_TRUE(second.cached);
+    EXPECT_EQ(second.result.instructions, first.result.instructions);
+    EXPECT_EQ(second.result.cycles, first.result.cycles);
+    EXPECT_EQ(runs, 1) << "hit must not recompute";
 
     const ResultCacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 1u);
@@ -79,24 +117,22 @@ TEST_F(ResultCacheTest, KeyComponentsAreAllDiscriminating)
     // Every key component changed in isolation must miss: machine
     // key, trace, config, audit mode.
     ResultCache &cache = ResultCache::instance();
-    int computes = 0;
-    const auto compute = [&] {
-        ++computes;
-        return fakeResult(1, 1);
+    const auto probeThenStore = [&](const char *machine,
+                                    const char *trace,
+                                    const MachineConfig &cfg,
+                                    bool audited) {
+        EXPECT_FALSE(cache.probe(machine, trace, cfg, audited, nullptr))
+            << machine << " " << trace << " " << cfg.name();
+        cache.store(machine, trace, cfg, audited, fakeResult(1, 1));
     };
-
-    cache.getOrCompute("simple", "LL1", configM11BR5(), false,
-                       compute);
-    cache.getOrCompute("cray", "LL1", configM11BR5(), false, compute);
-    cache.getOrCompute("simple", "LL2", configM11BR5(), false,
-                       compute);
-    cache.getOrCompute("simple", "LL1", configM5BR2(), false,
-                       compute);
-    cache.getOrCompute("simple", "LL1", configM11BR5(), true,
-                       compute);
-    EXPECT_EQ(computes, 5);
+    probeThenStore("simple", "LL1", configM11BR5(), false);
+    probeThenStore("cray", "LL1", configM11BR5(), false);
+    probeThenStore("simple", "LL2", configM11BR5(), false);
+    probeThenStore("simple", "LL1", configM5BR2(), false);
+    probeThenStore("simple", "LL1", configM11BR5(), true);
     EXPECT_EQ(cache.stats().misses, 5u);
     EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.stats().entries, 5u);
 }
 
 TEST_F(ResultCacheTest, KeyCannotBeSpoofedAcrossFields)
@@ -106,14 +142,11 @@ TEST_F(ResultCacheTest, KeyCannotBeSpoofedAcrossFields)
     // different (machine, trace) split.  cacheKey() values never
     // contain newlines, so composition is injective.
     ResultCache &cache = ResultCache::instance();
-    int computes = 0;
-    const auto compute = [&] {
-        ++computes;
-        return fakeResult(1, 1);
-    };
-    cache.getOrCompute("a|x", "LL1", configM11BR5(), false, compute);
-    cache.getOrCompute("a", "|xLL1", configM11BR5(), false, compute);
-    EXPECT_EQ(computes, 2);
+    cache.store("a|x", "LL1", configM11BR5(), false, fakeResult(1, 1));
+    EXPECT_FALSE(
+        cache.probe("a", "|xLL1", configM11BR5(), false, nullptr));
+    EXPECT_TRUE(
+        cache.probe("a|x", "LL1", configM11BR5(), false, nullptr));
 }
 
 TEST_F(ResultCacheTest, SimulatorCacheKeysDistinguishVariants)
@@ -150,42 +183,52 @@ TEST_F(ResultCacheTest, SimulatorCacheKeysDistinguishVariants)
 TEST_F(ResultCacheTest, ClearDropsEntriesAndStats)
 {
     ResultCache &cache = ResultCache::instance();
-    cache.getOrCompute("simple", "LL1", configM11BR5(), false,
-                       [] { return fakeResult(1, 1); });
+    cache.store("simple", "LL1", configM11BR5(), false,
+                fakeResult(1, 1));
+    EXPECT_TRUE(
+        cache.probe("simple", "LL1", configM11BR5(), false, nullptr));
     cache.clear();
     const ResultCacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 0u);
     EXPECT_EQ(stats.misses, 0u);
     EXPECT_EQ(stats.entries, 0u);
-    EXPECT_FALSE(cache.lookup("simple", "LL1", configM11BR5(), false,
-                              nullptr));
+    EXPECT_FALSE(
+        cache.probe("simple", "LL1", configM11BR5(), false, nullptr));
 }
 
 TEST_F(ResultCacheTest, ThrowingComputeStoresNothing)
 {
+    // One variant of a two-simulator cell throws: the cell stores
+    // nothing, not even the variant that returned, and counts
+    // nothing.
     ResultCache &cache = ResultCache::instance();
-    EXPECT_THROW(cache.getOrCompute(
-                     "simple", "LL1", configM11BR5(), false,
-                     []() -> SimResult {
-                         throw SimError("cell failed");
-                     }),
+    int runs = 0;
+    const auto sims = countingSims(&runs, { false, true });
+    const LoopSpec loop = parseLoopSpec("1");
+    EXPECT_THROW(runCachedCell(sims, loop, configM11BR5(), false),
                  SimError);
-    EXPECT_EQ(cache.stats().entries, 0u);
+    EXPECT_EQ(runs, 2);
+    ResultCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+
     // The failed cell is re-attempted (and re-diagnosed), not served
     // a phantom result.
-    EXPECT_THROW(cache.getOrCompute(
-                     "simple", "LL1", configM11BR5(), false,
-                     []() -> SimResult {
-                         throw SimError("cell failed again");
-                     }),
+    EXPECT_THROW(runCachedCell(sims, loop, configM11BR5(), false),
                  SimError);
+    EXPECT_EQ(runs, 4);
+    stats = cache.stats();
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_EQ(stats.hits + stats.misses, 0u);
 }
 
 TEST_F(ResultCacheTest, ConcurrentGetOrComputeIsCoherent)
 {
-    // Many threads hammering a small key space: every returned
-    // result must match its key's canonical value, and the entry
-    // count must equal the key count.
+    // Many threads running the probe-then-store protocol over a small
+    // key space: every result must match its key's canonical value,
+    // the entry count must equal the key count, and every probe must
+    // count exactly once, as a hit or (by its store) a miss.
     ResultCache &cache = ResultCache::instance();
     constexpr int kThreads = 8, kIterations = 50, kKeys = 5;
     std::vector<std::thread> threads;
@@ -194,12 +237,14 @@ TEST_F(ResultCacheTest, ConcurrentGetOrComputeIsCoherent)
         threads.emplace_back([&] {
             for (int i = 0; i < kIterations; ++i) {
                 const int k = i % kKeys;
-                const SimResult r = cache.getOrCompute(
-                    "sim" + std::to_string(k), "LL1", configM11BR5(),
-                    false, [&] {
-                        return fakeResult(std::uint64_t(k) + 1,
-                                          ClockCycle(k) + 1);
-                    });
+                const std::string key = "sim" + std::to_string(k);
+                SimResult r;
+                if (!cache.probe(key, "LL1", configM11BR5(), false,
+                                 &r)) {
+                    r = fakeResult(std::uint64_t(k) + 1,
+                                   ClockCycle(k) + 1);
+                    cache.store(key, "LL1", configM11BR5(), false, r);
+                }
                 if (r.instructions != std::uint64_t(k) + 1)
                     ++mismatches;
             }
@@ -216,11 +261,10 @@ TEST_F(ResultCacheTest, ConcurrentGetOrComputeIsCoherent)
 TEST_F(ResultCacheTest, AppendMetricsExportsCounters)
 {
     ResultCache &cache = ResultCache::instance();
-    const auto compute = [] { return fakeResult(1, 1); };
-    cache.getOrCompute("simple", "LL1", configM11BR5(), false,
-                       compute);
-    cache.getOrCompute("simple", "LL1", configM11BR5(), false,
-                       compute);
+    cache.store("simple", "LL1", configM11BR5(), false,
+                fakeResult(1, 1));
+    EXPECT_TRUE(
+        cache.probe("simple", "LL1", configM11BR5(), false, nullptr));
 
     MetricsRegistry metrics;
     cache.appendMetrics(metrics);
@@ -276,6 +320,63 @@ TEST_F(ResultCacheTest, SweepVariantsDoNotAlias)
         << "oracle branching must beat blocking on LL3 — a tie "
            "suggests the cache aliased the two organizations";
     EXPECT_EQ(ResultCache::instance().stats().entries, 2u);
+}
+
+HttpRequest
+simulateRequest(const std::string &body)
+{
+    HttpRequest request;
+    request.method = "POST";
+    request.target = request.path = "/v1/simulate";
+    request.body = body;
+    return request;
+}
+
+TEST_F(ResultCacheTest, RepeatedSimulateOfUnrolledLoopDecodesOnce)
+{
+    // The worker path: an unrolled loop is not in the TraceLibrary,
+    // so its body is decoded per request, but only on a miss.
+    SimService service;
+    const HttpRequest request =
+        simulateRequest(R"({"loop": "1x4", "machine": "cray"})");
+    const std::uint64_t bodies = TraceBody::bodiesBuilt();
+
+    const HttpResponse first = service.handle(request, 10000);
+    ASSERT_EQ(first.status, 200) << first.body;
+    EXPECT_FALSE(parseJson(first.body).find("cached")->asBool());
+    EXPECT_EQ(TraceBody::bodiesBuilt() - bodies, 1u);
+    EXPECT_EQ(ResultCache::instance().stats().misses, 1u);
+    EXPECT_EQ(ResultCache::instance().stats().hits, 0u);
+
+    const HttpResponse second = service.handle(request, 10000);
+    ASSERT_EQ(second.status, 200) << second.body;
+    EXPECT_TRUE(parseJson(second.body).find("cached")->asBool());
+    EXPECT_EQ(TraceBody::bodiesBuilt() - bodies, 1u)
+        << "a hit must decode nothing";
+    EXPECT_EQ(ResultCache::instance().stats().misses, 1u);
+    EXPECT_EQ(ResultCache::instance().stats().hits, 1u);
+}
+
+TEST_F(ResultCacheTest, FastPathMissComputedByWorkerCountsOneMiss)
+{
+    // The reactor probes first; its miss counts nothing, the worker
+    // that then simulates and stores the cell counts the one miss.
+    SimService service;
+    const HttpRequest request =
+        simulateRequest(R"({"loop": 3, "machine": "cray"})");
+    HttpResponse fast;
+    EXPECT_FALSE(service.tryFastAnswer(request, &fast));
+    EXPECT_EQ(ResultCache::instance().stats().misses, 0u);
+    EXPECT_EQ(ResultCache::instance().stats().hits, 0u);
+
+    ASSERT_EQ(service.handle(request, 10000).status, 200);
+    EXPECT_EQ(ResultCache::instance().stats().misses, 1u);
+    EXPECT_EQ(ResultCache::instance().stats().hits, 0u);
+
+    EXPECT_TRUE(service.tryFastAnswer(request, &fast));
+    EXPECT_EQ(fast.status, 200);
+    EXPECT_EQ(ResultCache::instance().stats().misses, 1u);
+    EXPECT_EQ(ResultCache::instance().stats().hits, 1u);
 }
 
 TEST(ShutdownGrid, SigintStopsGridAndFlagsPartialResults)

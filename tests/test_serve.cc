@@ -1329,7 +1329,7 @@ TEST(HttpPipelining, DeepPipelineAnsweredCompletelyInOrder)
     constexpr int kDepth = 8;
     std::string batch;
     for (int i = 0; i < kDepth; ++i)
-        batch += echoRequest("r" + std::to_string(i));
+        batch += echoRequest(std::string("r").append(std::to_string(i)));
     ClientSocket sock(server.port());
     ASSERT_TRUE(sock.ok());
     ASSERT_TRUE(sock.sendAll(batch));

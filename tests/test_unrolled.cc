@@ -59,7 +59,18 @@ TEST_P(Unrolled, FactorOneMatchesCanonicalKernel)
     const Kernel rolled = buildUnrolledKernel(loopId(), 1);
     const KernelRun a = runKernel(canonical);
     const KernelRun b = runKernel(rolled);
-    EXPECT_EQ(a.trace.size(), b.trace.size());
+    ASSERT_EQ(a.trace.size(), b.trace.size());
+    // Op for op: a kernel that only matched in length (the same ops
+    // in another order) would time differently.
+    for (std::size_t i = 0; i < a.trace.size(); ++i) {
+        const DynOp &x = a.trace[i];
+        const DynOp &y = b.trace[i];
+        ASSERT_TRUE(x.op == y.op && x.dst == y.dst && x.srcA == y.srcA &&
+                    x.srcB == y.srcB && x.staticIdx == y.staticIdx &&
+                    x.taken == y.taken && x.backward == y.backward &&
+                    x.vl == y.vl)
+            << "loop " << loopId() << " differs at op " << i;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
