@@ -219,7 +219,9 @@ writePipeview(std::ostream &os, const PipeTraceRecorder &recorder,
           "= exec, . wait)\n";
 
     for (std::size_t i = 0; i < shown; ++i) {
-        char buf[32];
+        // The widest label: a 20-digit index, a space, a 10-column
+        // mnemonic, " |" and the NUL.
+        char buf[20 + 1 + 10 + 2 + 1];
         std::snprintf(buf, sizeof(buf), "%5zu %-10.10s |", i,
                       mnemonicOf(trace.op(i)));
         os << buf;

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <new>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -130,6 +131,23 @@ encodeRecord(const std::string &key, const SimResult &r)
     return record;
 }
 
+/** write() all of @p size bytes at @p data, retrying on EINTR. */
+bool
+writeFully(int fd, const char *data, std::size_t size)
+{
+    std::size_t done = 0;
+    while (done < size) {
+        const ssize_t n = ::write(fd, data + done, size - done);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        done += std::size_t(n);
+    }
+    return true;
+}
+
 std::string
 encodeHeader(const std::string &version)
 {
@@ -194,18 +212,7 @@ bool
 PersistentCache::writeHeader(int fd, const std::string &version) const
 {
     const std::string header = encodeHeader(version);
-    std::size_t done = 0;
-    while (done < header.size()) {
-        const ssize_t n = ::write(fd, header.data() + done,
-                                  header.size() - done);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        done += std::size_t(n);
-    }
-    return true;
+    return writeFully(fd, header.data(), header.size());
 }
 
 PersistLoadStats
@@ -401,10 +408,7 @@ PersistentCache::flush()
 }
 
 bool
-PersistentCache::maybeCompact(
-    const std::function<
-        std::vector<std::pair<std::string, SimResult>>()>
-        &liveSnapshot)
+PersistentCache::maybeCompact(const LiveRecords &live)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (fd_ < 0)
@@ -416,24 +420,34 @@ PersistentCache::maybeCompact(
     if (fileBytes_ < options_.compactMinBytes || deadBytes_ == 0 ||
         deadBytes_ * 2 < fileBytes_)
         return false;
-    return compactLocked(liveSnapshot());
+    return compactLocked(live);
 }
 
 bool
-PersistentCache::compactNow(
-    const std::function<
-        std::vector<std::pair<std::string, SimResult>>()>
-        &liveSnapshot)
+PersistentCache::compactNow(const LiveRecords &live)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (fd_ < 0)
         return false;
-    return compactLocked(liveSnapshot());
+    return compactLocked(live);
+}
+
+void
+PersistentCache::noteDead(std::uint64_t bytes)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    deadBytes_ += bytes;
+    stats_.deadBytes = deadBytes_;
+}
+
+std::uint64_t
+PersistentCache::recordBytes(std::size_t keyBytes)
+{
+    return kRecordHeaderBytes + 4 + keyBytes + kValueBytes;
 }
 
 bool
-PersistentCache::compactLocked(
-    const std::vector<std::pair<std::string, SimResult>> &live)
+PersistentCache::compactLocked(const LiveRecords &live)
 {
     if (faultAt("persist.compact")) {
         ++stats_.compactErrors;
@@ -447,22 +461,23 @@ PersistentCache::compactLocked(
         ++stats_.compactErrors;
         return false;
     }
+    // Stream the live records through a 64 KiB buffer: the rewrite
+    // never holds the whole journal in memory.
+    constexpr std::size_t kChunkBytes = 64 * 1024;
     std::string out = encodeHeader(version_);
-    for (const auto &[key, result] : live)
-        out.append(encodeRecord(key, result));
-    std::size_t done = 0;
+    std::uint64_t written = 0;
     bool ok = true;
-    while (done < out.size()) {
-        const ssize_t n =
-            ::write(tmp, out.data() + done, out.size() - done);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            ok = false;
-            break;
-        }
-        done += std::size_t(n);
-    }
+    const auto drain = [&] {
+        ok = ok && writeFully(tmp, out.data(), out.size());
+        written += out.size();
+        out.clear();
+    };
+    live([&](const std::string &key, const SimResult &result) {
+        out.append(encodeRecord(key, result));
+        if (out.size() >= kChunkBytes)
+            drain();
+    });
+    drain();
     if (ok)
         ok = ::fsync(tmp) == 0;
     ::close(tmp);
@@ -482,7 +497,7 @@ PersistentCache::compactLocked(
         ::close(fd_);
         fd_ = fresh;
     }
-    fileBytes_ = out.size();
+    fileBytes_ = written;
     deadBytes_ = 0;
     sinceFsync_ = 0;
     ++stats_.compactions;

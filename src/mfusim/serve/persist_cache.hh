@@ -38,9 +38,10 @@
  *    framing/CRC failure, then truncates the file back to the last
  *    good byte — corrupt or torn data is *counted and removed*,
  *    never parsed around;
- *  - compaction rewrites into a temp file and renames over the
- *    journal, so a crash mid-compaction leaves either the old or the
- *    new file, both valid.
+ *  - compaction streams the live records (the ResultCache's
+ *    resident set) into a temp file and renames it over the journal,
+ *    so a crash mid-compaction leaves either the old or the new
+ *    file, both valid.
  *
  * I/O failures are absorbed, not thrown: a cache that cannot persist
  * degrades to the in-memory behavior with counters raised — the
@@ -57,8 +58,6 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "mfusim/sim/simulator.hh"
 
@@ -132,24 +131,34 @@ class PersistentCache
     /** fsync any buffered appends (drain path). */
     void flush();
 
+    /** Receives one record: its composed key and its result. */
+    using RecordSink =
+        std::function<void(const std::string &, const SimResult &)>;
+    /** Calls its sink once for every live record. */
+    using LiveRecords = std::function<void(const RecordSink &)>;
+
     /**
      * Compact when the journal has accumulated enough dead bytes
-     * (torn writes, duplicates): rewrite exactly @p liveSnapshot()'s
-     * entries into a temp file and atomically rename it over the
-     * journal.  The snapshot is taken under the journal lock so no
+     * (torn writes, duplicates, evicted cells): stream exactly
+     * @p live's records into a temp file and atomically rename it
+     * over the journal.  @p live runs under the journal lock so no
      * concurrent append can be lost.  Returns true if a compaction
      * ran.
      */
-    bool maybeCompact(
-        const std::function<
-            std::vector<std::pair<std::string, SimResult>>()>
-            &liveSnapshot);
+    bool maybeCompact(const LiveRecords &live);
 
     /** maybeCompact() without the size heuristics (tests, drain). */
-    bool compactNow(
-        const std::function<
-            std::vector<std::pair<std::string, SimResult>>()>
-            &liveSnapshot);
+    bool compactNow(const LiveRecords &live);
+
+    /**
+     * Count @p bytes of the journal as no longer live (records of
+     * evicted cells, or recovered records the cache did not keep),
+     * so that maybeCompact() sheds them.
+     */
+    void noteDead(std::uint64_t bytes);
+
+    /** The on-disk size of a record whose composed key has @p keyBytes. */
+    static std::uint64_t recordBytes(std::size_t keyBytes);
 
     PersistStats stats() const;
     const std::string &path() const { return path_; }
@@ -160,8 +169,7 @@ class PersistentCache
   private:
     bool writeRaw(const char *data, std::size_t size);
     void fsyncLocked();
-    bool compactLocked(
-        const std::vector<std::pair<std::string, SimResult>> &live);
+    bool compactLocked(const LiveRecords &live);
     bool writeHeader(int fd, const std::string &version) const;
 
     Options options_;

@@ -15,7 +15,9 @@
  * new hands out against those freed, which pins the bodies'
  * footprint: a 4 B/op shape-id column plus the interned shape and
  * row tables, under 5 B/op for the library's loops and under 21 B/op
- * for an aperiodic trace.
+ * for an aperiodic trace.  It pins the result cache's footprint too:
+ * at most 100 B per cached cell, packed record, interned machine
+ * key and index slot included.
  */
 
 #include <gtest/gtest.h>
@@ -27,8 +29,12 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
+#include "mfusim/harness/spec_parse.hh"
 #include "mfusim/harness/trace_library.hh"
+#include "mfusim/serve/result_cache.hh"
 #include "test_util.hh"
 
 namespace
@@ -141,6 +147,57 @@ TEST(TraceLibraryMemory, AperiodicBodyHoldsUnderTwentyOneBytesPerOp)
     EXPECT_GT(body->numShapes(), kOps / 2);
     EXPECT_GT(live, std::int64_t(4 * kOps));
     EXPECT_LE(live, std::int64_t(21 * kOps));
+}
+
+TEST(ResultCacheMemory, CellHoldsAtMostOneHundredBytes)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "the sanitizer runtime owns operator new/delete";
+#endif
+    // 2,856 distinct cells, keyed as the daemon keys them: 204 RUU
+    // machines (widths 1-4, sizes 50-100), each under one of the four
+    // configs, over the 14 loops, with a short git SHA as the
+    // version.  Each cell's result has the magnitudes of an RUU run:
+    // no stall counters, most ops closed by steady state.
+    std::vector<std::string> machineKeys;
+    std::vector<MachineConfig> configs;
+    for (unsigned width = 1; width <= 4; ++width)
+        for (unsigned size = 50; size <= 100; ++size) {
+            const MachineConfig &cfg =
+                standardConfigs()[machineKeys.size() % 4];
+            machineKeys.push_back(
+                parseMachineSpec("ruu:" + std::to_string(width) + ":" +
+                                     std::to_string(size),
+                                 cfg)
+                    ->cacheKey());
+            configs.push_back(cfg);
+        }
+    std::vector<std::string> traceKeys;
+    for (int loop = 1; loop <= 14; ++loop)
+        traceKeys.push_back("LL" + std::to_string(loop));
+
+    ResultCache cache;
+    cache.setVersion("51ab0e8");
+    g_liveBytes = 0;
+    g_watching = true;
+    for (std::size_t m = 0; m < machineKeys.size(); ++m)
+        for (std::size_t l = 0; l < traceKeys.size(); ++l) {
+            SimResult r;
+            r.instructions = 2000 + 131 * l + m;
+            r.cycles = r.instructions * 3 / 2 + m;
+            r.steadyOpsSkipped = r.instructions * 4 / 5;
+            cache.store(machineKeys[m], traceKeys[l], configs[m], false,
+                        r);
+        }
+    g_watching = false;
+    const std::int64_t live = g_liveBytes.load();
+    const std::uint64_t cells = cache.stats().entries;
+    ASSERT_EQ(cells, 2856u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_LE(live, std::int64_t(100 * cells))
+        << double(live) / double(cells) << " B per cell";
+    RecordProperty("bytes_per_cell",
+                   std::to_string(double(live) / double(cells)));
 }
 
 } // namespace

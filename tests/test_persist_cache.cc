@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -94,6 +95,15 @@ sampleResult(std::uint64_t seed)
     r.squashes = 2000 + seed;
     r.wrongPathOps = 3000 + seed;
     return r;
+}
+
+/** The machine key of the @p i-th cell of a stream of distinct cells. */
+std::string
+streamMachine(std::uint64_t i)
+{
+    std::string key = "m";
+    key += std::to_string(i);
+    return key;
 }
 
 TEST_F(PersistCacheTest, RoundTripIsBitIdentical)
@@ -244,13 +254,12 @@ TEST_F(PersistCacheTest, InjectedTornWriteIsCountedAndCompactable)
     // Compaction rewrites exactly the live set, shedding the torn
     // bytes (the record appended after the torn one would otherwise
     // be unreachable behind the corruption).
-    EXPECT_TRUE(journal.compactNow([] {
-        return std::vector<std::pair<std::string, SimResult>>{
-            { "a", sampleResult(1) },
-            { "b", sampleResult(2) },
-            { "c", sampleResult(3) },
-        };
-    }));
+    EXPECT_TRUE(journal.compactNow(
+        [](const PersistentCache::RecordSink &sink) {
+            sink("a", sampleResult(1));
+            sink("b", sampleResult(2));
+            sink("c", sampleResult(3));
+        }));
     EXPECT_EQ(journal.stats().deadBytes, 0u);
     EXPECT_EQ(journal.stats().compactions, 1u);
 
@@ -286,10 +295,8 @@ TEST_F(PersistCacheTest, MaybeCompactTriggersOnDeadBytes)
     journal.open("v1", [](std::string, const SimResult &) {});
     ASSERT_TRUE(journal.append("a", sampleResult(1)));
 
-    const auto snapshot = [] {
-        return std::vector<std::pair<std::string, SimResult>>{
-            { "a", sampleResult(1) },
-        };
+    const auto snapshot = [](const PersistentCache::RecordSink &sink) {
+        sink("a", sampleResult(1));
     };
     // No dead bytes yet: the heuristic declines.
     EXPECT_FALSE(journal.maybeCompact(snapshot));
@@ -314,9 +321,8 @@ TEST_F(PersistCacheTest, InjectedCompactFailureLeavesJournalUsable)
     journal.open("v1", [](std::string, const SimResult &) {});
     ASSERT_TRUE(journal.append("a", sampleResult(1)));
     FaultRegistry::instance().configure("persist.compact:once");
-    EXPECT_FALSE(journal.compactNow([] {
-        return std::vector<std::pair<std::string, SimResult>>{};
-    }));
+    EXPECT_FALSE(
+        journal.compactNow([](const PersistentCache::RecordSink &) {}));
     FaultRegistry::instance().reset();
     EXPECT_EQ(journal.stats().compactErrors, 1u);
     EXPECT_TRUE(journal.append("b", sampleResult(2)));
@@ -360,6 +366,145 @@ TEST_F(PersistCacheTest, RestartWarmIsBitIdenticalToRecompute)
     EXPECT_TRUE(warm.cached);
     EXPECT_EQ(cache.stats().misses, 0u);
     expectSameResult(warm.result, fresh, "warm");
+}
+
+TEST_F(PersistCacheTest, JournalCompactsToTheResidentSet)
+{
+    // A cache that evicts counts each evicted cell's record as dead
+    // journal bytes, so compaction triggers and rewrites the journal
+    // to exactly the cells still resident.
+    PersistentCache::Options opts;
+    opts.compactMinBytes = 1;
+    opts.compactCheckEvery = 1;
+    const MachineConfig cfg = configM11BR5();
+    ResultCache cache(32 * 1024);
+    cache.setVersion("v1");
+    cache.attachPersist(std::make_unique<PersistentCache>(dir_, opts));
+    std::uint64_t stored = 0;
+    while (cache.persist()->stats().compactions == 0 && stored < 100000) {
+        cache.store(streamMachine(stored), "LL1", cfg, false,
+                    sampleResult(stored));
+        ++stored;
+    }
+    ASSERT_EQ(cache.persist()->stats().compactions, 1u);
+    const ResultCacheStats stats = cache.stats();
+    EXPECT_GT(stats.evictions, 0u);
+
+    std::unordered_map<std::string, SimResult> warm;
+    const PersistLoadStats load = recover("v1", &warm);
+    EXPECT_EQ(load.discardedCorrupt, 0u);
+    EXPECT_EQ(warm.size(), stats.entries);
+    for (const auto &[key, result] : warm) {
+        const std::string machine = key.substr(0, key.find('\n'));
+        SimResult resident;
+        ASSERT_TRUE(cache.probe(machine, "LL1", cfg, false, &resident))
+            << key;
+        expectSameResult(resident, result, machine);
+    }
+}
+
+TEST_F(PersistCacheTest, WarmLoadPastTheBudgetEvicts)
+{
+    // A journal written by a cache with a larger budget warm-loads
+    // into a small one up to its budget: the overflow is evicted and
+    // counted dead on disk, and every resident cell is bit-identical.
+    const MachineConfig cfg = configM5BR5();
+    constexpr std::uint64_t kCells = 3000;
+    {
+        ResultCache large;
+        large.setVersion("v1");
+        large.attachPersist(std::make_unique<PersistentCache>(dir_));
+        for (std::uint64_t i = 0; i < kCells; ++i)
+            large.store(streamMachine(i), "LL2", cfg, true,
+                        sampleResult(i));
+    }
+    constexpr std::size_t kBudget = 32 * 1024;
+    ResultCache small(kBudget);
+    small.setVersion("v1");
+    const PersistLoadStats load =
+        small.attachPersist(std::make_unique<PersistentCache>(dir_));
+    EXPECT_EQ(load.recovered, kCells);
+    const ResultCacheStats stats = small.stats();
+    EXPECT_LE(stats.residentBytes, kBudget);
+    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_EQ(stats.entries + stats.evictions, kCells);
+    EXPECT_EQ(stats.hits + stats.misses, 0u);
+    EXPECT_GT(small.persist()->stats().deadBytes, 0u);
+    std::uint64_t resident = 0;
+    for (std::uint64_t i = 0; i < kCells; ++i) {
+        SimResult r;
+        if (small.probe(streamMachine(i), "LL2", cfg, true, &r)) {
+            ++resident;
+            expectSameResult(r, sampleResult(i), std::to_string(i));
+        }
+    }
+    EXPECT_EQ(resident, stats.entries);
+}
+
+TEST_F(PersistCacheTest, JournalFromTheUnboundedCacheWarmLoadsUnchanged)
+{
+    // tests/golden/journal_v4_51ab0e8.mfuj was written by a daemon
+    // built at 51ab0e8, whose cache had no budget: a /v1/sweep of
+    // three machines over four loops, an audited /v1/simulate of an
+    // unrolled loop and one Tomasulo cell.  Its records warm-load
+    // as they are, the file is not rewritten, and every cell is a
+    // hit equal to a fresh simulation.
+    const std::string fixture =
+        std::string(MFUSIM_TEST_GOLDEN_DIR) + "/journal_v4_51ab0e8.mfuj";
+    std::ifstream in(fixture, std::ios::binary);
+    ASSERT_TRUE(in) << fixture;
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    std::ofstream(journalPath(), std::ios::binary) << bytes;
+
+    struct Cell
+    {
+        const char *machine;
+        const char *loop;
+        MachineConfig cfg;
+        bool audited;
+    };
+    std::vector<Cell> cells;
+    for (const char *loop : { "1", "3", "7", "12" })
+        for (const char *machine : { "cray", "ruu:4:50", "ooo:4,pred=2bit" })
+            cells.push_back({ machine, loop, configM5BR2(), false });
+    cells.push_back({ "seq:2", "1x4", configM11BR5(), true });
+    cells.push_back({ "tomasulo:2:1", "5", configM11BR2(), false });
+
+    ResultCache &cache = ResultCache::instance();
+    std::vector<SimResult> fresh;
+    for (const Cell &c : cells) {
+        std::vector<std::unique_ptr<Simulator>> sims;
+        sims.push_back(parseMachineSpec(c.machine, c.cfg));
+        fresh.push_back(runCachedCell(sims, parseLoopSpec(c.loop), c.cfg,
+                                      c.audited)
+                            .front()
+                            .result);
+    }
+    cache.clear();
+    cache.setVersion("51ab0e8");
+    const PersistLoadStats load =
+        cache.attachPersist(std::make_unique<PersistentCache>(dir_));
+    EXPECT_EQ(load.recovered, cells.size());
+    EXPECT_EQ(load.discardedCorrupt + load.discardedVersion, 0u);
+    EXPECT_EQ(load.truncatedBytes, 0u);
+    EXPECT_EQ(cache.stats().entries, cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        std::vector<std::unique_ptr<Simulator>> sims;
+        sims.push_back(parseMachineSpec(cells[i].machine, cells[i].cfg));
+        const CachedCellResult warm =
+            runCachedCell(sims, parseLoopSpec(cells[i].loop), cells[i].cfg,
+                          cells[i].audited)
+                .front();
+        EXPECT_TRUE(warm.cached) << cells[i].machine << " " << cells[i].loop;
+        expectSameResult(warm.result, fresh[i], cells[i].machine);
+    }
+    EXPECT_EQ(cache.stats().misses, 0u);
+    cache.detachPersist();
+    std::ifstream after(journalPath(), std::ios::binary);
+    EXPECT_EQ(std::string((std::istreambuf_iterator<char>(after)),
+                          std::istreambuf_iterator<char>()),
+              bytes);
 }
 
 TEST_F(PersistCacheTest, InjectedLoadFailureStartsCold)

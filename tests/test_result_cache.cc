@@ -3,13 +3,17 @@
  * ResultCache: correctness of the memo keys (no aliasing between
  * organization variants), hit/miss accounting, concurrency, the one
  * cached-cell path (runCachedCell) under the sweep runner and the
- * serve endpoints, and cooperative shutdown of runGrid.
+ * serve endpoints, the byte budget and its CLOCK eviction, and
+ * cooperative shutdown of runGrid.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <memory>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,7 +29,9 @@
 #include "mfusim/sim/ruu_sim.hh"
 #include "mfusim/sim/scoreboard_sim.hh"
 #include "mfusim/sim/simple_sim.hh"
+#include "mfusim/sim/steady_state.hh"
 #include "mfusim/sim/tomasulo_sim.hh"
+#include "test_util.hh"
 
 namespace mfusim
 {
@@ -115,7 +121,7 @@ TEST_F(ResultCacheTest, MissThenHit)
 TEST_F(ResultCacheTest, KeyComponentsAreAllDiscriminating)
 {
     // Every key component changed in isolation must miss: machine
-    // key, trace, config, audit mode.
+    // key, trace, config, audit mode, steady-state mode, version.
     ResultCache &cache = ResultCache::instance();
     const auto probeThenStore = [&](const char *machine,
                                     const char *trace,
@@ -130,9 +136,24 @@ TEST_F(ResultCacheTest, KeyComponentsAreAllDiscriminating)
     probeThenStore("simple", "LL2", configM11BR5(), false);
     probeThenStore("simple", "LL1", configM5BR2(), false);
     probeThenStore("simple", "LL1", configM11BR5(), true);
-    EXPECT_EQ(cache.stats().misses, 5u);
+    const bool steady = steadyStateEnabled();
+    setSteadyStateEnabled(!steady);
+    probeThenStore("simple", "LL1", configM11BR5(), true);
+    setSteadyStateEnabled(steady);
+    EXPECT_EQ(cache.stats().misses, 6u);
     EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(cache.stats().entries, 5u);
+    EXPECT_EQ(cache.stats().entries, 6u);
+
+    ResultCache versioned;
+    versioned.setVersion("a");
+    versioned.store("simple", "LL1", configM11BR5(), false,
+                    fakeResult(1, 1));
+    versioned.setVersion("b");
+    EXPECT_FALSE(
+        versioned.probe("simple", "LL1", configM11BR5(), false, nullptr));
+    versioned.setVersion("a");
+    EXPECT_TRUE(
+        versioned.probe("simple", "LL1", configM11BR5(), false, nullptr));
 }
 
 TEST_F(ResultCacheTest, KeyCannotBeSpoofedAcrossFields)
@@ -377,6 +398,207 @@ TEST_F(ResultCacheTest, FastPathMissComputedByWorkerCountsOneMiss)
     EXPECT_EQ(fast.status, 200);
     EXPECT_EQ(ResultCache::instance().stats().misses, 1u);
     EXPECT_EQ(ResultCache::instance().stats().hits, 1u);
+}
+
+/** A result with a distinct non-zero value in every field. */
+SimResult
+denseResult(std::uint64_t seed)
+{
+    SimResult r;
+    r.instructions = 1000 + seed;
+    r.cycles = 1500 + 3 * seed;
+    for (unsigned c = 0; c < kNumStallCauses; ++c)
+        r.stalls[c] = (seed % 7) * 100 + c + 1;
+    r.hasStalls = true;
+    r.steadyOpsSkipped = 900 + seed;
+    r.squashes = seed % 3;
+    r.wrongPathOps = std::uint64_t(1) << (seed % 64);
+    return r;
+}
+
+std::string
+streamKey(std::uint64_t i)
+{
+    return "ruu|w=" + std::to_string(1 + i % 8) +
+        "|size=" + std::to_string(i);
+}
+
+TEST_F(ResultCacheTest, SmallBudgetKeepsResidentBytesWithinIt)
+{
+    // A stream of distinct cells into a 64 KiB cache: resident bytes
+    // never pass the budget, evictions make the room, and every cell
+    // still resident probes back bit-identical.
+    constexpr std::size_t kBudget = 64 * 1024;
+    constexpr std::uint64_t kCells = 20000;
+    ResultCache cache(kBudget);
+    const MachineConfig cfg = configM11BR5();
+    for (std::uint64_t i = 0; i < kCells; ++i) {
+        cache.store(streamKey(i), "LL" + std::to_string(1 + i % 14), cfg,
+                    i % 5 == 0, denseResult(i));
+        if (i % 97 == 0) {
+            ASSERT_LE(cache.stats().residentBytes, kBudget) << i;
+        }
+    }
+    const ResultCacheStats stats = cache.stats();
+    EXPECT_LE(stats.residentBytes, kBudget);
+    EXPECT_GT(stats.entries, 100u);
+    EXPECT_EQ(stats.entries + stats.evictions, kCells);
+    EXPECT_EQ(stats.misses, kCells);
+
+    std::uint64_t resident = 0;
+    for (std::uint64_t i = 0; i < kCells; ++i) {
+        SimResult r;
+        if (!cache.probe(streamKey(i), "LL" + std::to_string(1 + i % 14),
+                         cfg, i % 5 == 0, &r))
+            continue;
+        ++resident;
+        test::expectSameResult(r, denseResult(i), streamKey(i));
+    }
+    EXPECT_EQ(resident, stats.entries);
+
+    MetricsRegistry metrics;
+    cache.appendMetrics(metrics);
+    EXPECT_EQ(metrics.counterValue("result_cache.evictions"),
+              stats.evictions);
+    EXPECT_EQ(metrics.gaugeValue("result_cache.resident_bytes"),
+              double(stats.residentBytes));
+    EXPECT_EQ(metrics.gaugeValue("result_cache.budget_bytes"),
+              double(kBudget));
+}
+
+TEST_F(ResultCacheTest, ProbedCellsGetASecondChance)
+{
+    // CLOCK: a cell probed since the hand last passed it survives the
+    // sweep, so a hot set probed between the stores of a cold stream
+    // stays resident.
+    ResultCache cache(64 * 1024);
+    const MachineConfig cfg = configM5BR2();
+    constexpr std::uint64_t kHot = 16;
+    for (std::uint64_t h = 0; h < kHot; ++h)
+        cache.store("hot" + std::to_string(h), "LL1", cfg, false,
+                    denseResult(h));
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+        cache.store(streamKey(i), "LL2", cfg, false, denseResult(i));
+        for (std::uint64_t h = 0; h < kHot; ++h)
+            ASSERT_TRUE(cache.probe("hot" + std::to_string(h), "LL1", cfg,
+                                    false, nullptr))
+                << "hot cell " << h << " evicted after cold store " << i;
+    }
+    EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+TEST_F(ResultCacheTest, CellLargerThanAShardIsNotKept)
+{
+    ResultCache cache(16 * 64);     // 64 B a shard
+    cache.store(std::string(200, 'm'), "LL1", configM11BR5(), false,
+                denseResult(1));
+    const ResultCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_EQ(stats.residentBytes, 0u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_FALSE(cache.probe(std::string(200, 'm'), "LL1",
+                             configM11BR5(), false, nullptr));
+}
+
+TEST_F(ResultCacheTest, DefaultBudgetHoldsTheHitsAndSweepStreams)
+{
+    // The design-space sweep the default budget is sized for: every
+    // multiple-issue variant a sweep draws (widths 1-8, three bus
+    // organizations, RUU sizes up to 256), 20,000 (variant, config)
+    // pairs of them over the 14 loops (~280k cells, as many as 4000
+    // sweep bodies of 2-8 variants make), plus 256 single cells of
+    // the nine machine kinds.  Nothing may be evicted.
+    std::vector<std::string> variants;
+    for (unsigned w = 1; w <= 8; ++w)
+        for (const char *bus : { "", ",1bus", ",xbar" }) {
+            variants.push_back("seq:" + std::to_string(w) + bus);
+            variants.push_back("ooo:" + std::to_string(w) + bus);
+            for (unsigned size = std::max(w, 4u); size <= 256; ++size)
+                variants.push_back("ruu:" + std::to_string(w) + ":" +
+                                   std::to_string(size) + bus);
+        }
+    const auto &configs = standardConfigs();
+    std::vector<std::pair<std::string, std::size_t>> pairs;
+    std::vector<std::string> keys;
+    for (const std::string &spec : variants)
+        keys.push_back(parseMachineSpec(spec, configs[0])->cacheKey());
+    for (std::size_t v = 0; v < keys.size(); ++v)
+        for (std::size_t c = 0; c < configs.size(); ++c)
+            pairs.emplace_back(keys[v], c);
+    std::mt19937_64 rng(30);
+    std::shuffle(pairs.begin(), pairs.end(), rng);
+    pairs.resize(20000);
+
+    ResultCache cache;
+    cache.setVersion("51ab0e8");
+    std::uint64_t cells = 0;
+    for (const auto &[key, c] : pairs)
+        for (int loop = 1; loop <= 14; ++loop, ++cells) {
+            SimResult r;
+            r.instructions = 2000 + 977 * std::uint64_t(loop);
+            r.cycles = r.instructions * 5 / 4 + cells % 1000;
+            r.steadyOpsSkipped = r.instructions * 9 / 10;
+            cache.store(key, "LL" + std::to_string(loop), configs[c],
+                        false, r);
+        }
+    const std::vector<const char *> singles = {
+        "simple", "serialmem", "nonseg", "cray", "cdc", "cdc,xbar",
+        "tomasulo", "tomasulo:4", "tomasulo:2:1", "seq:4,1bus,pred=taken",
+        "ooo:8,xbar,pred=btfn:w4", "ruu:8:256,pred=2bit", "ruu:2:17,pred=2bit",
+        "ooo:4,pred=fixed:93:s1234",
+    };
+    for (std::size_t i = 0; i < 256; ++i, ++cells) {
+        const MachineConfig &cfg = configs[(i / 196) % configs.size()];
+        cache.store(parseMachineSpec(singles[i % singles.size()], cfg)
+                        ->cacheKey(),
+                    "LL" + std::to_string(1 + (i / 14) % 14), cfg, false,
+                    denseResult(i));
+    }
+    const ResultCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(stats.entries, cells);
+    EXPECT_LE(stats.residentBytes, ResultCache::kDefaultBudgetBytes);
+}
+
+TEST_F(ResultCacheTest, ConcurrentProbesAndStoresUnderEviction)
+{
+    // Workers stream distinct cells through a 32 KiB cache while
+    // probing a shared set: eviction runs under concurrent probes
+    // and stores, every hit returns its key's value, and every
+    // operation counts once.
+    ResultCache cache(32 * 1024);
+    const MachineConfig cfg = configM11BR5();
+    constexpr int kThreads = 4, kIterations = 3000;
+    std::atomic<int> mismatches{ 0 };
+    std::atomic<std::uint64_t> probes{ 0 };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kIterations; ++i) {
+                const std::uint64_t own =
+                    std::uint64_t(t) * kIterations + std::uint64_t(i);
+                cache.store(streamKey(own), "LL1", cfg, false,
+                            denseResult(own));
+                const std::uint64_t shared = std::uint64_t(i % 64);
+                SimResult r;
+                ++probes;
+                if (cache.probe(streamKey(shared), "LL1", cfg, false,
+                                &r) &&
+                    r.wrongPathOps != denseResult(shared).wrongPathOps)
+                    ++mismatches;
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    const ResultCacheStats stats = cache.stats();
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_LE(stats.residentBytes, 32u * 1024);
+    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_EQ(stats.misses, std::uint64_t(kThreads) * kIterations);
+    EXPECT_LE(stats.hits, probes.load());
+    EXPECT_EQ(stats.entries + stats.evictions,
+              std::uint64_t(kThreads) * kIterations);
 }
 
 TEST(ShutdownGrid, SigintStopsGridAndFlagsPartialResults)

@@ -38,6 +38,8 @@ REQUIRED_FAMILIES = [
     "mfusim_http_in_flight",
     "mfusim_result_cache_hits_total",
     "mfusim_result_cache_misses_total",
+    "mfusim_result_cache_evictions_total",
+    "mfusim_result_cache_resident_bytes",
     "mfusim_sim_squashes_total",
     "mfusim_sim_wrong_path_ops_total",
     "mfusim_sim_stall_mispredict_cycles_total",

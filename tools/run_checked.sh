@@ -1,9 +1,9 @@
 #!/bin/sh
 # Maximum-scrutiny build: compile the tree under AddressSanitizer +
-# UBSan, run the full test suite, then regenerate the paper's core
-# tables with the SimAudit legality checker enabled (MFUSIM_AUDIT=1),
-# so every table cell's schedule is re-verified against its
-# organization's issue rules.
+# UBSan with warnings as errors, run the full test suite, then
+# regenerate the paper's core tables with the SimAudit legality
+# checker enabled (MFUSIM_AUDIT=1), so every table cell's schedule is
+# re-verified against its organization's issue rules.
 #
 # Usage: tools/run_checked.sh [build-dir]
 set -eu
@@ -13,7 +13,7 @@ build_dir=${1:-"$repo_root/build-checked"}
 jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
 cmake -B "$build_dir" -S "$repo_root" \
-    -DMFUSIM_SANITIZE=address,undefined
+    -DMFUSIM_SANITIZE=address,undefined -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$build_dir" -j "$jobs"
 
 (cd "$build_dir" && ctest --output-on-failure -j "$jobs")
