@@ -174,16 +174,16 @@ SimService::FastCell *
 SimService::findFastCell(const std::string &body)
 {
     // Bound the memo: distinct bodies in real traffic are the points
-    // of a parameter grid, far below this.  A scanner spraying unique
-    // bodies just stops being memoized (and keeps paying the worker
-    // path for misses), it cannot grow the map without limit.
-    constexpr std::size_t kMaxCells = 4096;
-
+    // of a parameter grid, far below kMaxFastCells.  A scanner
+    // spraying unique bodies just stops being memoized (and keeps
+    // paying the worker path), it cannot grow the map without limit.
     const auto it = fastCells_.find(body);
     if (it != fastCells_.end())
         return it->second.usable ? &it->second : nullptr;
-    if (fastCells_.size() >= kMaxCells)
+    if (fastCells_.size() >= kMaxFastCells) {
+        fastCellRefusals_.fetch_add(1, std::memory_order_relaxed);
         return nullptr;
+    }
 
     FastCell cell;
     try {
@@ -205,6 +205,7 @@ SimService::findFastCell(const std::string &body)
     }
     FastCell &stored = fastCells_.emplace(body, std::move(cell))
                            .first->second;
+    fastCellCount_.store(fastCells_.size(), std::memory_order_relaxed);
     return stored.usable ? &stored : nullptr;
 }
 
@@ -524,6 +525,10 @@ SimService::handleMetrics()
         snapshot.counter("http.worker_deaths")
             .add(stats.workerDeaths);
     }
+    snapshot.gauge("http.fastpath.memo_cells")
+        .set(double(fastCellCount_.load(std::memory_order_relaxed)));
+    snapshot.counter("http.fastpath.memo_refused")
+        .add(fastCellRefusals_.load(std::memory_order_relaxed));
     // Fault-injection telemetry: visible only while faults are armed
     // (a production scrape carries zero extra series).
     if (FaultRegistry::instance().armed()) {

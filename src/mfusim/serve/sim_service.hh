@@ -24,7 +24,9 @@
 #ifndef MFUSIM_SERVE_SIM_SERVICE_HH
 #define MFUSIM_SERVE_SIM_SERVICE_HH
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -82,9 +84,18 @@ class SimService
      * Runs ONLY on the reactor thread (the memo is unsynchronized by
      * design); disabled while fault injection is armed so fault plans
      * keep their worker-path semantics.
+     *
+     * The memo admits at most kMaxFastCells distinct bodies, for the
+     * life of the process.  Past that a new body always takes the
+     * worker path, hit or miss, and counts one refusal: /metrics
+     * exports the memo's size (http_fastpath_memo_cells) and the
+     * refusals (http_fastpath_memo_refused_total).
      */
     bool tryFastAnswer(const HttpRequest &request,
                        HttpResponse *response);
+
+    /** Distinct /v1/simulate bodies the fast-path memo admits. */
+    static constexpr std::size_t kMaxFastCells = 4096;
 
     /**
      * Attach the transport so /metrics can export its accepted /
@@ -139,6 +150,9 @@ class SimService
 
     /** Reactor-thread-only (see tryFastAnswer); no lock. */
     std::unordered_map<std::string, FastCell> fastCells_;
+    /** The memo's size and refusals, for /metrics on the workers. */
+    std::atomic<std::size_t> fastCellCount_{ 0 };
+    std::atomic<std::uint64_t> fastCellRefusals_{ 0 };
 
     mutable std::mutex metricsMutex_;
     MetricsRegistry http_;

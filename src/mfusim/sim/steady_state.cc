@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdlib>
+#include <cstring>
 
 namespace mfusim
 {
@@ -130,6 +131,25 @@ SteadyStateTracker::cancelObserve()
     }
 }
 
+std::size_t
+SteadyStateTracker::pack()
+{
+    // A word packs to at most ten bytes.
+    if (packed_.size() < 10 * sig_.size())
+        packed_.resize(10 * sig_.size());
+    std::uint8_t *const begin = packed_.data();
+    std::uint8_t *out = begin;
+    for (const std::uint64_t word : sig_) {
+        std::uint64_t v = word + 1;
+        while (v >= 0x80) {
+            *out++ = std::uint8_t(v | 0x80);
+            v >>= 7;
+        }
+        *out++ = std::uint8_t(v);
+    }
+    return std::size_t(out - begin);
+}
+
 std::optional<SteadyStateTracker::Skip>
 SteadyStateTracker::finishObserve(ClockCycle base,
                                   const std::uint64_t *counters,
@@ -142,11 +162,13 @@ SteadyStateTracker::finishObserve(ClockCycle base,
     // boundaries the simulator reached in the same phase compare
     // equal.
     sig_.push_back(obsOffset_);
+    const std::size_t len = pack();
 
     // Most recent matching record = smallest iteration distance m.
     const Record *match = nullptr;
     for (const Record &rec : ring_) {
-        if (!rec.valid || rec.boundary >= k || rec.sig != sig_)
+        if (!rec.valid || rec.boundary >= k || rec.sig.size() != len ||
+            std::memcmp(rec.sig.data(), packed_.data(), len) != 0)
             continue;
         if (match == nullptr || rec.boundary > match->boundary)
             match = &rec;
@@ -218,7 +240,8 @@ SteadyStateTracker::finishObserve(ClockCycle base,
         rec.counters.fill(0);
         for (std::size_t c = 0; c < numCounters; ++c)
             rec.counters[c] = counters[c];
-        rec.sig = sig_;
+        rec.sig.assign(packed_.begin(),
+                       packed_.begin() + std::ptrdiff_t(len));
     }
 
     if (landing + 1 < seg.count) {

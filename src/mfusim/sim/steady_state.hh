@@ -54,6 +54,15 @@
  * extrapolation delta always comes from a same-segment record;
  * cross-segment state is never reused.
  *
+ * Each observed boundary leaves one record in a ring of kRing: its
+ * boundary index, base cycle, counters and signature.  The signature
+ * is stored packed, each word w as the LEB128 varint of w + 1: a
+ * stale time, a flag or a short offset takes one byte, and so does
+ * kUnknown, which wraps to 0.  Packing is a bijection, so a lookup
+ * compares lengths and then the packed bytes in full, and a match is
+ * still a complete-state match.  The simulator's word buffer is the
+ * one unpacked copy.
+ *
  * The fast path is on by default; setSteadyStateEnabled(false), the
  * --no-steady-state CLI flag or MFUSIM_NO_STEADY_STATE=1 in the
  * environment disable it, and simulators bypass it whenever an audit
@@ -106,12 +115,12 @@ class SteadyStateTracker
         /**
          * Add to the run's stall counters (same order as passed).
          *
-         * Simulators with per-op completion arrays refill their
-         * lookback window behind the landing cursor with the plain
-         * state shift — completion[q] = completion[q - ops] + delta —
-         * the source index has the same cursor-relative phase as q
-         * and lies in the exactly simulated prefix (the simulator
-         * guards cursor >= window before observing).
+         * Simulators that keep per-op times refill the ops they hold
+         * behind the landing cursor with the plain state shift —
+         * time[q] = time[q - ops] + delta — the source op has the
+         * same cursor-relative phase as q and lies in the exactly
+         * simulated prefix (the simulator guards cursor >= window
+         * before observing).
          */
         std::array<std::uint64_t, kMaxCounters> counters{};
     };
@@ -174,10 +183,12 @@ class SteadyStateTracker
         std::size_t boundary = 0;   //!< boundary index k in segment
         ClockCycle base = 0;
         std::array<std::uint64_t, kMaxCounters> counters{};
-        std::vector<std::uint64_t> sig;
+        std::vector<std::uint8_t> sig;  //!< packed signature
     };
 
     void clearRing();
+    /** Pack sig_ into packed_; returns the packed length. */
+    std::size_t pack();
     /** Advance segment/boundary cursors so next_ > cursor holds. */
     void resync(std::size_t cursor);
 
@@ -192,6 +203,7 @@ class SteadyStateTracker
     std::array<Record, kRing> ring_;
     std::size_t ringNext_ = 0;
     std::vector<std::uint64_t> sig_;
+    std::vector<std::uint8_t> packed_;  //!< sig_ packed, grow-only
 
     // Confirmation chain: the previous observed boundary and whether
     // it matched at some distance.

@@ -5,7 +5,7 @@
  * trace-file count fields, HTTP request heads, /v1/simulate and
  * /v1/sweep JSON bodies, and persistent-journal records.
  *
- * Each grammar starts from valid inputs.  A fixed-seed generator
+ * Each grammar starts from valid inputs.  A seeded generator
  * splices in boundary numbers (0, 65536, 65537, 2^32 +- 1, 2^64,
  * 2^64 + 3), signs, whitespace, leading zeros, trailing junk and the
  * grammar's own tokens, and duplicates, drops or swaps its fields.
@@ -22,6 +22,12 @@
  * std::out_of_range in particular.  A JSON body answers 200 with the
  * cells of its canonical spelling, or 400, never a 5xx.  A damaged
  * journal adopts exactly its intact prefix of records.
+ *
+ * Each grammar's generator seed is fixed, plus gtest's random seed:
+ * 0 in a plain run, so ctest always draws the same mutants.  Under
+ * --gtest_shuffle the seed is --gtest_random_seed (and moves on with
+ * each --gtest_repeat iteration), so a shuffled, repeated run draws
+ * a fresh set per iteration, and gtest prints the seed of each.
  */
 
 #include <gtest/gtest.h>
@@ -62,11 +68,17 @@ namespace
 /** Mutants generated from each grammar's seed inputs. */
 constexpr int kMutantsPerGrammar = 4000;
 
-/** Deterministic generator: splitmix64 over a fixed seed. */
+/** Deterministic generator: splitmix64 over a fixed seed, moved by
+ *  gtest's random seed when the run shuffles. */
 class Rng
 {
   public:
-    explicit Rng(std::uint64_t seed) : state_(seed) {}
+    explicit Rng(std::uint64_t seed)
+        : state_(seed + 0x9e3779b97f4a7c15ull *
+                            std::uint64_t(::testing::UnitTest::GetInstance()
+                                              ->random_seed()))
+    {
+    }
 
     std::uint64_t
     next()

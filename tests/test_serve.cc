@@ -828,6 +828,64 @@ TEST_F(ServeE2E, ReactorFastPathServesCacheHitsBitIdentically)
               b.find("rate_str")->asString());
 }
 
+TEST(FastPathMemo, BodyPastTheCapTakesTheWorkerPathBitIdentically)
+{
+    // Fill the memo with kMaxFastCells distinct bodies (each a cache
+    // miss), then send a new one: it is refused by the memo, so even
+    // on a cache hit the reactor declines it, and the worker path
+    // answers it byte for byte as the fast path answers it in a
+    // process whose memo has room.
+    ResultCache::instance().clear();
+    const auto post = [](const std::string &body) {
+        HttpRequest request;
+        request.method = "POST";
+        request.target = request.path = "/v1/simulate";
+        request.body = body;
+        return request;
+    };
+    const HttpRequest last = post(R"({"loop": 3, "machine": "cray"})");
+
+    SimService roomy(SimServiceOptions{ "test" });
+    ASSERT_EQ(roomy.handle(last, 10000).status, 200);    // computes
+    HttpResponse fast;
+    ASSERT_TRUE(roomy.tryFastAnswer(last, &fast));
+
+    SimService full(SimServiceOptions{ "test" });
+    HttpResponse unused;
+    for (std::size_t i = 1; i <= SimService::kMaxFastCells; ++i) {
+        std::string body = R"({"loop": 1, "machine": "ruu:1:)";
+        body += std::to_string(i);
+        body += "\"}";
+        EXPECT_FALSE(full.tryFastAnswer(post(body), &unused));
+    }
+    const auto scrape = [&full] {
+        HttpRequest request;
+        request.method = "GET";
+        request.target = request.path = "/metrics";
+        return full.handle(request, 10000).body;
+    };
+    // The memo's two series, as /metrics renders them.
+    const auto series = [&scrape](std::uint64_t refused) {
+        const std::string metrics = scrape();
+        const std::string labels = R"({version="test"} )";
+        const std::string cells = "\nmfusim_http_fastpath_memo_cells" +
+            labels + std::to_string(SimService::kMaxFastCells) + "\n";
+        const std::string refusals =
+            "\nmfusim_http_fastpath_memo_refused_total" + labels +
+            std::to_string(refused) + "\n";
+        return metrics.find(cells) != std::string::npos &&
+            metrics.find(refusals) != std::string::npos;
+    };
+    EXPECT_TRUE(series(0)) << scrape();
+
+    EXPECT_FALSE(full.tryFastAnswer(last, &unused));    // a cache hit
+    const HttpResponse worker = full.handle(last, 10000);
+    EXPECT_EQ(worker.status, fast.status);
+    EXPECT_EQ(worker.body, fast.body);
+    EXPECT_TRUE(series(1)) << scrape();
+    ResultCache::instance().clear();
+}
+
 // ------------------------------------------- transport-level behaviour
 
 TEST(HttpFastPath, FastHandlerAnswersWhileWorkersAreWedged)

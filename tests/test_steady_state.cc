@@ -8,6 +8,10 @@
  *    with and without a static branch predictor armed.
  *  - The audited path matches too (auditing bypasses the fast path,
  *    so its event stream stays complete).
+ *  - Both hold on the machines that stress the rings of op times
+ *    (sim/op_time_ring.hh): tiny and deep RUUs whose squashes cross
+ *    a ring wrap, the widest seq/ooo windows, and a crafted trace
+ *    whose live span is far longer than the RUU.
  *  - Crafted aperiodic and too-short traces never extrapolate.
  *  - The long loops actually exercise the fast path (skip > 0), also
  *    under static predictors; predictors with history never do.
@@ -91,6 +95,24 @@ staticPredictorMachines()
     return specs;
 }
 
+/**
+ * Machines that stress the rings of op times: the smallest and the
+ * deepest RUU under a static and two history predictors (squashes
+ * that cross a ring wrap), and the widest seq/ooo windows.
+ */
+std::vector<std::string>
+ringMachines()
+{
+    std::vector<std::string> specs;
+    for (const char *machine : { "ruu:1:1", "ruu:2:2", "ruu:8:256" })
+        for (const char *pred : { "taken", "2bit", "fixed:90" })
+            specs.push_back(std::string(machine) + ",pred=" + pred);
+    specs.push_back("ruu:8:256");
+    specs.push_back("seq:8");
+    specs.push_back("ooo:8");
+    return specs;
+}
+
 // ---- bit identity: all sims x all loops x all configs -----------------
 
 class SteadyBitIdentity
@@ -107,7 +129,10 @@ TEST_P(SteadyBitIdentity, FastPathMatchesPlainPath)
 
     auto fastSims = allSims(cfg);
     auto plainSims = allSims(cfg);
-    for (const std::string &spec : staticPredictorMachines()) {
+    std::vector<std::string> specs = staticPredictorMachines();
+    for (const std::string &spec : ringMachines())
+        specs.push_back(spec);
+    for (const std::string &spec : specs) {
         fastSims.push_back(parseMachineSpec(spec, cfg));
         plainSims.push_back(parseMachineSpec(spec, cfg));
     }
@@ -155,6 +180,10 @@ TEST(SteadyState, AuditedRunMatchesPlainRun)
             TraceLibrary::instance().decoded(loop, cfg);
         auto baseSims = allSims(cfg);
         auto auditSims = allSims(cfg);
+        for (const std::string &spec : ringMachines()) {
+            baseSims.push_back(parseMachineSpec(spec, cfg));
+            auditSims.push_back(parseMachineSpec(spec, cfg));
+        }
         for (std::size_t s = 0; s < baseSims.size(); ++s) {
             const SimResult base = baseSims[s]->run(trace);
             SimResult audited;
@@ -317,6 +346,60 @@ TEST(SteadyState, CraftedPeriodicTraceIsBitIdentical)
             expectSameResult(fast, plain,
                              fastSims[s]->name() + std::string(" ") +
                                  cfg.name());
+        }
+    }
+}
+
+/**
+ * @p reps copies of: a 12-deep reciprocal chain, an add that waits
+ * for it, and 700 taken branches.  While the RUU head waits on the
+ * chain, the front end moves on through the branches, which take no
+ * entry, so the live span from the oldest entry to the insert cursor
+ * is thousands of ops long: far past any ring's first capacity.
+ */
+DynTrace
+longSpanTrace(std::size_t reps)
+{
+    DynTrace trace("long-span");
+    trace.append(dyn(Op::kSConst, S1));
+    for (std::size_t r = 0; r < reps; ++r) {
+        for (int k = 0; k < 12; ++k)
+            trace.append(dyn(Op::kFRecip, S1, S1));
+        trace.append(dyn(Op::kFAdd, S2, S1, S1));
+        for (int b = 0; b < 700; ++b)
+            trace.append(dyn(Op::kBrANZ, kNoReg, A0, kNoReg, true));
+    }
+    return trace;
+}
+
+TEST(SteadyState, LongLiveSpanIsBitIdentical)
+{
+    const DynTrace trace = longSpanTrace(40);
+    for (const MachineConfig &cfg : standardConfigs()) {
+        const DecodedTrace decoded(trace, cfg);
+        for (const char *spec :
+             { "ruu:1:1", "ruu:2:2", "ruu:8:64", "ruu:8:256",
+               "ruu:8:256,pred=taken", "ruu:8:256,pred=2bit",
+               "ruu:2:2,pred=fixed:90", "ruu:8:256,1bus,pred=taken",
+               "seq:8,pred=taken", "ooo:8,pred=taken" }) {
+            const std::string what = std::string(spec) + " " + cfg.name();
+            SimResult plain;
+            {
+                SteadyGuard off(false);
+                plain = parseMachineSpec(spec, cfg)->run(decoded);
+            }
+            SimResult fast;
+            SimResult audited;
+            {
+                SteadyGuard on(true);
+                fast = parseMachineSpec(spec, cfg)->run(decoded);
+                const auto sim = parseMachineSpec(spec, cfg);
+                ASSERT_NO_THROW(audited = runAudited(*sim, decoded))
+                    << what;
+            }
+            fast.steadyOpsSkipped = plain.steadyOpsSkipped;
+            expectSameResult(fast, plain, what);
+            expectSameResult(audited, plain, what + " audited");
         }
     }
 }

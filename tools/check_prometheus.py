@@ -36,6 +36,8 @@ REQUIRED_FAMILIES = [
     "mfusim_http_connections_accepted_total",
     "mfusim_http_queue_depth",
     "mfusim_http_in_flight",
+    "mfusim_http_fastpath_memo_cells",
+    "mfusim_http_fastpath_memo_refused_total",
     "mfusim_result_cache_hits_total",
     "mfusim_result_cache_misses_total",
     "mfusim_result_cache_evictions_total",
